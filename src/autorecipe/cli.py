@@ -156,6 +156,8 @@ def _plan_stage(args, tax, goal, registry):
 
 
 def cmd_generate(args) -> int:
+    if bool(args.search_script) != bool(args.nli_script):
+        raise ValueError("citations need both --search-script and --nli-script, or neither")
     taxonomies = _load_taxonomies(args.taxonomy)
     goal = _goal_from_args(args)
     tax = bind_goal(taxonomies, goal)
@@ -203,7 +205,7 @@ def cmd_generate(args) -> int:
         clock=clock,
     )
 
-    if args.search_script and args.nli_script:
+    if args.search_script:
         search = ScriptedSearchClient.from_file(args.search_script)
         nli = ScriptedNliClient.from_file(args.nli_script)
         doc = _stage(
@@ -257,15 +259,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    texts = [_read_text(p) for p in args.doc]
-    base = texts[0]
+    profiles = [tokenize(_read_text(p)) for p in args.doc]
+    base = profiles[0]
     lines = ["doc,tokens,unique,ttr,coverage_vs_first,similarity_vs_first"]
-    for path, text in zip(args.doc, texts):
-        profile = tokenize(text)
+    for path, profile in zip(args.doc, profiles):
         lines.append(
-            f"{path},{profile.total},{profile.unique},{type_token_ratio(text):.6f},"
-            f"{coverage(base, text, weighted=args.weighted):.2f},"
-            f"{similarity(base, text):.6f}"
+            f"{path},{profile.total},{profile.unique},{type_token_ratio(profile):.6f},"
+            f"{coverage(base, profile, weighted=args.weighted):.2f},"
+            f"{similarity(base, profile):.6f}"
         )
     _write_out(args.out, "\n".join(lines) + "\n", "metrics table")
     return EXIT_OK

@@ -202,6 +202,10 @@ class ReplayMissError(GatewayError):
     pass
 
 
+class ReplayStoreError(AutoRecipeError):
+    """A replay store line is not a JSON record with string key and reply."""
+
+
 # --- cli --------------------------------------------------------------------
 
 class StageError(AutoRecipeError):

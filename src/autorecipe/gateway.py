@@ -23,6 +23,7 @@ from .errors import (
     GatewayError,
     GatewayTimeoutError,
     ReplayMissError,
+    ReplayStoreError,
     ScriptMissError,
     TransportError,
 )
@@ -247,10 +248,19 @@ class ReplayGateway:
         self.path = path
         self._replies: dict[str, str] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ReplayStoreError(f"{path}:{number}: not a JSON record: {exc}") from None
+                if not (
+                    isinstance(record, dict)
+                    and isinstance(record.get("key"), str)
+                    and isinstance(record.get("reply"), str)
+                ):
+                    raise ReplayStoreError(f"{path}:{number}: record needs string key and reply")
                 self._replies[record["key"]] = record["reply"]
 
     def complete(self, session: list[ChatMessage]) -> str:

@@ -1,13 +1,16 @@
 """Lexical metrics used to compare generated documents across iterations.
 
-All metrics share one tokenizer: case-fold, then split on runs of
-non-alphanumeric characters.  Vocabulary comparisons are binary set
-containment unless the count-weighted variant is requested.
+All metrics share one tokenizer: case-fold, then keep the maximal runs of
+characters that ``str.isalnum`` accepts.  Each metric takes either a text
+or the ``TokenProfile`` of one, so a caller comparing many documents
+tokenizes each once.  Vocabulary comparisons are binary set containment
+unless the count-weighted variant is requested.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,40 +55,40 @@ class TokenProfile:
         return len(self.counts)
 
 
+# Word characters minus the underscore: exactly the characters str.isalnum accepts.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def tokenize(text: str) -> TokenProfile:
-    """Case-fold and split on non-alphanumeric runs; drops empty pieces."""
-    parts = []
-    word = []
-    for ch in text.casefold():
-        if ch.isalnum():
-            word.append(ch)
-        elif word:
-            parts.append("".join(word))
-            word = []
-    if word:
-        parts.append("".join(word))
-    return TokenProfile(parts)
+    """Case-fold, then keep the maximal runs of alphanumeric characters."""
+    return TokenProfile(_TOKEN.findall(text.casefold()))
 
 
-def type_token_ratio(text: str) -> float:
+def _profile(text: str | TokenProfile) -> TokenProfile:
+    return text if isinstance(text, TokenProfile) else tokenize(text)
+
+
+def type_token_ratio(text: str | TokenProfile) -> float:
     """Unique token count divided by the square root of the total token count."""
-    profile = tokenize(text)
+    profile = _profile(text)
     if profile.total == 0:
         raise EmptyTextError("cannot compute type-token ratio of a token-free text")
     return profile.unique / math.sqrt(profile.total)
 
 
-def coverage(base: str, other: str, weighted: bool = False) -> float:
+def coverage(
+    base: str | TokenProfile, other: str | TokenProfile, weighted: bool = False
+) -> float:
     """Percentage of the base vocabulary that also occurs in the other text.
 
     The default is binary containment over vocabularies.  With
     ``weighted=True`` each covered type counts as many times as it occurs
     in the base text.
     """
-    base_profile = tokenize(base)
+    base_profile = _profile(base)
     if base_profile.total == 0:
         raise EmptyTextError("coverage base text has no tokens")
-    other_vocab = tokenize(other).vocabulary
+    other_vocab = _profile(other).vocabulary
     shared = base_profile.vocabulary & other_vocab
     if weighted:
         covered = sum(base_profile.counts[t] for t in shared)
@@ -102,10 +105,11 @@ def _cosine(u: list[float], v: list[float]) -> float:
     return dot / (nu * nv)
 
 
-def similarity(a: str, b: str, embedder=None) -> float:
+def similarity(a: str | TokenProfile, b: str | TokenProfile, embedder=None) -> float:
     """Cosine similarity of the two texts.
 
-    With an embedder client the vectors are its embeddings; an
+    With an embedder client the vectors are its embeddings of the two
+    texts, which must then be strings; an
     ``EmbedderError`` falls back to the lexical route with a warning.
     The lexical route uses term-frequency vectors over the union
     vocabulary, so identical texts score 1.0 regardless of length.
@@ -115,7 +119,7 @@ def similarity(a: str, b: str, embedder=None) -> float:
             return _cosine(list(embedder.embed(a)), list(embedder.embed(b)))
         except EmbedderError as exc:
             warnings.warn(f"embedder failed ({exc}); using lexical similarity", stacklevel=2)
-    pa, pb = tokenize(a), tokenize(b)
+    pa, pb = _profile(a), _profile(b)
     if pa.total == 0 or pb.total == 0:
         raise EmptyTextError("similarity needs tokens on both sides")
     vocab = sorted(pa.vocabulary | pb.vocabulary)

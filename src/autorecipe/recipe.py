@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import random
+import re
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,16 +23,18 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .errors import NotFoundError, OutOfDomainError, ValidationFailedError
+from .errors import NotFoundError, ValidationFailedError
 from .execution import KnowledgeDocument, render_knowledge, split_parts
 from .references import CitedDocument, render_cited
 from .scoring import (
+    _MAX_PAIRWISE,
     CATEGORIES,
     DEFAULT_CATEGORY_SCORES,
     AggregationConfig,
     HealthIndicatorConfig,
     SensorConfig,
-    categorize,
+    _category_finder,
+    _out_of_domain_message,
     validate_aggregation_config,
     validate_indicator_config,
 )
@@ -189,12 +192,30 @@ def latest_readings(dataset: SampleDataset) -> dict[str, dict[str, float]]:
 
 def validate_dataset(dataset: SampleDataset, cfg: HealthIndicatorConfig) -> list[str]:
     """Violation strings for coverage, units, timestamps, and domains."""
-    violations = []
+    return _scan_dataset(dataset, cfg)[0]
+
+
+def _scan_dataset(
+    dataset: SampleDataset, cfg: HealthIndicatorConfig
+) -> tuple[list[str], dict[str, dict[str, str]]]:
+    """One pass over the rows: violations, and the latest category per asset and sensor.
+
+    Row violations come in row order, then the coverage violations of each
+    asset in first-seen order.  The latest reading of a sensor is the one
+    with the greatest timestamp, later rows winning ties (a tie at the
+    latest timestamp is itself a violation).  Its category is None when
+    its value is out of domain.
+    """
     if not dataset.rows:
-        return ["dataset has no rows"]
+        return ["dataset has no rows"], {}
     configured = {s.name: s for s in cfg.sensors}
-    per_pair: dict[tuple[str, str], list[datetime]] = {}
+    finders = {name: _category_finder(sensor) for name, sensor in configured.items()}
+    violations = []
+    assets: dict[str, None] = {}  # first-seen order, as SampleDataset.asset_ids
+    # (asset, sensor) -> [latest moment, its category, rows at that moment]
+    latest: dict[tuple[str, str], list] = {}
     for i, row in enumerate(dataset.rows, start=1):
+        assets[row.asset_id] = None
         sensor = configured.get(row.sensor_name)
         if sensor is None:
             violations.append(f"row {i}: unknown sensor {row.sensor_name!r}")
@@ -208,21 +229,29 @@ def validate_dataset(dataset: SampleDataset, cfg: HealthIndicatorConfig) -> list
         except ValueError as exc:
             violations.append(f"row {i}: bad timestamp: {exc}")
             continue
-        per_pair.setdefault((row.asset_id, row.sensor_name), []).append(moment)
-        try:
-            categorize(row.value, sensor)
-        except OutOfDomainError as exc:
-            violations.append(f"row {i}: {exc}")
-    for asset in {row.asset_id for row in dataset.rows}:
+        category = finders[row.sensor_name](row.value)
+        if category is None:
+            violations.append(f"row {i}: {_out_of_domain_message(row.value, sensor)}")
+        key = (row.asset_id, row.sensor_name)
+        current = latest.get(key)
+        if current is None or moment > current[0]:
+            latest[key] = [moment, category, 1]
+        elif moment == current[0]:
+            current[1] = category
+            current[2] += 1
+    for asset in assets:
         for name in configured:
-            moments = per_pair.get((asset, name), [])
-            if not moments:
+            current = latest.get((asset, name))
+            if current is None:
                 violations.append(f"asset {asset!r} has no reading for sensor {name!r}")
-            elif moments.count(max(moments)) > 1:
+            elif current[2] > 1:
                 violations.append(
                     f"asset {asset!r} sensor {name!r} has an ambiguous latest reading"
                 )
-    return violations
+    categories: dict[str, dict[str, str]] = {}
+    for (asset, name), (_, category, _) in latest.items():
+        categories.setdefault(asset, {})[name] = category
+    return violations, categories
 
 
 def generate_synthetic(cfg: HealthIndicatorConfig, n_assets: int, seed: int) -> SampleDataset:
@@ -259,8 +288,13 @@ def dataset_to_csv(dataset: SampleDataset) -> str:
     return buffer.getvalue()
 
 
+# One match per line, "\n" kept, as iterating io.StringIO(text) yields; a
+# StringIO would first copy the whole text into four bytes per character.
+_CSV_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
 def dataset_from_csv(text: str) -> SampleDataset:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(m.group() for m in _CSV_LINE.finditer(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -310,6 +344,10 @@ def default_aggregation_config(sensor_names, method: str = "weighted") -> Aggreg
             weights={name: weight for name in names},
         )
     if method == "ahp":
+        if len(names) > _MAX_PAIRWISE:
+            raise ValueError(
+                f"ahp supports at most {_MAX_PAIRWISE} sensors, got {len(names)}"
+            )
         identity = tuple(tuple(1.0 for _ in names) for _ in names)
         return AggregationConfig(
             category_scores=dict(DEFAULT_CATEGORY_SCORES),

@@ -178,20 +178,41 @@ def validate_aggregation_config(
     return violations
 
 
+def _category_finder(sensor: SensorConfig):
+    """``categorize`` for one sensor with its range edges worked out once.
+
+    The returned function maps a value to its category, or to None when
+    the value lies outside every range.
+    """
+    top = max(high for _, high in sensor.ranges.values())
+    ranges = tuple(
+        (category, low, high, high == top) for category, (low, high) in sensor.ranges.items()
+    )
+
+    def find(value: float) -> str | None:
+        for category, low, high, closed in ranges:
+            if low <= value < high or (closed and value == high):
+                return category
+        return None
+
+    return find
+
+
+def _out_of_domain_message(value: float, sensor: SensorConfig) -> str:
+    lo, hi = sensor.domain
+    return f"value {value!r} is outside the configured domain [{lo}, {hi}] of {sensor.name!r}"
+
+
 def categorize(value: float, sensor: SensorConfig) -> str:
     """Category whose range contains the value.
 
     Ranges are lower-inclusive, upper-exclusive, except the topmost
     range whose upper bound is included.
     """
-    top = max(high for _, high in sensor.ranges.values())
-    for category, (low, high) in sensor.ranges.items():
-        if low <= value < high or (high == top and value == high):
-            return category
-    lo, hi = sensor.domain
-    raise OutOfDomainError(
-        f"value {value!r} is outside the configured domain [{lo}, {hi}] of {sensor.name!r}"
-    )
+    category = _category_finder(sensor)(value)
+    if category is None:
+        raise OutOfDomainError(_out_of_domain_message(value, sensor))
+    return category
 
 
 @dataclass(frozen=True)
@@ -217,7 +238,12 @@ def weighted_score(
     Works for both methods: explicit weights, or weights derived from
     the pairwise matrix.
     """
-    weights = cfg.effective_weights()
+    return _blend(categories, cfg, cfg.effective_weights(), asset_id)
+
+
+def _blend(
+    categories: dict[str, str], cfg: AggregationConfig, weights: dict[str, float], asset_id: str
+) -> HealthScore:
     missing = weights.keys() - categories.keys()
     if missing:
         raise MissingSensorError(
@@ -305,6 +331,7 @@ class HealthScoreEstimator:
     def __init__(self):
         self._indicator: HealthIndicatorConfig | None = None
         self._aggregation: AggregationConfig | None = None
+        self._weights: dict[str, float] = {}
 
     def fit(
         self, indicator: HealthIndicatorConfig, aggregation: AggregationConfig
@@ -313,6 +340,7 @@ class HealthScoreEstimator:
         violations += validate_aggregation_config(aggregation, indicator.sensor_names)
         if violations:
             raise ValidationFailedError(violations)
+        self._weights = aggregation.effective_weights()
         self._indicator = indicator
         self._aggregation = aggregation
         return self
@@ -320,16 +348,12 @@ class HealthScoreEstimator:
     def predict(self, dataset) -> list[HealthScore]:
         if self._indicator is None or self._aggregation is None:
             raise NotFittedError("call fit() with the configs before predict()")
-        from .recipe import latest_readings, validate_dataset  # avoid import cycle
+        from .recipe import _scan_dataset  # avoid import cycle
 
-        violations = validate_dataset(dataset, self._indicator)
+        violations, latest = _scan_dataset(dataset, self._indicator)
         if violations:
             raise ValidationFailedError(violations)
-        scores = []
-        for asset_id, readings in sorted(latest_readings(dataset).items()):
-            categories = {
-                name: categorize(value, self._indicator.sensor(name))
-                for name, value in readings.items()
-            }
-            scores.append(weighted_score(categories, self._aggregation, asset_id=asset_id))
-        return scores
+        return [
+            _blend(latest[asset_id], self._aggregation, self._weights, asset_id)
+            for asset_id in sorted(latest)
+        ]

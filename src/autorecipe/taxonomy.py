@@ -14,6 +14,8 @@ parents for one child) are allowed, cycles are not.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, field
 
 import yaml
@@ -41,6 +43,47 @@ __all__ = [
 
 # Relation stems that mark a leaf child as a measurement rather than a factor.
 _MEASUREMENT_STEMS = ("measur", "record", "sampl", "source")
+
+if yaml.__with_libyaml__:
+    from yaml.composer import Composer
+    from yaml.constructor import SafeConstructor
+    from yaml.cyaml import CParser
+    from yaml.resolver import Resolver
+
+    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml's C scanner and parser under PyYAML's Python composer.
+
+        Builds the same objects as ``yaml.SafeLoader``.  ``yaml.CSafeLoader``
+        composes nodes by C recursion with no depth check, so a document of
+        a few tens of thousands of nested brackets overflows the C stack;
+        the Python composer raises RecursionError instead.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its previous state.
+
+    Everything a parse allocates stays alive until it ends, so on a large
+    document the collector's full passes rescan the growing YAML node tree
+    and taxonomy again and again and free nothing.  Reference counting goes
+    on meanwhile; a cycle (a recursive YAML alias) waits for the next pass.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def normalize_name(name: str) -> str:
@@ -98,6 +141,7 @@ def _require_field(record: dict, key: str, position: int) -> str:
     return text
 
 
+@_collector_paused()
 def parse_taxonomy(text: str) -> Taxonomy:
     """Parse and validate a taxonomy document.
 
@@ -109,9 +153,11 @@ def parse_taxonomy(text: str) -> Taxonomy:
     if not text or not text.strip():
         raise EmptyDocumentError("taxonomy document is empty")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise TaxonomyError(f"unreadable taxonomy document: {exc}") from exc
+    except RecursionError:
+        raise TaxonomyError("unreadable taxonomy document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise EmptyDocumentError("taxonomy document has no mapping content")
     root_raw = doc.get("kpi")
@@ -140,13 +186,15 @@ def parse_taxonomy(text: str) -> Taxonomy:
         child = intern(_require_field(record, "child", i))
         edges.append(TaxonEdge(parent, relation, child))
 
-    children: dict[str, list[str]] = {nid: [] for nid in labels}
-    parents: dict[str, list[str]] = {nid: [] for nid in labels}
+    # Ordered sets (dict keys) of children and parents, plus each child's
+    # casefolded incoming relations: one pass over the edges.
+    children: dict[str, dict[str, None]] = {nid: {} for nid in labels}
+    parents: dict[str, dict[str, None]] = {nid: {} for nid in labels}
+    relations: dict[str, list[str]] = {nid: [] for nid in labels}
     for e in edges:
-        if e.child not in children[e.parent]:
-            children[e.parent].append(e.child)
-        if e.parent not in parents[e.child]:
-            parents[e.child].append(e.parent)
+        children[e.parent][e.child] = None
+        parents[e.child][e.parent] = None
+        relations[e.child].append(e.relation.casefold())
 
     _reject_cycles(labels, children, parents)
 
@@ -170,18 +218,18 @@ def parse_taxonomy(text: str) -> Taxonomy:
         )
 
     nodes = {
-        nid: TaxonNode(nid, label, _node_kind(nid, root, edges, children))
+        nid: TaxonNode(nid, label, _node_kind(nid, root, relations[nid], children[nid]))
         for nid, label in labels.items()
     }
     frozen_children = {nid: tuple(kids) for nid, kids in children.items()}
     return Taxonomy(root=root, nodes=nodes, edges=tuple(edges), _children=frozen_children)
 
 
-def _node_kind(nid: str, root: str, edges: list[TaxonEdge], children: dict[str, list[str]]) -> str:
+def _node_kind(nid: str, root: str, relations: list[str], children: dict[str, None]) -> str:
+    """Kind of one node from its own children and casefolded incoming relations."""
     if nid == root:
         return "kpi-root"
-    if not children[nid]:
-        relations = (e.relation.casefold() for e in edges if e.child == nid)
+    if not children:
         if any(stem in rel for rel in relations for stem in _MEASUREMENT_STEMS):
             return "measurement"
     return "factor"

@@ -7,6 +7,7 @@ import pytest
 
 from autorecipe import presets
 from autorecipe.cli import build_parser, main
+from autorecipe.gateway import ScriptedGateway
 from autorecipe.planning import parse_sequence
 from autorecipe.recipe import (
     AGGREGATION_CONFIG_FILE,
@@ -199,6 +200,40 @@ def test_generate_requires_a_gateway(tax_file, tmp_path, capsys):
     ])
     assert rc == 2
     assert "--script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--search-script", "--nli-script"])
+def test_generate_one_citation_script_alone_is_input_error(
+    tax_file, tmp_path, capsys, monkeypatch, flag
+):
+    monkeypatch.setattr(ScriptedGateway, "complete", lambda self, s: pytest.fail("gateway call"))
+    script = _generate_script(tmp_path)
+    helper = _write_yaml(tmp_path / "helper.yaml", {"strict": True})
+    out_dir = tmp_path / "bundle"
+    rc = main(_generate_args(tax_file, script, out_dir, extra=[flag, helper]))
+    assert rc == 2
+    assert "both --search-script and --nli-script" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad_line", ['{"key": "abc", "reply": "torn', '{"reply": "r"}'])
+def test_generate_corrupt_replay_store_is_input_error(tax_file, tmp_path, capsys, bad_line):
+    store = tmp_path / "exchanges.jsonl"
+    assert main(_generate_args(
+        tax_file, _generate_script(tmp_path), tmp_path / "rec", extra=["--record", str(store)]
+    )) == 0
+    lines = store.read_text(encoding="utf-8").splitlines()
+    store.write_text("\n".join(lines[:2] + [bad_line]) + "\n", encoding="utf-8")
+    rc = main([
+        "generate",
+        "--taxonomy", tax_file,
+        "--kpi", "asset health",
+        "--replay", str(store),
+        "--asset-class", "electric motor",
+        "--out", str(tmp_path / "rep"),
+    ])
+    assert rc == 2
+    assert f"{store}:3: " in capsys.readouterr().err
 
 
 def test_generate_exhausted_script_names_failing_stage(tax_file, tmp_path, capsys):

@@ -9,6 +9,7 @@ from autorecipe.errors import (
     GatewayError,
     GatewayTimeoutError,
     ReplayMissError,
+    ReplayStoreError,
     ScriptMissError,
     TransportError,
 )
@@ -104,6 +105,22 @@ def test_record_then_replay_round_trip(tmp_path):
     assert replay.complete(_session("one")) == "alpha"
     with pytest.raises(ReplayMissError):
         replay.complete(_session("never seen"))
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"key": "abc", "reply": "tor',  # torn last line
+    '{"key": "abc"}',
+    '{"reply": "r"}',
+    '["abc", "r"]',
+    '{"key": "abc", "reply": null}',
+])
+def test_replay_store_names_file_and_line_of_a_bad_record(tmp_path, bad_line):
+    store = tmp_path / "store.jsonl"
+    RecordingGateway(ScriptedGateway(replies=["r"]), str(store)).complete(_session())
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write("\n" + bad_line)
+    with pytest.raises(ReplayStoreError, match=f"{store}:3: "):
+        ReplayGateway(str(store))
 
 
 def test_replay_store_is_plain_jsonl(tmp_path):

@@ -4,10 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorecipe.errors import EmptyTextError
 from autorecipe.metrics import (
     EmbedderError,
+    TokenProfile,
     coverage,
     similarity,
     tokenize,
@@ -21,6 +24,63 @@ def test_tokenize_casefolds_and_splits_on_non_alphanumerics():
     assert profile.counts["the"] == 2
     assert profile.counts["pump"] == 2
     assert "3" in profile.vocabulary
+
+
+def _tokens_by_isalnum(text: str) -> list[str]:
+    """The tokenizer's definition, one character at a time."""
+    parts, word = [], []
+    for ch in text.casefold():
+        if ch.isalnum():
+            word.append(ch)
+        elif word:
+            parts.append("".join(word))
+            word = []
+    if word:
+        parts.append("".join(word))
+    return parts
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=st.characters(), max_size=300))
+def test_tokenize_equals_isalnum_definition(text):
+    assert tokenize(text).tokens == _tokens_by_isalnum(text)
+
+
+def test_tokenize_equals_isalnum_definition_on_every_code_point():
+    text = "".join(map(chr, range(0x110000)))
+    assert tokenize(text).tokens == _tokens_by_isalnum(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.text(alphabet="ab c_-1é", min_size=1, max_size=40),
+    b=st.text(alphabet="ab c_-1é", min_size=1, max_size=40),
+    weighted=st.booleans(),
+)
+def test_metrics_take_texts_or_profiles_alike(a, b, weighted):
+    pa, pb = tokenize(a), tokenize(b)
+    for fn in (
+        lambda x, y: type_token_ratio(x),
+        lambda x, y: coverage(x, y, weighted=weighted),
+        similarity,
+    ):
+        try:
+            expected = fn(a, b)
+        except EmptyTextError:
+            with pytest.raises(EmptyTextError):
+                fn(pa, pb)
+        else:
+            assert fn(pa, pb) == expected
+
+
+def test_token_profile_arguments_are_not_retokenized(monkeypatch):
+    import autorecipe.metrics as metrics
+
+    profile = TokenProfile(["a", "a", "b"])
+    monkeypatch.setattr(metrics, "tokenize", lambda text: pytest.fail("tokenized again"))
+    assert metrics.type_token_ratio(profile) == 2 / math.sqrt(3)
+    assert metrics.coverage(profile, profile) == 100.0
+    assert metrics.similarity(profile, profile) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ttr_hand_value():

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import io
+import json
+import os
 import random
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autorecipe import recipe as recipe_module
 from autorecipe.errors import NotFoundError, ValidationFailedError
 from autorecipe.execution import render_knowledge, split_parts
 from autorecipe.recipe import (
@@ -42,6 +51,7 @@ from autorecipe.recipe import (
     validate_recipe,
 )
 from autorecipe.references import Claim, Evidence, attach_references
+from autorecipe.scoring import HealthScoreEstimator
 from conftest import THREE_PART_DOC
 
 SENSORS = ["temperature", "vibration"]
@@ -146,6 +156,33 @@ def test_validate_dataset_coverage_and_ambiguity():
     assert any("ambiguous latest reading" in v for v in violations)
 
 
+_ORDER_SCRIPT = """
+import json
+from autorecipe.recipe import SampleDataset, SensorReading, default_indicator_config, validate_dataset
+stamp = "2024-01-01T00:00:00Z"
+rows = [SensorReading(f"asset-{i}", "temperature", 10.0, stamp, "percent") for i in range(12)]
+rows += [SensorReading("asset-3", "vibration", 10.0, stamp, "percent")] * 2
+print(json.dumps(validate_dataset(SampleDataset(tuple(rows)),
+                                  default_indicator_config(["temperature", "vibration"]))))
+"""
+
+
+def test_validate_dataset_violation_order_is_first_seen_under_any_hash_seed():
+    src = str(Path(recipe_module.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT], capture_output=True,
+                              text=True, env=env, check=True)
+        runs.append(json.loads(proc.stdout))
+    expected = [
+        f"asset 'asset-{i}' has no reading for sensor 'vibration'" for i in range(12) if i != 3
+    ]
+    expected.insert(3, "asset 'asset-3' sensor 'vibration' has an ambiguous latest reading")
+    assert runs[0] == runs[1] == expected
+
+
 def test_validate_dataset_empty():
     indicator = default_indicator_config(SENSORS)
     assert validate_dataset(SampleDataset(()), indicator) == ["dataset has no rows"]
@@ -213,6 +250,13 @@ def test_dataset_csv_round_trip():
     assert dataset_from_csv(text) == dataset
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), st.text(alphabet='ab,"\n\r\x0b\x0c\x1c\x85\u2028\x00')))
+def test_dataset_csv_lines_are_those_a_string_buffer_yields(text):
+    # dataset_from_csv hands csv.reader exactly the lines io.StringIO(text) would.
+    assert [m.group() for m in recipe_module._CSV_LINE.finditer(text)] == list(io.StringIO(text))
+
+
 def test_dataset_from_csv_rejects_bad_input():
     with pytest.raises(ValidationFailedError):
         dataset_from_csv("")
@@ -249,6 +293,14 @@ def test_default_aggregation_config_methods():
 
     with pytest.raises(ValueError):
         default_aggregation_config(SENSORS, method="mystery")
+
+
+def test_default_ahp_config_is_limited_to_fifteen_sensors():
+    names = [f"sensor {i}" for i in range(16)]
+    config = default_aggregation_config(names[:15], method="ahp")
+    assert HealthScoreEstimator().fit(default_indicator_config(names[:15]), config)
+    with pytest.raises(ValueError, match="at most 15 sensors"):
+        default_aggregation_config(names, method="ahp")
 
 
 # --- recipe validation --------------------------------------------------------------------------

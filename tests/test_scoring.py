@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from autorecipe.errors import (
     MissingSensorError,
@@ -423,3 +425,164 @@ def test_estimator_predict_validates_dataset():
     )
     with pytest.raises(ValidationFailedError):
         estimator.predict(SampleDataset(rows=rows))
+
+
+# --- predict against the row-by-row route ----------------------------------------------
+
+def _categorize_oracle(value, sensor):
+    top = max(high for _, high in sensor.ranges.values())
+    for category, (low, high) in sensor.ranges.items():
+        if low <= value < high or (high == top and value == high):
+            return category
+    lo, hi = sensor.domain
+    raise OutOfDomainError(
+        f"value {value!r} is outside the configured domain [{lo}, {hi}] of {sensor.name!r}"
+    )
+
+
+def _validate_oracle(dataset, cfg):
+    """validate_dataset as one loop per check, assets in first-seen order."""
+    from autorecipe.recipe import parse_rfc3339
+
+    violations = []
+    if not dataset.rows:
+        return ["dataset has no rows"]
+    configured = {s.name: s for s in cfg.sensors}
+    per_pair = {}
+    for i, row in enumerate(dataset.rows, start=1):
+        sensor = configured.get(row.sensor_name)
+        if sensor is None:
+            violations.append(f"row {i}: unknown sensor {row.sensor_name!r}")
+            continue
+        if row.unit != sensor.unit:
+            violations.append(
+                f"row {i}: unit {row.unit!r} does not match configured {sensor.unit!r}"
+            )
+        try:
+            moment = parse_rfc3339(row.timestamp)
+        except ValueError as exc:
+            violations.append(f"row {i}: bad timestamp: {exc}")
+            continue
+        per_pair.setdefault((row.asset_id, row.sensor_name), []).append(moment)
+        try:
+            _categorize_oracle(row.value, sensor)
+        except OutOfDomainError as exc:
+            violations.append(f"row {i}: {exc}")
+    for asset in dataset.asset_ids:
+        for name in configured:
+            moments = per_pair.get((asset, name), [])
+            if not moments:
+                violations.append(f"asset {asset!r} has no reading for sensor {name!r}")
+            elif moments.count(max(moments)) > 1:
+                violations.append(
+                    f"asset {asset!r} sensor {name!r} has an ambiguous latest reading"
+                )
+    return violations
+
+
+def _predict_oracle(dataset, indicator, aggregation):
+    from autorecipe.recipe import latest_readings
+
+    violations = _validate_oracle(dataset, indicator)
+    if violations:
+        raise ValidationFailedError(violations)
+    scores = []
+    for asset_id, readings in sorted(latest_readings(dataset).items()):
+        categories = {
+            name: _categorize_oracle(value, indicator.sensor(name))
+            for name, value in readings.items()
+        }
+        scores.append(weighted_score(categories, aggregation, asset_id=asset_id))
+    return scores
+
+
+# Four instants, each with several spellings, so equal timestamps need not look equal.
+_INSTANTS = [
+    ["2023-12-31T23:59:59.5Z", "2024-01-01T00:59:59.5+01:00"],
+    ["2024-01-01T00:00:00Z", "2024-01-01T00:00:00+00:00", "2024-01-01T01:00:00+01:00"],
+    ["2024-01-01T12:00:00Z", "2024-01-01T13:30:00+01:30"],
+    ["2024-01-02T00:00:00z", "2024-01-01T20:00:00-04:00"],
+]
+_TIMESTAMPS = [stamp for spellings in _INSTANTS for stamp in spellings]
+_BAD_TIMESTAMPS = ["not a time", "2024-01-01T00:00:00"]
+
+
+@st.composite
+def _scoring_cases(draw):
+    n = draw(st.integers(1, 4))
+    names = [f"s{i}" for i in range(n)]
+    sensors = []
+    for name in names:
+        scale = draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+        edges = [e * scale for e in sorted(draw(st.sets(st.integers(-50, 50), min_size=5,
+                                                         max_size=5)))]
+        order = draw(st.permutations(range(4)))
+        ranges = {CATEGORIES[i]: (edges[i], edges[i + 1]) for i in order}
+        sensors.append(SensorConfig(name=name, unit="u", ranges=ranges))
+    indicator = HealthIndicatorConfig(sensors=tuple(sensors))
+    category_scores = dict(zip(CATEGORIES, (c / 100 for c in sorted(draw(st.sets(
+        st.integers(0, 100), min_size=4, max_size=4))))))
+    if draw(st.booleans()):
+        raw = [draw(st.integers(1, 9)) for _ in names]
+        aggregation = AggregationConfig(
+            category_scores, "weighted",
+            weights={name: w / sum(raw) for name, w in zip(names, raw)},
+        )
+    else:
+        matrix = _consistent_matrix([draw(st.integers(1, 9)) for _ in names])
+        aggregation = AggregationConfig(
+            category_scores, "ahp", sensors=tuple(names),
+            pairwise=tuple(tuple(float(x) for x in row) for row in matrix),
+        )
+    rows = []
+    assets = draw(st.lists(st.sampled_from(["a0", "a1", "a2", "a3"]), min_size=1,
+                           max_size=4, unique=True))
+    pairs = [(asset, sensor) for asset in assets for sensor in sensors]
+    # At most one pair repeats an instant, which is a tie when it is the latest.
+    tied = draw(st.one_of(st.none(), st.sampled_from(pairs)))
+    for asset, sensor in pairs:
+        lo, hi = sensor.domain
+        edges = sorted({low for low, _ in sensor.ranges.values()} | {hi})
+        instants = draw(st.lists(st.integers(0, len(_INSTANTS) - 1), min_size=1, max_size=3,
+                                 unique=True))
+        if (asset, sensor) == tied:
+            instants.append(draw(st.sampled_from(instants)))
+        for instant in instants:
+            stamp = draw(st.sampled_from(_INSTANTS[instant]))
+            value = draw(st.one_of(st.sampled_from(edges), st.floats(lo, hi)))
+            rows.append((asset, sensor.name, value, stamp, "u"))
+    if draw(st.booleans()):  # rows that may break any rule
+        rows += draw(st.lists(st.tuples(
+            st.sampled_from(["a0", "a1", "a4"]),
+            st.sampled_from(names + ["unknown"]),
+            st.one_of(st.floats(-200, 200), st.just(float("nan"))),
+            st.sampled_from(_TIMESTAMPS + _BAD_TIMESTAMPS),
+            st.sampled_from(["u", "v"]),
+        ), max_size=6))
+    rows = draw(st.permutations(rows))
+    from autorecipe.recipe import SampleDataset, SensorReading
+
+    dataset = SampleDataset(rows=tuple(SensorReading(*row) for row in rows))
+    return indicator, aggregation, dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scoring_cases())
+def test_predict_equals_row_by_row_route(case):
+    from autorecipe.recipe import validate_dataset
+
+    indicator, aggregation, dataset = case
+    estimator = HealthScoreEstimator().fit(indicator, aggregation)
+    try:
+        expected = _predict_oracle(dataset, indicator, aggregation)
+    except ValidationFailedError as exc:
+        event("dataset rejected")
+        with pytest.raises(ValidationFailedError) as info:
+            estimator.predict(dataset)
+        assert info.value.violations == exc.violations
+        assert validate_dataset(dataset, indicator) == exc.violations
+        return
+    event("dataset scored")
+    assert validate_dataset(dataset, indicator) == []
+    assert estimator.predict(dataset) == expected
+

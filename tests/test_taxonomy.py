@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from autorecipe import presets, taxonomy
 from autorecipe.errors import (
+    AutoRecipeError,
     CycleDetectedError,
     DanglingReferenceError,
     EmptyDocumentError,
@@ -213,3 +223,129 @@ def test_random_trees_round_trip_and_traverse_once():
         order = traverse_top_down(tax, "n0")
         assert len(order) == len(set(order)) == n
         assert parse_taxonomy(serialize_taxonomy(tax)) == tax
+
+
+# --- loaders ----------------------------------------------------------------------
+
+# The module's loader (libyaml-backed when PyYAML has it) and the pure-Python one.
+LOADERS = list(dict.fromkeys([taxonomy._Loader, yaml.SafeLoader]))
+C_LOADERS = [taxonomy._Loader, yaml.CSafeLoader] if yaml.__with_libyaml__ else []
+
+
+@contextlib.contextmanager
+def _loading_with(loader):
+    """parse_taxonomy with another loader class (hypothesis tests take no fixtures)."""
+    original = taxonomy._Loader
+    taxonomy._Loader = loader
+    try:
+        yield
+    finally:
+        taxonomy._Loader = original
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_deep_nesting_is_a_taxonomy_error(monkeypatch, loader):
+    monkeypatch.setattr(taxonomy, "_Loader", loader)
+    with pytest.raises(TaxonomyError):
+        parse_taxonomy("kpi: a\nedges: " + "[" * 500 + "]" * 500 + "\n")
+
+
+def test_very_deep_nesting_exits_as_input_error(tmp_path):
+    # Far past the C stack a recursive C composer can use: must not crash.
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("kpi: a\nedges: " + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    src = str(Path(taxonomy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "autorecipe.cli", "plan", "--taxonomy", str(deep), "--kpi", "a"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "nested too deeply" in proc.stderr
+
+
+_LABEL = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=12
+).filter(lambda s: s.split())
+_RELATION = st.sampled_from(["analyzed", "measured", "Recorded by", "sampled", "impacted", "source"])
+
+
+@st.composite
+def _taxonomy_documents(draw):
+    """Valid taxonomy documents: random DAGs, with labels quoted by safe_dump."""
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=8, unique_by=normalize_name))
+    edges = []
+    for i in range(1, len(labels)):
+        for parent in draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=2)):
+            edges.append({"parent": labels[parent], "relation": draw(_RELATION),
+                          "child": labels[i]})
+    flow = draw(st.booleans())
+    return yaml.safe_dump({"kpi": labels[0], "edges": edges}, sort_keys=False,
+                          allow_unicode=draw(st.booleans()), default_flow_style=flow or None)
+
+
+@pytest.mark.skipif(not C_LOADERS, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("loader", C_LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=150, deadline=None)
+@given(text=_taxonomy_documents())
+@example(text=presets.ASSET_HEALTH_TAXONOMY)
+@example(text=presets.ASSET_SUSTAINABILITY_TAXONOMY)
+def test_libyaml_and_python_loaders_build_equal_taxonomies(loader, text):
+    assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
+    with _loading_with(yaml.SafeLoader):
+        expected = parse_taxonomy(text)
+    with _loading_with(loader):
+        got = parse_taxonomy(text)
+    # Taxonomy equality covers root, nodes with their kinds, edges and children.
+    assert got == expected
+
+
+def _node_kind_brute_force(tax, nid):
+    """The definition: a leaf is a measurement when any incoming relation has a stem."""
+    if nid == tax.root:
+        return "kpi-root"
+    relations = [e.relation.casefold() for e in tax.edges if e.child == nid]
+    stems = ("measur", "record", "sampl", "source")
+    if not tax.children(nid) and any(s in r for r in relations for s in stems):
+        return "measurement"
+    return "factor"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_taxonomy_documents())
+def test_node_kinds_match_brute_force(text):
+    tax = parse_taxonomy(text)
+    for nid, node in tax.nodes.items():
+        assert node.kind == _node_kind_brute_force(tax, nid)
+
+
+_YAMLISH = st.lists(
+    st.sampled_from(["kpi:", "edges:", "-", " ", "\n", "  ", "[", "]", "{", "}", ",", ":",
+                     "parent:", "relation:", "child:", "a", "b", "&x", "*x", "!!str", "'",
+                     '"', "#", "?", "|", ">", "%YAML 1.1", "---", "...", "\t", "1e400",
+                     "2024-02-30", "!!binary", "~", "\x00", "\ud800", "é"]),
+    max_size=40,
+).map("".join)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(max_size=200), _YAMLISH))
+def test_parse_taxonomy_fuzz_raises_only_package_or_value_errors(loader, text):
+    with _loading_with(loader), contextlib.suppress(AutoRecipeError, ValueError):
+        parse_taxonomy(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_the_garbage_collector_state(enabled):
+    import gc
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        parse_taxonomy(SMALL)
+        with pytest.raises(TaxonomyError):
+            parse_taxonomy("kpi: a\nedges: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
