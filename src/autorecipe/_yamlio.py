@@ -1,0 +1,47 @@
+"""The one YAML loader every input goes through.
+
+Dumping stays on ``yaml.safe_dump`` at each writer, so written files do
+not depend on which parser PyYAML was built with.
+"""
+
+from __future__ import annotations
+
+import yaml
+
+from .errors import AutoRecipeError
+
+if yaml.__with_libyaml__:
+    from yaml.composer import Composer
+    from yaml.constructor import SafeConstructor
+    from yaml.cyaml import CParser
+    from yaml.resolver import Resolver
+
+    class _Loader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml's C scanner and parser under PyYAML's Python composer.
+
+        Builds the same objects as ``yaml.SafeLoader``.  ``yaml.CSafeLoader``
+        composes nodes by C recursion with no depth check, so a document of
+        a few tens of thousands of nested brackets overflows the C stack;
+        the Python composer raises RecursionError instead.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
+
+
+def load_yaml(stream, source, error: type[AutoRecipeError] = AutoRecipeError):
+    """The document in ``stream`` (text, bytes or an open file), as ``yaml.safe_load``.
+
+    A document nested too deeply for the composer raises ``error`` naming
+    ``source``, the file path or a description of the document; other
+    syntax errors stay ``yaml.YAMLError``.
+    """
+    try:
+        return yaml.load(stream, Loader=_Loader)
+    except RecursionError:
+        raise error(f"unreadable {source}: nested too deeply") from None

@@ -14,11 +14,9 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-import requests
-import yaml
-
+from ._yamlio import load_yaml
 from .errors import (
     GatewayError,
     GatewayTimeoutError,
@@ -26,6 +24,7 @@ from .errors import (
     ReplayStoreError,
     ScriptMissError,
     TransportError,
+    ValidationFailedError,
 )
 
 __all__ = [
@@ -80,9 +79,19 @@ class GatewayConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(GatewayConfig))
+
+
 def load_gateway_config(path) -> GatewayConfig:
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = load_yaml(fh, path) or {}
+    if not isinstance(doc, dict):
+        raise ValidationFailedError([f"{path}: gateway config must be a mapping"])
+    unknown = sorted(str(key) for key in doc.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValidationFailedError(
+            [f"{path}: unknown gateway config key(s): {', '.join(unknown)}"]
+        )
     return GatewayConfig(**doc)
 
 
@@ -133,7 +142,7 @@ class ScriptedGateway:
     @classmethod
     def from_file(cls, path) -> "ScriptedGateway":
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = load_yaml(fh, path) or {}
         return cls(
             replies=doc.get("replies"),
             by_key=doc.get("by_key"),
@@ -163,8 +172,12 @@ class HttpGateway:
     def __init__(self, config: GatewayConfig, post=None, sleep=time.sleep):
         if not config.endpoint:
             raise ValueError("HttpGateway needs a configured endpoint")
+        if post is None:
+            import requests  # only HTTP runs pay for importing it
+
+            post = requests.post
         self.config = config
-        self._post = post or requests.post
+        self._post = post
         self._sleep = sleep
         self._slots = threading.Semaphore(config.max_parallel)
         self.last_attempts = 0
@@ -177,6 +190,8 @@ class HttpGateway:
         return headers
 
     def complete(self, session: list[ChatMessage]) -> str:
+        import requests  # for its exception types, which an injected post raises too
+
         _check_session(session)
         payload = {
             "model": self.config.model,

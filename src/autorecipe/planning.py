@@ -13,12 +13,14 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
+from ._yamlio import load_yaml
 from .errors import (
     GoalUnboundError,
     MissingBindingError,
     NonContiguousIndicesError,
     NoExecutionOrderError,
     NoStepsError,
+    PlanError,
     UnknownNodeError,
     UnknownStepInOrderError,
     UnresolvableCodeStepError,
@@ -582,7 +584,7 @@ def serialize_sequence(seq: PromptSequence) -> str:
 
 
 def parse_sequence(text: str) -> PromptSequence:
-    doc = yaml.safe_load(text)
+    doc = load_yaml(text, "sequence document", PlanError)
     if not isinstance(doc, dict) or "steps" not in doc:
         raise NoStepsError("sequence document has no steps")
     steps = [PromptStep(e["index"], e["kind"], e["body"]) for e in doc["steps"]]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from . import presets
+from ._yamlio import load_yaml
 from .errors import (
     DuplicateIdError,
     MissingBindingError,
@@ -148,7 +149,7 @@ class PromptRegistry:
 
     @classmethod
     def import_text(cls, text: str) -> "PromptRegistry":
-        doc = yaml.safe_load(text)
+        doc = load_yaml(text, "registry document")
         if not isinstance(doc, dict) or "templates" not in doc:
             raise NotFoundError("registry document has no templates section")
         registry = cls()

@@ -23,6 +23,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
+from ._yamlio import load_yaml
 from .errors import NotFoundError, ValidationFailedError
 from .execution import KnowledgeDocument, render_knowledge, split_parts
 from .references import CitedDocument, render_cited
@@ -307,9 +308,18 @@ def dataset_from_csv(text: str) -> SampleDataset:
     for record in reader:
         if not record:
             continue
-        asset_id, sensor_name, value, timestamp, unit = record
-        rows.append(SensorReading(asset_id, sensor_name, float(value), timestamp, unit))
+        try:
+            asset_id, sensor_name, value, timestamp, unit = record
+            rows.append(SensorReading(asset_id, sensor_name, float(value), timestamp, unit))
+        except ValueError:
+            raise ValidationFailedError([_bad_record(record, reader.line_num)]) from None
     return SampleDataset(rows=tuple(rows))
+
+
+def _bad_record(record: list[str], line: int) -> str:
+    if len(record) != len(DATASET_HEADER):
+        return f"dataset line {line}: expected {len(DATASET_HEADER)} fields, got {len(record)}"
+    return f"dataset line {line}: value {record[2]!r} is not a number"
 
 
 # --- deterministic config defaults ----------------------------------------------
@@ -424,12 +434,28 @@ def _indicator_to_mapping(cfg: HealthIndicatorConfig) -> dict:
 
 def _indicator_from_mapping(data: dict) -> HealthIndicatorConfig:
     sensors = []
-    for entry in data.get("sensors") or []:
-        ranges = {
-            category: (float(bounds["min"]), float(bounds["max"]))
-            for category, bounds in (entry.get("ranges") or {}).items()
-        }
-        sensors.append(SensorConfig(name=entry["name"], unit=entry["unit"], ranges=ranges))
+    violations = []
+    for i, entry in enumerate(data.get("sensors") or [], start=1):
+        where = f"sensor {i}"
+        if not isinstance(entry, dict):
+            violations.append(f"{where} is not a mapping")
+            continue
+        missing = [key for key in ("name", "unit") if entry.get(key) is None]
+        violations += [f"{where} has no {key}" for key in missing]
+        raw_ranges = entry.get("ranges") or {}
+        if not isinstance(raw_ranges, dict):
+            violations.append(f"{where} ranges must map each category to {{min, max}}")
+            continue
+        ranges = {}
+        for category, bounds in raw_ranges.items():
+            try:
+                ranges[category] = (float(bounds["min"]), float(bounds["max"]))
+            except (KeyError, TypeError, ValueError):
+                violations.append(f"{where} range {category!r} needs numeric min and max")
+        if not missing:
+            sensors.append(SensorConfig(name=entry["name"], unit=entry["unit"], ranges=ranges))
+    if violations:
+        raise ValidationFailedError(violations)
     return HealthIndicatorConfig(sensors=tuple(sensors))
 
 
@@ -497,14 +523,20 @@ def _wrapper_from_mapping(data: dict) -> WrapperManifest:
     )
 
 
+def _load_mapping(text: str, source) -> dict:
+    """A YAML document that must be a mapping; empty counts as ``{}``."""
+    data = load_yaml(text, source) or {}
+    if not isinstance(data, dict):
+        raise ValidationFailedError([f"{source} must be a YAML mapping"])
+    return data
+
+
 def load_indicator_config(path) -> HealthIndicatorConfig:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    return _indicator_from_mapping(data)
+    return _indicator_from_mapping(_load_mapping(Path(path).read_text(encoding="utf-8"), path))
 
 
 def load_aggregation_config(path) -> AggregationConfig:
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    return _aggregation_from_mapping(data)
+    return _aggregation_from_mapping(_load_mapping(Path(path).read_text(encoding="utf-8"), path))
 
 
 def _render_doc(doc: KnowledgeDocument | CitedDocument) -> str:
@@ -571,10 +603,17 @@ def parse_bundle(bundle_dir) -> Recipe:
     index_path = root / RECIPE_INDEX_FILE
     if not index_path.is_file():
         raise NotFoundError(f"no {RECIPE_INDEX_FILE} in {root}")
-    index = yaml.safe_load(index_path.read_text(encoding="utf-8")) or {}
+    index = _load_mapping(index_path.read_text(encoding="utf-8"), index_path)
     payloads: dict[str, bytes] = {}
     violations = []
-    for entry in index.get("artifacts") or []:
+    for i, entry in enumerate(index.get("artifacts") or [], start=1):
+        if not isinstance(entry, dict):
+            violations.append(f"artifact {i} of {RECIPE_INDEX_FILE} is not a mapping")
+            continue
+        absent = [key for key in ("path", "kind") if not isinstance(entry.get(key), str)]
+        if absent:
+            violations += [f"artifact {i} of {RECIPE_INDEX_FILE} has no {key}" for key in absent]
+            continue
         path = root / entry["path"]
         if not path.is_file():
             violations.append(f"missing artifact file {entry['path']!r}")
@@ -595,16 +634,16 @@ def parse_bundle(bundle_dir) -> Recipe:
         kpi=index.get("kpi", ""),
         asset_class=index.get("asset_class", ""),
         knowledge_doc=split_parts(payloads["knowledge-doc"].decode("utf-8")),
-        indicator=_indicator_from_mapping(
-            yaml.safe_load(payloads["indicator-config"].decode("utf-8")) or {}
-        ),
-        aggregation=_aggregation_from_mapping(
-            yaml.safe_load(payloads["aggregation-config"].decode("utf-8")) or {}
-        ),
+        indicator=_indicator_from_mapping(_load_mapping(
+            payloads["indicator-config"].decode("utf-8"), root / INDICATOR_CONFIG_FILE
+        )),
+        aggregation=_aggregation_from_mapping(_load_mapping(
+            payloads["aggregation-config"].decode("utf-8"), root / AGGREGATION_CONFIG_FILE
+        )),
         dataset=dataset_from_csv(payloads["sample-dataset"].decode("utf-8")),
-        wrapper=_wrapper_from_mapping(
-            yaml.safe_load(payloads["wrapper-manifest"].decode("utf-8")) or {}
-        ),
+        wrapper=_wrapper_from_mapping(_load_mapping(
+            payloads["wrapper-manifest"].decode("utf-8"), root / WRAPPER_MANIFEST_FILE
+        )),
     )
 
 

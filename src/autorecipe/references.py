@@ -20,8 +20,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import yaml
-
+from ._yamlio import load_yaml
 from .errors import (
     EmptyDocumentError,
     FewerClaimsWarning,
@@ -133,7 +132,7 @@ class ScriptedSearchClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedSearchClient":
         with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle) or {}
+            data = load_yaml(handle, path) or {}
         results = {}
         for query, hits in (data.get("queries") or {}).items():
             results[query] = [
@@ -161,7 +160,7 @@ class ScriptedNliClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedNliClient":
         with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle) or {}
+            data = load_yaml(handle, path) or {}
         pairs = {}
         for entry in data.get("pairs") or []:
             key = (entry["premise"].strip(), entry["hypothesis"].strip())

@@ -10,8 +10,7 @@ topmost range closed so the domain maximum is scorable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     MissingSensorError,
@@ -22,6 +21,11 @@ from .errors import (
     RatioIndexUnavailableError,
     ValidationFailedError,
 )
+
+# numpy is imported by the pairwise (ahp) functions only, on first use:
+# weighted scoring and every other command never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CATEGORIES",
@@ -103,7 +107,7 @@ class AggregationConfig:
         if self.method == "ahp":
             if not self.sensors or not self.pairwise:
                 raise ValidationFailedError(["ahp method needs sensors and a pairwise matrix"])
-            derived = ahp_weights(np.asarray(self.pairwise, dtype=float))
+            derived = ahp_weights(self.pairwise)
             return {name: float(w) for name, w in zip(self.sensors, derived)}
         raise ValidationFailedError([f"unknown aggregation method {self.method!r}"])
 
@@ -161,6 +165,8 @@ def validate_aggregation_config(
         if not cfg.sensors or not cfg.pairwise:
             violations.append("ahp method needs sensors and a pairwise matrix")
         else:
+            import numpy as np
+
             matrix = np.asarray(cfg.pairwise, dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 violations.append("pairwise matrix must be square")
@@ -264,6 +270,8 @@ def _blend(
 # --- pairwise comparison math ---------------------------------------------------
 
 def _check_pairwise(matrix: np.ndarray) -> None:
+    import numpy as np
+
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("pairwise matrix must be square")
     n = matrix.shape[0]
@@ -280,6 +288,8 @@ def _check_pairwise(matrix: np.ndarray) -> None:
 
 def ahp_weights(matrix) -> np.ndarray:
     """Normalized row geometric means of a positive reciprocal matrix."""
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     _check_pairwise(m)
     geometric = np.exp(np.mean(np.log(m), axis=1))
@@ -288,6 +298,8 @@ def ahp_weights(matrix) -> np.ndarray:
 
 def principal_eigen(matrix, tol: float = _POWER_TOL, max_iter: int = 100000):
     """Principal eigenvalue and sum-normalized eigenvector via power iteration."""
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     vector = np.full(n, 1.0 / n)
@@ -305,6 +317,8 @@ def principal_eigen(matrix, tol: float = _POWER_TOL, max_iter: int = 100000):
 
 def consistency_ratio(matrix) -> float:
     """Saaty consistency ratio; 0 for sizes 1 and 2 by definition."""
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     _check_pairwise(m)
     n = m.shape[0]

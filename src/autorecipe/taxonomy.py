@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from ._yamlio import load_yaml
 from .errors import (
     CycleDetectedError,
     DanglingReferenceError,
@@ -43,30 +44,6 @@ __all__ = [
 
 # Relation stems that mark a leaf child as a measurement rather than a factor.
 _MEASUREMENT_STEMS = ("measur", "record", "sampl", "source")
-
-if yaml.__with_libyaml__:
-    from yaml.composer import Composer
-    from yaml.constructor import SafeConstructor
-    from yaml.cyaml import CParser
-    from yaml.resolver import Resolver
-
-    class _Loader(Composer, CParser, SafeConstructor, Resolver):
-        """libyaml's C scanner and parser under PyYAML's Python composer.
-
-        Builds the same objects as ``yaml.SafeLoader``.  ``yaml.CSafeLoader``
-        composes nodes by C recursion with no depth check, so a document of
-        a few tens of thousands of nested brackets overflows the C stack;
-        the Python composer raises RecursionError instead.
-        """
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            Composer.__init__(self)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
-else:
-    _Loader = yaml.SafeLoader
-
 
 @contextlib.contextmanager
 def _collector_paused():
@@ -153,11 +130,9 @@ def parse_taxonomy(text: str) -> Taxonomy:
     if not text or not text.strip():
         raise EmptyDocumentError("taxonomy document is empty")
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        doc = load_yaml(text, "taxonomy document", TaxonomyError)
     except yaml.YAMLError as exc:
         raise TaxonomyError(f"unreadable taxonomy document: {exc}") from exc
-    except RecursionError:
-        raise TaxonomyError("unreadable taxonomy document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise EmptyDocumentError("taxonomy document has no mapping content")
     root_raw = doc.get("kpi")

@@ -423,6 +423,92 @@ def test_verify_refs_search_miss_is_gateway_error(tmp_path, capsys):
     assert "no scripted results" in capsys.readouterr().err
 
 
+# --- malformed inputs ----------------------------------------------------------------
+
+DEEP = "[" * 3000 + "]" * 3000 + "\n"
+
+
+def _score_args(indicator, aggregation, dataset):
+    return ["score", "--indicator-config", str(indicator),
+            "--aggregation-config", str(aggregation), "--dataset", str(dataset)]
+
+
+def _deep_site_args(site, tmp_path, tax_file):
+    """A command line whose input for ``site`` is a flow sequence nested 3000 deep."""
+    deep = tmp_path / "deep.yaml"
+    deep.write_text(DEEP, encoding="utf-8")
+    if site in ("indicator", "aggregation"):
+        out_dir = _scored_bundle(tax_file, tmp_path)
+        indicator = deep if site == "indicator" else out_dir / INDICATOR_CONFIG_FILE
+        aggregation = deep if site == "aggregation" else out_dir / AGGREGATION_CONFIG_FILE
+        return _score_args(indicator, aggregation, out_dir / DATASET_FILE)
+    if site == "script":
+        return _generate_args(tax_file, str(deep), tmp_path / "bundle")
+    if site == "gateway-config":
+        return ["plan", "--taxonomy", tax_file, "--kpi", "asset health",
+                "--gateway-config", str(deep)]
+    doc, script, search, nli = _reference_fixtures(tmp_path)
+    return ["verify-refs", "--doc", str(doc), "--script", script,
+            "--search-script", str(deep) if site == "search-script" else search,
+            "--nli-script", str(deep) if site == "nli-script" else nli]
+
+
+@pytest.mark.parametrize("site", ["indicator", "aggregation", "script", "search-script",
+                                  "nli-script", "gateway-config"])
+def test_deeply_nested_yaml_is_an_input_error(site, tax_file, tmp_path, capsys):
+    argv = _deep_site_args(site, tmp_path, tax_file)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{tmp_path / 'deep.yaml'}: nested too deeply" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("modle: m\nendpoint: https://e\n", "unknown gateway config key(s): modle"),
+    ("- endpoint: https://e\n", "gateway config must be a mapping"),
+], ids=["unknown-key", "list"])
+def test_gateway_config_with_unknown_keys_is_an_input_error(tax_file, tmp_path, capsys,
+                                                            text, message):
+    config = tmp_path / "gw.yaml"
+    config.write_text(text, encoding="utf-8")
+    rc = main(["plan", "--taxonomy", tax_file, "--kpi", "asset health",
+               "--gateway-config", str(config)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sensor, message", [
+    ({"unit": "percent"}, "sensor 1 has no name"),
+    ({"name": "vibration", "unit": "percent", "ranges": [[0, 25], [25, 50]]},
+     "sensor 1 ranges must map each category to {min, max}"),
+], ids=["no-name", "list-ranges"])
+def test_score_malformed_indicator_config_is_an_input_error(tmp_path, capsys, sensor, message):
+    indicator = _write_yaml(tmp_path / "indicator.yaml", {"sensors": [sensor]})
+    aggregation = _write_yaml(tmp_path / "aggregation.yaml", {"method": "weighted"})
+    dataset = tmp_path / "data.csv"
+    dataset.write_text("asset_id,sensor_name,value,timestamp,unit\n", encoding="utf-8")
+    assert main(_score_args(indicator, aggregation, dataset)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("asset-001,vibration,12.5,2024-01-01T00:00:00Z", "dataset line 3: expected 5 fields, got 4"),
+    ("asset-001,vibration,high,2024-01-01T00:00:00Z,percent",
+     "dataset line 3: value 'high' is not a number"),
+], ids=["four-fields", "non-numeric"])
+def test_score_bad_dataset_row_names_its_line(tax_file, tmp_path, capsys, row, message):
+    out_dir = _scored_bundle(tax_file, tmp_path)
+    dataset = out_dir / DATASET_FILE
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    dataset.write_text("\n".join([*lines[:2], row, *lines[2:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(_score_args(out_dir / INDICATOR_CONFIG_FILE,
+                          out_dir / AGGREGATION_CONFIG_FILE, dataset))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 # --- parser ----------------------------------------------------------------------------
 
 def test_parser_help_lists_subcommands():

@@ -12,6 +12,7 @@ from autorecipe.errors import (
     ReplayStoreError,
     ScriptMissError,
     TransportError,
+    ValidationFailedError,
 )
 from autorecipe.gateway import (
     API_KEY_ENV,
@@ -245,3 +246,22 @@ def test_gateway_config_validation_and_file_loading(tmp_path):
     config = load_gateway_config(path)
     assert config.endpoint == "https://e"
     assert config.max_retries == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("modle: m\ntimeout: 3\n", "unknown gateway config key(s): modle, timeout"),
+    ("just text\n", "gateway config must be a mapping"),
+    ("[1, 2]\n", "gateway config must be a mapping"),
+], ids=["unknown-keys", "scalar", "list"])
+def test_gateway_config_file_rejects_unknown_keys_and_non_mappings(tmp_path, text, message):
+    path = tmp_path / "gw.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_gateway_config(path)
+    assert info.value.violations == [f"{path}: {message}"]
+
+
+def test_empty_gateway_config_file_is_the_default_config(tmp_path):
+    path = tmp_path / "gw.yaml"
+    path.write_text("", encoding="utf-8")
+    assert load_gateway_config(path) == GatewayConfig()

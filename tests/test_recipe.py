@@ -12,6 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,6 +265,18 @@ def test_dataset_from_csv_rejects_bad_input():
         dataset_from_csv("asset,sensor,value\n")
 
 
+def test_dataset_from_csv_names_the_line_of_a_bad_row():
+    header = ",".join(DATASET_HEADER)
+    good = "a,temperature,1.5,2024-01-01T00:00:00Z,percent"
+    with pytest.raises(ValidationFailedError) as info:
+        dataset_from_csv(f"{header}\n{good}\n\n\"a\nb\",temperature,1\n")
+    # the bad record starts on line 4 and its quoted field ends on line 5
+    assert info.value.violations == ["dataset line 5: expected 5 fields, got 3"]
+    with pytest.raises(ValidationFailedError) as info:
+        dataset_from_csv(f"{header}\n{good}\na,temperature,n/a,2024-01-01T00:00:00Z,percent\n")
+    assert info.value.violations == ["dataset line 3: value 'n/a' is not a number"]
+
+
 # --- config defaults --------------------------------------------------------------------------
 
 def test_default_indicator_config_quartiles():
@@ -438,6 +451,49 @@ def test_load_config_helpers(tmp_path):
     aggregation = load_aggregation_config(tmp_path / "out" / AGGREGATION_CONFIG_FILE)
     assert indicator == recipe.indicator
     assert aggregation == recipe.aggregation
+
+
+@pytest.mark.parametrize("sensors, violations", [
+    ([{"unit": "percent"}, {"name": "b"}], ["sensor 1 has no name", "sensor 2 has no unit"]),
+    (["vibration"], ["sensor 1 is not a mapping"]),
+    ([{"name": "a", "unit": "u", "ranges": [[0, 1]]}],
+     ["sensor 1 ranges must map each category to {min, max}"]),
+    ([{"name": "a", "unit": "u", "ranges": {"poor": {"min": 0}, "good": [0, 1],
+                                            "excellent": {"min": "x", "max": 1}}}],
+     ["sensor 1 range 'poor' needs numeric min and max",
+      "sensor 1 range 'good' needs numeric min and max",
+      "sensor 1 range 'excellent' needs numeric min and max"]),
+], ids=["no-name-no-unit", "not-a-mapping", "list-ranges", "bad-bounds"])
+def test_load_indicator_config_reports_malformed_sensors(tmp_path, sensors, violations):
+    path = tmp_path / "indicator.yaml"
+    path.write_text(json.dumps({"sensors": sensors}), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_indicator_config(path)
+    assert info.value.violations == violations
+
+
+@pytest.mark.parametrize("loader", [load_indicator_config, load_aggregation_config])
+def test_load_configs_reject_non_mapping_documents(tmp_path, loader):
+    path = tmp_path / "config.yaml"
+    path.write_text("- just\n- a list\n", encoding="utf-8")
+    with pytest.raises(ValidationFailedError, match="must be a YAML mapping"):
+        loader(path)
+
+
+@pytest.mark.parametrize("entry, violation", [
+    ({"kind": "sample-dataset", "sha256": ""}, "artifact 1 of recipe.yaml has no path"),
+    ({"path": DATASET_FILE}, "artifact 1 of recipe.yaml has no kind"),
+    ("sample_dataset.csv", "artifact 1 of recipe.yaml is not a mapping"),
+], ids=["no-path", "no-kind", "not-a-mapping"])
+def test_parse_bundle_reports_malformed_index_entries(tmp_path, entry, violation):
+    bundle(_recipe(), tmp_path / "out")
+    index_path = tmp_path / "out" / RECIPE_INDEX_FILE
+    index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+    index["artifacts"][0] = entry
+    index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations[0] == violation
 
 
 # --- knowledge base -------------------------------------------------------------------------

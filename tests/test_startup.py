@@ -1,0 +1,140 @@
+"""Start-up cost: a command imports numpy or requests only when it uses them.
+
+Each check runs in a fresh interpreter, since this test session itself has
+both libraries loaded.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+import autorecipe
+from autorecipe import presets
+from conftest import THREE_PART_DOC
+
+# Runs the commands in one interpreter and reports, after each, its exit code
+# and which of numpy and requests are in sys.modules.
+CHILD = r'''
+import json
+import sys
+
+HEAVY = ("numpy", "requests")
+
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+
+from autorecipe.cli import main
+
+commands = json.loads(sys.argv[1])
+report = [["import autorecipe.cli", 0, loaded()]]
+for name, argv in commands:
+    report.append([name, main(argv), loaded()])
+
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from autorecipe.gateway import ChatMessage, HttpGateway, load_gateway_config
+
+
+class Echo(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        content = "echo: " + body["messages"][-1]["content"]
+        reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+config_path = sys.argv[2]
+with open(config_path, "w", encoding="utf-8") as fh:
+    fh.write(f"endpoint: http://127.0.0.1:{server.server_address[1]}/v1\nmax_retries: 0\n")
+gateway = HttpGateway(load_gateway_config(config_path))
+report.append(["HttpGateway()", 0, loaded()])
+reply = gateway.complete([ChatMessage("user", "ping")])
+report.append(["HttpGateway.complete -> " + reply, 0, loaded()])
+server.shutdown()
+print(json.dumps(report))
+'''
+
+
+def _write_yaml(path: Path, data) -> str:
+    path.write_text(yaml.safe_dump(data, sort_keys=False, allow_unicode=True), encoding="utf-8")
+    return str(path)
+
+
+def _commands(tmp: Path) -> list:
+    tax = tmp / "health.yaml"
+    tax.write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
+    description = "A 75 kW induction motor driving a conveyor.\nConfidence: 90%"
+    replies = [description, description] + [f"Interim guidance {i}." for i in range(1, 8)]
+    script = _write_yaml(tmp / "script.yaml", {"strict": True, "replies": replies + [THREE_PART_DOC]})
+    store, recorded, replayed = tmp / "store.jsonl", tmp / "recorded", tmp / "replayed"
+    goal = ["--taxonomy", str(tax), "--kpi", "asset health", "--target", "asset profile"]
+    generate = ["generate", *goal, "--asset-class", "electric motor"]
+    sensors = ["age", "operating hours", "idle hours"]
+    ahp = _write_yaml(tmp / "ahp.yaml", {
+        "method": "ahp",
+        "category_scores": {"poor": 0.25, "medium": 0.5, "good": 0.75, "excellent": 1.0},
+        "sensors": sensors,
+        "pairwise": [[1.0] * len(sensors) for _ in sensors],
+    })
+
+    def score(aggregation, out):
+        return ["score", "--indicator-config", str(replayed / "indicator_config.yaml"),
+                "--aggregation-config", aggregation,
+                "--dataset", str(replayed / "sample_dataset.csv"), "--out", str(tmp / out)]
+
+    return [
+        ["plan", ["plan", *goal, "--out", str(tmp / "plan.yaml")]],
+        ["generate --script --record",
+         [*generate, "--script", script, "--record", str(store), "--out", str(recorded)]],
+        ["generate --replay", [*generate, "--replay", str(store), "--out", str(replayed)]],
+        ["score (weighted)", score(str(replayed / "aggregation_config.yaml"), "weighted.csv")],
+        ["metrics", ["metrics", "--doc", str(replayed / "knowledge_document.md"),
+                     "--doc", str(recorded / "knowledge_document.md"),
+                     "--out", str(tmp / "metrics.csv")]],
+        ["score (ahp)", score(ahp, "ahp.csv")],
+    ]
+
+
+def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.lower().endswith("_proxy")}
+    env.update(PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""),
+               NO_PROXY="127.0.0.1,localhost")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(_commands(tmp_path)), str(tmp_path / "gw.yaml")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import autorecipe.cli", 0, []],
+        ["plan", 0, []],
+        ["generate --script --record", 0, []],
+        ["generate --replay", 0, []],
+        ["score (weighted)", 0, []],
+        ["metrics", 0, []],
+        ["score (ahp)", 0, ["numpy"]],
+        ["HttpGateway()", 0, ["numpy", "requests"]],
+        ["HttpGateway.complete -> echo: ping", 0, ["numpy", "requests"]],
+    ]
+    # The ahp run really used the pairwise math: a uniform matrix gives the
+    # equal weights the generated weighted config declares.
+    assert (tmp_path / "ahp.csv").read_bytes() == (tmp_path / "weighted.csv").read_bytes()

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from autorecipe import presets, taxonomy
+from autorecipe import _yamlio, presets, taxonomy
 from autorecipe.errors import (
     AutoRecipeError,
     CycleDetectedError,
@@ -227,25 +227,25 @@ def test_random_trees_round_trip_and_traverse_once():
 
 # --- loaders ----------------------------------------------------------------------
 
-# The module's loader (libyaml-backed when PyYAML has it) and the pure-Python one.
-LOADERS = list(dict.fromkeys([taxonomy._Loader, yaml.SafeLoader]))
-C_LOADERS = [taxonomy._Loader, yaml.CSafeLoader] if yaml.__with_libyaml__ else []
+# The shared input loader (libyaml-backed when PyYAML has it) and the pure-Python one.
+LOADERS = list(dict.fromkeys([_yamlio._Loader, yaml.SafeLoader]))
+C_LOADERS = [_yamlio._Loader, yaml.CSafeLoader] if yaml.__with_libyaml__ else []
 
 
 @contextlib.contextmanager
 def _loading_with(loader):
     """parse_taxonomy with another loader class (hypothesis tests take no fixtures)."""
-    original = taxonomy._Loader
-    taxonomy._Loader = loader
+    original = _yamlio._Loader
+    _yamlio._Loader = loader
     try:
         yield
     finally:
-        taxonomy._Loader = original
+        _yamlio._Loader = original
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_deep_nesting_is_a_taxonomy_error(monkeypatch, loader):
-    monkeypatch.setattr(taxonomy, "_Loader", loader)
+    monkeypatch.setattr(_yamlio, "_Loader", loader)
     with pytest.raises(TaxonomyError):
         parse_taxonomy("kpi: a\nedges: " + "[" * 500 + "]" * 500 + "\n")
 
