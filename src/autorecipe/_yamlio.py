@@ -1,5 +1,8 @@
 """The one YAML loader every input goes through.
 
+Inputs that must be mappings (configs, scripts, bundle files) go through
+``load_mapping``, which checks the document's shape in one place.
+
 Dumping stays on ``yaml.safe_dump`` at each writer, so written files do
 not depend on which parser PyYAML was built with.
 """
@@ -8,7 +11,7 @@ from __future__ import annotations
 
 import yaml
 
-from .errors import AutoRecipeError
+from .errors import AutoRecipeError, ValidationFailedError
 
 if yaml.__with_libyaml__:
     from yaml.composer import Composer
@@ -45,3 +48,15 @@ def load_yaml(stream, source, error: type[AutoRecipeError] = AutoRecipeError):
         return yaml.load(stream, Loader=_Loader)
     except RecursionError:
         raise error(f"unreadable {source}: nested too deeply") from None
+
+
+def load_mapping(stream, source, what: str) -> dict:
+    """A YAML document that must be a mapping; an empty document is ``{}``.
+
+    Any other document raises ``ValidationFailedError`` naming ``source``
+    and ``what`` the document is meant to be.
+    """
+    data = load_yaml(stream, source) or {}
+    if not isinstance(data, dict):
+        raise ValidationFailedError([f"{source}: {what} must be a mapping"])
+    return data

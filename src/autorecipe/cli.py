@@ -130,29 +130,29 @@ def _stage(name: str, fn, *args, **kwargs):
 
 # --- subcommands -----------------------------------------------------------------
 
-def cmd_plan(args) -> int:
-    taxonomies = _load_taxonomies(args.taxonomy)
-    goal = _goal_from_args(args)
-    tax = bind_goal(taxonomies, goal)
-    gateway = _build_gateway(args)
+def _plan(args, taxonomies, tax, goal, gateway=None, registry=None):
+    """The plan with its code steps resolved.
+
+    It is parsed from ``--plan-text`` when given, else asked of the
+    gateway when there is one, else generated deterministically.
+    """
     if args.plan_text:
         seq = parse_plan(_read_text(args.plan_text), goal=goal)
     elif gateway is not None:
         session = build_planning_context(taxonomies, COMPONENT_HEALTH_DEMONSTRATION, goal)
         seq = parse_plan(gateway.complete(session), goal=goal)
     else:
-        seq = generate_sequence_deterministic(tax, goal)
-    seq = resolve_code_steps(seq, tax)
-    _write_out(args.out, serialize_sequence(seq), f"{len(seq.steps)}-step plan")
-    return EXIT_OK
-
-
-def _plan_stage(args, tax, goal, registry):
-    if args.plan_text:
-        seq = parse_plan(_read_text(args.plan_text), goal=goal)
-    else:
         seq = generate_sequence_deterministic(tax, goal, registry=registry)
     return resolve_code_steps(seq, tax, registry=registry)
+
+
+def cmd_plan(args) -> int:
+    taxonomies = _load_taxonomies(args.taxonomy)
+    goal = _goal_from_args(args)
+    tax = bind_goal(taxonomies, goal)
+    seq = _plan(args, taxonomies, tax, goal, gateway=_build_gateway(args))
+    _write_out(args.out, serialize_sequence(seq), f"{len(seq.steps)}-step plan")
+    return EXIT_OK
 
 
 def cmd_generate(args) -> int:
@@ -170,7 +170,8 @@ def cmd_generate(args) -> int:
     deterministic = bool(args.script or args.replay)
     clock = ManualClock() if deterministic else None
 
-    seq = _stage("plan", _plan_stage, args, tax, goal, registry)
+    # The plan never goes through the model here: no gateway is passed.
+    seq = _stage("plan", _plan, args, taxonomies, tax, goal, registry=registry)
 
     description = args.asset_description
     if not description:

@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 
-from ._yamlio import load_yaml
+from ._yamlio import load_mapping
 from .errors import (
     GatewayError,
     GatewayTimeoutError,
@@ -79,19 +79,28 @@ class GatewayConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(GatewayConfig))
+# field name -> its annotation, "str", "float" or "int"
+_CONFIG_TYPES = {f.name: f.type for f in fields(GatewayConfig)}
+# A float field takes an int too; no field takes a bool.
+_ACCEPTED = {"str": (str,), "float": (int, float), "int": (int,)}
+_TYPE_NAMES = {"str": "a string", "float": "a number", "int": "an integer"}
 
 
 def load_gateway_config(path) -> GatewayConfig:
     with open(path, encoding="utf-8") as fh:
-        doc = load_yaml(fh, path) or {}
-    if not isinstance(doc, dict):
-        raise ValidationFailedError([f"{path}: gateway config must be a mapping"])
-    unknown = sorted(str(key) for key in doc.keys() - _CONFIG_KEYS)
+        doc = load_mapping(fh, path, "gateway config")
+    unknown = sorted(str(key) for key in doc.keys() - _CONFIG_TYPES.keys())
     if unknown:
         raise ValidationFailedError(
             [f"{path}: unknown gateway config key(s): {', '.join(unknown)}"]
         )
+    wrong = [
+        f"{path}: {key} must be {_TYPE_NAMES[_CONFIG_TYPES[key]]}, got {value!r}"
+        for key, value in doc.items()
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[_CONFIG_TYPES[key]])
+    ]
+    if wrong:
+        raise ValidationFailedError(wrong)
     return GatewayConfig(**doc)
 
 
@@ -142,7 +151,7 @@ class ScriptedGateway:
     @classmethod
     def from_file(cls, path) -> "ScriptedGateway":
         with open(path, encoding="utf-8") as fh:
-            doc = load_yaml(fh, path) or {}
+            doc = load_mapping(fh, path, "script")
         return cls(
             replies=doc.get("replies"),
             by_key=doc.get("by_key"),

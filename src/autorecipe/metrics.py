@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,12 +22,7 @@ __all__ = [
     "type_token_ratio",
     "coverage",
     "similarity",
-    "EmbedderError",
 ]
-
-
-class EmbedderError(Exception):
-    """Raised by embedding clients; similarity() falls back to lexical mode."""
 
 
 @dataclass
@@ -105,20 +99,12 @@ def _cosine(u: list[float], v: list[float]) -> float:
     return dot / (nu * nv)
 
 
-def similarity(a: str | TokenProfile, b: str | TokenProfile, embedder=None) -> float:
-    """Cosine similarity of the two texts.
+def similarity(a: str | TokenProfile, b: str | TokenProfile) -> float:
+    """Cosine similarity of the two texts' term-frequency vectors.
 
-    With an embedder client the vectors are its embeddings of the two
-    texts, which must then be strings; an
-    ``EmbedderError`` falls back to the lexical route with a warning.
-    The lexical route uses term-frequency vectors over the union
-    vocabulary, so identical texts score 1.0 regardless of length.
+    The vectors span the union vocabulary, so identical texts score 1.0
+    regardless of length.
     """
-    if embedder is not None:
-        try:
-            return _cosine(list(embedder.embed(a)), list(embedder.embed(b)))
-        except EmbedderError as exc:
-            warnings.warn(f"embedder failed ({exc}); using lexical similarity", stacklevel=2)
     pa, pb = _profile(a), _profile(b)
     if pa.total == 0 or pb.total == 0:
         raise EmptyTextError("similarity needs tokens on both sides")

@@ -111,19 +111,34 @@ class Disjunction:
 
 _ORDER_TOKEN = re.compile(r"\(|\)|\bAND\b|\bOR\b|\bStep\s+(\d+)", re.IGNORECASE)
 
+# The parser and the functions below recurse once per parenthesis level;
+# this bound keeps them well inside the interpreter's recursion limit.
+_MAX_ORDER_DEPTH = 100
+
 
 def parse_execution_order(text: str):
     """Parse "(Step 1 AND Step 2) ..." into an expression tree.
 
     AND binds tighter than OR; trailing words like "Goal completed!" are
-    ignored.
+    ignored.  Parentheses nested more than ``_MAX_ORDER_DEPTH`` deep are
+    rejected.
     """
     tokens: list = []
+    depth = 0
     for match in _ORDER_TOKEN.finditer(text):
         if match.group(1) is not None:
             tokens.append(int(match.group(1)))
-        else:
-            tokens.append(match.group(0).upper())
+            continue
+        token = match.group(0).upper()
+        if token == "(":
+            depth += 1
+            if depth > _MAX_ORDER_DEPTH:
+                raise NoExecutionOrderError(
+                    f"execution order nests parentheses more than {_MAX_ORDER_DEPTH} deep"
+                )
+        elif token == ")":
+            depth -= 1
+        tokens.append(token)
     if not tokens:
         raise NoExecutionOrderError(f"no execution order expression in {text!r}")
     expr, pos = _parse_or(tokens, 0)

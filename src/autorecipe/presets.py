@@ -147,54 +147,6 @@ Final Answer: the final answer to the request. Please write a nice article summa
 
 Begin!"""
 
-# --- reference fixtures ----------------------------------------------------------
-
-# Hand-reviewed sample description used in refinement demonstrations and tests.
-WIND_TURBINE_DESCRIPTION = (
-    "A wind turbine is a tall tower with long, spinning blades that capture the wind's "
-    "energy. The wind pushes the blades around, which turns a shaft that connects to a "
-    "generator. The generator converts the mechanical energy of the spinning shaft into "
-    "electricity that we can use in our homes and businesses. The main components of a "
-    "wind turbine include the rotor blades, the hub, the main shaft, the gearbox, the "
-    "generator, the yaw system, and the control system."
-)
-
-# Hand-reviewed claims for a three-part wind-turbine health document, grouped by part.
-WIND_TURBINE_CLAIMS = (
-    (
-        "A wind turbine converts the kinetic energy of wind into electrical energy by "
-        "first converting it into mechanical energy.",
-        "Wind turbines are used in various applications, including power generation, "
-        "water pumping, and sailing.",
-        "The main components of a wind turbine include the rotor blades, the hub, the "
-        "main shaft, the gearbox, the generator, the yaw system, and the control system.",
-    ),
-    (
-        "The condition of wind turbine blades, including any damage from erosion, "
-        "lightning strikes, or collisions, can impact the efficiency and risk of failure "
-        "in a wind turbine.",
-        "The generator, gearbox, main bearing, and yaw system of a wind turbine can all "
-        "experience wear, damage, or degradation that can lead to failure, and therefore "
-        "require regular monitoring and maintenance.",
-        "Excessive noise or leakage from a wind turbine can indicate underlying "
-        "mechanical issues, such as loose bearings or imbalanced rotors, and should be "
-        "investigated to prevent potential failures.",
-    ),
-    (
-        "Visual inspections and LiDAR sensors can be used to monitor the condition of "
-        "wind turbine blades, and can help identify any signs of damage or wear, as well "
-        "as changes in the blade's aerodynamic performance.",
-        "Temperature sensors, vibration sensors, and current sensors can be used to "
-        "monitor the condition of a wind turbine generator, and can help identify issues "
-        "with the thermal performance, mechanical components, and electrical components "
-        "of the equipment.",
-        "Oil analysis sensors, vibration sensors, temperature sensors, and displacement "
-        "sensors can be used to monitor the condition of a wind turbine gearbox and main "
-        "bearing, and can help identify issues with the mechanical components and thermal "
-        "performance of the equipment.",
-    ),
-)
-
 # --- prompt registry seeds --------------------------------------------------------
 
 _DOMAIN_EXPERT_SYSTEM = """\
@@ -212,45 +164,14 @@ Also generate confidence score of answer. The confidence score should be based o
 
 Question: Describe Wind Turbine Asset.
 
-Answer: {example_answer}
-Confidence: 90% (TOKENSTOP)""".replace("{example_answer}", WIND_TURBINE_DESCRIPTION)
-
-_KNOWLEDGE_EXPORT = """\
-Please help me export a markdown output as guidelines for analyzing the quality of asset component health or quality to overall asset health, the output has three parts:
-1. It is the beginning part of the document, please briefly introduce the ${asset_class}, its usage in the various application and also include the introduction of its component,
-2. The factors that indicate the quality such as the deterioration of the ${asset_class}'s component quality;
-3. Highlights the sensors deployed or being able to use measure such components quality or its quality deterioration. Please output as a list, each list contains a) the quality problem being monitored; b) the sensor used; and c) the reason of using such sensor."""
-
-_INDICATOR_CONFIG = """\
-Let us assume that we have a measurement of the results of sensor output and assign a value as [poor, medium, good, excellent]. Can you give me a configuration with the thresholds (please specify the physical unit of defining poor, medium, good, and excellent) as health indicators for the given sensor in YAML format? We should have results outputted as the sequence of sensors. For each sensor, provide the ranges for all [poor, medium, good, excellent]"""
-
-_AGGREGATION_CONFIG = """\
-Great. Now, I need a configuration file that accomplishes two main objectives. First, it should define the relative scores for sensor categories [poor, medium, good, excellent], ensuring each category is assigned a value within the range of [0, 1]. Second, the file should detail two approaches for aggregating the health score into a scale of [0, 100]. The first approach will utilize a weighted system; please provide the relative weights for each factor as defined by the sensor, with the total sum of weights equaling 1.0. The second approach should be based on the Analytical Hierarchical Process (AHP), requiring the inclusion of pairwise comparisons to determine the relative importance of each factor. Finally, remember to exclude the asset type name from the YAML file."""
-
-_AGGREGATION_CONFIG_BRIEF = """\
-I want to have a configuration file defined:
-1. The relative score for the scale of sensors [poor, medium, good, excellent]
-2. Two approaches to aggregate the health score into [0, 100]. The first approach uses the weights approach; please give me the relative weight of the sensor-defined factor. The sum of the weight should be 1.0. The second is the analytical hierarchical process (AHP) process. I need to have the pairwise relative importance."""
-
-_SAMPLE_DATASET = """\
-Great. Let us generate a sample asset for component quality to estimate the health score with ${num_assets} assets. The row of the file (say, using the CSV form) contains the asset ID, sensor name, value, the time of the measurement, and physical unit if relevant. The CSV file should align with the above configuration file for asset health. Ensure we complete the ${num_assets} assets generated without missing any sensor values. Do not contain the code to transfer the dataset to have the asset score."""
-
-_SYNTHETIC_CODE = """\
-Please utilize the sample data generated above and help develop a Python code to create synthetic data for any number of assets for health score estimation. Ensure the output from the synthetic data simulator aligned with the sample data structure."""
-
-_MODEL_ESTIMATOR = """\
-As a data scientist, your task is to develop a unified Python class that standardizes the interface for various models, treating them as functions of the form f(x) = y. This class should extend Scikit-Learn's BaseEstimator and TransformerMixin, handling both a configuration file and a dataset dataframe. It must include essential methods like fit() and predict(), ensuring compatibility with Scikit-Learn's ecosystem. Your implementation should be flexible to support different model types and include clear documentation for ease of use.
-
-We use the health score range confirmation to conversion factor, the AHP configuration for the overall score calculation. Then, we need to use the sample dataset to have the conversion. Please generate the Python code for us."""
-
-_MODEL_WRAPPER = """\
-We need to generate the Python class that takes the configuration file and the dataset, passes them into the model class generated above, and tracks the process in an MLFlow server."""
+Answer: A wind turbine is a tall tower with long, spinning blades that capture the wind's energy. The wind pushes the blades around, which turns a shaft that connects to a generator. The generator converts the mechanical energy of the spinning shaft into electricity that we can use in our homes and businesses. The main components of a wind turbine include the rotor blades, the hub, the main shaft, the gearbox, the generator, the yaw system, and the control system.
+Confidence: 90% (TOKENSTOP)"""
 
 _CLAIMS_EXTRACT = """\
-Read the passage below and state ${claim_count} short factual claims it makes. Write one claim per line. Each claim must be a single declarative sentence that ends with a period and can be checked on its own, without markdown markup or numbering. For example, a passage describing a wind turbine could yield the claim: {example_claim}
+Read the passage below and state ${claim_count} short factual claims it makes. Write one claim per line. Each claim must be a single declarative sentence that ends with a period and can be checked on its own, without markdown markup or numbering. For example, a passage describing a wind turbine could yield the claim: A wind turbine converts the kinetic energy of wind into electrical energy by first converting it into mechanical energy.
 
 Passage:
-${passage}""".replace("{example_claim}", WIND_TURBINE_CLAIMS[0][0])
+${passage}"""
 
 # Deterministic plan-step templates.  ${target}, ${kpi}, ${children}, ${child}
 # and ${subtopics} are bound at generation time; the asset slots survive until
@@ -288,21 +209,12 @@ Highlight the sensors deployed or being able to use to measure the ${target} qua
 PROMPT_SEEDS: dict[str, tuple[str, str]] = {
     "domain-expert.system": ("system", _DOMAIN_EXPERT_SYSTEM),
     "data-scientist.system": ("system", _DATA_SCIENTIST_SYSTEM),
-    "system-architect.system": ("system", ""),  # reserved slot, intentionally empty
     "refinement.system": ("system", _REFINEMENT_SYSTEM),
     "refinement.initial": ("user", "Describe ${asset_class}, and its components."),
     "refinement.betterment": (
         "user",
         "Generate better solutions in terms of readability, accuracy, and completeness.",
     ),
-    "knowledge.export": ("user", _KNOWLEDGE_EXPORT),
-    "config.indicator": ("user", _INDICATOR_CONFIG),
-    "config.aggregation": ("user", _AGGREGATION_CONFIG),
-    "config.aggregation-brief": ("user", _AGGREGATION_CONFIG_BRIEF),
-    "dataset.sample": ("user", _SAMPLE_DATASET),
-    "dataset.synthetic-code": ("user", _SYNTHETIC_CODE),
-    "model.estimator": ("user", _MODEL_ESTIMATOR),
-    "model.wrapper": ("user", _MODEL_WRAPPER),
     "claims.extract": ("user", _CLAIMS_EXTRACT),
     "plan.enumerate-children": ("user", _PLAN_ENUMERATE_CHILDREN),
     "plan.enumerate-self": ("user", _PLAN_ENUMERATE_SELF),
@@ -319,5 +231,4 @@ PROMPT_SEEDS: dict[str, tuple[str, str]] = {
 ROLE_SEEDS: dict[str, str] = {
     "domain-expert": "domain-expert.system",
     "data-scientist": "data-scientist.system",
-    "system-architect": "system-architect.system",
 }

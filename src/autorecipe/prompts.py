@@ -34,7 +34,7 @@ __all__ = [
 
 PLACEHOLDER_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-ROLE_NAMES = ("domain-expert", "data-scientist", "system-architect")
+ROLE_NAMES = ("domain-expert", "data-scientist")
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class PromptRegistry:
 
 
 def default_registry() -> PromptRegistry:
-    """Registry preloaded with the shipped prompt seeds and the three role profiles."""
+    """Registry preloaded with the shipped prompt seeds and the two role profiles."""
     registry = PromptRegistry()
     for template_id, (role, body) in presets.PROMPT_SEEDS.items():
         registry.register(PromptTemplate(template_id, role, body))

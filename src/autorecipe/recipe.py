@@ -1,5 +1,5 @@
-"""Recipe assembly: datasets, wrapper manifest, on-disk bundle layout, and
-the versioned artifact store.
+"""Recipe assembly: datasets, configs, wrapper manifest and the on-disk
+bundle layout.
 
 A bundle directory holds six files: the knowledge document (markdown),
 the two configs (YAML), the sample dataset (CSV), the wrapper manifest
@@ -15,7 +15,6 @@ import hashlib
 import io
 import random
 import re
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from ._yamlio import load_yaml
+from ._yamlio import load_mapping
 from .errors import NotFoundError, ValidationFailedError
 from .execution import KnowledgeDocument, render_knowledge, split_parts
 from .references import CitedDocument, render_cited
@@ -39,7 +38,6 @@ from .scoring import (
     validate_aggregation_config,
     validate_indicator_config,
 )
-from .taxonomy import normalize_name
 
 __all__ = [
     "DATASET_HEADER",
@@ -57,7 +55,6 @@ __all__ = [
     "RunMetadata",
     "WrapperManifest",
     "Recipe",
-    "KnowledgeBase",
     "parse_rfc3339",
     "format_rfc3339",
     "latest_readings",
@@ -472,14 +469,44 @@ def _aggregation_to_mapping(cfg: AggregationConfig) -> dict:
     return data
 
 
+def _number_map(data: dict, key: str, violations: list[str]) -> dict[str, float]:
+    raw = data.get(key) or {}
+    if not isinstance(raw, dict):
+        violations.append(f"{key} must map each name to a number")
+        return {}
+    numbers = {}
+    for name, value in raw.items():
+        try:
+            numbers[name] = float(value)
+        except (TypeError, ValueError):
+            violations.append(f"{key} {name!r} must be a number")
+    return numbers
+
+
 def _aggregation_from_mapping(data: dict) -> AggregationConfig:
-    weights = data.get("weights")
+    violations: list[str] = []
+    category_scores = _number_map(data, "category_scores", violations)
+    weights = _number_map(data, "weights", violations)
+    rows = data.get("pairwise") or []
+    if not isinstance(rows, list):
+        violations.append("pairwise must be a list of rows")
+        rows = []
+    pairwise = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            if not isinstance(row, list):
+                raise TypeError
+            pairwise.append(tuple(float(x) for x in row))
+        except (TypeError, ValueError):
+            violations.append(f"pairwise row {i} must be a list of numbers")
+    if violations:
+        raise ValidationFailedError(violations)
     return AggregationConfig(
-        category_scores={k: float(v) for k, v in (data.get("category_scores") or {}).items()},
+        category_scores=category_scores,
         method=data.get("method", ""),
-        weights={k: float(v) for k, v in weights.items()} if weights else None,
+        weights=weights or None,
         sensors=tuple(data.get("sensors") or ()),
-        pairwise=tuple(tuple(float(x) for x in row) for row in data.get("pairwise") or ()),
+        pairwise=tuple(pairwise),
     )
 
 
@@ -523,20 +550,14 @@ def _wrapper_from_mapping(data: dict) -> WrapperManifest:
     )
 
 
-def _load_mapping(text: str, source) -> dict:
-    """A YAML document that must be a mapping; empty counts as ``{}``."""
-    data = load_yaml(text, source) or {}
-    if not isinstance(data, dict):
-        raise ValidationFailedError([f"{source} must be a YAML mapping"])
-    return data
-
-
 def load_indicator_config(path) -> HealthIndicatorConfig:
-    return _indicator_from_mapping(_load_mapping(Path(path).read_text(encoding="utf-8"), path))
+    text = Path(path).read_text(encoding="utf-8")
+    return _indicator_from_mapping(load_mapping(text, path, "indicator config"))
 
 
 def load_aggregation_config(path) -> AggregationConfig:
-    return _aggregation_from_mapping(_load_mapping(Path(path).read_text(encoding="utf-8"), path))
+    text = Path(path).read_text(encoding="utf-8")
+    return _aggregation_from_mapping(load_mapping(text, path, "aggregation config"))
 
 
 def _render_doc(doc: KnowledgeDocument | CitedDocument) -> str:
@@ -603,7 +624,7 @@ def parse_bundle(bundle_dir) -> Recipe:
     index_path = root / RECIPE_INDEX_FILE
     if not index_path.is_file():
         raise NotFoundError(f"no {RECIPE_INDEX_FILE} in {root}")
-    index = _load_mapping(index_path.read_text(encoding="utf-8"), index_path)
+    index = load_mapping(index_path.read_text(encoding="utf-8"), index_path, "recipe index")
     payloads: dict[str, bytes] = {}
     violations = []
     for i, entry in enumerate(index.get("artifacts") or [], start=1):
@@ -634,62 +655,18 @@ def parse_bundle(bundle_dir) -> Recipe:
         kpi=index.get("kpi", ""),
         asset_class=index.get("asset_class", ""),
         knowledge_doc=split_parts(payloads["knowledge-doc"].decode("utf-8")),
-        indicator=_indicator_from_mapping(_load_mapping(
-            payloads["indicator-config"].decode("utf-8"), root / INDICATOR_CONFIG_FILE
+        indicator=_indicator_from_mapping(load_mapping(
+            payloads["indicator-config"].decode("utf-8"), root / INDICATOR_CONFIG_FILE,
+            "indicator config",
         )),
-        aggregation=_aggregation_from_mapping(_load_mapping(
-            payloads["aggregation-config"].decode("utf-8"), root / AGGREGATION_CONFIG_FILE
+        aggregation=_aggregation_from_mapping(load_mapping(
+            payloads["aggregation-config"].decode("utf-8"), root / AGGREGATION_CONFIG_FILE,
+            "aggregation config",
         )),
         dataset=dataset_from_csv(payloads["sample-dataset"].decode("utf-8")),
-        wrapper=_wrapper_from_mapping(_load_mapping(
-            payloads["wrapper-manifest"].decode("utf-8"), root / WRAPPER_MANIFEST_FILE
+        wrapper=_wrapper_from_mapping(load_mapping(
+            payloads["wrapper-manifest"].decode("utf-8"), root / WRAPPER_MANIFEST_FILE,
+            "wrapper manifest",
         )),
     )
 
-
-# --- versioned artifact store ----------------------------------------------------
-
-class KnowledgeBase:
-    """In-memory store of artifact bytes keyed by asset class, KPI, and kind.
-
-    Versions start at 1 and grow monotonically per key; writes are
-    serialized, reads return the stored bytes untouched.
-    """
-
-    def __init__(self):
-        self._store: dict[tuple[str, str, str], list[bytes]] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(asset_class: str, kpi: str, kind: str) -> tuple[str, str, str]:
-        key = (normalize_name(asset_class), normalize_name(kpi), normalize_name(kind))
-        if not all(key):
-            raise ValueError("asset_class, kpi, and kind must all be non-empty")
-        return key
-
-    def put(self, asset_class: str, kpi: str, kind: str, content: bytes) -> int:
-        if not isinstance(content, (bytes, bytearray)):
-            raise TypeError("artifact content must be bytes")
-        key = self._key(asset_class, kpi, kind)
-        with self._lock:
-            versions = self._store.setdefault(key, [])
-            versions.append(bytes(content))
-            return len(versions)
-
-    def get(self, asset_class: str, kpi: str, kind: str, version: int | None = None) -> bytes:
-        key = self._key(asset_class, kpi, kind)
-        versions = self._store.get(key)
-        if not versions:
-            raise NotFoundError(f"no artifact stored for {key}")
-        if version is None:
-            return versions[-1]
-        if not 1 <= version <= len(versions):
-            raise NotFoundError(f"version {version} not stored for {key}")
-        return versions[version - 1]
-
-    def latest_version(self, asset_class: str, kpi: str, kind: str) -> int:
-        key = self._key(asset_class, kpi, kind)
-        versions = self._store.get(key)
-        if not versions:
-            raise NotFoundError(f"no artifact stored for {key}")
-        return len(versions)

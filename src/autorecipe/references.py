@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ._yamlio import load_yaml
+from ._yamlio import load_mapping
 from .errors import (
     EmptyDocumentError,
     FewerClaimsWarning,
@@ -45,7 +45,6 @@ __all__ = [
     "ConstantNliClient",
     "segment",
     "generate_claims",
-    "search_claim",
     "verify",
     "collect_evidence",
     "attach_references",
@@ -132,7 +131,7 @@ class ScriptedSearchClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedSearchClient":
         with open(path, encoding="utf-8") as handle:
-            data = load_yaml(handle, path) or {}
+            data = load_mapping(handle, path, "search script")
         results = {}
         for query, hits in (data.get("queries") or {}).items():
             results[query] = [
@@ -160,7 +159,7 @@ class ScriptedNliClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedNliClient":
         with open(path, encoding="utf-8") as handle:
-            data = load_yaml(handle, path) or {}
+            data = load_mapping(handle, path, "NLI script")
         pairs = {}
         for entry in data.get("pairs") or []:
             key = (entry["premise"].strip(), entry["hypothesis"].strip())
@@ -258,31 +257,6 @@ def _ranked_hits(claim: Claim, search_client, max_results: int) -> list[tuple[in
     except Exception as exc:
         raise SearchClientError(f"search provider failed for {claim.query!r}: {exc}") from exc
     return list(enumerate(hits[:max_results]))
-
-
-def search_claim(
-    claim: Claim, search_client, max_results: int = DEFAULT_MAX_RESULTS
-) -> tuple[list[tuple[str, str]], list[Evidence]]:
-    """Fetched (url, text) pairs for the claim used as a query.
-
-    Per-url fetch failures never abort the batch; they come back as
-    error-verdict evidence alongside the successful fetches.
-    """
-    fetched: list[tuple[str, str]] = []
-    failures: list[Evidence] = []
-    for rank, hit in _ranked_hits(claim, search_client, max_results):
-        if hit.error or not hit.text.strip():
-            failures.append(Evidence(
-                passage_id=claim.passage_id,
-                claim_index=claim.index,
-                url=hit.url,
-                snippet="",
-                verdict="error",
-                rank=rank,
-            ))
-        else:
-            fetched.append((hit.url, hit.text))
-    return fetched, failures
 
 
 def verify(claim: Claim, candidate_text: str, nli_client) -> str:

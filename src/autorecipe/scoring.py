@@ -2,9 +2,9 @@
 and pairwise-comparison weight derivation.
 
 Weights from a pairwise comparison matrix use row geometric means; the
-consistency ratio uses the principal eigenvalue found by power
-iteration.  Category ranges are half-open lower-inclusive, with the
-topmost range closed so the domain maximum is scorable.
+consistency ratio uses the principal eigenvalue.  Category ranges are
+half-open lower-inclusive, with the topmost range closed so the domain
+maximum is scorable.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ DEFAULT_CATEGORY_SCORES = {"poor": 0.25, "medium": 0.5, "good": 0.75, "excellent
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
 
 _RECIPROCAL_TOL = 1e-9
-_POWER_TOL = 1e-10
 _MAX_PAIRWISE = 15
 
 
@@ -296,23 +295,18 @@ def ahp_weights(matrix) -> np.ndarray:
     return geometric / geometric.sum()
 
 
-def principal_eigen(matrix, tol: float = _POWER_TOL, max_iter: int = 100000):
-    """Principal eigenvalue and sum-normalized eigenvector via power iteration."""
+def principal_eigen(matrix):
+    """Principal eigenvalue and its sum-normalized eigenvector.
+
+    The principal pair is the one with the largest real eigenvalue; both
+    are returned as their real parts.
+    """
     import numpy as np
 
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    vector = np.full(n, 1.0 / n)
-    eigenvalue = float(n)
-    for _ in range(max_iter):
-        product = m @ vector
-        eigenvalue = float(vector @ product) / float(vector @ vector)
-        product /= np.linalg.norm(product)
-        if np.max(np.abs(m @ product - eigenvalue * product)) < tol:
-            vector = product
-            break
-        vector = product
-    return eigenvalue, vector / vector.sum()
+    values, vectors = np.linalg.eig(np.asarray(matrix, dtype=float))
+    top = int(np.argmax(values.real))
+    vector = vectors[:, top].real
+    return float(values[top].real), vector / vector.sum()
 
 
 def consistency_ratio(matrix) -> float:

@@ -433,10 +433,11 @@ def _score_args(indicator, aggregation, dataset):
             "--aggregation-config", str(aggregation), "--dataset", str(dataset)]
 
 
-def _deep_site_args(site, tmp_path, tax_file):
-    """A command line whose input for ``site`` is a flow sequence nested 3000 deep."""
+def _deep_site_args(site, tmp_path, tax_file, text=DEEP):
+    """A command line whose input for ``site`` is ``text``, by default a flow
+    sequence nested 3000 deep."""
     deep = tmp_path / "deep.yaml"
-    deep.write_text(DEEP, encoding="utf-8")
+    deep.write_text(text, encoding="utf-8")
     if site in ("indicator", "aggregation"):
         out_dir = _scored_bundle(tax_file, tmp_path)
         indicator = deep if site == "indicator" else out_dir / INDICATOR_CONFIG_FILE
@@ -464,10 +465,52 @@ def test_deeply_nested_yaml_is_an_input_error(site, tax_file, tmp_path, capsys):
     assert f"{tmp_path / 'deep.yaml'}: nested too deeply" in err
 
 
+@pytest.mark.parametrize("site, what", [
+    ("script", "script"), ("search-script", "search script"), ("nli-script", "NLI script"),
+])
+def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tmp_path, capsys):
+    argv = _deep_site_args(site, tmp_path, tax_file, text="- first reply\n- second reply\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{tmp_path / 'deep.yaml'}: {what} must be a mapping" in err
+
+
+def test_plan_text_with_deeply_nested_order_is_an_input_error(tax_file, tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    depth = 100_000
+    plan.write_text(
+        "Step 1: Ask.\nStep 2: Ask again.\nExecution Order: "
+        + "(" * depth + "Step 1 AND Step 2" + ")" * depth + " Goal completed!\n",
+        encoding="utf-8",
+    )
+    rc = main(["plan", "--taxonomy", tax_file, "--kpi", "asset health",
+               "--plan-text", str(plan)])
+    assert rc == 2
+    assert "execution order nests parentheses more than 100 deep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("method: weighted\nweights: [0.5, 0.5]\n", "weights must map each name to a number"),
+    ("method: weighted\ncategory_scores: [0.25, 0.5]\n",
+     "category_scores must map each name to a number"),
+], ids=["list-weights", "list-category-scores"])
+def test_score_malformed_aggregation_config_is_an_input_error(tax_file, tmp_path, capsys,
+                                                              text, message):
+    argv = _deep_site_args("aggregation", tmp_path, tax_file, text=text)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
 @pytest.mark.parametrize("text, message", [
     ("modle: m\nendpoint: https://e\n", "unknown gateway config key(s): modle"),
     ("- endpoint: https://e\n", "gateway config must be a mapping"),
-], ids=["unknown-key", "list"])
+    ("endpoint: https://e\ntimeout_seconds: fast\n", "timeout_seconds must be a number, got 'fast'"),
+], ids=["unknown-key", "list", "wrong-type"])
 def test_gateway_config_with_unknown_keys_is_an_input_error(tax_file, tmp_path, capsys,
                                                             text, message):
     config = tmp_path / "gw.yaml"

@@ -252,13 +252,36 @@ def test_gateway_config_validation_and_file_loading(tmp_path):
     ("modle: m\ntimeout: 3\n", "unknown gateway config key(s): modle, timeout"),
     ("just text\n", "gateway config must be a mapping"),
     ("[1, 2]\n", "gateway config must be a mapping"),
-], ids=["unknown-keys", "scalar", "list"])
+    ("timeout_seconds: fast\n", "timeout_seconds must be a number, got 'fast'"),
+    ("timeout_seconds: true\n", "timeout_seconds must be a number, got True"),
+    ("max_retries: 1.5\n", "max_retries must be an integer, got 1.5"),
+    ("max_parallel: yes\n", "max_parallel must be an integer, got True"),
+    ("max_tokens: '2048'\n", "max_tokens must be an integer, got '2048'"),
+    ("endpoint: 8080\n", "endpoint must be a string, got 8080"),
+    ("model: [a, b]\n", "model must be a string, got ['a', 'b']"),
+], ids=["unknown-keys", "scalar", "list", "word-for-float", "bool-for-float", "float-for-int",
+        "bool-for-int", "text-for-int", "int-for-str", "list-for-str"])
 def test_gateway_config_file_rejects_unknown_keys_and_non_mappings(tmp_path, text, message):
     path = tmp_path / "gw.yaml"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         load_gateway_config(path)
     assert info.value.violations == [f"{path}: {message}"]
+
+
+def test_gateway_config_file_names_every_wrong_value_and_takes_ints_for_floats(tmp_path):
+    path = tmp_path / "gw.yaml"
+    path.write_text("max_retries: 2.0\nbackoff_seconds: slow\n", encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_gateway_config(path)
+    assert info.value.violations == [
+        f"{path}: max_retries must be an integer, got 2.0",
+        f"{path}: backoff_seconds must be a number, got 'slow'",
+    ]
+    path.write_text("timeout_seconds: 3\ntemperature: 0\nbackoff_seconds: 1\n", encoding="utf-8")
+    assert load_gateway_config(path) == GatewayConfig(
+        timeout_seconds=3.0, temperature=0.0, backoff_seconds=1.0
+    )
 
 
 def test_empty_gateway_config_file_is_the_default_config(tmp_path):

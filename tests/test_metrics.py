@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from autorecipe.errors import EmptyTextError
 from autorecipe.metrics import (
-    EmbedderError,
     TokenProfile,
     coverage,
     similarity,
@@ -139,25 +138,3 @@ def test_similarity_symmetric_and_reflexive():
 
 def test_similarity_disjoint_vocabulary_is_zero():
     assert similarity("a b", "c d") == 0.0
-
-
-class _GoodEmbedder:
-    def embed(self, text):
-        # orthogonal-ish fixed vectors keyed by first token
-        return [1.0, 0.0] if text.startswith("a") else [0.0, 1.0]
-
-
-class _BrokenEmbedder:
-    def embed(self, text):
-        raise EmbedderError("offline")
-
-
-def test_similarity_uses_embedder_when_given():
-    assert abs(similarity("a one", "a two", embedder=_GoodEmbedder()) - 1.0) < 1e-12
-    assert abs(similarity("a one", "b two", embedder=_GoodEmbedder())) < 1e-12
-
-
-def test_similarity_falls_back_to_lexical_on_embedder_error():
-    with pytest.warns(UserWarning):
-        value = similarity("a a b", "a b b", embedder=_BrokenEmbedder())
-    assert abs(value - 0.8) < 1e-12

@@ -105,6 +105,37 @@ def test_parse_execution_order_errors():
         parse_execution_order("AND Step 2")
 
 
+def _chained_order(depth: int) -> str:
+    """(Step 1 AND (Step 2 AND ... Step depth+1)), parentheses ``depth`` deep."""
+    return "(Step {} AND " * depth + f"Step {depth + 1}" + ")" * depth
+
+
+def test_parse_execution_order_at_the_depth_bound():
+    depth = 100
+    expr = parse_execution_order(_chained_order(depth).format(*range(1, depth + 1)))
+    assert linearize(expr) == list(range(1, depth + 2))
+    assert order_indices(expr) == list(range(1, depth + 2))
+    assert is_all_and(expr)
+    assert parse_execution_order(format_execution_order(expr)) == expr
+
+
+@pytest.mark.parametrize("depth", [101, 400, 100_000])
+def test_parse_execution_order_rejects_deep_nesting(depth):
+    chained = _chained_order(depth).format(*range(1, depth + 1))
+    redundant = "(" * depth + "Step 1 AND Step 2" + ")" * depth
+    for text in (chained, redundant):
+        with pytest.raises(NoExecutionOrderError, match="more than 100 deep"):
+            parse_execution_order(text)
+
+
+@pytest.mark.parametrize("depth", [400, 100_000])
+def test_parse_plan_rejects_deeply_nested_order(depth):
+    text = "Step 1: Ask.\nStep 2: Ask again.\nExecution Order: "
+    text += "(" * depth + "Step 1 AND Step 2" + ")" * depth + " Goal completed!\n"
+    with pytest.raises(NoExecutionOrderError):
+        parse_plan(text)
+
+
 # --- plan parsing ---------------------------------------------------------------
 
 def test_parse_demonstration_plan(health_tax):

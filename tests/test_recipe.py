@@ -1,4 +1,4 @@
-"""Datasets, recipe validation, bundle layout, and the artifact store."""
+"""Datasets, recipe validation, configs and bundle layout."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from autorecipe.recipe import (
     RECIPE_INDEX_FILE,
     SYNTHETIC_TIMESTAMP,
     WRAPPER_MANIFEST_FILE,
-    KnowledgeBase,
     ModelDescriptor,
     Recipe,
     RunMetadata,
@@ -52,7 +51,7 @@ from autorecipe.recipe import (
     validate_recipe,
 )
 from autorecipe.references import Claim, Evidence, attach_references
-from autorecipe.scoring import HealthScoreEstimator
+from autorecipe.scoring import DEFAULT_CATEGORY_SCORES, HealthScoreEstimator
 from conftest import THREE_PART_DOC
 
 SENSORS = ["temperature", "vibration"]
@@ -472,12 +471,42 @@ def test_load_indicator_config_reports_malformed_sensors(tmp_path, sensors, viol
     assert info.value.violations == violations
 
 
-@pytest.mark.parametrize("loader", [load_indicator_config, load_aggregation_config])
-def test_load_configs_reject_non_mapping_documents(tmp_path, loader):
+@pytest.mark.parametrize("loader, what", [
+    (load_indicator_config, "indicator config"),
+    (load_aggregation_config, "aggregation config"),
+], ids=["load_indicator_config", "load_aggregation_config"])
+def test_load_configs_reject_non_mapping_documents(tmp_path, loader, what):
     path = tmp_path / "config.yaml"
     path.write_text("- just\n- a list\n", encoding="utf-8")
-    with pytest.raises(ValidationFailedError, match="must be a YAML mapping"):
+    with pytest.raises(ValidationFailedError) as info:
         loader(path)
+    assert info.value.violations == [f"{path}: {what} must be a mapping"]
+
+
+@pytest.mark.parametrize("change, violations", [
+    ({"weights": [0.5, 0.5]}, ["weights must map each name to a number"]),
+    ({"category_scores": "high"}, ["category_scores must map each name to a number"]),
+    ({"weights": {"a": "heavy", "b": [1]}}, ["weights 'a' must be a number",
+                                             "weights 'b' must be a number"]),
+    ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, 2.0], 0.5]},
+     ["pairwise row 2 must be a list of numbers"]),
+    ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, 2.0], "12"]},
+     ["pairwise row 2 must be a list of numbers"]),
+    ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, "x"], [None, 1.0]]},
+     ["pairwise row 1 must be a list of numbers", "pairwise row 2 must be a list of numbers"]),
+    ({"method": "ahp", "sensors": ["a"], "pairwise": {"a": [1.0]}},
+     ["pairwise must be a list of rows"]),
+], ids=["list-weights", "scalar-category-scores", "non-numeric-weights", "scalar-row",
+        "text-row", "non-numeric-rows", "mapping-pairwise"])
+def test_load_aggregation_config_reports_malformed_values(tmp_path, change, violations):
+    data = {"method": "weighted", "category_scores": dict(DEFAULT_CATEGORY_SCORES),
+            "weights": {"a": 0.5, "b": 0.5}}
+    data.update(change)
+    path = tmp_path / "aggregation.yaml"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_aggregation_config(path)
+    assert info.value.violations == violations
 
 
 @pytest.mark.parametrize("entry, violation", [
@@ -495,45 +524,3 @@ def test_parse_bundle_reports_malformed_index_entries(tmp_path, entry, violation
         parse_bundle(tmp_path / "out")
     assert info.value.violations[0] == violation
 
-
-# --- knowledge base -------------------------------------------------------------------------
-
-def test_knowledge_base_versions():
-    kb = KnowledgeBase()
-    assert kb.put("electric motor", "asset health", "knowledge-doc", b"v1") == 1
-    assert kb.put("electric motor", "asset health", "knowledge-doc", b"v2") == 2
-    assert kb.get("electric motor", "asset health", "knowledge-doc") == b"v2"
-    assert kb.get("electric motor", "asset health", "knowledge-doc", version=1) == b"v1"
-    assert kb.latest_version("electric motor", "asset health", "knowledge-doc") == 2
-
-
-def test_knowledge_base_normalizes_keys():
-    kb = KnowledgeBase()
-    kb.put("Electric  Motor", "Asset Health", "Knowledge-Doc", b"payload")
-    assert kb.get("electric motor", "asset health", "knowledge-doc") == b"payload"
-
-
-def test_knowledge_base_preserves_bytes():
-    kb = KnowledgeBase()
-    payload = bytes(range(256))
-    kb.put("m", "k", "dataset", payload)
-    assert kb.get("m", "k", "dataset") == payload
-
-
-def test_knowledge_base_not_found():
-    kb = KnowledgeBase()
-    with pytest.raises(NotFoundError):
-        kb.get("m", "k", "dataset")
-    kb.put("m", "k", "dataset", b"x")
-    with pytest.raises(NotFoundError):
-        kb.get("m", "k", "dataset", version=2)
-    with pytest.raises(NotFoundError):
-        kb.latest_version("m", "k", "other")
-
-
-def test_knowledge_base_argument_checks():
-    kb = KnowledgeBase()
-    with pytest.raises(TypeError):
-        kb.put("m", "k", "dataset", "not bytes")  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        kb.put("", "k", "dataset", b"x")

@@ -25,7 +25,6 @@ from autorecipe.references import (
     collect_evidence,
     generate_claims,
     render_cited,
-    search_claim,
     segment,
     verify,
 )
@@ -148,6 +147,7 @@ def test_generate_claims_argument_validation(registry):
 
 
 # --- search ---------------------------------------------------------------------------
+# A claim is searched as a query inside collect_evidence and build_references.
 
 def test_search_claim_separates_fetches_from_failures():
     claim = Claim(1, 1, "Motors contain bearings.")
@@ -158,37 +158,68 @@ def test_search_claim_separates_fetches_from_failures():
             SearchHit("https://c.example", text="   "),
         ],
     })
-    fetched, failures = search_claim(claim, client)
-    assert fetched == [("https://a.example", "bearing text")]
-    assert [f.url for f in failures] == ["https://b.example", "https://c.example"]
-    assert all(f.verdict == "error" for f in failures)
-    assert [f.rank for f in failures] == [1, 2]
+    nli = _CountingNli(ConstantNliClient(True))
+    evidence = collect_evidence([claim], client, nli, max_workers=1)
+    assert [(e.url, e.verdict, e.snippet, e.rank) for e in evidence] == [
+        ("https://a.example", "entailed", "bearing text", 0),
+        ("https://b.example", "error", "", 1),
+        ("https://c.example", "error", "", 2),
+    ]
+    assert nli.calls == 1  # failed fetches are never judged
     assert client.queries == ["Motors contain bearings."]
 
 
-def test_search_claim_respects_max_results():
+def test_search_claim_respects_max_results(three_part_doc):
     claim = Claim(1, 1, "q.")
     client = ScriptedSearchClient({
         "q.": [SearchHit(f"https://{i}.example", text="t") for i in range(5)],
     })
-    fetched, failures = search_claim(claim, client, max_results=2)
-    assert len(fetched) == 2
-    assert failures == []
-    fetched, failures = search_claim(claim, client, max_results=0)
-    assert fetched == [] and failures == []
+    evidence = collect_evidence([claim], client, ConstantNliClient(True), max_results=2)
+    assert [e.url for e in evidence] == ["https://0.example", "https://1.example"]
+    assert collect_evidence([claim], client, ConstantNliClient(True), max_results=0) == []
+    assert client.queries == ["q."]  # max_results=0 asks no search at all
+
+    kd, replies, results = _pipeline_fixture(three_part_doc)
+    search = ScriptedSearchClient(results)
+    cited = build_references(
+        kd, ScriptedGateway(replies=list(replies)), search, ConstantNliClient(True),
+        k=2, max_results=0,
+    )
+    assert cited.counts.urls_identified == (0, 0, 0)
+    assert search.queries == []
 
 
-def test_search_claim_strict_and_lenient_misses():
+def test_search_claim_strict_and_lenient_misses(three_part_doc):
     claim = Claim(1, 1, "unknown query.")
-    with pytest.raises(SearchClientError):
-        search_claim(claim, ScriptedSearchClient({}, strict=True))
-    fetched, failures = search_claim(claim, ScriptedSearchClient({}, strict=False))
-    assert fetched == [] and failures == []
+    with pytest.raises(SearchClientError, match="no scripted results"):
+        collect_evidence([claim], ScriptedSearchClient({}, strict=True), ConstantNliClient(True))
+    lenient = ScriptedSearchClient({}, strict=False)
+    assert collect_evidence([claim], lenient, ConstantNliClient(True)) == []
+
+    kd, replies, _ = _pipeline_fixture(three_part_doc)
+    with pytest.raises(SearchClientError, match="no scripted results"):
+        build_references(
+            kd, ScriptedGateway(replies=list(replies)), ScriptedSearchClient({}, strict=True),
+            ConstantNliClient(True), k=2,
+        )
+    cited = build_references(
+        kd, ScriptedGateway(replies=list(replies)), ScriptedSearchClient({}, strict=False),
+        ConstantNliClient(True), k=2,
+    )
+    assert cited.counts.claims == (2, 2, 2)
+    assert cited.counts.urls_identified == (0, 0, 0)
+    assert cited.citations == ((), (), ())
 
 
-def test_search_claim_wraps_provider_crashes():
+def test_search_claim_wraps_provider_crashes(three_part_doc):
     with pytest.raises(SearchClientError, match="socket closed"):
-        search_claim(Claim(1, 1, "q."), _FaultySearch())
+        collect_evidence([Claim(1, 1, "q.")], _FaultySearch(), ConstantNliClient(True))
+    kd, replies, _ = _pipeline_fixture(three_part_doc)
+    with pytest.raises(SearchClientError, match="socket closed"):
+        build_references(
+            kd, ScriptedGateway(replies=list(replies)), _FaultySearch(),
+            ConstantNliClient(True), k=2,
+        )
 
 
 # --- verification -----------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autorecipe import presets
-from autorecipe._yamlio import load_yaml
-from autorecipe.errors import AutoRecipeError, TaxonomyError
+from autorecipe._yamlio import load_mapping, load_yaml
+from autorecipe.errors import AutoRecipeError, TaxonomyError, ValidationFailedError
 from autorecipe.planning import Goal, generate_sequence_deterministic, serialize_sequence
 from autorecipe.prompts import default_registry
 from autorecipe.recipe import (
@@ -164,3 +164,10 @@ def test_load_yaml_deep_nesting_names_the_source(error):
 def test_load_yaml_keeps_syntax_errors_as_yaml_errors():
     with pytest.raises(yaml.YAMLError):
         load_yaml("a: [1, 2\n", "broken.yaml")
+
+
+@pytest.mark.parametrize("text", ["- a\n- b\n", "just text\n", "42\n"])
+def test_load_mapping_rejects_other_documents_naming_the_source(text):
+    with pytest.raises(ValidationFailedError) as info:
+        load_mapping(text, "doc.yaml", "search script")
+    assert info.value.violations == ["doc.yaml: search script must be a mapping"]
