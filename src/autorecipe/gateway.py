@@ -152,9 +152,18 @@ class ScriptedGateway:
     def from_file(cls, path) -> "ScriptedGateway":
         with open(path, encoding="utf-8") as fh:
             doc = load_mapping(fh, path, "script")
+        replies, by_key = doc.get("replies") or [], doc.get("by_key") or {}
+        violations = []
+        if not (isinstance(replies, list) and all(isinstance(r, str) for r in replies)):
+            violations.append(f"{path}: script replies must be a list of strings")
+        if not (isinstance(by_key, dict)
+                and all(isinstance(v, str) for v in [*by_key, *by_key.values()])):
+            violations.append(f"{path}: script by_key must map session keys to reply strings")
+        if violations:
+            raise ValidationFailedError(violations)
         return cls(
-            replies=doc.get("replies"),
-            by_key=doc.get("by_key"),
+            replies=replies,
+            by_key=by_key,
             strict=bool(doc.get("strict", True)),
             default=doc.get("default"),
         )
@@ -175,21 +184,68 @@ class ScriptedGateway:
         raise ScriptMissError(f"no scripted reply for session {key[:12]} ({preview!r})")
 
 
+class _Reply:
+    """A finished HTTP exchange: the status code and the body, read as JSON on demand."""
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+_dumps = json.dumps  # the "json" parameter of _urllib_post shadows the module
+
+
+def _urllib_post(url, json=None, headers=None, timeout=None) -> _Reply:
+    """POST ``json`` through ``urllib.request``, which honours the *_PROXY variables.
+
+    An HTTP error status is a reply like any other; connection and timeout
+    failures raise ``OSError``, and a malformed response ``TransportError``.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    body = _dumps(json).encode("utf-8")
+    request = urllib.request.Request(url, data=body, headers=headers or {}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return _Reply(response.status, response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return _Reply(exc.code, exc.read())
+    except http.client.HTTPException as exc:
+        raise TransportError(f"transport failure: {exc!r}") from exc
+
+
 class HttpGateway:
-    """JSON chat-completion client with bounded retries and a parallelism cap."""
+    """JSON chat-completion client with bounded retries.
+
+    ``post(url, json=, headers=, timeout=)`` sends one request and returns
+    an object with ``status_code`` and ``json()``; the default is a
+    standard-library ``urllib`` client.  Timeouts, transport failures,
+    HTTP 429 and 5xx are retried; any other non-200 status fails at once.
+    ``max_parallel`` is the most calls a caller should overlap.
+    """
 
     def __init__(self, config: GatewayConfig, post=None, sleep=time.sleep):
         if not config.endpoint:
             raise ValueError("HttpGateway needs a configured endpoint")
-        if post is None:
-            import requests  # only HTTP runs pay for importing it
-
-            post = requests.post
+        # urllib would also open file: and ftp: URLs, which are no chat endpoints.
+        if not config.endpoint.lower().startswith(("http://", "https://")):
+            raise ValueError(f"HttpGateway endpoint must be an http(s) URL, got {config.endpoint!r}")
         self.config = config
-        self._post = post
+        self.max_parallel = config.max_parallel
+        self._post = post or _urllib_post
         self._sleep = sleep
-        self._slots = threading.Semaphore(config.max_parallel)
-        self.last_attempts = 0
+        self._local = threading.local()
+
+    @property
+    def last_attempts(self) -> int:
+        """Attempts made by the calling thread's last ``complete``; 0 before its first."""
+        return getattr(self._local, "attempts", 0)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -199,8 +255,6 @@ class HttpGateway:
         return headers
 
     def complete(self, session: list[ChatMessage]) -> str:
-        import requests  # for its exception types, which an injected post raises too
-
         _check_session(session)
         payload = {
             "model": self.config.model,
@@ -211,20 +265,22 @@ class HttpGateway:
         last_error: GatewayError | None = None
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
-            self.last_attempts = attempt
+            self._local.attempts = attempt
             try:
-                with self._slots:
-                    response = self._post(
-                        self.config.endpoint,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.config.timeout_seconds,
-                    )
+                response = self._post(
+                    self.config.endpoint,
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=self.config.timeout_seconds,
+                )
                 return self._parse_response(response)
-            except requests.exceptions.Timeout as exc:
+            except TimeoutError as exc:
                 last_error = GatewayTimeoutError(f"request timed out: {exc}")
-            except requests.exceptions.RequestException as exc:
-                last_error = TransportError(f"transport failure: {exc}")
+            except OSError as exc:  # urllib.error.URLError included
+                if isinstance(getattr(exc, "reason", None), TimeoutError):
+                    last_error = GatewayTimeoutError(f"request timed out: {exc}")
+                else:
+                    last_error = TransportError(f"transport failure: {exc}")
             except (GatewayTimeoutError, TransportError) as exc:
                 last_error = exc
             if attempt <= self.config.max_retries:
@@ -237,7 +293,9 @@ class HttpGateway:
     def _parse_response(response) -> str:
         status = getattr(response, "status_code", 200)
         if status != 200:
-            raise TransportError(f"endpoint returned HTTP {status}")
+            # Throttling and server errors may pass on a retry; other statuses will not.
+            error = TransportError if status == 429 or status >= 500 else GatewayError
+            raise error(f"endpoint returned HTTP {status}")
         try:
             body = response.json()
             return body["choices"][0]["message"]["content"]
@@ -252,6 +310,11 @@ class RecordingGateway:
     inner: object
     path: str
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def max_parallel(self) -> int:
+        """The wrapped gateway's bound on overlapping calls; 1 when it has none."""
+        return getattr(self.inner, "max_parallel", 1)
 
     def complete(self, session: list[ChatMessage]) -> str:
         reply = self.inner.complete(session)

@@ -27,6 +27,7 @@ from .errors import (
     GatewayError,
     NliClientError,
     SearchClientError,
+    ValidationFailedError,
 )
 from .execution import KnowledgeDocument
 from .gateway import ChatMessage
@@ -132,12 +133,26 @@ class ScriptedSearchClient:
     def from_file(cls, path) -> "ScriptedSearchClient":
         with open(path, encoding="utf-8") as handle:
             data = load_mapping(handle, path, "search script")
-        results = {}
-        for query, hits in (data.get("queries") or {}).items():
-            results[query] = [
-                SearchHit(url=h["url"], text=h.get("text", ""), error=h.get("error", ""))
-                for h in hits or []
-            ]
+        queries = data.get("queries") or {}
+        if not isinstance(queries, dict):
+            raise ValidationFailedError([f"{path}: search script queries must be a mapping"])
+        results, violations = {}, []
+        for query, hits in queries.items():
+            if not isinstance(hits or [], list):
+                violations.append(f"{path}: search script query {query!r}: hits must be a list")
+                continue
+            results[query] = []
+            for n, hit in enumerate(hits or [], start=1):
+                where = f"{path}: search script query {query!r} hit {n}"
+                if not (isinstance(hit, dict) and isinstance(hit.get("url"), str)):
+                    violations.append(f"{where} must be a mapping with a string url")
+                    continue
+                fields = {name: hit.get(name, "") for name in ("text", "error")}
+                wrong = [name for name, value in fields.items() if not isinstance(value, str)]
+                violations += [f"{where} {name} must be a string" for name in wrong]
+                results[query].append(SearchHit(url=hit["url"], **fields))
+        if violations:
+            raise ValidationFailedError(violations)
         return cls(results, strict=bool(data.get("strict", True)))
 
     def search(self, query: str, max_results: int) -> list[SearchHit]:
@@ -160,10 +175,20 @@ class ScriptedNliClient:
     def from_file(cls, path) -> "ScriptedNliClient":
         with open(path, encoding="utf-8") as handle:
             data = load_mapping(handle, path, "NLI script")
-        pairs = {}
-        for entry in data.get("pairs") or []:
+        entries = data.get("pairs") or []
+        if not isinstance(entries, list):
+            raise ValidationFailedError([f"{path}: NLI script pairs must be a list"])
+        pairs, violations = {}, []
+        for n, entry in enumerate(entries, start=1):
+            if not (isinstance(entry, dict) and isinstance(entry.get("premise"), str)
+                    and isinstance(entry.get("hypothesis"), str)):
+                violations.append(f"{path}: NLI script pair {n} must be a mapping "
+                                  "with string premise and hypothesis")
+                continue
             key = (entry["premise"].strip(), entry["hypothesis"].strip())
             pairs[key] = bool(entry.get("entailed", False))
+        if violations:
+            raise ValidationFailedError(violations)
         return cls(pairs, strict=bool(data.get("strict", False)))
 
     def judge(self, premise: str, hypothesis: str) -> bool:
@@ -393,11 +418,26 @@ def build_references(
     registry: PromptRegistry | None = None,
     cache: dict | None = None,
 ) -> CitedDocument:
-    """Full pipeline: segment, claim generation, search, entailment, attach."""
+    """Full pipeline: segment, claim generation, search, entailment, attach.
+
+    Claim requests overlap up to the gateway's ``max_parallel``; a gateway
+    without one is asked one passage at a time on the caller's thread.
+    Claims keep passage order, and a failure raised is the first in
+    passage order.
+    """
     passages = segment(kd)
-    claims: list[Claim] = []
-    for passage in passages:
-        claims.extend(generate_claims(passage, gateway, k=k, registry=registry))
+    registry = registry or default_registry()
+
+    def claims_for(passage: Passage) -> list[Claim]:
+        return generate_claims(passage, gateway, k=k, registry=registry)
+
+    workers = min(len(passages), getattr(gateway, "max_parallel", 1))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(claims_for, passages))
+    else:
+        batches = [claims_for(p) for p in passages]
+    claims = [claim for batch in batches for claim in batch]
     evidence = collect_evidence(
         claims, search_client, nli_client,
         max_results=max_results, max_workers=max_workers, cache=cache,

@@ -477,6 +477,41 @@ def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tm
     assert f"{tmp_path / 'deep.yaml'}: {what} must be a mapping" in err
 
 
+@pytest.mark.parametrize("site, text, message", [
+    ("search-script", "queries: [a, b]\n", "search script queries must be a mapping"),
+    ("search-script", "queries:\n  q: https://a.example\n",
+     "search script query 'q': hits must be a list"),
+    ("search-script", "queries:\n  q: [https://a.example]\n",
+     "search script query 'q' hit 1 must be a mapping with a string url"),
+    ("search-script", "queries:\n  q:\n    - {url: https://a.example}\n    - {text: t}\n",
+     "search script query 'q' hit 2 must be a mapping with a string url"),
+    ("search-script", "queries:\n  q:\n    - {url: 7}\n",
+     "search script query 'q' hit 1 must be a mapping with a string url"),
+    ("search-script", "queries:\n  q:\n    - {url: https://a.example, text: [t]}\n",
+     "search script query 'q' hit 1 text must be a string"),
+    ("nli-script", "pairs: 5\n", "NLI script pairs must be a list"),
+    ("nli-script", "pairs: [just text]\n",
+     "NLI script pair 1 must be a mapping with string premise and hypothesis"),
+    ("nli-script", "pairs:\n  - {premise: p, hypothesis: h}\n  - {premise: p}\n",
+     "NLI script pair 2 must be a mapping with string premise and hypothesis"),
+    ("nli-script", "pairs:\n  - {premise: 1, hypothesis: h}\n",
+     "NLI script pair 1 must be a mapping with string premise and hypothesis"),
+    ("script", "replies: abc\n", "script replies must be a list of strings"),
+    ("script", "replies: [first, 2]\n", "script replies must be a list of strings"),
+    ("script", "by_key: [a, b]\n", "script by_key must map session keys to reply strings"),
+], ids=["queries-list", "hits-scalar", "hit-scalar", "hit-without-url", "url-not-text",
+        "text-list", "pairs-scalar", "pair-scalar", "pair-without-hypothesis",
+        "premise-not-text", "replies-text", "reply-not-text", "by-key-list"])
+def test_malformed_script_entries_are_input_errors(site, text, message, tax_file, tmp_path,
+                                                   capsys):
+    argv = _deep_site_args(site, tmp_path, tax_file, text=text)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{tmp_path / 'deep.yaml'}: {message}" in err
+
+
 def test_plan_text_with_deeply_nested_order_is_an_input_error(tax_file, tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     depth = 100_000
@@ -510,7 +545,8 @@ def test_score_malformed_aggregation_config_is_an_input_error(tax_file, tmp_path
     ("modle: m\nendpoint: https://e\n", "unknown gateway config key(s): modle"),
     ("- endpoint: https://e\n", "gateway config must be a mapping"),
     ("endpoint: https://e\ntimeout_seconds: fast\n", "timeout_seconds must be a number, got 'fast'"),
-], ids=["unknown-key", "list", "wrong-type"])
+    ("endpoint: file:///etc/hostname\n", "endpoint must be an http(s) URL"),
+], ids=["unknown-key", "list", "wrong-type", "file-endpoint"])
 def test_gateway_config_with_unknown_keys_is_an_input_error(tax_file, tmp_path, capsys,
                                                             text, message):
     config = tmp_path / "gw.yaml"

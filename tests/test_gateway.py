@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from autorecipe.errors import (
     GatewayError,
@@ -169,6 +172,12 @@ def test_http_gateway_requires_endpoint():
         HttpGateway(GatewayConfig())
 
 
+@pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://host/v1", "localhost:8080/v1"])
+def test_http_gateway_requires_an_http_endpoint(endpoint):
+    with pytest.raises(ValueError, match="must be an http"):
+        HttpGateway(GatewayConfig(endpoint=endpoint))
+
+
 def test_http_gateway_bearer_header_from_env(monkeypatch):
     captured = {}
 
@@ -194,7 +203,7 @@ def test_http_gateway_retries_then_succeeds():
     def post(url, json=None, headers=None, timeout=None):
         calls["n"] += 1
         if calls["n"] < 3:
-            raise requests.exceptions.ConnectionError("boom")
+            raise ConnectionRefusedError("boom")
         return _ok("recovered")
 
     config = GatewayConfig(endpoint="https://e", max_retries=2, backoff_seconds=0.5)
@@ -206,7 +215,7 @@ def test_http_gateway_retries_then_succeeds():
 
 def test_http_gateway_timeout_exhausts_retries():
     def post(url, json=None, headers=None, timeout=None):
-        raise requests.exceptions.Timeout("slow")
+        raise TimeoutError("slow")
 
     config = GatewayConfig(endpoint="https://e", max_retries=1)
     gw = HttpGateway(config, post=post, sleep=lambda s: None)
@@ -231,6 +240,185 @@ def test_http_gateway_http_error_and_malformed_payload():
     )
     with pytest.raises(TransportError):
         gw.complete(_session())
+
+
+def test_http_gateway_does_not_retry_client_errors():
+    posts, sleeps = [], []
+
+    def post(url, json=None, headers=None, timeout=None):
+        posts.append(url)
+        return _Response(status_code=401)
+
+    config = GatewayConfig(endpoint="https://e", max_retries=3)
+    gw = HttpGateway(config, post=post, sleep=sleeps.append)
+    with pytest.raises(GatewayError, match="HTTP 401") as info:
+        gw.complete(_session())
+    assert not isinstance(info.value, TransportError)
+    assert len(posts) == 1 and sleeps == []
+    assert gw.last_attempts == 1
+
+
+@pytest.mark.parametrize("status", [429, 500, 503])
+def test_http_gateway_retries_throttling_and_server_errors(status):
+    posts, sleeps = [], []
+
+    def post(url, json=None, headers=None, timeout=None):
+        posts.append(url)
+        return _Response(status_code=status)
+
+    config = GatewayConfig(endpoint="https://e", max_retries=3, backoff_seconds=0.5)
+    gw = HttpGateway(config, post=post, sleep=sleeps.append)
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        gw.complete(_session())
+    assert len(posts) == 4
+    assert sleeps == [0.5, 1.0, 1.5]
+
+
+def test_http_gateway_attempt_count_is_per_thread():
+    """Each thread reads the attempts of its own last call, not another thread's."""
+    failures = {"flaky": 2}
+    lock = threading.Lock()
+
+    def post(url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][-1]["content"]
+        with lock:
+            if failures.get(prompt, 0) > 0:
+                failures[prompt] -= 1
+                raise ConnectionRefusedError("refused")
+        return _ok(prompt)
+
+    gw = HttpGateway(GatewayConfig(endpoint="https://e", max_retries=2), post=post,
+                     sleep=lambda s: None)
+    flaky_done, steady_done = threading.Event(), threading.Event()
+    seen = {}
+
+    def flaky():
+        gw.complete(_session("flaky"))
+        flaky_done.set()
+        steady_done.wait(10)  # the other thread's call ends after this one's
+        seen["flaky"] = gw.last_attempts
+
+    def steady():
+        flaky_done.wait(10)
+        gw.complete(_session("steady"))
+        steady_done.set()
+        seen["steady"] = gw.last_attempts
+
+    threads = [threading.Thread(target=flaky), threading.Thread(target=steady)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert seen == {"flaky": 3, "steady": 1}
+    assert gw.last_attempts == 0  # this thread made no call
+
+
+def test_http_gateway_exposes_max_parallel_and_recording_forwards_it(tmp_path):
+    http = HttpGateway(GatewayConfig(endpoint="https://e", max_parallel=5), post=lambda **k: _ok())
+    assert http.max_parallel == 5
+    assert RecordingGateway(http, str(tmp_path / "s.jsonl")).max_parallel == 5
+    scripted = ScriptedGateway(replies=["r"])
+    assert not hasattr(scripted, "max_parallel")
+    assert RecordingGateway(scripted, str(tmp_path / "s.jsonl")).max_parallel == 1
+
+
+# --- the standard-library transport against a local server ----------------------------
+
+class _Endpoint(BaseHTTPRequestHandler):
+    """Answers by path: /ok echoes, /fail is HTTP 500, /denied is 401, /slow stalls,
+    /garbage is not HTTP."""
+
+    def do_POST(self):  # noqa: N802 - name fixed by BaseHTTPRequestHandler
+        self.server.paths.append(self.path)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/garbage":
+            self.wfile.write(b"NOT-HTTP garbage\r\n\r\n")
+            return
+        if self.path == "/slow":
+            time.sleep(1.0)
+        if self.path in ("/fail", "/denied"):
+            self.send_error(500 if self.path == "/fail" else 401)
+            return
+        content = f"{self.headers['Content-Type']}: {body['messages'][-1]['content']}"
+        reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Endpoint)
+    server.daemon_threads = True
+    server.paths = []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(10)
+
+
+def _stdlib_gateway(url, max_retries=0, timeout_seconds=5.0):
+    config = GatewayConfig(endpoint=url, max_retries=max_retries,
+                           timeout_seconds=timeout_seconds, backoff_seconds=0.0)
+    return HttpGateway(config, sleep=lambda s: None)
+
+
+def _url(server, path):
+    return f"http://127.0.0.1:{server.server_address[1]}{path}"
+
+
+def test_stdlib_transport_returns_the_reply(endpoint):
+    gw = _stdlib_gateway(_url(endpoint, "/ok"))
+    assert gw.complete(_session("ping")) == "application/json: ping"
+    assert endpoint.paths == ["/ok"]
+
+
+def test_stdlib_transport_retries_server_errors_then_fails(endpoint):
+    gw = _stdlib_gateway(_url(endpoint, "/fail"), max_retries=2)
+    with pytest.raises(TransportError, match="HTTP 500"):
+        gw.complete(_session())
+    assert endpoint.paths == ["/fail"] * 3
+    assert gw.last_attempts == 3
+
+
+def test_stdlib_transport_does_not_retry_client_errors(endpoint):
+    gw = _stdlib_gateway(_url(endpoint, "/denied"), max_retries=2)
+    with pytest.raises(GatewayError, match="HTTP 401"):
+        gw.complete(_session())
+    assert endpoint.paths == ["/denied"]
+
+
+def test_stdlib_transport_malformed_response_is_a_transport_error(endpoint):
+    gw = _stdlib_gateway(_url(endpoint, "/garbage"), max_retries=1)
+    with pytest.raises(TransportError, match="transport failure"):
+        gw.complete(_session())
+    assert endpoint.paths == ["/garbage"] * 2
+
+
+def test_stdlib_transport_read_timeout(endpoint):
+    gw = _stdlib_gateway(_url(endpoint, "/slow"), timeout_seconds=0.1)
+    with pytest.raises(GatewayTimeoutError):
+        gw.complete(_session())
+
+
+def test_stdlib_transport_refused_connection():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # Nothing listens on the port once the probe socket is closed.
+    gw = _stdlib_gateway(f"http://127.0.0.1:{port}/v1", max_retries=1)
+    with pytest.raises(TransportError):
+        gw.complete(_session())
+    assert gw.last_attempts == 2
 
 
 def test_gateway_config_validation_and_file_loading(tmp_path):

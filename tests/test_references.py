@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
+import time
+
 import pytest
 
 from autorecipe.errors import (
@@ -10,8 +15,8 @@ from autorecipe.errors import (
     GatewayError,
     SearchClientError,
 )
-from autorecipe.execution import KnowledgeDocument, split_parts
-from autorecipe.gateway import ScriptedGateway
+from autorecipe.execution import KnowledgeDocument, KnowledgePart, split_parts
+from autorecipe.gateway import RecordingGateway, ScriptedGateway, session_key
 from autorecipe.references import (
     Claim,
     ConstantNliClient,
@@ -474,6 +479,146 @@ def test_build_references_replay_is_stable(three_part_doc):
         )
         outcomes.append((cited.citations, cited.counts))
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+# --- concurrent claim requests -------------------------------------------------------------
+
+class _ParallelGateway:
+    """Answers each passage's claim request, from as many threads as call it.
+
+    ``order`` lists passages in the order their replies must finish: each
+    waits until the one before it has finished.  ``fail`` maps a passage to
+    the error its request raises.
+    """
+
+    def __init__(self, kd, max_parallel, order=(), fail=None):
+        self.max_parallel = max_parallel
+        self.bodies = [p.body for p in segment(kd)]
+        self.after = dict(zip(order[1:], order))
+        self.fail = fail or {}
+        self.finished = {i: threading.Event() for i in range(1, len(self.bodies) + 1)}
+        self.in_flight = self.peak = 0
+        self.done: list[int] = []
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def complete(self, session):
+        passage = next(i for i, body in enumerate(self.bodies, start=1)
+                       if body in session[-1].content)
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.get_ident())
+        try:
+            if passage in self.after:
+                assert self.finished[self.after[passage]].wait(10), "request never released"
+            else:
+                time.sleep(0.1)  # long enough for the other requests to start
+            if passage in self.fail:
+                raise self.fail[passage]
+            return f"1. A claim of passage {passage}."
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+                self.done.append(passage)
+            self.finished[passage].set()
+
+
+def _references_of(kd, gateway, k=1, search=None):
+    search = search or ScriptedSearchClient({}, strict=False)
+    return build_references(kd, gateway, search, ConstantNliClient(True), k=k, max_workers=1)
+
+
+def test_build_references_keeps_passage_order_when_replies_finish_in_reverse(three_part_doc):
+    kd = split_parts(three_part_doc)
+    gateway = _ParallelGateway(kd, max_parallel=3, order=(3, 2, 1))
+    search = ScriptedSearchClient({}, strict=False)
+    cited = _references_of(kd, gateway, search=search)
+    assert gateway.done == [3, 2, 1]
+    assert gateway.peak == 3 and len(gateway.threads) == 3
+    assert cited.counts.claims == (1, 1, 1)
+    # With one evidence worker, claims are searched in the order build_references holds them.
+    assert search.queries == [f"A claim of passage {i}." for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("max_parallel, expected_peak", [(1, 1), (2, 2), (3, 3), (8, 3)])
+def test_build_references_bounds_claim_requests_in_flight(three_part_doc, max_parallel,
+                                                          expected_peak):
+    kd = split_parts(three_part_doc)
+    gateway = _ParallelGateway(kd, max_parallel=max_parallel)
+    _references_of(kd, gateway)
+    assert gateway.peak == expected_peak
+    assert sorted(gateway.done) == [1, 2, 3]
+
+
+def test_build_references_raises_the_first_failure_in_passage_order(three_part_doc):
+    kd = split_parts(three_part_doc)
+    gateway = _ParallelGateway(kd, max_parallel=3, order=(3, 2, 1), fail={
+        2: GatewayError("second passage"), 3: GatewayError("third passage"),
+    })
+    with pytest.raises(GatewayError, match="second passage"):
+        _references_of(kd, gateway)
+    assert gateway.done == [3, 2, 1]
+
+
+def test_build_references_warns_about_fewer_claims_from_worker_threads(three_part_doc):
+    kd = split_parts(three_part_doc)
+    gateway = _ParallelGateway(kd, max_parallel=3)
+    with pytest.warns(FewerClaimsWarning) as record:
+        cited = _references_of(kd, gateway, k=2)
+    assert cited.counts.claims == (1, 1, 1)
+    assert sorted(str(w.message) for w in record) == [
+        f"passage {i}: requested 2 claims but parsed 1" for i in (1, 2, 3)
+    ]
+
+
+def test_recorded_concurrent_claim_requests_lose_no_record(tmp_path):
+    """Many overlapping claim requests through a recording gateway, with frequent thread switches."""
+    parts = 24
+    kd = KnowledgeDocument(parts=tuple(
+        KnowledgePart(f"part-{i}", f"## Part {i}\n", f"Body of part {i}.\n")
+        for i in range(1, parts + 1)
+    ))
+    store = tmp_path / "store.jsonl"
+    inner = _ParallelGateway(kd, max_parallel=12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cited = _references_of(kd, RecordingGateway(inner, str(store)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert inner.peak == 12
+    assert cited.counts.claims == (1,) * parts
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    assert sorted(r["reply"] for r in records) == sorted(
+        f"1. A claim of passage {i}." for i in range(1, parts + 1)
+    )
+
+
+def test_scripted_gateway_sees_claim_sessions_in_passage_order(three_part_doc, registry):
+    kd, replies, results = _pipeline_fixture(three_part_doc)
+    expected = _Recorder(list(replies))
+    for passage in segment(kd):
+        generate_claims(passage, expected, k=2, registry=registry)
+    gateway = ScriptedGateway(replies=list(replies))
+    caller = threading.get_ident()
+    threads = []
+    original = gateway.complete
+
+    def complete(session):
+        threads.append(threading.get_ident())
+        return original(session)
+
+    gateway.complete = complete
+    cited = build_references(kd, gateway, ScriptedSearchClient(results),
+                             ConstantNliClient(True), k=2, registry=registry)
+    assert gateway.calls == [session_key(s) for s in expected.sessions]
+    assert threads == [caller] * 3  # no max_parallel: every call on the caller's thread
+    assert cited.citations == (
+        ("https://ref0.example", "https://ref1.example"),
+        ("https://ref2.example", "https://ref3.example"),
+        ("https://ref4.example", "https://ref5.example"),
+    )
 
 
 def test_scripted_clients_from_file(tmp_path):

@@ -1,7 +1,7 @@
-"""Start-up cost: a command imports numpy or requests only when it uses them.
+"""Start-up cost: a command imports numpy only when it uses it, and requests never.
 
-Each check runs in a fresh interpreter, since this test session itself has
-both libraries loaded.
+Each check runs in a fresh interpreter, since this test session itself may
+have both libraries loaded.
 """
 
 from __future__ import annotations
@@ -41,13 +41,22 @@ for name, argv in commands:
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from autorecipe.gateway import ChatMessage, HttpGateway, load_gateway_config
+from autorecipe.gateway import ChatMessage, HttpGateway, load_gateway_config, session_key
+
+# The replies recorded by the scripted generate, by session key, so an HTTP
+# generate gets the same answers.
+recorded = {}
+with open(sys.argv[3], encoding="utf-8") as fh:
+    for line in fh:
+        record = json.loads(line)
+        recorded[record["key"]] = record["reply"]
 
 
 class Echo(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        content = "echo: " + body["messages"][-1]["content"]
+        session = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        content = recorded.get(session_key(session), "echo: " + session[-1].content)
         reply = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -68,6 +77,8 @@ gateway = HttpGateway(load_gateway_config(config_path))
 report.append(["HttpGateway()", 0, loaded()])
 reply = gateway.complete([ChatMessage("user", "ping")])
 report.append(["HttpGateway.complete -> " + reply, 0, loaded()])
+http_generate = json.loads(sys.argv[4])
+report.append(["generate --gateway-config", main(http_generate), loaded()])
 server.shutdown()
 print(json.dumps(report))
 '''
@@ -78,7 +89,8 @@ def _write_yaml(path: Path, data) -> str:
     return str(path)
 
 
-def _commands(tmp: Path) -> list:
+def _commands(tmp: Path) -> tuple[list, list]:
+    """The commands run one after another, and an HTTP generate run last."""
     tax = tmp / "health.yaml"
     tax.write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
     description = "A 75 kW induction motor driving a conveyor.\nConfidence: 90%"
@@ -100,6 +112,8 @@ def _commands(tmp: Path) -> list:
                 "--aggregation-config", aggregation,
                 "--dataset", str(replayed / "sample_dataset.csv"), "--out", str(tmp / out)]
 
+    http_generate = [*generate, "--gateway-config", str(tmp / "gw.yaml"),
+                     "--out", str(tmp / "http")]
     return [
         ["plan", ["plan", *goal, "--out", str(tmp / "plan.yaml")]],
         ["generate --script --record",
@@ -110,7 +124,7 @@ def _commands(tmp: Path) -> list:
                      "--doc", str(recorded / "knowledge_document.md"),
                      "--out", str(tmp / "metrics.csv")]],
         ["score (ahp)", score(ahp, "ahp.csv")],
-    ]
+    ], http_generate
 
 
 def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
@@ -119,8 +133,10 @@ def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
            if not key.lower().endswith("_proxy")}
     env.update(PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""),
                NO_PROXY="127.0.0.1,localhost")
+    commands, http_generate = _commands(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(_commands(tmp_path)), str(tmp_path / "gw.yaml")],
+        [sys.executable, "-c", CHILD, json.dumps(commands), str(tmp_path / "gw.yaml"),
+         str(tmp_path / "store.jsonl"), json.dumps(http_generate)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -132,9 +148,13 @@ def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
         ["score (weighted)", 0, []],
         ["metrics", 0, []],
         ["score (ahp)", 0, ["numpy"]],
-        ["HttpGateway()", 0, ["numpy", "requests"]],
-        ["HttpGateway.complete -> echo: ping", 0, ["numpy", "requests"]],
+        ["HttpGateway()", 0, ["numpy"]],
+        ["HttpGateway.complete -> echo: ping", 0, ["numpy"]],
+        ["generate --gateway-config", 0, ["numpy"]],
     ]
+    # The HTTP run got the recorded replies through the standard-library transport.
+    for name in ("knowledge_document.md", "indicator_config.yaml", "sample_dataset.csv"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "recorded" / name).read_bytes()
     # The ahp run really used the pairwise math: a uniform matrix gives the
     # equal weights the generated weighted config declares.
     assert (tmp_path / "ahp.csv").read_bytes() == (tmp_path / "weighted.csv").read_bytes()
