@@ -39,10 +39,6 @@ class UnknownNodeError(TaxonomyError):
 
 # --- prompt registry --------------------------------------------------------
 
-class DuplicateIdError(AutoRecipeError):
-    pass
-
-
 class MissingBindingError(AutoRecipeError):
     def __init__(self, names: set[str], context: str = ""):
         self.names = set(names)

@@ -9,7 +9,6 @@ into a knowledge document of one to three labeled parts.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ __all__ = [
     "split_parts",
     "render_knowledge",
     "execute",
-    "serialize_transcript",
-    "parse_transcript",
 ]
 
 STRATEGIES = ("lastq", "allq", "allqcot", "allqreact", "gitq")
@@ -83,30 +80,6 @@ class Transcript:
         return [m for m in self.messages if m.role == "assistant"]
 
 
-def serialize_transcript(transcript: Transcript) -> str:
-    lines = [json.dumps({"strategy": transcript.strategy}, ensure_ascii=False)]
-    for m in transcript.messages:
-        lines.append(json.dumps(
-            {"role": m.role, "content": m.content, "steps": list(m.steps), "timestamp": m.timestamp},
-            ensure_ascii=False,
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def parse_transcript(text: str) -> Transcript:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise EmptyDocumentError("transcript document is empty")
-    header = json.loads(lines[0])
-    transcript = Transcript(strategy=header["strategy"])
-    for line in lines[1:]:
-        record = json.loads(line)
-        transcript.messages.append(TranscriptMessage(
-            record["role"], record["content"], tuple(record["steps"]), record["timestamp"],
-        ))
-    return transcript
-
-
 # --- knowledge documents ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -120,11 +93,10 @@ class KnowledgePart:
         return self.heading + self.body
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeDocument:
     parts: tuple[KnowledgePart, ...]
     preamble: str = ""
-    source_transcript: Transcript | None = None
 
     def part(self, label: str) -> KnowledgePart:
         for p in self.parts:
@@ -295,6 +267,4 @@ def execute(
             session.append(ChatMessage("assistant", reply))
         answer = reply
 
-    kd = split_parts(answer)
-    kd.source_transcript = transcript
-    return kd, transcript
+    return split_parts(answer), transcript

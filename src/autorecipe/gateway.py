@@ -159,13 +159,16 @@ class ScriptedGateway:
         if not (isinstance(by_key, dict)
                 and all(isinstance(v, str) for v in [*by_key, *by_key.values()])):
             violations.append(f"{path}: script by_key must map session keys to reply strings")
+        default = doc.get("default")
+        if default is not None and not isinstance(default, str):
+            violations.append(f"{path}: script default must be a string")
         if violations:
             raise ValidationFailedError(violations)
         return cls(
             replies=replies,
             by_key=by_key,
             strict=bool(doc.get("strict", True)),
-            default=doc.get("default"),
+            default=default,
         )
 
     def complete(self, session: list[ChatMessage]) -> str:
@@ -226,7 +229,8 @@ class HttpGateway:
     ``post(url, json=, headers=, timeout=)`` sends one request and returns
     an object with ``status_code`` and ``json()``; the default is a
     standard-library ``urllib`` client.  Timeouts, transport failures,
-    HTTP 429 and 5xx are retried; any other non-200 status fails at once.
+    HTTP 429 and 5xx are retried; any other non-200 status, and a 200 whose
+    body is not a completion, fails at once.
     ``max_parallel`` is the most calls a caller should overlap.
     """
 
@@ -296,11 +300,16 @@ class HttpGateway:
             # Throttling and server errors may pass on a retry; other statuses will not.
             error = TransportError if status == 429 or status >= 500 else GatewayError
             raise error(f"endpoint returned HTTP {status}")
+        # The endpoint answered, so a body that is no completion is not retried.
         try:
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion payload: {exc}") from exc
+            content = response.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
+            raise GatewayError(f"malformed completion payload: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(
+                f"malformed completion payload: content is {type(content).__name__}, not text"
+            )
+        return content
 
 
 @dataclass

@@ -47,7 +47,6 @@ __all__ = [
     "resolve_code_steps",
     "generate_sequence_deterministic",
     "materialize_sequence",
-    "format_plan",
     "serialize_sequence",
     "parse_sequence",
 ]
@@ -574,13 +573,6 @@ def materialize_sequence(
 
 # --- persistence -----------------------------------------------------------------
 
-def format_plan(seq: PromptSequence) -> str:
-    """Plain-text rendering that parse_plan reads back unchanged."""
-    lines = [f"Step {s.index}: {s.body}" for s in seq.steps]
-    lines.append(f"Execution Order: {format_execution_order(seq.execution_order)} Goal completed!")
-    return "\n".join(lines) + "\n"
-
-
 def serialize_sequence(seq: PromptSequence) -> str:
     doc: dict = {
         "steps": [{"index": s.index, "kind": s.kind, "body": s.body} for s in seq.steps],
@@ -599,13 +591,46 @@ def serialize_sequence(seq: PromptSequence) -> str:
 
 
 def parse_sequence(text: str) -> PromptSequence:
-    doc = load_yaml(text, "sequence document", PlanError)
+    """Read back what serialize_sequence writes; any other shape raises PlanError."""
+    try:
+        doc = load_yaml(text, "sequence document", PlanError)
+    except yaml.YAMLError as exc:
+        raise PlanError(f"unreadable sequence document: {exc}") from exc
     if not isinstance(doc, dict) or "steps" not in doc:
         raise NoStepsError("sequence document has no steps")
-    steps = [PromptStep(e["index"], e["kind"], e["body"]) for e in doc["steps"]]
-    order = parse_execution_order(doc["execution_order"])
-    goal = None
-    if "goal" in doc and doc["goal"]:
-        g = doc["goal"]
-        goal = Goal(g["kpi"], g["target_node"], g.get("method_phrase", ""), g.get("text", ""))
-    return _make_sequence(steps, order, goal=goal, bindings=doc.get("bindings"))
+    if not isinstance(doc["steps"], list):
+        raise NoStepsError("sequence steps must be a list")
+    steps = [_parse_step(n, entry) for n, entry in enumerate(doc["steps"], start=1)]
+    order = doc.get("execution_order")
+    if not isinstance(order, str):
+        raise NoExecutionOrderError("sequence document has no execution_order string")
+    goal = _parse_goal(doc["goal"]) if doc.get("goal") else None
+    bindings = doc.get("bindings") or {}
+    if not (isinstance(bindings, dict)
+            and all(isinstance(v, str) for v in [*bindings, *bindings.values()])):
+        raise PlanError("sequence bindings must map names to strings")
+    return _make_sequence(steps, parse_execution_order(order), goal=goal, bindings=bindings)
+
+
+def _parse_step(n: int, entry) -> PromptStep:
+    if not (isinstance(entry, dict)
+            and type(entry.get("index")) is int
+            and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("body"), str)):
+        raise PlanError(
+            f"sequence step {n} must be a mapping with an integer index and string kind and body"
+        )
+    try:
+        return PromptStep(entry["index"], entry["kind"], entry["body"])
+    except ValueError as exc:
+        raise PlanError(f"sequence step {n}: {exc}") from None
+
+
+def _parse_goal(g) -> Goal:
+    if not (isinstance(g, dict)
+            and isinstance(g.get("kpi"), str)
+            and isinstance(g.get("target_node"), str)
+            and isinstance(g.get("method_phrase", ""), str)
+            and isinstance(g.get("text", ""), str)):
+        raise PlanError("sequence goal must be a mapping of strings with kpi and target_node")
+    return Goal(g["kpi"], g["target_node"], g.get("method_phrase", ""), g.get("text", ""))

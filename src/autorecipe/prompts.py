@@ -1,4 +1,4 @@
-"""Versioned registry of prompt templates and role profiles.
+"""The shipped prompt templates and role profiles, looked up by id.
 
 Templates use ``${name}`` placeholders.  The set of required
 placeholders is always derived from the body, never declared by hand,
@@ -11,16 +11,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-import yaml
-
 from . import presets
-from ._yamlio import load_yaml
-from .errors import (
-    DuplicateIdError,
-    MissingBindingError,
-    NotFoundError,
-    UnknownPlaceholderWarning,
-)
+from .errors import MissingBindingError, NotFoundError, UnknownPlaceholderWarning
 
 __all__ = [
     "PromptTemplate",
@@ -95,22 +87,10 @@ class RoleProfile:
             raise ValueError(f"unknown role name {self.name!r}; expected one of {ROLE_NAMES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptRegistry:
     templates: dict[str, PromptTemplate] = field(default_factory=dict)
     roles: dict[str, RoleProfile] = field(default_factory=dict)
-    version: int = 0
-
-    def register(self, template: PromptTemplate, overwrite: bool = False) -> None:
-        """Add a template; bumps the registry version. Existing ids need overwrite."""
-        if template.id in self.templates and not overwrite:
-            raise DuplicateIdError(f"template {template.id!r} already registered")
-        self.templates[template.id] = template
-        self.version += 1
-
-    def register_role(self, profile: RoleProfile) -> None:
-        self.resolve_role(profile)
-        self.roles[profile.name] = profile
 
     def get(self, template_id: str) -> PromptTemplate:
         try:
@@ -133,48 +113,13 @@ class PromptRegistry:
             )
         return template
 
-    def export_text(self) -> str:
-        doc = {
-            "version": self.version,
-            "templates": [
-                {"id": t.id, "role": t.role, "body": t.body}
-                for t in self.templates.values()
-            ],
-            "roles": [
-                {"name": r.name, "system_prompt": r.system_prompt_id}
-                for r in self.roles.values()
-            ],
-        }
-        return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
-
-    @classmethod
-    def import_text(cls, text: str) -> "PromptRegistry":
-        doc = load_yaml(text, "registry document")
-        if not isinstance(doc, dict) or "templates" not in doc:
-            raise NotFoundError("registry document has no templates section")
-        registry = cls()
-        for entry in doc["templates"]:
-            registry.register(PromptTemplate(entry["id"], entry["role"], entry["body"]))
-        for entry in doc.get("roles") or []:
-            registry.register_role(RoleProfile(entry["name"], entry["system_prompt"]))
-        registry.version = int(doc.get("version", registry.version))
-        return registry
-
-    def export_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.export_text())
-
-    @classmethod
-    def import_file(cls, path) -> "PromptRegistry":
-        with open(path, encoding="utf-8") as fh:
-            return cls.import_text(fh.read())
-
 
 def default_registry() -> PromptRegistry:
-    """Registry preloaded with the shipped prompt seeds and the two role profiles."""
-    registry = PromptRegistry()
-    for template_id, (role, body) in presets.PROMPT_SEEDS.items():
-        registry.register(PromptTemplate(template_id, role, body))
-    for name, prompt_id in presets.ROLE_SEEDS.items():
-        registry.register_role(RoleProfile(name, prompt_id))
-    return registry
+    """Registry of the shipped prompt seeds and the two role profiles."""
+    return PromptRegistry(
+        templates={
+            template_id: PromptTemplate(template_id, role, body)
+            for template_id, (role, body) in presets.PROMPT_SEEDS.items()
+        },
+        roles={name: RoleProfile(name, prompt_id) for name, prompt_id in presets.ROLE_SEEDS.items()},
+    )

@@ -10,8 +10,6 @@ fixed point was reached.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +32,6 @@ __all__ = [
     "strip_confidence",
     "refine",
     "iteration_metrics",
-    "records_to_csv",
 ]
 
 STOP_REASONS = ("low-confidence", "fixed-point", "max-rounds")
@@ -171,12 +168,3 @@ def iteration_metrics(records: list[IterationRecord], weighted: bool = False) ->
             "similarity_vs_first": metrics.similarity(base, record.answer),
         })
     return rows
-
-
-def records_to_csv(records: list[IterationRecord]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["round", "confidence", "answer_length", "accepted"])
-    for r in records:
-        writer.writerow([r.round, f"{r.confidence:g}", r.answer_length, str(r.accepted).lower()])
-    return buffer.getvalue()

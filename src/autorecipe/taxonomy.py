@@ -36,7 +36,6 @@ __all__ = [
     "Taxonomy",
     "normalize_name",
     "parse_taxonomy",
-    "serialize_taxonomy",
     "render_statements",
     "traverse_top_down",
     "descendant_mentions",
@@ -233,22 +232,6 @@ def _reject_cycles(labels, children, parents) -> None:
     cycle = seen[seen.index(node):] + [node]
     cycle.reverse()  # report in parent -> child direction
     raise CycleDetectedError([labels[nid] for nid in cycle])
-
-
-def serialize_taxonomy(tax: Taxonomy) -> str:
-    """Inverse of parse_taxonomy; edge order is preserved."""
-    doc = {
-        "kpi": tax.root_label,
-        "edges": [
-            {
-                "parent": tax.nodes[e.parent].label,
-                "relation": e.relation,
-                "child": tax.nodes[e.child].label,
-            }
-            for e in tax.edges
-        ],
-    }
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
 
 def render_statements(tax: Taxonomy) -> list[str]:

@@ -465,6 +465,17 @@ def test_deeply_nested_yaml_is_an_input_error(site, tax_file, tmp_path, capsys):
     assert f"{tmp_path / 'deep.yaml'}: nested too deeply" in err
 
 
+@pytest.mark.parametrize("site", ["indicator", "aggregation", "script", "search-script",
+                                  "nli-script", "gateway-config"])
+def test_bad_tagged_yaml_value_is_an_input_error(site, tax_file, tmp_path, capsys):
+    argv = _deep_site_args(site, tmp_path, tax_file, text="strict: !!bool maybe\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"unreadable {tmp_path / 'deep.yaml'}: bad tagged value" in err
+
+
 @pytest.mark.parametrize("site, what", [
     ("script", "script"), ("search-script", "search script"), ("nli-script", "NLI script"),
 ])
@@ -499,9 +510,10 @@ def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tm
     ("script", "replies: abc\n", "script replies must be a list of strings"),
     ("script", "replies: [first, 2]\n", "script replies must be a list of strings"),
     ("script", "by_key: [a, b]\n", "script by_key must map session keys to reply strings"),
+    ("script", "default: 5\n", "script default must be a string"),
 ], ids=["queries-list", "hits-scalar", "hit-scalar", "hit-without-url", "url-not-text",
         "text-list", "pairs-scalar", "pair-scalar", "pair-without-hypothesis",
-        "premise-not-text", "replies-text", "reply-not-text", "by-key-list"])
+        "premise-not-text", "replies-text", "reply-not-text", "by-key-list", "default-not-text"])
 def test_malformed_script_entries_are_input_errors(site, text, message, tax_file, tmp_path,
                                                    capsys):
     argv = _deep_site_args(site, tmp_path, tax_file, text=text)

@@ -24,9 +24,7 @@ from autorecipe.execution import (
     TranscriptMessage,
     execute,
     parse_react_reply,
-    parse_transcript,
     render_knowledge,
-    serialize_transcript,
     split_parts,
     wrap_react,
 )
@@ -358,31 +356,7 @@ def test_execute_system_role_missing_binding(registry):
         execute(seq, "allq", registry.role("data-scientist"), _EchoGateway(["x"]), registry)
 
 
-def test_knowledge_document_carries_source_transcript(health_tax, registry):
-    seq = _materialized(health_tax)
-    kd, transcript = execute(
-        seq, "allq", registry.role("domain-expert"), _EchoGateway([THREE_PART_DOC]), registry
-    )
-    assert kd.source_transcript is transcript
-
-
-# --- transcript persistence -----------------------------------------------------------
-
-def test_transcript_round_trip(health_tax, registry):
-    seq = _materialized(health_tax)
-    replies = ["filler."] * (len(seq.steps) - 1) + [THREE_PART_DOC]
-    _, transcript = execute(
-        seq, "gitq", registry.role("domain-expert"), _EchoGateway(replies), registry
-    )
-    again = parse_transcript(serialize_transcript(transcript))
-    assert again.strategy == transcript.strategy
-    assert again.messages == transcript.messages
-
-
-def test_parse_transcript_rejects_empty():
-    with pytest.raises(EmptyDocumentError):
-        parse_transcript("\n  \n")
-
+# --- transcripts -------------------------------------------------------------------
 
 def test_transcript_filters():
     transcript = Transcript(strategy="allq", messages=[

@@ -233,13 +233,21 @@ def test_http_gateway_http_error_and_malformed_payload():
     with pytest.raises(TransportError):
         gw.complete(_session())
 
-    gw = HttpGateway(
-        GatewayConfig(endpoint="https://e", max_retries=0),
-        post=lambda *a, **k: _Response(payload={"unexpected": True}),
-        sleep=lambda s: None,
-    )
-    with pytest.raises(TransportError):
-        gw.complete(_session())
+    # A 200 whose body is no completion fails at once: the endpoint answered.
+    for reply in (_Response(payload={"unexpected": True}), _Response(),
+                  _ok(content=None)):
+        posts = []
+
+        def post(url, json=None, headers=None, timeout=None, reply=reply):
+            posts.append(url)
+            return reply
+
+        gw = HttpGateway(GatewayConfig(endpoint="https://e", max_retries=2),
+                         post=post, sleep=lambda s: None)
+        with pytest.raises(GatewayError, match="malformed completion payload") as info:
+            gw.complete(_session())
+        assert type(info.value) is GatewayError
+        assert len(posts) == 1
 
 
 def test_http_gateway_does_not_retry_client_errors():

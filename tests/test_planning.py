@@ -13,6 +13,7 @@ from autorecipe.errors import (
     NonContiguousIndicesError,
     NoExecutionOrderError,
     NoStepsError,
+    PlanError,
     UnknownStepInOrderError,
     UnresolvableCodeStepError,
 )
@@ -26,7 +27,6 @@ from autorecipe.planning import (
     build_planning_context,
     classify_step,
     format_execution_order,
-    format_plan,
     generate_sequence_deterministic,
     is_all_and,
     linearize,
@@ -444,13 +444,6 @@ def test_materialize_rejects_blank_asset_class():
 
 # --- persistence ---------------------------------------------------------------------
 
-def test_format_plan_round_trip():
-    seq = parse_plan(COMPONENT_HEALTH_DEMONSTRATION)
-    again = parse_plan(format_plan(seq))
-    assert again.steps == seq.steps
-    assert again.execution_order == seq.execution_order
-
-
 def test_serialize_sequence_round_trip(health_tax):
     goal = Goal("asset health", "asset profile", method_phrase="using the asset profile")
     seq = generate_sequence_deterministic(health_tax, goal)
@@ -462,6 +455,31 @@ def test_serialize_sequence_round_trip(health_tax):
 def test_parse_sequence_rejects_non_documents():
     with pytest.raises(NoStepsError):
         parse_sequence("just a string\n")
+
+
+_ONE_STEP = "steps: [{index: 1, kind: question, body: Ask.}]\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("steps: 5\nexecution_order: Step 1\n", "sequence steps must be a list"),
+    ("steps: [1]\nexecution_order: Step 1\n", "sequence step 1 must be a mapping"),
+    ("steps: [{index: x}]\nexecution_order: Step 1\n", "sequence step 1 must be a mapping"),
+    ("steps: [{index: 1, kind: musing, body: Ask.}]\nexecution_order: Step 1\n",
+     "sequence step 1: step kind must be one of"),
+    (_ONE_STEP, "no execution_order"),
+    (_ONE_STEP + "execution_order: 1\n", "no execution_order"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: 5\n", "sequence goal must be a mapping"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: {kpi: k}\n",
+     "sequence goal must be a mapping"),
+    (_ONE_STEP + "execution_order: Step 1\nbindings: [1]\n",
+     "sequence bindings must map names to strings"),
+    ("steps: [\n", "unreadable sequence document"),
+], ids=["steps-scalar", "step-scalar", "step-without-kind", "step-bad-kind",
+        "no-order", "order-not-text", "goal-scalar", "goal-without-target",
+        "bindings-list", "not-yaml"])
+def test_parse_sequence_rejects_malformed_shapes(text, message):
+    with pytest.raises(PlanError, match=message):
+        parse_sequence(text)
 
 
 def test_random_plans_survive_format_parse_cycle():
@@ -484,12 +502,15 @@ def test_random_plans_survive_format_parse_cycle():
             if count == 1
             else Conjunction(tuple(StepRef(i) for i in indices))
         )
-        text = format_plan(parse_sequence(serialize_sequence(
+        again = parse_sequence(serialize_sequence(
             parse_plan(
                 "\n".join(f"Step {s.index}: {s.body}" for s in steps)
                 + f"\nExecution Order: {format_execution_order(order)}\n"
             )
-        )))
+        ))
+        text = "\n".join(f"Step {s.index}: {s.body}" for s in again.steps) + (
+            f"\nExecution Order: {format_execution_order(again.execution_order)} Goal completed!\n"
+        )
         seq = parse_plan(text)
         assert [s.body for s in seq.steps] == [s.body for s in steps]
         assert order_indices(seq.execution_order) == indices

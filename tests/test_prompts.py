@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from autorecipe import presets
-from autorecipe.errors import DuplicateIdError, MissingBindingError, NotFoundError, UnknownPlaceholderWarning
+from autorecipe.errors import MissingBindingError, NotFoundError, UnknownPlaceholderWarning
 from autorecipe.prompts import (
     ROLE_NAMES,
     PromptRegistry,
@@ -62,21 +62,9 @@ def test_partial_leaves_other_slots():
     assert half.required_placeholders == {"b"}
 
 
-def test_registry_versioning_and_duplicates():
-    reg = PromptRegistry()
-    t = PromptTemplate("x", "user", "body")
-    reg.register(t)
-    assert reg.version == 1
-    with pytest.raises(DuplicateIdError):
-        reg.register(PromptTemplate("x", "user", "other"))
-    reg.register(PromptTemplate("x", "user", "other"), overwrite=True)
-    assert reg.version == 2
-    assert reg.get("x").body == "other"
-
-
 def test_registry_get_unknown():
     with pytest.raises(NotFoundError):
-        PromptRegistry().get("nope")
+        PromptRegistry(templates={"u": PromptTemplate("u", "user", "body")}).get("nope")
 
 
 def test_role_profile_names_are_closed():
@@ -86,16 +74,9 @@ def test_role_profile_names_are_closed():
 
 
 def test_resolve_role_requires_system_template():
-    reg = PromptRegistry()
-    reg.register(PromptTemplate("u", "user", "body"))
+    reg = PromptRegistry(templates={"u": PromptTemplate("u", "user", "body")})
     with pytest.raises(ValueError):
         reg.resolve_role(RoleProfile("domain-expert", "u"))
-
-
-def test_register_role_requires_existing_template():
-    reg = PromptRegistry()
-    with pytest.raises(NotFoundError):
-        reg.register_role(RoleProfile("domain-expert", "missing.system"))
 
 
 def test_default_registry_seeds(registry):
@@ -113,23 +94,6 @@ def test_default_registry_seeds(registry):
     # the data-scientist persona carries the two asset slots
     ds = registry.resolve_role(registry.role("data-scientist"))
     assert ds.required_placeholders == {"asset_class", "asset_description"}
-
-
-def test_export_import_round_trip(registry):
-    text = registry.export_text()
-    again = PromptRegistry.import_text(text)
-    assert set(again.templates) == set(registry.templates)
-    assert set(again.roles) == set(registry.roles)
-    for tid, template in registry.templates.items():
-        assert again.get(tid).body == template.body
-        assert again.get(tid).role == template.role
-
-
-def test_export_import_file_round_trip(registry, tmp_path):
-    path = tmp_path / "registry.yaml"
-    registry.export_file(path)
-    again = PromptRegistry.import_file(path)
-    assert again.get("claims.extract").body == registry.get("claims.extract").body
 
 
 # --- shipped prompt texts ------------------------------------------------------------------

@@ -15,10 +15,8 @@ from autorecipe.errors import (
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.refinement import (
     STOP_REASONS,
-    IterationRecord,
     iteration_metrics,
     parse_confidence,
-    records_to_csv,
     refine,
     strip_confidence,
 )
@@ -287,14 +285,3 @@ def test_iteration_metrics_rows(registry):
 def test_iteration_metrics_empty():
     assert iteration_metrics([]) == []
 
-
-def test_records_to_csv_layout():
-    records = [
-        IterationRecord(1, "q", "a b", 90.0, True, 2),
-        IterationRecord(2, "q more", "a", 12.5, False, 1),
-    ]
-    text = records_to_csv(records)
-    lines = text.splitlines()
-    assert lines[0] == "round,confidence,answer_length,accepted"
-    assert lines[1] == "1,90,2,true"
-    assert lines[2] == "2,12.5,1,false"

@@ -27,7 +27,6 @@ from autorecipe.taxonomy import (
     normalize_name,
     parse_taxonomy,
     render_statements,
-    serialize_taxonomy,
     traverse_top_down,
 )
 
@@ -204,12 +203,6 @@ def test_descendant_mentions_matches_brute_force(health_tax, sustainability_tax)
             assert descendant_mentions(tax, nid, "sensor") is expected
 
 
-def test_serialize_round_trip(health_tax, sustainability_tax):
-    for tax in (health_tax, sustainability_tax):
-        again = parse_taxonomy(serialize_taxonomy(tax))
-        assert again == tax
-
-
 def test_random_trees_round_trip_and_traverse_once():
     rng = random.Random(20240814)
     for _ in range(25):
@@ -222,7 +215,6 @@ def test_random_trees_round_trip_and_traverse_once():
         assert len(tax.nodes) == n
         order = traverse_top_down(tax, "n0")
         assert len(order) == len(set(order)) == n
-        assert parse_taxonomy(serialize_taxonomy(tax)) == tax
 
 
 # --- loaders ----------------------------------------------------------------------

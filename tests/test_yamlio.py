@@ -121,7 +121,11 @@ def _fixture_documents() -> list[str]:
         presets.ASSET_HEALTH_TAXONOMY,
         presets.ASSET_SUSTAINABILITY_TAXONOMY,
         serialize_sequence(generate_sequence_deterministic(health, goal)),
-        default_registry().export_text(),
+        yaml.safe_dump(
+            {"templates": [{"id": t.id, "role": t.role, "body": t.body}
+                           for t in default_registry().templates.values()]},
+            sort_keys=False, allow_unicode=True,
+        ),
         _dump_yaml(_indicator_to_mapping(default_indicator_config(sensors))),
         _dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors))),
         _dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors, "ahp"))),
@@ -159,6 +163,13 @@ def test_load_yaml_reads_open_files_as_text(tmp_path):
 def test_load_yaml_deep_nesting_names_the_source(error):
     with pytest.raises(error, match="unreadable deep.yaml: nested too deeply"):
         load_yaml("[" * 3000 + "]" * 3000, "deep.yaml", error)
+
+
+@pytest.mark.parametrize("text", ['!!int ""\n', "!!bool x\n", "!!timestamp x\n",
+                                  "!!timestamp 2024-02-30\n", "kpi: !!float x\n"])
+def test_load_yaml_bad_tagged_scalar_names_the_source(text):
+    with pytest.raises(TaxonomyError, match="unreadable doc.yaml: bad tagged value"):
+        load_yaml(text, "doc.yaml", TaxonomyError)
 
 
 def test_load_yaml_keeps_syntax_errors_as_yaml_errors():
