@@ -23,7 +23,7 @@ from .errors import (
     SearchClientError,
     StageError,
 )
-from .execution import STRATEGIES, ManualClock, execute, split_parts
+from .execution import STRATEGIES, ManualClock, execute, render_knowledge, split_parts
 from .gateway import (
     HttpGateway,
     RecordingGateway,
@@ -45,14 +45,8 @@ from .planning import (
 from .presets import COMPONENT_HEALTH_DEMONSTRATION
 from .prompts import RoleProfile, default_registry, instantiate
 from .recipe import (
-    AGGREGATION_CONFIG_FILE,
-    DATASET_FILE,
-    INDICATOR_CONFIG_FILE,
     SYNTHETIC_TIMESTAMP,
-    ModelDescriptor,
     Recipe,
-    RunMetadata,
-    WrapperManifest,
     bundle,
     dataset_from_csv,
     default_aggregation_config,
@@ -76,8 +70,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GATEWAY = 3
 EXIT_INTERNAL = 4
-
-DEFAULT_OUTPUT_FILE = "health_scores.csv"
 
 
 def _read_text(path) -> str:
@@ -209,9 +201,12 @@ def cmd_generate(args) -> int:
     if args.search_script:
         search = ScriptedSearchClient.from_file(args.search_script)
         nli = ScriptedNliClient.from_file(args.nli_script)
-        doc = _stage(
+        cited = _stage(
             "references", build_references, doc, gateway, search, nli, registry=registry
         )
+        knowledge_doc = render_cited(cited)
+    else:
+        knowledge_doc = render_knowledge(doc)
 
     target_label = tax.nodes[tax.node_id(goal.target_node)].label
     sensors = [
@@ -226,22 +221,15 @@ def cmd_generate(args) -> int:
     created_at = (
         SYNTHETIC_TIMESTAMP if deterministic else format_rfc3339(datetime.now(timezone.utc))
     )
-    wrapper = WrapperManifest(
-        indicator_config=INDICATOR_CONFIG_FILE,
-        aggregation_config=AGGREGATION_CONFIG_FILE,
-        dataset=DATASET_FILE,
-        output=DEFAULT_OUTPUT_FILE,
-        model=ModelDescriptor(name="health-score-estimator", method=aggregation.method),
-        run=RunMetadata(seed=args.seed, created_at=created_at),
-    )
     recipe = Recipe(
         kpi=goal.kpi,
         asset_class=args.asset_class,
-        knowledge_doc=doc,
+        knowledge_doc=knowledge_doc,
         indicator=indicator,
         aggregation=aggregation,
         dataset=dataset,
-        wrapper=wrapper,
+        seed=args.seed,
+        created_at=created_at,
     )
     written = _stage("bundle", bundle, recipe, args.out)
     print(f"wrote {len(written)} recipe files to {args.out}")

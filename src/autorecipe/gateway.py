@@ -162,14 +162,12 @@ class ScriptedGateway:
         default = doc.get("default")
         if default is not None and not isinstance(default, str):
             violations.append(f"{path}: script default must be a string")
+        strict = doc.get("strict", True)
+        if not isinstance(strict, bool):
+            violations.append(f"{path}: script strict must be true or false")
         if violations:
             raise ValidationFailedError(violations)
-        return cls(
-            replies=replies,
-            by_key=by_key,
-            strict=bool(doc.get("strict", True)),
-            default=default,
-        )
+        return cls(replies=replies, by_key=by_key, strict=strict, default=default)
 
     def complete(self, session: list[ChatMessage]) -> str:
         _check_session(session)

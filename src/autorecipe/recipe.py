@@ -1,11 +1,12 @@
-"""Recipe assembly: datasets, configs, wrapper manifest and the on-disk
-bundle layout.
+"""Recipe assembly: datasets, configs and the on-disk bundle layout.
 
 A bundle directory holds six files: the knowledge document (markdown),
 the two configs (YAML), the sample dataset (CSV), the wrapper manifest
 (YAML), and a top-level index listing each artifact's relative path and
-content hash.  Bundling the same recipe twice produces byte-identical
-files; nothing in the layout depends on wall-clock time.
+content hash.  Every manifest field follows from the recipe, so this
+module alone decides what a bundle holds.  Bundling the same recipe twice
+produces byte-identical files; nothing in the layout depends on
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import yaml
 from . import __version__
 from ._yamlio import load_mapping
 from .errors import NotFoundError, ValidationFailedError
-from .execution import KnowledgeDocument, render_knowledge, split_parts
-from .references import CitedDocument, render_cited
 from .scoring import (
     _MAX_PAIRWISE,
     CATEGORIES,
@@ -51,9 +50,6 @@ __all__ = [
     "BUNDLE_FILES",
     "SensorReading",
     "SampleDataset",
-    "ModelDescriptor",
-    "RunMetadata",
-    "WrapperManifest",
     "Recipe",
     "parse_rfc3339",
     "format_rfc3339",
@@ -83,6 +79,17 @@ AGGREGATION_CONFIG_FILE = "aggregation_config.yaml"
 DATASET_FILE = "sample_dataset.csv"
 WRAPPER_MANIFEST_FILE = "wrapper_manifest.yaml"
 RECIPE_INDEX_FILE = "recipe.yaml"
+# The artifact kind of each file the index lists.
+_KINDS = {
+    KNOWLEDGE_DOC_FILE: "knowledge-doc",
+    INDICATOR_CONFIG_FILE: "indicator-config",
+    AGGREGATION_CONFIG_FILE: "aggregation-config",
+    DATASET_FILE: "sample-dataset",
+    WRAPPER_MANIFEST_FILE: "wrapper-manifest",
+}
+# Where the wrapper writes its scores, and the model it runs.
+_OUTPUT_FILE = "health_scores.csv"
+_MODEL_NAME = "health-score-estimator"
 
 BUNDLE_FILES = (
     KNOWLEDGE_DOC_FILE,
@@ -122,53 +129,21 @@ class SensorReading:
 class SampleDataset:
     rows: tuple[SensorReading, ...]
 
-    @property
-    def asset_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.asset_id, None)
-        return tuple(seen)
-
-    @property
-    def sensor_names(self) -> set[str]:
-        return {row.sensor_name for row in self.rows}
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    method: str
-    version: str = __version__
-
-
-@dataclass(frozen=True)
-class RunMetadata:
-    seed: int | None
-    created_at: str
-    tool_version: str = __version__
-
-
-@dataclass(frozen=True)
-class WrapperManifest:
-    """Relative artifact paths plus the model descriptor and run metadata."""
-
-    indicator_config: str
-    aggregation_config: str
-    dataset: str
-    output: str
-    model: ModelDescriptor
-    run: RunMetadata
-
 
 @dataclass(frozen=True)
 class Recipe:
+    """What one bundle holds: the knowledge document as the markdown it
+    writes (citations included), the two configs, the sample dataset, and
+    the seed and creation time of the run that made them."""
+
     kpi: str
     asset_class: str
-    knowledge_doc: KnowledgeDocument | CitedDocument | None = None
-    indicator: HealthIndicatorConfig | None = None
-    aggregation: AggregationConfig | None = None
-    dataset: SampleDataset | None = None
-    wrapper: WrapperManifest | None = None
+    knowledge_doc: str
+    indicator: HealthIndicatorConfig
+    aggregation: AggregationConfig
+    dataset: SampleDataset
+    seed: int | None
+    created_at: str
 
 
 # --- dataset helpers -----------------------------------------------------------
@@ -209,7 +184,7 @@ def _scan_dataset(
     configured = {s.name: s for s in cfg.sensors}
     finders = {name: _category_finder(sensor) for name, sensor in configured.items()}
     violations = []
-    assets: dict[str, None] = {}  # first-seen order, as SampleDataset.asset_ids
+    assets: dict[str, None] = {}  # first-seen order
     # (asset, sensor) -> [latest moment, its category, rows at that moment]
     latest: dict[tuple[str, str], list] = {}
     for i, row in enumerate(dataset.rows, start=1):
@@ -374,42 +349,11 @@ def validate_recipe(recipe: Recipe) -> list[str]:
         violations.append("kpi must be non-empty")
     if not recipe.asset_class.strip():
         violations.append("asset class must be non-empty")
-    slots = {
-        "knowledge_doc": recipe.knowledge_doc,
-        "indicator_config": recipe.indicator,
-        "aggregation_config": recipe.aggregation,
-        "sample_dataset": recipe.dataset,
-        "wrapper": recipe.wrapper,
-    }
-    for name, value in slots.items():
-        if value is None:
-            violations.append(f"artifact missing: {name}")
-    if recipe.knowledge_doc is not None:
-        doc = recipe.knowledge_doc
-        parts = doc.document.parts if isinstance(doc, CitedDocument) else doc.parts
-        if not parts:
-            violations.append("knowledge document has no parts")
-    if recipe.indicator is not None:
-        violations += validate_indicator_config(recipe.indicator)
-        if recipe.aggregation is not None:
-            violations += validate_aggregation_config(
-                recipe.aggregation, recipe.indicator.sensor_names
-            )
-        if recipe.dataset is not None:
-            violations += validate_dataset(recipe.dataset, recipe.indicator)
-    if recipe.wrapper is not None:
-        expected = {
-            INDICATOR_CONFIG_FILE: recipe.wrapper.indicator_config,
-            AGGREGATION_CONFIG_FILE: recipe.wrapper.aggregation_config,
-            DATASET_FILE: recipe.wrapper.dataset,
-        }
-        for canonical, referenced in expected.items():
-            if referenced != canonical:
-                violations.append(
-                    f"wrapper references {referenced!r}; the bundle writes {canonical!r}"
-                )
-        if not recipe.wrapper.output.strip():
-            violations.append("wrapper output path must be non-empty")
+    if not recipe.knowledge_doc.strip():
+        violations.append("knowledge document must be non-empty")
+    violations += validate_indicator_config(recipe.indicator)
+    violations += validate_aggregation_config(recipe.aggregation, recipe.indicator.sensor_names)
+    violations += validate_dataset(recipe.dataset, recipe.indicator)
     return violations
 
 
@@ -432,13 +376,20 @@ def _indicator_to_mapping(cfg: HealthIndicatorConfig) -> dict:
 def _indicator_from_mapping(data: dict) -> HealthIndicatorConfig:
     sensors = []
     violations = []
-    for i, entry in enumerate(data.get("sensors") or [], start=1):
+    entries = data.get("sensors") or []
+    if not isinstance(entries, list):
+        violations.append("sensors must be a list of sensor mappings")
+        entries = []
+    for i, entry in enumerate(entries, start=1):
         where = f"sensor {i}"
         if not isinstance(entry, dict):
             violations.append(f"{where} is not a mapping")
             continue
-        missing = [key for key in ("name", "unit") if entry.get(key) is None]
-        violations += [f"{where} has no {key}" for key in missing]
+        bad = [key for key in ("name", "unit") if not isinstance(entry.get(key), str)]
+        violations += [
+            f"{where} has no {key}" if entry.get(key) is None else f"{where} {key} must be a string"
+            for key in bad
+        ]
         raw_ranges = entry.get("ranges") or {}
         if not isinstance(raw_ranges, dict):
             violations.append(f"{where} ranges must map each category to {{min, max}}")
@@ -449,7 +400,7 @@ def _indicator_from_mapping(data: dict) -> HealthIndicatorConfig:
                 ranges[category] = (float(bounds["min"]), float(bounds["max"]))
             except (KeyError, TypeError, ValueError):
                 violations.append(f"{where} range {category!r} needs numeric min and max")
-        if not missing:
+        if not bad:
             sensors.append(SensorConfig(name=entry["name"], unit=entry["unit"], ranges=ranges))
     if violations:
         raise ValidationFailedError(violations)
@@ -491,6 +442,9 @@ def _aggregation_from_mapping(data: dict) -> AggregationConfig:
     if not isinstance(rows, list):
         violations.append("pairwise must be a list of rows")
         rows = []
+    names = data.get("sensors") or []
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        violations.append("sensors must be a list of sensor names")
     pairwise = []
     for i, row in enumerate(rows, start=1):
         try:
@@ -505,49 +459,29 @@ def _aggregation_from_mapping(data: dict) -> AggregationConfig:
         category_scores=category_scores,
         method=data.get("method", ""),
         weights=weights or None,
-        sensors=tuple(data.get("sensors") or ()),
+        sensors=tuple(names),
         pairwise=tuple(pairwise),
     )
 
 
-def _wrapper_to_mapping(wrapper: WrapperManifest) -> dict:
+def _manifest(recipe: Recipe) -> dict:
+    """The wrapper manifest: the layout's paths, the model and the run."""
     return {
-        "indicator_config": wrapper.indicator_config,
-        "aggregation_config": wrapper.aggregation_config,
-        "dataset": wrapper.dataset,
-        "output": wrapper.output,
+        "indicator_config": INDICATOR_CONFIG_FILE,
+        "aggregation_config": AGGREGATION_CONFIG_FILE,
+        "dataset": DATASET_FILE,
+        "output": _OUTPUT_FILE,
         "model": {
-            "name": wrapper.model.name,
-            "method": wrapper.model.method,
-            "version": wrapper.model.version,
+            "name": _MODEL_NAME,
+            "method": recipe.aggregation.method,
+            "version": __version__,
         },
         "run": {
-            "seed": wrapper.run.seed,
-            "created_at": wrapper.run.created_at,
-            "tool_version": wrapper.run.tool_version,
+            "seed": recipe.seed,
+            "created_at": recipe.created_at,
+            "tool_version": __version__,
         },
     }
-
-
-def _wrapper_from_mapping(data: dict) -> WrapperManifest:
-    model = data.get("model") or {}
-    run = data.get("run") or {}
-    return WrapperManifest(
-        indicator_config=data.get("indicator_config", ""),
-        aggregation_config=data.get("aggregation_config", ""),
-        dataset=data.get("dataset", ""),
-        output=data.get("output", ""),
-        model=ModelDescriptor(
-            name=model.get("name", ""),
-            method=model.get("method", ""),
-            version=model.get("version", ""),
-        ),
-        run=RunMetadata(
-            seed=run.get("seed"),
-            created_at=run.get("created_at", ""),
-            tool_version=run.get("tool_version", ""),
-        ),
-    )
 
 
 def load_indicator_config(path) -> HealthIndicatorConfig:
@@ -558,12 +492,6 @@ def load_indicator_config(path) -> HealthIndicatorConfig:
 def load_aggregation_config(path) -> AggregationConfig:
     text = Path(path).read_text(encoding="utf-8")
     return _aggregation_from_mapping(load_mapping(text, path, "aggregation config"))
-
-
-def _render_doc(doc: KnowledgeDocument | CitedDocument) -> str:
-    if isinstance(doc, CitedDocument):
-        return render_cited(doc)
-    return render_knowledge(doc)
 
 
 def _dump_yaml(data: dict) -> str:
@@ -582,18 +510,11 @@ def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
     contents = {
-        KNOWLEDGE_DOC_FILE: _render_doc(recipe.knowledge_doc),
+        KNOWLEDGE_DOC_FILE: recipe.knowledge_doc,
         INDICATOR_CONFIG_FILE: _dump_yaml(_indicator_to_mapping(recipe.indicator)),
         AGGREGATION_CONFIG_FILE: _dump_yaml(_aggregation_to_mapping(recipe.aggregation)),
         DATASET_FILE: dataset_to_csv(recipe.dataset),
-        WRAPPER_MANIFEST_FILE: _dump_yaml(_wrapper_to_mapping(recipe.wrapper)),
-    }
-    kinds = {
-        KNOWLEDGE_DOC_FILE: "knowledge-doc",
-        INDICATOR_CONFIG_FILE: "indicator-config",
-        AGGREGATION_CONFIG_FILE: "aggregation-config",
-        DATASET_FILE: "sample-dataset",
-        WRAPPER_MANIFEST_FILE: "wrapper-manifest",
+        WRAPPER_MANIFEST_FILE: _dump_yaml(_manifest(recipe)),
     }
     written: dict[str, Path] = {}
     artifacts = []
@@ -601,9 +522,9 @@ def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
         path = target / filename
         payload = text.encode("utf-8")
         path.write_bytes(payload)
-        written[kinds[filename]] = path
+        written[_KINDS[filename]] = path
         artifacts.append({
-            "kind": kinds[filename],
+            "kind": _KINDS[filename],
             "path": filename,
             "sha256": hashlib.sha256(payload).hexdigest(),
         })
@@ -619,7 +540,12 @@ def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
 
 
 def parse_bundle(bundle_dir) -> Recipe:
-    """Reconstruct a Recipe from an on-disk bundle, verifying content hashes."""
+    """Reconstruct a Recipe from an on-disk bundle.
+
+    Raises ValidationFailedError unless every content hash matches, the
+    manifest is the one ``bundle`` writes for the recipe, and the recipe
+    passes ``validate_recipe``.
+    """
     root = Path(bundle_dir)
     index_path = root / RECIPE_INDEX_FILE
     if not index_path.is_file():
@@ -644,29 +570,46 @@ def parse_bundle(bundle_dir) -> Recipe:
         if digest != entry.get("sha256"):
             violations.append(f"content hash mismatch for {entry['path']!r}")
         payloads[entry["kind"]] = payload
-    required = ("knowledge-doc", "indicator-config", "aggregation-config",
-                "sample-dataset", "wrapper-manifest")
-    for kind in required:
-        if kind not in payloads:
-            violations.append(f"artifact missing from index: {kind}")
+    violations += [
+        f"artifact missing from index: {kind}" for kind in _KINDS.values() if kind not in payloads
+    ]
     if violations:
         raise ValidationFailedError(violations)
-    return Recipe(
-        kpi=index.get("kpi", ""),
-        asset_class=index.get("asset_class", ""),
-        knowledge_doc=split_parts(payloads["knowledge-doc"].decode("utf-8")),
+
+    def text(filename: str) -> str:
+        return payloads[_KINDS[filename]].decode("utf-8")
+
+    manifest = load_mapping(text(WRAPPER_MANIFEST_FILE), root / WRAPPER_MANIFEST_FILE,
+                            "wrapper manifest")
+    run = manifest.get("run") if isinstance(manifest.get("run"), dict) else {}
+    seed, created_at = run.get("seed"), run.get("created_at")
+    violations = [
+        f"{RECIPE_INDEX_FILE} {key} must be a string"
+        for key in ("kpi", "asset_class") if not isinstance(index.get(key), str)
+    ]
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        violations.append(f"{WRAPPER_MANIFEST_FILE} run.seed must be an integer or null")
+    if not isinstance(created_at, str):
+        violations.append(f"{WRAPPER_MANIFEST_FILE} run.created_at must be a string")
+    if violations:
+        raise ValidationFailedError(violations)
+    recipe = Recipe(
+        kpi=index["kpi"],
+        asset_class=index["asset_class"],
+        knowledge_doc=text(KNOWLEDGE_DOC_FILE),
         indicator=_indicator_from_mapping(load_mapping(
-            payloads["indicator-config"].decode("utf-8"), root / INDICATOR_CONFIG_FILE,
-            "indicator config",
+            text(INDICATOR_CONFIG_FILE), root / INDICATOR_CONFIG_FILE, "indicator config"
         )),
         aggregation=_aggregation_from_mapping(load_mapping(
-            payloads["aggregation-config"].decode("utf-8"), root / AGGREGATION_CONFIG_FILE,
-            "aggregation config",
+            text(AGGREGATION_CONFIG_FILE), root / AGGREGATION_CONFIG_FILE, "aggregation config"
         )),
-        dataset=dataset_from_csv(payloads["sample-dataset"].decode("utf-8")),
-        wrapper=_wrapper_from_mapping(load_mapping(
-            payloads["wrapper-manifest"].decode("utf-8"), root / WRAPPER_MANIFEST_FILE,
-            "wrapper manifest",
-        )),
+        dataset=dataset_from_csv(text(DATASET_FILE)),
+        seed=seed,
+        created_at=created_at,
     )
-
+    if manifest != _manifest(recipe):
+        violations.append(f"{WRAPPER_MANIFEST_FILE} is not the manifest of this recipe")
+    violations += validate_recipe(recipe)
+    if violations:
+        raise ValidationFailedError(violations)
+    return recipe

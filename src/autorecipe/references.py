@@ -115,9 +115,6 @@ class CitedDocument:
     citations: tuple[tuple[str, ...], ...]
     counts: ReferenceCounts
 
-    def counts_tuple(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.counts.claims, self.counts.urls_validated
-
 
 # --- scripted clients ---------------------------------------------------------
 
@@ -151,9 +148,12 @@ class ScriptedSearchClient:
                 wrong = [name for name, value in fields.items() if not isinstance(value, str)]
                 violations += [f"{where} {name} must be a string" for name in wrong]
                 results[query].append(SearchHit(url=hit["url"], **fields))
+        strict = data.get("strict", True)
+        if not isinstance(strict, bool):
+            violations.append(f"{path}: search script strict must be true or false")
         if violations:
             raise ValidationFailedError(violations)
-        return cls(results, strict=bool(data.get("strict", True)))
+        return cls(results, strict=strict)
 
     def search(self, query: str, max_results: int) -> list[SearchHit]:
         self.queries.append(query)
@@ -185,11 +185,17 @@ class ScriptedNliClient:
                 violations.append(f"{path}: NLI script pair {n} must be a mapping "
                                   "with string premise and hypothesis")
                 continue
+            entailed = entry.get("entailed", False)
+            if not isinstance(entailed, bool):
+                violations.append(f"{path}: NLI script pair {n} entailed must be true or false")
             key = (entry["premise"].strip(), entry["hypothesis"].strip())
-            pairs[key] = bool(entry.get("entailed", False))
+            pairs[key] = entailed
+        strict = data.get("strict", False)
+        if not isinstance(strict, bool):
+            violations.append(f"{path}: NLI script strict must be true or false")
         if violations:
             raise ValidationFailedError(violations)
-        return cls(pairs, strict=bool(data.get("strict", False)))
+        return cls(pairs, strict=strict)
 
     def judge(self, premise: str, hypothesis: str) -> bool:
         key = (premise.strip(), hypothesis.strip())

@@ -142,8 +142,8 @@ def test_generate_writes_bundle(tax_file, tmp_path, capsys):
     # asset-profile measurements drive the sensor list
     assert recipe.indicator.sensor_names == ("age", "operating hours", "idle hours")
     assert len(recipe.dataset.rows) == 5 * 3
-    assert recipe.wrapper.run.created_at == SYNTHETIC_TIMESTAMP
-    assert recipe.wrapper.run.seed == 0
+    assert recipe.created_at == SYNTHETIC_TIMESTAMP
+    assert recipe.seed == 0
 
 
 def test_generate_scripted_reruns_are_byte_identical(tax_file, tmp_path):
@@ -511,9 +511,16 @@ def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tm
     ("script", "replies: [first, 2]\n", "script replies must be a list of strings"),
     ("script", "by_key: [a, b]\n", "script by_key must map session keys to reply strings"),
     ("script", "default: 5\n", "script default must be a string"),
+    ("nli-script", "pairs:\n  - {premise: p, hypothesis: h, entailed: 'false'}\n",
+     "NLI script pair 1 entailed must be true or false"),
+    ("nli-script", "strict: 'false'\npairs: []\n", "NLI script strict must be true or false"),
+    ("search-script", "strict: 'false'\nqueries: {}\n",
+     "search script strict must be true or false"),
+    ("script", "strict: 'false'\nreplies: [a]\n", "script strict must be true or false"),
 ], ids=["queries-list", "hits-scalar", "hit-scalar", "hit-without-url", "url-not-text",
         "text-list", "pairs-scalar", "pair-scalar", "pair-without-hypothesis",
-        "premise-not-text", "replies-text", "reply-not-text", "by-key-list", "default-not-text"])
+        "premise-not-text", "replies-text", "reply-not-text", "by-key-list", "default-not-text",
+        "entailed-text", "nli-strict-text", "search-strict-text", "script-strict-text"])
 def test_malformed_script_entries_are_input_errors(site, text, message, tax_file, tmp_path,
                                                    capsys):
     argv = _deep_site_args(site, tmp_path, tax_file, text=text)
@@ -542,7 +549,9 @@ def test_plan_text_with_deeply_nested_order_is_an_input_error(tax_file, tmp_path
     ("method: weighted\nweights: [0.5, 0.5]\n", "weights must map each name to a number"),
     ("method: weighted\ncategory_scores: [0.25, 0.5]\n",
      "category_scores must map each name to a number"),
-], ids=["list-weights", "list-category-scores"])
+    ("method: ahp\nsensors: 5\npairwise: [[1.0]]\n", "sensors must be a list of sensor names"),
+    ("method: ahp\nsensors: [[a]]\npairwise: [[1.0]]\n", "sensors must be a list of sensor names"),
+], ids=["list-weights", "list-category-scores", "ahp-scalar-sensors", "ahp-nested-sensors"])
 def test_score_malformed_aggregation_config_is_an_input_error(tax_file, tmp_path, capsys,
                                                               text, message):
     argv = _deep_site_args("aggregation", tmp_path, tax_file, text=text)
@@ -569,13 +578,15 @@ def test_gateway_config_with_unknown_keys_is_an_input_error(tax_file, tmp_path, 
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sensor, message", [
-    ({"unit": "percent"}, "sensor 1 has no name"),
-    ({"name": "vibration", "unit": "percent", "ranges": [[0, 25], [25, 50]]},
+@pytest.mark.parametrize("sensors, message", [
+    ([{"unit": "percent"}], "sensor 1 has no name"),
+    ([{"name": "vibration", "unit": "percent", "ranges": [[0, 25], [25, 50]]}],
      "sensor 1 ranges must map each category to {min, max}"),
-], ids=["no-name", "list-ranges"])
-def test_score_malformed_indicator_config_is_an_input_error(tmp_path, capsys, sensor, message):
-    indicator = _write_yaml(tmp_path / "indicator.yaml", {"sensors": [sensor]})
+    (5, "sensors must be a list of sensor mappings"),
+    ([{"name": [1], "unit": "percent"}], "sensor 1 name must be a string"),
+], ids=["no-name", "list-ranges", "scalar-sensors", "list-name"])
+def test_score_malformed_indicator_config_is_an_input_error(tmp_path, capsys, sensors, message):
+    indicator = _write_yaml(tmp_path / "indicator.yaml", {"sensors": sensors})
     aggregation = _write_yaml(tmp_path / "aggregation.yaml", {"method": "weighted"})
     dataset = tmp_path / "data.csv"
     dataset.write_text("asset_id,sensor_name,value,timestamp,unit\n", encoding="utf-8")

@@ -8,6 +8,8 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from autorecipe import recipe as recipe_module
 from autorecipe.errors import NotFoundError, ValidationFailedError
-from autorecipe.execution import render_knowledge, split_parts
+from autorecipe.execution import split_parts
 from autorecipe.recipe import (
     AGGREGATION_CONFIG_FILE,
     BUNDLE_FILES,
@@ -29,12 +31,9 @@ from autorecipe.recipe import (
     RECIPE_INDEX_FILE,
     SYNTHETIC_TIMESTAMP,
     WRAPPER_MANIFEST_FILE,
-    ModelDescriptor,
     Recipe,
-    RunMetadata,
     SampleDataset,
     SensorReading,
-    WrapperManifest,
     bundle,
     dataset_from_csv,
     dataset_to_csv,
@@ -50,7 +49,14 @@ from autorecipe.recipe import (
     validate_dataset,
     validate_recipe,
 )
-from autorecipe.references import Claim, Evidence, attach_references
+from autorecipe.references import (
+    CitedDocument,
+    Claim,
+    Evidence,
+    ReferenceCounts,
+    attach_references,
+    render_cited,
+)
 from autorecipe.scoring import DEFAULT_CATEGORY_SCORES, HealthScoreEstimator
 from conftest import THREE_PART_DOC
 
@@ -61,22 +67,15 @@ def _recipe() -> Recipe:
     indicator = default_indicator_config(SENSORS)
     aggregation = default_aggregation_config(SENSORS)
     dataset = generate_synthetic(indicator, 3, seed=7)
-    wrapper = WrapperManifest(
-        indicator_config=INDICATOR_CONFIG_FILE,
-        aggregation_config=AGGREGATION_CONFIG_FILE,
-        dataset=DATASET_FILE,
-        output="health_scores.csv",
-        model=ModelDescriptor(name="health-score-estimator", method="weighted"),
-        run=RunMetadata(seed=7, created_at=SYNTHETIC_TIMESTAMP),
-    )
     return Recipe(
         kpi="asset health",
         asset_class="electric motor",
-        knowledge_doc=split_parts(THREE_PART_DOC),
+        knowledge_doc=THREE_PART_DOC,
         indicator=indicator,
         aggregation=aggregation,
         dataset=dataset,
-        wrapper=wrapper,
+        seed=7,
+        created_at=SYNTHETIC_TIMESTAMP,
     )
 
 
@@ -194,8 +193,10 @@ def test_generate_synthetic_shape():
     indicator = default_indicator_config(SENSORS)
     dataset = generate_synthetic(indicator, 5, seed=0)
     assert len(dataset.rows) == 5 * len(SENSORS)
-    assert dataset.asset_ids == tuple(f"asset-{i:03d}" for i in range(1, 6))
-    assert dataset.sensor_names == set(SENSORS)
+    assert tuple(dict.fromkeys(row.asset_id for row in dataset.rows)) == tuple(
+        f"asset-{i:03d}" for i in range(1, 6)
+    )
+    assert {row.sensor_name for row in dataset.rows} == set(SENSORS)
     for row in dataset.rows:
         assert 0.0 <= row.value <= 100.0
         assert row.value == round(row.value, 4)
@@ -322,24 +323,95 @@ def test_validate_recipe_complete_fixture():
 
 
 def test_validate_recipe_reports_missing_artifacts():
-    violations = validate_recipe(Recipe(kpi=" ", asset_class=""))
-    assert "kpi must be non-empty" in violations
-    assert "asset class must be non-empty" in violations
-    for slot in ("knowledge_doc", "indicator_config", "aggregation_config",
-                 "sample_dataset", "wrapper"):
-        assert f"artifact missing: {slot}" in violations
-
-
-def test_validate_recipe_checks_wrapper_paths():
     from dataclasses import replace
 
-    recipe = _recipe()
-    crooked = replace(
-        recipe, wrapper=replace(recipe.wrapper, indicator_config="elsewhere.yaml", output=" ")
-    )
-    violations = validate_recipe(crooked)
-    assert any("wrapper references 'elsewhere.yaml'" in v for v in violations)
-    assert any("output path" in v for v in violations)
+    violations = validate_recipe(replace(_recipe(), kpi=" ", asset_class="", knowledge_doc="\n "))
+    assert violations == [
+        "kpi must be non-empty",
+        "asset class must be non-empty",
+        "knowledge document must be non-empty",
+    ]
+
+
+def _rewrite_manifest(out_dir: Path, edit) -> None:
+    """Apply ``edit`` to the bundle's manifest and update its hash in the index."""
+    import hashlib
+
+    manifest_path = out_dir / WRAPPER_MANIFEST_FILE
+    manifest = yaml.safe_load(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest)
+    payload = yaml.safe_dump(manifest, sort_keys=False).encode("utf-8")
+    manifest_path.write_bytes(payload)
+    index_path = out_dir / RECIPE_INDEX_FILE
+    index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+    for entry in index["artifacts"]:
+        if entry["path"] == WRAPPER_MANIFEST_FILE:
+            entry["sha256"] = hashlib.sha256(payload).hexdigest()
+    index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+
+
+def test_validate_recipe_checks_wrapper_paths(tmp_path):
+    # The manifest follows from the recipe, so parse_bundle rejects any other,
+    # even when the index carries its updated hash.
+    edits = {
+        "indicator-path": lambda m: m.update(indicator_config="elsewhere.yaml"),
+        "output-path": lambda m: m.update(output=" "),
+        "model-method": lambda m: m["model"].update(method="ahp"),
+        "tool-version": lambda m: m["run"].update(tool_version="0.0.0"),
+        "extra-key": lambda m: m.update(extra="field"),
+    }
+    bundle(_recipe(), tmp_path / "unedited")
+    _rewrite_manifest(tmp_path / "unedited", lambda m: None)
+    assert parse_bundle(tmp_path / "unedited") == _recipe()
+    for name, edit in edits.items():
+        bundle(_recipe(), tmp_path / name)
+        _rewrite_manifest(tmp_path / name, edit)
+        with pytest.raises(ValidationFailedError) as info:
+            parse_bundle(tmp_path / name)
+        assert info.value.violations == [
+            f"{WRAPPER_MANIFEST_FILE} is not the manifest of this recipe"
+        ], name
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda m: m["run"].update(seed="7"), "run.seed must be an integer or null"),
+    (lambda m: m["run"].update(seed=True), "run.seed must be an integer or null"),
+    (lambda m: m["run"].update(seed=7.0), "run.seed must be an integer or null"),
+    (lambda m: m["run"].pop("created_at"), "run.created_at must be a string"),
+    (lambda m: m.update(run=[1]), "run.created_at must be a string"),
+], ids=["text-seed", "bool-seed", "float-seed", "no-created-at", "run-not-a-mapping"])
+def test_parse_bundle_checks_run_fields(tmp_path, edit, violation):
+    bundle(_recipe(), tmp_path / "out")
+    _rewrite_manifest(tmp_path / "out", edit)
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations == [f"{WRAPPER_MANIFEST_FILE} {violation}"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kpi", None), ("kpi", 5), ("asset_class", ["motor"]),
+], ids=["null-kpi", "int-kpi", "list-asset-class"])
+def test_parse_bundle_rejects_non_text_index_fields(tmp_path, key, value):
+    bundle(_recipe(), tmp_path / "out")
+    index_path = tmp_path / "out" / RECIPE_INDEX_FILE
+    index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+    index[key] = value
+    index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations == [f"{RECIPE_INDEX_FILE} {key} must be a string"]
+
+
+def test_parse_bundle_reports_recipe_violations(tmp_path):
+    # A bundle whose files all hash correctly still fails validate_recipe.
+    bundle(_recipe(), tmp_path / "out")
+    index_path = tmp_path / "out" / RECIPE_INDEX_FILE
+    index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+    index["kpi"] = " "
+    index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations == ["kpi must be non-empty"]
 
 
 def test_validate_recipe_cross_checks_dataset():
@@ -376,8 +448,16 @@ def test_bundle_writes_six_files(tmp_path):
 
 
 def test_bundle_rejects_incomplete_recipe(tmp_path):
-    with pytest.raises(ValidationFailedError):
-        bundle(Recipe(kpi="asset health", asset_class="motor"), tmp_path / "out")
+    from dataclasses import replace
+
+    rows = (SensorReading("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
+    broken = replace(_recipe(), knowledge_doc="", dataset=SampleDataset(rows))
+    with pytest.raises(ValidationFailedError) as info:
+        bundle(broken, tmp_path / "out")
+    assert info.value.violations == validate_recipe(broken)
+    assert "knowledge document must be non-empty" in info.value.violations
+    assert any("unknown sensor" in v for v in info.value.violations)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bundle_is_byte_stable(tmp_path):
@@ -392,13 +472,7 @@ def test_bundle_round_trip(tmp_path):
     recipe = _recipe()
     bundle(recipe, tmp_path / "one")
     parsed = parse_bundle(tmp_path / "one")
-    assert parsed.kpi == recipe.kpi
-    assert parsed.asset_class == recipe.asset_class
-    assert parsed.indicator == recipe.indicator
-    assert parsed.aggregation == recipe.aggregation
-    assert parsed.dataset == recipe.dataset
-    assert parsed.wrapper == recipe.wrapper
-    assert render_knowledge(parsed.knowledge_doc) == render_knowledge(recipe.knowledge_doc)
+    assert parsed == recipe
     # re-bundling the parsed recipe reproduces the original bytes
     again = bundle(parsed, tmp_path / "two")
     for name in BUNDLE_FILES:
@@ -415,10 +489,82 @@ def test_bundle_renders_citations(tmp_path):
     recipe = _recipe()
     claims = [Claim(1, 1, "Motors convert energy.")]
     evidence = [Evidence(1, 1, "https://ref.example", "snippet", "entailed", rank=0)]
-    cited = attach_references(recipe.knowledge_doc, claims, evidence)
-    bundle(replace(recipe, knowledge_doc=cited), tmp_path / "out")
+    cited = attach_references(split_parts(recipe.knowledge_doc), claims, evidence)
+    cited_recipe = replace(recipe, knowledge_doc=render_cited(cited))
+    bundle(cited_recipe, tmp_path / "out")
     text = (tmp_path / "out" / KNOWLEDGE_DOC_FILE).read_text(encoding="utf-8")
     assert "References:\n1. https://ref.example" in text
+    assert text == cited_recipe.knowledge_doc
+    assert parse_bundle(tmp_path / "out") == cited_recipe
+
+
+# Text that YAML or CSV reads specially, mixed into generated labels.
+_AWKWARD = st.sampled_from([
+    "null", "~", "true", "no", "on", "1", "0x1f", "1e3", ".inf", "-.nan", "2024-01-01",
+    "- a", "a: b", "? k", "#c", "&a", "*a", "!t", "%y", "@x", "`b", "|", ">", "{a}", "[1]",
+    "'q'", '"q"', "a,b", 'a "b", c', "---", "...", "é", "日本", "😀", "\\", "\u00a0x",
+])
+
+
+def _label(text: str) -> str:
+    """Whitespace-normalized as taxonomy labels are."""
+    return " ".join(text.split())
+
+
+_LABELS = st.lists(st.one_of(st.text(max_size=12), _AWKWARD), min_size=1, max_size=3).map(
+    lambda pieces: _label(" ".join(pieces))
+).filter(bool)
+
+
+@st.composite
+def _documents(draw) -> str:
+    """Markdown from zero to three headed parts, with or without reference lists."""
+    heads = draw(st.lists(_LABELS, max_size=3))
+    bodies = draw(st.lists(st.text(min_size=1), min_size=len(heads) + 1,
+                           max_size=len(heads) + 1))
+    text = bodies[0] + "".join(f"\n## {h}\n{b}" for h, b in zip(heads, bodies[1:]))
+    if not text.strip():
+        text += "x"
+    if not draw(st.booleans()):
+        return text
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        doc = split_parts(text)
+    urls = st.lists(st.text(min_size=1, max_size=20).map(_label).filter(bool), max_size=3)
+    citations = tuple(tuple(draw(urls)) for _ in doc.parts)
+    return render_cited(CitedDocument(doc, citations, ReferenceCounts((), (), ())))
+
+
+@st.composite
+def _recipes(draw) -> Recipe:
+    names = draw(st.lists(_LABELS, min_size=1, max_size=6, unique=True))
+    low = draw(st.floats(-1e6, 1e6))
+    width = draw(st.floats(1e-3, 1e6))
+    indicator = default_indicator_config(names, unit=draw(_LABELS), domain=(low, low + width))
+    moment = draw(st.datetimes(min_value=datetime(1970, 1, 1), timezones=st.just(timezone.utc)))
+    return Recipe(
+        kpi=draw(_LABELS),
+        asset_class=draw(_LABELS),
+        knowledge_doc=draw(_documents()),
+        indicator=indicator,
+        aggregation=default_aggregation_config(names, draw(st.sampled_from(["weighted", "ahp"]))),
+        dataset=generate_synthetic(indicator, draw(st.integers(1, 4)), draw(st.integers())),
+        seed=draw(st.none() | st.integers()),
+        created_at=draw(st.just(SYNTHETIC_TIMESTAMP) | st.just(format_rfc3339(moment))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipe=_recipes())
+def test_random_recipes_round_trip_through_a_bundle(recipe):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        bundle(recipe, first)
+        parsed = parse_bundle(first)
+        assert parsed == recipe
+        bundle(parsed, second)
+        for name in BUNDLE_FILES:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_parse_bundle_missing_index(tmp_path):
@@ -462,7 +608,11 @@ def test_load_config_helpers(tmp_path):
      ["sensor 1 range 'poor' needs numeric min and max",
       "sensor 1 range 'good' needs numeric min and max",
       "sensor 1 range 'excellent' needs numeric min and max"]),
-], ids=["no-name-no-unit", "not-a-mapping", "list-ranges", "bad-bounds"])
+    (5, ["sensors must be a list of sensor mappings"]),
+    ([{"name": [1], "unit": "percent"}, {"name": "b", "unit": 7}],
+     ["sensor 1 name must be a string", "sensor 2 unit must be a string"]),
+], ids=["no-name-no-unit", "not-a-mapping", "list-ranges", "bad-bounds", "scalar-sensors",
+        "non-text-name-and-unit"])
 def test_load_indicator_config_reports_malformed_sensors(tmp_path, sensors, violations):
     path = tmp_path / "indicator.yaml"
     path.write_text(json.dumps({"sensors": sensors}), encoding="utf-8")
@@ -496,8 +646,15 @@ def test_load_configs_reject_non_mapping_documents(tmp_path, loader, what):
      ["pairwise row 1 must be a list of numbers", "pairwise row 2 must be a list of numbers"]),
     ({"method": "ahp", "sensors": ["a"], "pairwise": {"a": [1.0]}},
      ["pairwise must be a list of rows"]),
+    ({"method": "ahp", "sensors": 5, "pairwise": [[1.0]]},
+     ["sensors must be a list of sensor names"]),
+    ({"method": "ahp", "sensors": [["a"]], "pairwise": [[1.0]]},
+     ["sensors must be a list of sensor names"]),
+    ({"method": "ahp", "sensors": "ab", "pairwise": [[1.0, 1.0], [1.0, 1.0]]},
+     ["sensors must be a list of sensor names"]),
 ], ids=["list-weights", "scalar-category-scores", "non-numeric-weights", "scalar-row",
-        "text-row", "non-numeric-rows", "mapping-pairwise"])
+        "text-row", "non-numeric-rows", "mapping-pairwise", "scalar-sensors", "nested-sensors",
+        "text-sensors"])
 def test_load_aggregation_config_reports_malformed_values(tmp_path, change, violations):
     data = {"method": "weighted", "category_scores": dict(DEFAULT_CATEGORY_SCORES),
             "weights": {"a": 0.5, "b": 0.5}}

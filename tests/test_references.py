@@ -395,7 +395,7 @@ def test_attach_references_counts_fixture(three_part_doc):
     assert cited.citations == (
         ("https://a.example", "https://b.example"), ("https://d.example",), (),
     )
-    assert cited.counts_tuple() == ((3, 2, 3), (2, 1, 0))
+    assert (cited.counts.claims, cited.counts.urls_validated) == ((3, 2, 3), (2, 1, 0))
 
 
 def test_attach_references_counts_claims_without_evidence(three_part_doc):

@@ -468,7 +468,7 @@ def _validate_oracle(dataset, cfg):
             _categorize_oracle(row.value, sensor)
         except OutOfDomainError as exc:
             violations.append(f"row {i}: {exc}")
-    for asset in dataset.asset_ids:
+    for asset in dict.fromkeys(row.asset_id for row in dataset.rows):
         for name in configured:
             moments = per_pair.get((asset, name), [])
             if not moments:

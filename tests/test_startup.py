@@ -158,3 +158,16 @@ def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
     # The ahp run really used the pairwise math: a uniform matrix gives the
     # equal weights the generated weighted config declares.
     assert (tmp_path / "ahp.csv").read_bytes() == (tmp_path / "weighted.csv").read_bytes()
+
+
+def test_recipe_imports_neither_execution_nor_references():
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    probe = ("import json, sys\nimport autorecipe.recipe\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('autorecipe.'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "autorecipe.recipe" in loaded
+    assert "autorecipe.execution" not in loaded
+    assert "autorecipe.references" not in loaded
