@@ -3,6 +3,9 @@
 Subcommands mirror the stages so fixtures can target any of them in
 isolation: plan, generate, score, metrics, verify-refs.
 
+Each subcommand imports the stages it runs inside its own function, so a
+process loads only the modules its command needs.
+
 Exit codes: 0 success, 2 input or validation error, 3 gateway or
 client error, 4 internal error.
 """
@@ -11,10 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
-
-import yaml
 
 from .errors import (
     AutoRecipeError,
@@ -23,48 +23,7 @@ from .errors import (
     SearchClientError,
     StageError,
 )
-from .execution import STRATEGIES, ManualClock, execute, render_knowledge, split_parts
-from .gateway import (
-    HttpGateway,
-    RecordingGateway,
-    ReplayGateway,
-    ScriptedGateway,
-    load_gateway_config,
-)
-from .metrics import coverage, similarity, tokenize, type_token_ratio
-from .planning import (
-    Goal,
-    bind_goal,
-    build_planning_context,
-    generate_sequence_deterministic,
-    materialize_sequence,
-    parse_plan,
-    resolve_code_steps,
-    serialize_sequence,
-)
-from .presets import COMPONENT_HEALTH_DEMONSTRATION
-from .prompts import RoleProfile, default_registry, instantiate
-from .recipe import (
-    SYNTHETIC_TIMESTAMP,
-    Recipe,
-    bundle,
-    dataset_from_csv,
-    default_aggregation_config,
-    default_indicator_config,
-    format_rfc3339,
-    generate_synthetic,
-    load_aggregation_config,
-    load_indicator_config,
-)
-from .references import (
-    ScriptedNliClient,
-    ScriptedSearchClient,
-    build_references,
-    render_cited,
-)
-from .refinement import refine
-from .scoring import HealthScoreEstimator
-from .taxonomy import parse_taxonomy, traverse_top_down
+from .presets import COMPONENT_HEALTH_DEMONSTRATION, STRATEGIES
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -85,10 +44,14 @@ def _write_out(out, text: str, label: str) -> None:
 
 
 def _load_taxonomies(paths) -> list:
+    from .taxonomy import parse_taxonomy
+
     return [parse_taxonomy(_read_text(p)) for p in paths]
 
 
-def _goal_from_args(args) -> Goal:
+def _goal_from_args(args):
+    from .planning import Goal
+
     return Goal(
         kpi=args.kpi,
         target_node=args.target or args.kpi,
@@ -98,6 +61,14 @@ def _goal_from_args(args) -> Goal:
 
 
 def _build_gateway(args):
+    from .gateway import (
+        HttpGateway,
+        RecordingGateway,
+        ReplayGateway,
+        ScriptedGateway,
+        load_gateway_config,
+    )
+
     if getattr(args, "script", None):
         gateway = ScriptedGateway.from_file(args.script)
     elif getattr(args, "replay", None):
@@ -128,6 +99,13 @@ def _plan(args, taxonomies, tax, goal, gateway=None, registry=None):
     It is parsed from ``--plan-text`` when given, else asked of the
     gateway when there is one, else generated deterministically.
     """
+    from .planning import (
+        build_planning_context,
+        generate_sequence_deterministic,
+        parse_plan,
+        resolve_code_steps,
+    )
+
     if args.plan_text:
         seq = parse_plan(_read_text(args.plan_text), goal=goal)
     elif gateway is not None:
@@ -139,6 +117,8 @@ def _plan(args, taxonomies, tax, goal, gateway=None, registry=None):
 
 
 def cmd_plan(args) -> int:
+    from .planning import bind_goal, serialize_sequence
+
     taxonomies = _load_taxonomies(args.taxonomy)
     goal = _goal_from_args(args)
     tax = bind_goal(taxonomies, goal)
@@ -148,6 +128,24 @@ def cmd_plan(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from datetime import datetime, timezone
+
+    from .execution import ManualClock, execute, render_knowledge
+    from .planning import bind_goal, materialize_sequence
+    from .prompts import RoleProfile, default_registry, instantiate
+    from .recipe import (
+        SYNTHETIC_TIMESTAMP,
+        Recipe,
+        bundle,
+        default_aggregation_config,
+        default_indicator_config,
+        format_rfc3339,
+        generate_synthetic,
+    )
+    from .references import ScriptedNliClient, ScriptedSearchClient, build_references, render_cited
+    from .refinement import refine
+    from .taxonomy import traverse_top_down
+
     if bool(args.search_script) != bool(args.nli_script):
         raise ValueError("citations need both --search-script and --nli-script, or neither")
     taxonomies = _load_taxonomies(args.taxonomy)
@@ -237,6 +235,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .recipe import dataset_from_csv, load_aggregation_config, load_indicator_config
+    from .scoring import HealthScoreEstimator
+
     indicator = load_indicator_config(args.indicator_config)
     aggregation = load_aggregation_config(args.aggregation_config)
     dataset = dataset_from_csv(_read_text(args.dataset))
@@ -248,6 +249,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import coverage, similarity, tokenize, type_token_ratio
+
     profiles = [tokenize(_read_text(p)) for p in args.doc]
     base = profiles[0]
     lines = ["doc,tokens,unique,ttr,coverage_vs_first,similarity_vs_first"]
@@ -262,6 +265,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_verify_refs(args) -> int:
+    from .execution import split_parts
+    from .references import ScriptedNliClient, ScriptedSearchClient, build_references, render_cited
+
     document = split_parts(_read_text(args.doc))
     gateway = _build_gateway(args)
     if gateway is None:
@@ -365,7 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, (GatewayError, SearchClientError, NliClientError)):
         return EXIT_GATEWAY
-    if isinstance(exc, (AutoRecipeError, ValueError, OSError, yaml.YAMLError)):
+    # A YAMLError can only have been raised by a loaded yaml, so look it up
+    # instead of importing it.
+    yaml = sys.modules.get("yaml")
+    if isinstance(exc, (AutoRecipeError, ValueError, OSError)) or (
+        yaml is not None and isinstance(exc, yaml.YAMLError)
+    ):
         return EXIT_INPUT
     return EXIT_INTERNAL
 

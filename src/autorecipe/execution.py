@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gateway import ChatMessage
 from .planning import PromptSequence
-from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER
+from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
 from .prompts import PromptRegistry, RoleProfile, default_registry, instantiate
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "render_knowledge",
     "execute",
 ]
-
-STRATEGIES = ("lastq", "allq", "allqcot", "allqreact", "gitq")
 
 PART_LABELS = ("asset-description", "kpi-explanation", "measurement")
 

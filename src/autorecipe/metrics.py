@@ -51,11 +51,20 @@ class TokenProfile:
 
 # Word characters minus the underscore: exactly the characters str.isalnum accepts.
 _TOKEN = re.compile(r"[^\W_]+")
+# For ASCII text: every non-alphanumeric ASCII character becomes a space.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 
 def tokenize(text: str) -> TokenProfile:
-    """Case-fold, then keep the maximal runs of alphanumeric characters."""
-    return TokenProfile(_TOKEN.findall(text.casefold()))
+    """Case-fold, then keep the maximal runs of alphanumeric characters.
+
+    ASCII text is split on a translated copy, which is several times
+    faster than the regex; any other text goes through the regex.
+    """
+    folded = text.casefold()
+    if folded.isascii():
+        return TokenProfile(folded.translate(_ASCII_SEPARATORS).split())
+    return TokenProfile(_TOKEN.findall(folded))
 
 
 def _profile(text: str | TokenProfile) -> TokenProfile:

@@ -398,22 +398,29 @@ def _find_named_node(body: str, tax: Taxonomy) -> str:
     Exact label mention wins; otherwise the node sharing the most whole
     words with the body, ties broken by earliest mention then
     declaration order.
+
+    A whole-word match implies a substring match, so each regex runs only
+    after a plain ``in`` test passes; the regex alone decides the word
+    boundaries.
     """
     low = body.casefold()
     labeled = [(nid, node.label.casefold()) for nid, node in tax.nodes.items()]
     for nid, label in sorted(labeled, key=lambda item: -len(item[1])):
-        if re.search(rf"\b{re.escape(label)}\b", low):
+        if label in low and re.search(rf"\b{re.escape(label)}\b", low):
             return nid
 
     best: tuple[int, int, int] | None = None  # (-score, first_pos, declaration_order)
     best_nid = None
     declaration = {nid: i for i, nid in enumerate(tax.nodes)}
+    word_position: dict[str, int | None] = {}
     for nid, label in labeled:
         positions = []
         for word in set(label.split()):
-            match = re.search(rf"\b{re.escape(word)}\b", low)
-            if match:
-                positions.append(match.start())
+            if word not in word_position:
+                match = word in low and re.search(rf"\b{re.escape(word)}\b", low)
+                word_position[word] = match.start() if match else None
+            if word_position[word] is not None:
+                positions.append(word_position[word])
         if not positions:
             continue
         key = (-len(positions), min(positions), declaration[nid])

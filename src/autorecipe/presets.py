@@ -124,6 +124,10 @@ Execution Order: (Step 1 AND Step 2 AND Step 3 AND Step 4 AND Step 5 AND Step 6 
 
 # --- chat answer scaffolding ----------------------------------------------------
 
+# The execution strategies, named as in the paper.  They live here so the
+# command-line parser can offer them without importing the executor.
+STRATEGIES = ("lastq", "allq", "allqcot", "allqreact", "gitq")
+
 # Appended verbatim after the last question of an all-questions turn when the
 # chain-of-thought variant is selected.
 COT_SUFFIX = "think step-by-step"

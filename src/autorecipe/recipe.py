@@ -550,10 +550,18 @@ def parse_bundle(bundle_dir) -> Recipe:
     index_path = root / RECIPE_INDEX_FILE
     if not index_path.is_file():
         raise NotFoundError(f"no {RECIPE_INDEX_FILE} in {root}")
-    index = load_mapping(index_path.read_text(encoding="utf-8"), index_path, "recipe index")
+    try:
+        index_text = index_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationFailedError([f"{RECIPE_INDEX_FILE} is not UTF-8 text"]) from None
+    index = load_mapping(index_text, index_path, "recipe index")
     payloads: dict[str, bytes] = {}
     violations = []
-    for i, entry in enumerate(index.get("artifacts") or [], start=1):
+    entries = index.get("artifacts") or []
+    if not isinstance(entries, list):
+        violations.append(f"{RECIPE_INDEX_FILE} artifacts must be a list")
+        entries = []
+    for i, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict):
             violations.append(f"artifact {i} of {RECIPE_INDEX_FILE} is not a mapping")
             continue
@@ -577,7 +585,10 @@ def parse_bundle(bundle_dir) -> Recipe:
         raise ValidationFailedError(violations)
 
     def text(filename: str) -> str:
-        return payloads[_KINDS[filename]].decode("utf-8")
+        try:
+            return payloads[_KINDS[filename]].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationFailedError([f"{filename} is not UTF-8 text"]) from None
 
     manifest = load_mapping(text(WRAPPER_MANIFEST_FILE), root / WRAPPER_MANIFEST_FILE,
                             "wrapper manifest")

@@ -164,6 +164,9 @@ class ScriptedSearchClient:
         return list(self.results[query])[:max_results]
 
 
+_NLI_PAIR_KEYS = {"premise", "hypothesis", "entailed"}
+
+
 class ScriptedNliClient:
     """Exact-match (premise, hypothesis) verdicts loaded from a file or dict."""
 
@@ -184,6 +187,11 @@ class ScriptedNliClient:
                     and isinstance(entry.get("hypothesis"), str)):
                 violations.append(f"{path}: NLI script pair {n} must be a mapping "
                                   "with string premise and hypothesis")
+                continue
+            unknown = sorted(str(key) for key in entry.keys() - _NLI_PAIR_KEYS)
+            if unknown:
+                violations.append(f"{path}: NLI script pair {n} has unknown key(s): "
+                                  f"{', '.join(unknown)}")
                 continue
             entailed = entry.get("entailed", False)
             if not isinstance(entailed, bool):

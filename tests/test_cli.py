@@ -514,13 +514,16 @@ def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tm
     ("nli-script", "pairs:\n  - {premise: p, hypothesis: h, entailed: 'false'}\n",
      "NLI script pair 1 entailed must be true or false"),
     ("nli-script", "strict: 'false'\npairs: []\n", "NLI script strict must be true or false"),
+    ("nli-script", "pairs:\n  - {premise: p, hypothesis: h, entailment: true}\n",
+     "NLI script pair 1 has unknown key(s): entailment"),
     ("search-script", "strict: 'false'\nqueries: {}\n",
      "search script strict must be true or false"),
     ("script", "strict: 'false'\nreplies: [a]\n", "script strict must be true or false"),
 ], ids=["queries-list", "hits-scalar", "hit-scalar", "hit-without-url", "url-not-text",
         "text-list", "pairs-scalar", "pair-scalar", "pair-without-hypothesis",
         "premise-not-text", "replies-text", "reply-not-text", "by-key-list", "default-not-text",
-        "entailed-text", "nli-strict-text", "search-strict-text", "script-strict-text"])
+        "entailed-text", "nli-strict-text", "nli-pair-unknown-key",
+        "search-strict-text", "script-strict-text"])
 def test_malformed_script_entries_are_input_errors(site, text, message, tax_file, tmp_path,
                                                    capsys):
     argv = _deep_site_args(site, tmp_path, tax_file, text=text)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,25 @@ def test_tokenize_equals_isalnum_definition(text):
 def test_tokenize_equals_isalnum_definition_on_every_code_point():
     text = "".join(map(chr, range(0x110000)))
     assert tokenize(text).tokens == _tokens_by_isalnum(text)
+
+
+# Curly quotes and dashes, letters whose case-fold changes length, and
+# non-ASCII letters that fold to ASCII (Kelvin sign, long s).
+_MIXED = st.sampled_from(list(string.printable) + list("é’“”—ßİﬁ\u212aſ_٣"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=300),
+    st.text(alphabet=_MIXED, max_size=300),
+))
+def test_tokenize_equals_the_regex_on_ascii_and_mixed_text(text):
+    assert tokenize(text).tokens == re.findall(r"[^\W_]+", text.casefold())
+
+
+def test_tokenize_splits_ascii_on_every_non_alphanumeric_character():
+    text = "x".join(map(chr, range(128)))
+    assert tokenize(text).tokens == re.findall(r"[^\W_]+", text.casefold())
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,8 +4,11 @@ deterministic generator."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorecipe.errors import (
     GoalUnboundError,
@@ -23,6 +26,7 @@ from autorecipe.planning import (
     Goal,
     PromptStep,
     StepRef,
+    _find_named_node,
     bind_goal,
     build_planning_context,
     classify_step,
@@ -45,6 +49,7 @@ from autorecipe.presets import (
     PLANNER_CONSTRAINTS,
     PLANNER_TASK_INTRO,
 )
+from autorecipe.taxonomy import Taxonomy, TaxonNode, normalize_name
 
 
 # --- step and order primitives -------------------------------------------------
@@ -347,6 +352,71 @@ def test_resolve_refuses_empty_result(health_tax):
     )
     with pytest.raises(NoStepsError):
         resolve_code_steps(parse_plan(text), health_tax)
+
+
+def _find_named_node_by_regex(body: str, tax: Taxonomy) -> str:
+    """The code-step matcher as first written: one regex per label and per word."""
+    low = body.casefold()
+    labeled = [(nid, node.label.casefold()) for nid, node in tax.nodes.items()]
+    for nid, label in sorted(labeled, key=lambda item: -len(item[1])):
+        if re.search(rf"\b{re.escape(label)}\b", low):
+            return nid
+
+    best: tuple[int, int, int] | None = None  # (-score, first_pos, declaration_order)
+    best_nid = None
+    declaration = {nid: i for i, nid in enumerate(tax.nodes)}
+    for nid, label in labeled:
+        positions = []
+        for word in set(label.split()):
+            match = re.search(rf"\b{re.escape(word)}\b", low)
+            if match:
+                positions.append(match.start())
+        if not positions:
+            continue
+        key = (-len(positions), min(positions), declaration[nid])
+        if best is None or key < best:
+            best = key
+            best_nid = nid
+    if best_nid is None:
+        raise UnresolvableCodeStepError(f"code step names no taxonomy node: {body[:80]!r}")
+    return best_nid
+
+
+# Word pieces whose \b boundaries are edge cases: punctuation at either end,
+# underscores, digits, and letters whose case-fold changes length.
+_FRAGMENTS = ["pump", "Pump", "motor", "(x)", "x", "a/b", "a", "b", "x-", "-", "_", "a_b",
+              "ß", "SS", "ss", "straße", "1", "12", "é"]
+_WORDS = st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=3).map("".join)
+_LABELS = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _code_steps(draw):
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=6))
+    nodes = {}
+    for label in labels:
+        nodes.setdefault(normalize_name(label), TaxonNode(normalize_name(label), label, "factor"))
+    root = next(iter(nodes))
+    tax = Taxonomy(root=root, nodes=nodes, edges=())
+    words = [word for label in labels for word in label.split()]
+    pieces = st.one_of(st.sampled_from(labels), st.sampled_from(words),
+                       st.sampled_from(_FRAGMENTS), st.sampled_from([" ", ", ", "(", ")", "."]))
+    body = draw(st.lists(pieces, max_size=8).map(" ".join))
+    return draw(st.sampled_from([body, body.upper()])), tax
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_code_steps())
+def test_find_named_node_matches_the_regex_matcher(case):
+    body, tax = case
+    try:
+        expected = _find_named_node_by_regex(body, tax)
+    except UnresolvableCodeStepError as exc:
+        with pytest.raises(UnresolvableCodeStepError) as info:
+            _find_named_node(body, tax)
+        assert str(info.value) == str(exc)
+    else:
+        assert _find_named_node(body, tax) == expected
 
 
 # --- deterministic generation -------------------------------------------------------

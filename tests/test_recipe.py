@@ -581,6 +581,28 @@ def test_parse_bundle_detects_tampering(tmp_path):
     assert any("hash mismatch" in v for v in info.value.violations)
 
 
+@pytest.mark.parametrize("filename", [RECIPE_INDEX_FILE, KNOWLEDGE_DOC_FILE],
+                         ids=["index", "artifact"])
+def test_parse_bundle_rejects_files_that_are_not_utf8(tmp_path, filename):
+    import hashlib
+
+    bundle(_recipe(), tmp_path / "out")
+    target = tmp_path / "out" / filename
+    payload = target.read_bytes() + "caf\xe9\n".encode("latin-1")
+    target.write_bytes(payload)
+    if filename != RECIPE_INDEX_FILE:
+        # Keep the hash right, so only the encoding is wrong.
+        index_path = tmp_path / "out" / RECIPE_INDEX_FILE
+        index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+        for entry in index["artifacts"]:
+            if entry["path"] == filename:
+                entry["sha256"] = hashlib.sha256(payload).hexdigest()
+        index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations == [f"{filename} is not UTF-8 text"]
+
+
 def test_parse_bundle_detects_missing_file(tmp_path):
     bundle(_recipe(), tmp_path / "out")
     (tmp_path / "out" / WRAPPER_MANIFEST_FILE).unlink()
@@ -666,16 +688,22 @@ def test_load_aggregation_config_reports_malformed_values(tmp_path, change, viol
     assert info.value.violations == violations
 
 
-@pytest.mark.parametrize("entry, violation", [
-    ({"kind": "sample-dataset", "sha256": ""}, "artifact 1 of recipe.yaml has no path"),
-    ({"path": DATASET_FILE}, "artifact 1 of recipe.yaml has no kind"),
-    ("sample_dataset.csv", "artifact 1 of recipe.yaml is not a mapping"),
-], ids=["no-path", "no-kind", "not-a-mapping"])
-def test_parse_bundle_reports_malformed_index_entries(tmp_path, entry, violation):
+def _first_artifact(entry):
+    return lambda index: index["artifacts"].__setitem__(0, entry)
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (_first_artifact({"kind": "sample-dataset", "sha256": ""}),
+     "artifact 1 of recipe.yaml has no path"),
+    (_first_artifact({"path": DATASET_FILE}), "artifact 1 of recipe.yaml has no kind"),
+    (_first_artifact("sample_dataset.csv"), "artifact 1 of recipe.yaml is not a mapping"),
+    (lambda index: index.update(artifacts=5), "recipe.yaml artifacts must be a list"),
+], ids=["no-path", "no-kind", "not-a-mapping", "artifacts-not-a-list"])
+def test_parse_bundle_reports_malformed_index_entries(tmp_path, edit, violation):
     bundle(_recipe(), tmp_path / "out")
     index_path = tmp_path / "out" / RECIPE_INDEX_FILE
     index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
-    index["artifacts"][0] = entry
+    edit(index)
     index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         parse_bundle(tmp_path / "out")

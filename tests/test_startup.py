@@ -1,7 +1,8 @@
-"""Start-up cost: a command imports numpy only when it uses it, and requests never.
+"""Start-up cost: each command imports only the modules it uses.
 
-Each check runs in a fresh interpreter, since this test session itself may
-have both libraries loaded.
+numpy loads only for AHP, requests never, and the bulk commands (plan,
+score, metrics) load only their own stages.  Each check runs in a fresh
+interpreter, since this test session itself has everything loaded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import yaml
 
 import autorecipe
 from autorecipe import presets
+from autorecipe.cli import main
 from conftest import THREE_PART_DOC
 
 # Runs the commands in one interpreter and reports, after each, its exit code
@@ -171,3 +173,51 @@ def test_recipe_imports_neither_execution_nor_references():
     assert "autorecipe.recipe" in loaded
     assert "autorecipe.execution" not in loaded
     assert "autorecipe.references" not in loaded
+
+
+# Runs one command and reports its exit code and which autorecipe modules,
+# and whether yaml, it loaded.
+LOADED = r'''
+import json
+import sys
+
+from autorecipe.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m == "yaml" or m.startswith("autorecipe"))]))
+'''
+COMMON = ["autorecipe", "autorecipe.cli", "autorecipe.errors", "autorecipe.presets"]
+
+
+def test_bulk_commands_load_only_their_own_stages(tmp_path):
+    commands, _ = _commands(tmp_path)
+    argv = dict(commands)
+    # The score and metrics inputs come from a scripted generate run here.
+    assert main(argv["generate --script --record"]) == 0
+    recorded = tmp_path / "recorded"
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    score = ["score", "--indicator-config", str(recorded / "indicator_config.yaml"),
+             "--aggregation-config", str(recorded / "aggregation_config.yaml"),
+             "--dataset", str(recorded / "sample_dataset.csv"), "--out", str(tmp_path / "s.csv")]
+    metrics = ["metrics", "--doc", str(recorded / "knowledge_document.md"),
+               "--doc", str(recorded / "knowledge_document.md"), "--out", str(tmp_path / "m.csv")]
+    expected = {
+        "plan": (argv["plan"], COMMON + [
+            "autorecipe._yamlio", "autorecipe.gateway", "autorecipe.planning",
+            "autorecipe.prompts", "autorecipe.taxonomy", "yaml"]),
+        "score": (score, COMMON + ["autorecipe._yamlio", "autorecipe.recipe",
+                                   "autorecipe.scoring", "yaml"]),
+        "metrics": (metrics, COMMON + ["autorecipe.metrics"]),
+    }
+    loaded = {}
+    for name, (command, modules) in expected.items():
+        proc = subprocess.run([sys.executable, "-c", LOADED, *command], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, loaded[name]) == (0, sorted(modules)), name
+    for name in ("plan", "metrics"):
+        assert not {"autorecipe.recipe", "autorecipe.scoring",
+                    "autorecipe.references"} & set(loaded[name])
+    assert "yaml" not in loaded["metrics"]
