@@ -37,21 +37,21 @@ else:
     _Loader = yaml.SafeLoader
 
 
-def load_yaml(stream, source, error: type[AutoRecipeError] = AutoRecipeError):
+def load_yaml(stream, source):
     """The document in ``stream`` (text, bytes or an open file), as ``yaml.safe_load``.
 
     A document nested too deeply for the composer, or an explicitly tagged
     scalar that PyYAML cannot build (``!!int ""``, ``!!bool x``), raises
-    ``error`` naming ``source``, the file path or a description of the
-    document; other syntax errors stay ``yaml.YAMLError``.
+    ``AutoRecipeError`` naming ``source``, the file path or a description
+    of the document; other syntax errors stay ``yaml.YAMLError``.
     """
     try:
         return yaml.load(stream, Loader=_Loader)
     except RecursionError:
-        raise error(f"unreadable {source}: nested too deeply") from None
+        raise AutoRecipeError(f"unreadable {source}: nested too deeply") from None
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         # SafeConstructor parses tagged scalars without checking them first.
-        raise error(f"unreadable {source}: bad tagged value ({exc!r})") from exc
+        raise AutoRecipeError(f"unreadable {source}: bad tagged value ({exc!r})") from exc
 
 
 def load_mapping(stream, source, what: str) -> dict:

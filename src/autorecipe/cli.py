@@ -75,6 +75,8 @@ def _build_gateway(args):
         gateway = ReplayGateway(args.replay)
     elif getattr(args, "gateway_config", None):
         gateway = HttpGateway(load_gateway_config(args.gateway_config))
+    elif getattr(args, "record", None):
+        raise ValueError("--record needs one of --script, --replay, or --gateway-config")
     else:
         return None
     if getattr(args, "record", None):
@@ -130,7 +132,7 @@ def cmd_plan(args) -> int:
 def cmd_generate(args) -> int:
     from datetime import datetime, timezone
 
-    from .execution import ManualClock, execute, render_knowledge
+    from .execution import execute, render_knowledge
     from .planning import bind_goal, materialize_sequence
     from .prompts import RoleProfile, default_registry, instantiate
     from .recipe import (
@@ -155,10 +157,9 @@ def cmd_generate(args) -> int:
     if gateway is None:
         raise ValueError("generate needs one of --script, --replay, or --gateway-config")
     registry = default_registry()
-    # Scripted and replay runs use a logical clock and a pinned creation
-    # time so rerunning yields byte-identical bundles.
+    # Scripted and replay runs use a pinned creation time so rerunning
+    # yields byte-identical bundles.
     deterministic = bool(args.script or args.replay)
-    clock = ManualClock() if deterministic else None
 
     # The plan never goes through the model here: no gateway is passed.
     seq = _stage("plan", _plan, args, taxonomies, tax, goal, registry=registry)
@@ -193,7 +194,6 @@ def cmd_generate(args) -> int:
         registry.role("domain-expert"),
         gateway,
         registry=registry,
-        clock=clock,
     )
 
     if args.search_script:

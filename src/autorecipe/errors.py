@@ -1,4 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A class exists here only where some code tells it apart: a caller
+catches it, or its constructor formats data.  Every other failure is a
+plain ``AutoRecipeError``, and its message, not its class, names what
+went wrong.  The CLI maps the families to exit codes: ``GatewayError``
+(``TransportError`` included), ``SearchClientError`` and
+``NliClientError`` exit 3; every other ``AutoRecipeError`` exits 2; a
+``StageError`` exits as the failure it wraps.
+"""
 
 from __future__ import annotations
 
@@ -7,37 +16,23 @@ class AutoRecipeError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- taxonomy ---------------------------------------------------------------
-
-class TaxonomyError(AutoRecipeError):
-    pass
-
-
-class EmptyDocumentError(TaxonomyError):
-    """Document has no content to parse (also used for part-less knowledge docs)."""
+class ValidationFailedError(AutoRecipeError):
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("validation failed:\n" + "\n".join(f"- {v}" for v in self.violations))
 
 
-class CycleDetectedError(TaxonomyError):
+class CycleDetectedError(AutoRecipeError):
     def __init__(self, cycle: list[str]):
         self.cycle = list(cycle)
         super().__init__("cycle detected: " + " -> ".join(self.cycle))
 
 
-class MultipleRootsError(TaxonomyError):
+class MultipleRootsError(AutoRecipeError):
     def __init__(self, roots: list[str]):
         self.roots = list(roots)
         super().__init__("multiple root candidates: " + ", ".join(self.roots))
 
-
-class DanglingReferenceError(TaxonomyError):
-    pass
-
-
-class UnknownNodeError(TaxonomyError):
-    pass
-
-
-# --- prompt registry --------------------------------------------------------
 
 class MissingBindingError(AutoRecipeError):
     def __init__(self, names: set[str], context: str = ""):
@@ -46,133 +41,9 @@ class MissingBindingError(AutoRecipeError):
         super().__init__(f"missing bindings{where}: " + ", ".join(sorted(self.names)))
 
 
-class UnknownPlaceholderWarning(UserWarning):
-    """Bindings contained names the template does not use."""
-
-
-# --- plan generation --------------------------------------------------------
-
-class PlanError(AutoRecipeError):
-    pass
-
-
-class GoalUnboundError(PlanError):
-    pass
-
-
-class NoStepsError(PlanError):
-    pass
-
-
-class NoExecutionOrderError(PlanError):
-    pass
-
-
-class NonContiguousIndicesError(PlanError):
-    pass
-
-
-class UnknownStepInOrderError(PlanError):
-    pass
-
-
-class UnresolvableCodeStepError(PlanError):
-    pass
-
-
-# --- execution --------------------------------------------------------------
-
-class ExecutionError(AutoRecipeError):
-    pass
-
-
-class TooFewStepsError(ExecutionError):
-    pass
-
-
-class MalformedFinalAnswerError(ExecutionError):
-    pass
-
-
-class EmptyReplyError(ExecutionError):
-    pass
-
-
-class NoPartsWarning(UserWarning):
-    """Knowledge text had no recognizable part headings."""
-
-
-# --- refinement -------------------------------------------------------------
-
 class NoConfidenceError(AutoRecipeError):
-    pass
+    """A refinement reply carries no Confidence marker."""
 
-
-class ConfidenceOutOfRangeError(AutoRecipeError):
-    pass
-
-
-class NoConfidenceWarning(UserWarning):
-    """A refinement reply carried no confidence marker; treated as 0."""
-
-
-# --- references -------------------------------------------------------------
-
-class SearchClientError(AutoRecipeError):
-    pass
-
-
-class NliClientError(AutoRecipeError):
-    pass
-
-
-class FewerClaimsWarning(UserWarning):
-    """The model produced fewer parseable claims than requested."""
-
-
-# --- recipe store / scoring -------------------------------------------------
-
-class ValidationFailedError(AutoRecipeError):
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("validation failed:\n" + "\n".join(f"- {v}" for v in self.violations))
-
-
-class NotFoundError(AutoRecipeError):
-    pass
-
-
-class OutOfDomainError(AutoRecipeError):
-    pass
-
-
-class MissingSensorError(AutoRecipeError):
-    pass
-
-
-class NotReciprocalError(AutoRecipeError):
-    pass
-
-
-class NonPositiveEntryError(AutoRecipeError):
-    pass
-
-
-class RatioIndexUnavailableError(AutoRecipeError):
-    """Consistency ratio requested for a matrix size outside the published index table."""
-
-
-class NotFittedError(AutoRecipeError):
-    pass
-
-
-# --- text metrics -----------------------------------------------------------
-
-class EmptyTextError(AutoRecipeError):
-    pass
-
-
-# --- model gateway ----------------------------------------------------------
 
 class GatewayError(AutoRecipeError):
     """Base class for chat-gateway failures; may carry the failing step index."""
@@ -182,27 +53,18 @@ class GatewayError(AutoRecipeError):
         super().__init__(message)
 
 
-class GatewayTimeoutError(GatewayError):
-    pass
-
-
 class TransportError(GatewayError):
+    """A gateway failure that may pass on a retry: a timeout, a dropped
+    connection, throttling or a server error."""
+
+
+class SearchClientError(AutoRecipeError):
     pass
 
 
-class ScriptMissError(GatewayError):
+class NliClientError(AutoRecipeError):
     pass
 
-
-class ReplayMissError(GatewayError):
-    pass
-
-
-class ReplayStoreError(AutoRecipeError):
-    """A replay store line is not a JSON record with string key and reply."""
-
-
-# --- cli --------------------------------------------------------------------
 
 class StageError(AutoRecipeError):
     """Wraps a pipeline failure with the stage it happened in."""
@@ -211,3 +73,19 @@ class StageError(AutoRecipeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage}: {cause}")
+
+
+class UnknownPlaceholderWarning(UserWarning):
+    """Bindings contained names the template does not use."""
+
+
+class NoPartsWarning(UserWarning):
+    """Knowledge text had no recognizable part headings."""
+
+
+class NoConfidenceWarning(UserWarning):
+    """A refinement reply carried no confidence marker; treated as 0."""
+
+
+class FewerClaimsWarning(UserWarning):
+    """The model produced fewer parseable claims than requested."""

@@ -13,15 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import (
-    EmptyDocumentError,
-    EmptyReplyError,
-    GatewayError,
-    MalformedFinalAnswerError,
-    MissingBindingError,
-    NoPartsWarning,
-    TooFewStepsError,
-)
+from .errors import AutoRecipeError, GatewayError, MissingBindingError, NoPartsWarning
 from .gateway import ChatMessage
 from .planning import PromptSequence
 from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
@@ -115,7 +107,7 @@ def split_parts(text: str) -> KnowledgeDocument:
     reconstructable from preamble + parts.
     """
     if not text or not text.strip():
-        raise EmptyDocumentError("knowledge text is empty")
+        raise AutoRecipeError("knowledge text is empty")
     lines = text.splitlines(keepends=True)
     boundaries = [
         i for i, line in enumerate(lines) if _HEADING_LINE.match(line.rstrip("\r\n"))
@@ -145,7 +137,7 @@ def wrap_react(seq: PromptSequence) -> str:
     """Single user prompt: enumerated questions, the reasoning format block,
     and the final request framed as a Final Answer."""
     if len(seq.steps) < 2:
-        raise TooFewStepsError("the reasoning scaffold needs at least two steps")
+        raise AutoRecipeError("the reasoning scaffold needs at least two steps")
     questions = "\n".join(
         f"Question {s.index}: {s.body}" for s in seq.steps[:-1]
     )
@@ -172,7 +164,7 @@ def parse_react_reply(text: str) -> ReactReply:
     last Final Answer marker."""
     markers = list(_FINAL_ANSWER.finditer(text))
     if not markers:
-        raise MalformedFinalAnswerError("reply has no Final Answer marker")
+        raise AutoRecipeError("reply has no Final Answer marker")
     final_answer = text[markers[-1].end():].strip()
     scaffold = text[: markers[-1].start()]
     triples = tuple(
@@ -236,7 +228,7 @@ def execute(
             exc.step_index = steps[-1] if steps else None
             raise
         if not reply.strip():
-            raise EmptyReplyError(f"gateway returned an empty reply for step(s) {steps}")
+            raise AutoRecipeError(f"gateway returned an empty reply for step(s) {steps}")
         transcript.messages.append(TranscriptMessage("assistant", reply, steps, clock()))
         return reply
 
@@ -255,7 +247,7 @@ def execute(
         reply = ask([system, ChatMessage("user", content)], all_steps)
         answer = parse_react_reply(reply).final_answer
         if not answer:
-            raise MalformedFinalAnswerError("Final Answer marker carries no text")
+            raise AutoRecipeError("Final Answer marker carries no text")
     else:  # gitq
         session: list[ChatMessage] = [system]
         reply = ""

@@ -17,15 +17,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from ._yamlio import load_mapping
-from .errors import (
-    GatewayError,
-    GatewayTimeoutError,
-    ReplayMissError,
-    ReplayStoreError,
-    ScriptMissError,
-    TransportError,
-    ValidationFailedError,
-)
+from .errors import AutoRecipeError, GatewayError, TransportError, ValidationFailedError
 
 __all__ = [
     "ChatMessage",
@@ -130,7 +122,7 @@ def _check_session(session: list[ChatMessage]) -> None:
 class ScriptedGateway:
     """Replies from a fixed script: an ordered queue and/or a session-key map.
 
-    In strict mode a prompt with no scripted reply raises ScriptMissError;
+    In strict mode a prompt with no scripted reply raises GatewayError;
     otherwise the configured default reply is served.
     """
 
@@ -182,7 +174,7 @@ class ScriptedGateway:
         if not self.strict and self.default is not None:
             return self.default
         preview = session[-1].content[:80]
-        raise ScriptMissError(f"no scripted reply for session {key[:12]} ({preview!r})")
+        raise GatewayError(f"no scripted reply for session {key[:12]} ({preview!r})")
 
 
 class _Reply:
@@ -264,7 +256,7 @@ class HttpGateway:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        last_error: GatewayError | None = None
+        last_error: TransportError | None = None
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
             self._local.attempts = attempt
@@ -276,14 +268,12 @@ class HttpGateway:
                     timeout=self.config.timeout_seconds,
                 )
                 return self._parse_response(response)
-            except TimeoutError as exc:
-                last_error = GatewayTimeoutError(f"request timed out: {exc}")
-            except OSError as exc:  # urllib.error.URLError included
-                if isinstance(getattr(exc, "reason", None), TimeoutError):
-                    last_error = GatewayTimeoutError(f"request timed out: {exc}")
-                else:
-                    last_error = TransportError(f"transport failure: {exc}")
-            except (GatewayTimeoutError, TransportError) as exc:
+            except OSError as exc:  # TimeoutError and urllib.error.URLError included
+                reason = getattr(exc, "reason", None)
+                timed_out = isinstance(exc, TimeoutError) or isinstance(reason, TimeoutError)
+                what = "request timed out" if timed_out else "transport failure"
+                last_error = TransportError(f"{what}: {exc}")
+            except TransportError as exc:
                 last_error = exc
             if attempt <= self.config.max_retries:
                 logger.info("gateway attempt %d/%d failed; retrying", attempt, attempts)
@@ -348,13 +338,13 @@ class ReplayGateway:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ReplayStoreError(f"{path}:{number}: not a JSON record: {exc}") from None
+                    raise AutoRecipeError(f"{path}:{number}: not a JSON record: {exc}") from None
                 if not (
                     isinstance(record, dict)
                     and isinstance(record.get("key"), str)
                     and isinstance(record.get("reply"), str)
                 ):
-                    raise ReplayStoreError(f"{path}:{number}: record needs string key and reply")
+                    raise AutoRecipeError(f"{path}:{number}: record needs string key and reply")
                 self._replies[record["key"]] = record["reply"]
 
     def complete(self, session: list[ChatMessage]) -> str:
@@ -364,6 +354,6 @@ class ReplayGateway:
             return self._replies[key]
         except KeyError:
             preview = session[-1].content[:80]
-            raise ReplayMissError(
+            raise GatewayError(
                 f"no recorded reply for session {key[:12]} ({preview!r})"
             ) from None

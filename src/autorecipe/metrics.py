@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyTextError
+from .errors import AutoRecipeError
 
 __all__ = [
     "TokenProfile",
@@ -75,7 +75,7 @@ def type_token_ratio(text: str | TokenProfile) -> float:
     """Unique token count divided by the square root of the total token count."""
     profile = _profile(text)
     if profile.total == 0:
-        raise EmptyTextError("cannot compute type-token ratio of a token-free text")
+        raise AutoRecipeError("cannot compute type-token ratio of a token-free text")
     return profile.unique / math.sqrt(profile.total)
 
 
@@ -90,7 +90,7 @@ def coverage(
     """
     base_profile = _profile(base)
     if base_profile.total == 0:
-        raise EmptyTextError("coverage base text has no tokens")
+        raise AutoRecipeError("coverage base text has no tokens")
     other_vocab = _profile(other).vocabulary
     shared = base_profile.vocabulary & other_vocab
     if weighted:
@@ -104,7 +104,7 @@ def _cosine(u: list[float], v: list[float]) -> float:
     nu = math.sqrt(sum(a * a for a in u))
     nv = math.sqrt(sum(b * b for b in v))
     if nu == 0.0 or nv == 0.0:
-        raise EmptyTextError("cannot take cosine of a zero vector")
+        raise AutoRecipeError("cannot take cosine of a zero vector")
     return dot / (nu * nv)
 
 
@@ -116,7 +116,7 @@ def similarity(a: str | TokenProfile, b: str | TokenProfile) -> float:
     """
     pa, pb = _profile(a), _profile(b)
     if pa.total == 0 or pb.total == 0:
-        raise EmptyTextError("similarity needs tokens on both sides")
+        raise AutoRecipeError("similarity needs tokens on both sides")
     vocab = sorted(pa.vocabulary | pb.vocabulary)
     va = [float(pa.counts[t]) for t in vocab]
     vb = [float(pb.counts[t]) for t in vocab]

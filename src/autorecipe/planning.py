@@ -14,17 +14,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from ._yamlio import load_yaml
-from .errors import (
-    GoalUnboundError,
-    MissingBindingError,
-    NonContiguousIndicesError,
-    NoExecutionOrderError,
-    NoStepsError,
-    PlanError,
-    UnknownNodeError,
-    UnknownStepInOrderError,
-    UnresolvableCodeStepError,
-)
+from .errors import AutoRecipeError, MissingBindingError
 from .gateway import ChatMessage
 from .presets import PLANNER_CONSTRAINTS, PLANNER_TASK_INTRO
 from .prompts import PLACEHOLDER_PATTERN, PromptRegistry, default_registry
@@ -41,7 +31,6 @@ __all__ = [
     "format_execution_order",
     "order_indices",
     "is_all_and",
-    "linearize",
     "build_planning_context",
     "parse_plan",
     "resolve_code_steps",
@@ -132,17 +121,17 @@ def parse_execution_order(text: str):
         if token == "(":
             depth += 1
             if depth > _MAX_ORDER_DEPTH:
-                raise NoExecutionOrderError(
+                raise AutoRecipeError(
                     f"execution order nests parentheses more than {_MAX_ORDER_DEPTH} deep"
                 )
         elif token == ")":
             depth -= 1
         tokens.append(token)
     if not tokens:
-        raise NoExecutionOrderError(f"no execution order expression in {text!r}")
+        raise AutoRecipeError(f"no execution order expression in {text!r}")
     expr, pos = _parse_or(tokens, 0)
     if pos != len(tokens):
-        raise NoExecutionOrderError(f"trailing tokens in execution order: {tokens[pos:]}")
+        raise AutoRecipeError(f"trailing tokens in execution order: {tokens[pos:]}")
     return expr
 
 
@@ -166,16 +155,16 @@ def _parse_and(tokens, pos):
 
 def _parse_atom(tokens, pos):
     if pos >= len(tokens):
-        raise NoExecutionOrderError("execution order expression ended unexpectedly")
+        raise AutoRecipeError("execution order expression ended unexpectedly")
     token = tokens[pos]
     if token == "(":
         expr, pos = _parse_or(tokens, pos + 1)
         if pos >= len(tokens) or tokens[pos] != ")":
-            raise NoExecutionOrderError("unbalanced parenthesis in execution order")
+            raise AutoRecipeError("unbalanced parenthesis in execution order")
         return expr, pos + 1
     if isinstance(token, int):
         return StepRef(token), pos + 1
-    raise NoExecutionOrderError(f"unexpected token {token!r} in execution order")
+    raise AutoRecipeError(f"unexpected token {token!r} in execution order")
 
 
 def format_execution_order(expr) -> str:
@@ -201,22 +190,6 @@ def is_all_and(expr) -> bool:
     if isinstance(expr, Conjunction):
         return all(is_all_and(op) for op in expr.operands)
     return False
-
-
-def linearize(expr) -> list[int]:
-    """Evaluation order assuming every step succeeds.
-
-    A conjunction runs all operands in order; a disjunction is satisfied
-    by its first operand, so only that branch runs.
-    """
-    if isinstance(expr, StepRef):
-        return [expr.index]
-    if isinstance(expr, Conjunction):
-        out: list[int] = []
-        for op in expr.operands:
-            out.extend(linearize(op))
-        return out
-    return linearize(expr.operands[0])
 
 
 def _renumber_order(expr, mapping: dict[int, int]):
@@ -257,22 +230,22 @@ class PromptSequence:
 def _validate_sequence(steps: list[PromptStep], order) -> None:
     indices = [s.index for s in steps]
     if sorted(indices) != list(range(1, len(steps) + 1)):
-        raise NonContiguousIndicesError(
+        raise AutoRecipeError(
             f"step indices must be contiguous from 1, got {sorted(indices)}"
         )
     refs = order_indices(order)
     declared = set(indices)
     for ref in refs:
         if ref not in declared:
-            raise UnknownStepInOrderError(f"execution order references undeclared step {ref}")
+            raise AutoRecipeError(f"execution order references undeclared step {ref}")
     seen: set[int] = set()
     for ref in refs:
         if ref in seen:
-            raise UnknownStepInOrderError(f"execution order references step {ref} twice")
+            raise AutoRecipeError(f"execution order references step {ref} twice")
         seen.add(ref)
     for index in indices:
         if index not in seen:
-            raise UnknownStepInOrderError(f"execution order never references step {index}")
+            raise AutoRecipeError(f"execution order never references step {index}")
 
 
 def _make_sequence(steps: list[PromptStep], order, goal=None, bindings=None) -> PromptSequence:
@@ -320,7 +293,7 @@ def parse_plan(model_output: str, goal: Goal | None = None) -> PromptSequence:
         if step_match:
             index = int(step_match.group(1))
             if index in bodies:
-                raise NonContiguousIndicesError(f"step {index} is declared twice")
+                raise AutoRecipeError(f"step {index} is declared twice")
             bodies[index] = [step_match.group(2)]
             current = bodies[index]
             continue
@@ -336,13 +309,13 @@ def parse_plan(model_output: str, goal: Goal | None = None) -> PromptSequence:
             current.append(line)
 
     if not bodies:
-        raise NoStepsError("model output declares no steps")
+        raise AutoRecipeError("model output declares no steps")
     if order_pieces is None:
-        raise NoExecutionOrderError("model output declares no execution order")
+        raise AutoRecipeError("model output declares no execution order")
 
     indices = sorted(bodies)
     if indices != list(range(1, len(indices) + 1)):
-        raise NonContiguousIndicesError(f"step indices are not contiguous from 1: {indices}")
+        raise AutoRecipeError(f"step indices are not contiguous from 1: {indices}")
 
     steps = [
         PromptStep(i, classify_step("\n".join(bodies[i]).strip()), "\n".join(bodies[i]).strip())
@@ -359,14 +332,12 @@ def bind_goal(taxonomies: list[Taxonomy], goal: Goal) -> Taxonomy:
     kpi_id = normalize_name(goal.kpi)
     for tax in taxonomies:
         if tax.root == kpi_id:
-            try:
-                tax.node_id(goal.target_node)
-            except UnknownNodeError:
-                raise GoalUnboundError(
+            if normalize_name(goal.target_node) not in tax.nodes:
+                raise AutoRecipeError(
                     f"target node {goal.target_node!r} is not in the {tax.root_label} taxonomy"
-                ) from None
+                )
             return tax
-    raise GoalUnboundError(f"no provided taxonomy has root {goal.kpi!r}")
+    raise AutoRecipeError(f"no provided taxonomy has root {goal.kpi!r}")
 
 
 def build_planning_context(
@@ -428,7 +399,7 @@ def _find_named_node(body: str, tax: Taxonomy) -> str:
             best = key
             best_nid = nid
     if best_nid is None:
-        raise UnresolvableCodeStepError(f"code step names no taxonomy node: {body[:80]!r}")
+        raise AutoRecipeError(f"code step names no taxonomy node: {body[:80]!r}")
     return best_nid
 
 
@@ -457,10 +428,10 @@ def resolve_code_steps(
             resolved.append(PromptStep(len(resolved) + 1, "question", body))
         # else: drop the step; mapping omits it so order references prune away
     if not resolved:
-        raise NoStepsError("resolving code steps left an empty plan")
+        raise AutoRecipeError("resolving code steps left an empty plan")
     order = _renumber_order(seq.execution_order, mapping)
     if order is None:
-        raise NoExecutionOrderError("resolving code steps left an empty execution order")
+        raise AutoRecipeError("resolving code steps left an empty execution order")
     return _make_sequence(resolved, order, goal=seq.goal, bindings=seq.bindings)
 
 
@@ -491,15 +462,14 @@ def generate_sequence_deterministic(
     """
     registry = registry or default_registry()
     if normalize_name(goal.kpi) != tax.root:
-        raise GoalUnboundError(
+        raise AutoRecipeError(
             f"goal KPI {goal.kpi!r} does not match the {tax.root_label} taxonomy"
         )
-    try:
-        target_id = tax.node_id(goal.target_node)
-    except UnknownNodeError:
-        raise GoalUnboundError(
+    target_id = normalize_name(goal.target_node)
+    if target_id not in tax.nodes:
+        raise AutoRecipeError(
             f"target node {goal.target_node!r} is not in the {tax.root_label} taxonomy"
-        ) from None
+        )
 
     kpi = tax.root_label
     target = tax.nodes[target_id].label
@@ -598,24 +568,24 @@ def serialize_sequence(seq: PromptSequence) -> str:
 
 
 def parse_sequence(text: str) -> PromptSequence:
-    """Read back what serialize_sequence writes; any other shape raises PlanError."""
+    """Read back what serialize_sequence writes; any other shape raises AutoRecipeError."""
     try:
-        doc = load_yaml(text, "sequence document", PlanError)
+        doc = load_yaml(text, "sequence document")
     except yaml.YAMLError as exc:
-        raise PlanError(f"unreadable sequence document: {exc}") from exc
+        raise AutoRecipeError(f"unreadable sequence document: {exc}") from exc
     if not isinstance(doc, dict) or "steps" not in doc:
-        raise NoStepsError("sequence document has no steps")
+        raise AutoRecipeError("sequence document has no steps")
     if not isinstance(doc["steps"], list):
-        raise NoStepsError("sequence steps must be a list")
+        raise AutoRecipeError("sequence steps must be a list")
     steps = [_parse_step(n, entry) for n, entry in enumerate(doc["steps"], start=1)]
     order = doc.get("execution_order")
     if not isinstance(order, str):
-        raise NoExecutionOrderError("sequence document has no execution_order string")
+        raise AutoRecipeError("sequence document has no execution_order string")
     goal = _parse_goal(doc["goal"]) if doc.get("goal") else None
     bindings = doc.get("bindings") or {}
     if not (isinstance(bindings, dict)
             and all(isinstance(v, str) for v in [*bindings, *bindings.values()])):
-        raise PlanError("sequence bindings must map names to strings")
+        raise AutoRecipeError("sequence bindings must map names to strings")
     return _make_sequence(steps, parse_execution_order(order), goal=goal, bindings=bindings)
 
 
@@ -624,13 +594,13 @@ def _parse_step(n: int, entry) -> PromptStep:
             and type(entry.get("index")) is int
             and isinstance(entry.get("kind"), str)
             and isinstance(entry.get("body"), str)):
-        raise PlanError(
+        raise AutoRecipeError(
             f"sequence step {n} must be a mapping with an integer index and string kind and body"
         )
     try:
         return PromptStep(entry["index"], entry["kind"], entry["body"])
     except ValueError as exc:
-        raise PlanError(f"sequence step {n}: {exc}") from None
+        raise AutoRecipeError(f"sequence step {n}: {exc}") from None
 
 
 def _parse_goal(g) -> Goal:
@@ -639,5 +609,7 @@ def _parse_goal(g) -> Goal:
             and isinstance(g.get("target_node"), str)
             and isinstance(g.get("method_phrase", ""), str)
             and isinstance(g.get("text", ""), str)):
-        raise PlanError("sequence goal must be a mapping of strings with kpi and target_node")
+        raise AutoRecipeError(
+            "sequence goal must be a mapping of strings with kpi and target_node"
+        )
     return Goal(g["kpi"], g["target_node"], g.get("method_phrase", ""), g.get("text", ""))

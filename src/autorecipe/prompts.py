@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import presets
-from .errors import MissingBindingError, NotFoundError, UnknownPlaceholderWarning
+from .errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarning
 
 __all__ = [
     "PromptTemplate",
@@ -96,13 +96,13 @@ class PromptRegistry:
         try:
             return self.templates[template_id]
         except KeyError:
-            raise NotFoundError(f"no template registered under {template_id!r}") from None
+            raise AutoRecipeError(f"no template registered under {template_id!r}") from None
 
     def role(self, name: str) -> RoleProfile:
         try:
             return self.roles[name]
         except KeyError:
-            raise NotFoundError(f"no role profile registered under {name!r}") from None
+            raise AutoRecipeError(f"no role profile registered under {name!r}") from None
 
     def resolve_role(self, profile: RoleProfile) -> PromptTemplate:
         """Return the profile's system template, checking it exists and is a system prompt."""

@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__
 from ._yamlio import load_mapping
-from .errors import NotFoundError, ValidationFailedError
+from .errors import AutoRecipeError, ValidationFailedError
 from .scoring import (
     _MAX_PAIRWISE,
     CATEGORIES,
@@ -549,7 +549,7 @@ def parse_bundle(bundle_dir) -> Recipe:
     root = Path(bundle_dir)
     index_path = root / RECIPE_INDEX_FILE
     if not index_path.is_file():
-        raise NotFoundError(f"no {RECIPE_INDEX_FILE} in {root}")
+        raise AutoRecipeError(f"no {RECIPE_INDEX_FILE} in {root}")
     try:
         index_text = index_path.read_text(encoding="utf-8")
     except UnicodeDecodeError:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 from ._yamlio import load_mapping
 from .errors import (
-    EmptyDocumentError,
+    AutoRecipeError,
     FewerClaimsWarning,
-    GatewayError,
     NliClientError,
     SearchClientError,
     ValidationFailedError,
@@ -227,7 +226,7 @@ class ConstantNliClient:
 def segment(kd: KnowledgeDocument) -> list[Passage]:
     """One passage per document part, ids contiguous from 1."""
     if not kd.parts:
-        raise EmptyDocumentError("knowledge document has no parts to segment")
+        raise AutoRecipeError("knowledge document has no parts to segment")
     return [
         Passage(id=i, part_label=part.label, body=part.body.strip())
         for i, part in enumerate(kd.parts, start=1)
@@ -265,7 +264,7 @@ def generate_claims(
     if k < 1:
         raise ValueError("k must be at least 1")
     if not passage.body.strip():
-        raise GatewayError(f"passage {passage.id} has an empty body; nothing to ask about")
+        raise AutoRecipeError(f"passage {passage.id} has an empty body; nothing to ask about")
     registry = registry or default_registry()
     template = registry.get("claims.extract")
     prompt = instantiate(template, {"claim_count": str(k), "passage": passage.body})

@@ -15,12 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import metrics
-from .errors import (
-    ConfidenceOutOfRangeError,
-    GatewayError,
-    NoConfidenceError,
-    NoConfidenceWarning,
-)
+from .errors import AutoRecipeError, GatewayError, NoConfidenceError, NoConfidenceWarning
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, RoleProfile, default_registry
 
@@ -46,7 +41,7 @@ def parse_confidence(text: str) -> float:
         raise NoConfidenceError("reply carries no Confidence marker")
     value = float(matches[-1].group(1))
     if value > 100.0:
-        raise ConfidenceOutOfRangeError(f"confidence {value}% is outside [0, 100]")
+        raise AutoRecipeError(f"confidence {value}% is outside [0, 100]")
     return value
 
 

@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (
-    MissingSensorError,
-    NonPositiveEntryError,
-    NotFittedError,
-    NotReciprocalError,
-    OutOfDomainError,
-    RatioIndexUnavailableError,
-    ValidationFailedError,
-)
+from .errors import AutoRecipeError, ValidationFailedError
 
 # numpy is imported by the pairwise (ahp) functions only, on first use:
 # weighted scoring and every other command never load it.
@@ -80,7 +72,7 @@ class HealthIndicatorConfig:
         for s in self.sensors:
             if s.name == name:
                 return s
-        raise MissingSensorError(f"sensor {name!r} is not configured")
+        raise AutoRecipeError(f"sensor {name!r} is not configured")
 
     @property
     def sensor_names(self) -> tuple[str, ...]:
@@ -174,7 +166,7 @@ def validate_aggregation_config(
             else:
                 try:
                     _check_pairwise(matrix)
-                except (NotReciprocalError, NonPositiveEntryError, ValueError) as exc:
+                except (AutoRecipeError, ValueError) as exc:
                     violations.append(str(exc))
             if sensor_names is not None and set(cfg.sensors) != set(sensor_names):
                 violations.append("ahp sensor order must match the configured sensors")
@@ -216,7 +208,7 @@ def categorize(value: float, sensor: SensorConfig) -> str:
     """
     category = _category_finder(sensor)(value)
     if category is None:
-        raise OutOfDomainError(_out_of_domain_message(value, sensor))
+        raise AutoRecipeError(_out_of_domain_message(value, sensor))
     return category
 
 
@@ -251,7 +243,7 @@ def _blend(
 ) -> HealthScore:
     missing = weights.keys() - categories.keys()
     if missing:
-        raise MissingSensorError(
+        raise AutoRecipeError(
             "no category reading for sensor(s): " + ", ".join(sorted(missing))
         )
     breakdown = []
@@ -277,10 +269,10 @@ def _check_pairwise(matrix: np.ndarray) -> None:
     if n > _MAX_PAIRWISE:
         raise ValueError(f"pairwise matrix size {n} exceeds the supported maximum {_MAX_PAIRWISE}")
     if np.any(matrix <= 0):
-        raise NonPositiveEntryError("pairwise matrix entries must be positive")
+        raise AutoRecipeError("pairwise matrix entries must be positive")
     products = matrix * matrix.T
     if np.max(np.abs(products - 1.0)) > _RECIPROCAL_TOL:
-        raise NotReciprocalError(
+        raise AutoRecipeError(
             "matrix is not reciprocal: a[i,j]*a[j,i] deviates from 1 beyond tolerance"
         )
 
@@ -319,7 +311,7 @@ def consistency_ratio(matrix) -> float:
     if n <= 2:
         return 0.0
     if n not in RANDOM_INDEX:
-        raise RatioIndexUnavailableError(
+        raise AutoRecipeError(
             f"no published random index for matrix size {n} (max {max(RANDOM_INDEX)})"
         )
     eigenvalue, _ = principal_eigen(m)
@@ -355,7 +347,7 @@ class HealthScoreEstimator:
 
     def predict(self, dataset) -> list[HealthScore]:
         if self._indicator is None or self._aggregation is None:
-            raise NotFittedError("call fit() with the configs before predict()")
+            raise AutoRecipeError("call fit() with the configs before predict()")
         from .recipe import _scan_dataset  # avoid import cycle
 
         violations, latest = _scan_dataset(dataset, self._indicator)

@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from ._yamlio import load_yaml
-from .errors import (
-    CycleDetectedError,
-    DanglingReferenceError,
-    EmptyDocumentError,
-    MultipleRootsError,
-    TaxonomyError,
-    UnknownNodeError,
-)
+from .errors import AutoRecipeError, CycleDetectedError, MultipleRootsError
 
 __all__ = [
     "TaxonNode",
@@ -95,7 +88,7 @@ class Taxonomy:
     def node_id(self, name: str) -> str:
         nid = normalize_name(name)
         if nid not in self.nodes:
-            raise UnknownNodeError(f"unknown node: {name!r}")
+            raise AutoRecipeError(f"unknown node: {name!r}")
         return nid
 
     def label(self, name: str) -> str:
@@ -113,7 +106,7 @@ def _require_field(record: dict, key: str, position: int) -> str:
     value = record.get(key)
     text = " ".join(str(value).split()) if value is not None else ""
     if not text:
-        raise DanglingReferenceError(f"edge {position} has no {key}")
+        raise AutoRecipeError(f"edge {position} has no {key}")
     return text
 
 
@@ -121,23 +114,23 @@ def _require_field(record: dict, key: str, position: int) -> str:
 def parse_taxonomy(text: str) -> Taxonomy:
     """Parse and validate a taxonomy document.
 
-    Raises EmptyDocumentError for blank or root-less documents,
-    CycleDetectedError naming one cycle, MultipleRootsError when more
-    than one node lacks an incoming edge, and DanglingReferenceError for
-    incomplete edge records or unreachable nodes.
+    Raises CycleDetectedError naming one cycle, MultipleRootsError when
+    more than one node lacks an incoming edge, and AutoRecipeError for
+    blank or root-less documents, incomplete edge records or unreachable
+    nodes.
     """
     if not text or not text.strip():
-        raise EmptyDocumentError("taxonomy document is empty")
+        raise AutoRecipeError("taxonomy document is empty")
     try:
-        doc = load_yaml(text, "taxonomy document", TaxonomyError)
+        doc = load_yaml(text, "taxonomy document")
     except yaml.YAMLError as exc:
-        raise TaxonomyError(f"unreadable taxonomy document: {exc}") from exc
+        raise AutoRecipeError(f"unreadable taxonomy document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise EmptyDocumentError("taxonomy document has no mapping content")
+        raise AutoRecipeError("taxonomy document has no mapping content")
     root_raw = doc.get("kpi")
     root_label = " ".join(str(root_raw).split()) if root_raw is not None else ""
     if not root_label:
-        raise EmptyDocumentError("taxonomy document declares no kpi root")
+        raise AutoRecipeError("taxonomy document declares no kpi root")
 
     labels: dict[str, str] = {}  # id -> first-seen display label
 
@@ -150,11 +143,11 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
     raw_edges = doc.get("edges") or []
     if not isinstance(raw_edges, list):
-        raise TaxonomyError("edges must be a list of {parent, relation, child} records")
+        raise AutoRecipeError("edges must be a list of {parent, relation, child} records")
     edges: list[TaxonEdge] = []
     for i, record in enumerate(raw_edges, 1):
         if not isinstance(record, dict):
-            raise DanglingReferenceError(f"edge {i} is not a {{parent, relation, child}} record")
+            raise AutoRecipeError(f"edge {i} is not a {{parent, relation, child}} record")
         parent = intern(_require_field(record, "parent", i))
         relation = _require_field(record, "relation", i)
         child = intern(_require_field(record, "child", i))
@@ -187,7 +180,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
                 stack.append(c)
     unreachable = [labels[nid] for nid in labels if nid not in reachable]
     if unreachable:
-        raise DanglingReferenceError(
+        raise AutoRecipeError(
             "nodes not reachable from the root: " + ", ".join(sorted(unreachable))
         )
 

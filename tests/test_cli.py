@@ -646,3 +646,107 @@ def test_parser_gateway_sources_are_exclusive():
             "--script", "a.yaml",
             "--replay", "b.jsonl",
         ])
+
+
+# --- what each failure prints ------------------------------------------------------------
+
+_PLAN = ["plan", "--taxonomy", "{tax}", "--kpi", "asset health"]
+_GENERATE = ["generate", "--taxonomy", "{tax}", "--kpi", "asset health",
+             "--asset-class", "electric motor", "--script", "{script}", "--out", "{out}"]
+_REACT = [*_GENERATE, "--strategy", "allqreact", "--asset-description", "A motor."]
+_VERIFY = ["verify-refs", "--doc", "{doc}", "--script", "{script}",
+           "--search-script", "{search}", "--nli-script", "{nli}"]
+_SCORE = ["score", "--indicator-config", "{indicator}", "--aggregation-config", "{aggregation}",
+          "--dataset", "{dataset}"]
+_RANGES = ("{poor: {min: 0, max: 25}, medium: {min: 25, max: 50}, "
+           "good: {min: 50, max: 75}, excellent: {min: 75, max: 100}}")
+_SCORE_FILES = {
+    "indicator": f"sensors:\n  - {{name: a, unit: percent, ranges: {_RANGES}}}\n"
+                 f"  - {{name: b, unit: percent, ranges: {_RANGES}}}\n",
+    "dataset": "asset_id,sensor_name,value,timestamp,unit\n",
+}
+_AHP = ("method: ahp\ncategory_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
+        "sensors: [a, b]\npairwise: ")
+_CODE_PLAN = ("Step 1: Write a python function for the zebra stripes.\n"
+              "Step 2: Export a markdown output as guidelines.\n"
+              "Execution Order: Step 1 AND Step 2\n")
+
+
+def _replies(*replies) -> str:
+    return yaml.safe_dump({"strict": True, "replies": list(replies)})
+
+
+@pytest.mark.parametrize("files, argv, code, err", [
+    ({"tax": ""}, _PLAN, 2, "error: taxonomy document is empty"),
+    ({"tax": "kpi: asset health\nedges: {parent: asset health}\n"}, _PLAN, 2,
+     "error: edges must be a list of {parent, relation, child} records"),
+    ({"tax": "kpi: asset health\nedges:\n  - {parent: asset health, relation: analyzed}\n"},
+     _PLAN, 2, "error: edge 1 has no child"),
+    ({}, [*_PLAN, "--target", "gearbox"], 2,
+     "error: target node 'gearbox' is not in the asset health taxonomy"),
+    ({"plan": "Execution Order: Step 1\n"}, [*_PLAN, "--plan-text", "{plan}"], 2,
+     "error: model output declares no steps"),
+    ({"plan": "Step 1: Ask.\n"}, [*_PLAN, "--plan-text", "{plan}"], 2,
+     "error: model output declares no execution order"),
+    ({"plan": "Step 1: Ask.\nExecution Order: (Step 1\n"}, [*_PLAN, "--plan-text", "{plan}"], 2,
+     "error: unbalanced parenthesis in execution order"),
+    ({"plan": "Step 1: Ask.\nStep 3: Ask.\nExecution Order: Step 1 AND Step 3\n"},
+     [*_PLAN, "--plan-text", "{plan}"], 2, "error: step indices are not contiguous from 1: [1, 3]"),
+    ({"plan": "Step 1: Ask.\nStep 1: Ask.\nExecution Order: Step 1\n"},
+     [*_PLAN, "--plan-text", "{plan}"], 2, "error: step 1 is declared twice"),
+    ({"plan": "Step 1: Ask.\nExecution Order: Step 1 AND Step 2\n"},
+     [*_PLAN, "--plan-text", "{plan}"], 2, "error: execution order references undeclared step 2"),
+    ({"plan": "Step 1: Ask.\nStep 2: Ask.\nExecution Order: Step 1\n"},
+     [*_PLAN, "--plan-text", "{plan}"], 2, "error: execution order never references step 2"),
+    ({"plan": _CODE_PLAN}, [*_PLAN, "--plan-text", "{plan}"], 2,
+     "error: code step names no taxonomy node: 'Write a python function for the zebra stripes.'"),
+    ({"plan": "Step 1: Write a python function for the asset age.\nExecution Order: Step 1\n"},
+     [*_PLAN, "--plan-text", "{plan}"], 2, "error: resolving code steps left an empty plan"),
+    ({"script": _replies("Thought: nothing to add.")}, _REACT, 2,
+     "error: stage execute: reply has no Final Answer marker"),
+    ({"script": _replies("Final Answer:   ")}, _REACT, 2,
+     "error: stage execute: Final Answer marker carries no text"),
+    ({"script": _replies(), "plan": "Step 1: Export a markdown output as guidelines.\n"
+                                    "Execution Order: Step 1\n"},
+     [*_REACT, "--plan-text", "{plan}"], 2,
+     "error: stage execute: the reasoning scaffold needs at least two steps"),
+    ({"script": _replies(" \n\t")}, [*_GENERATE, "--strategy", "lastq",
+                                     "--asset-description", "A motor."], 2,
+     "error: stage execute: gateway returned an empty reply for step(s) (9,)"),
+    ({"script": _replies("A motor.\nConfidence: 150%")}, _GENERATE, 2,
+     "error: stage refine: confidence 150.0% is outside [0, 100]"),
+    ({"script": _replies()}, [*_PLAN, "--script", "{script}"], 3,
+     "error: no scripted reply for session e7f35ccce675 ('Goal: Analyze the asset health')"),
+    ({"store": ""}, [*_PLAN, "--replay", "{store}"], 3,
+     "error: no recorded reply for session e7f35ccce675 ('Goal: Analyze the asset health')"),
+    ({**_SCORE_FILES, "aggregation": _AHP + "[[1, 2], [2, 1]]\n"}, _SCORE, 2,
+     "error: validation failed:\n- matrix is not reciprocal: a[i,j]*a[j,i] deviates from 1 "
+     "beyond tolerance"),
+    ({**_SCORE_FILES, "aggregation": _AHP + "[[1, -1], [-1, 1]]\n"}, _SCORE, 2,
+     "error: validation failed:\n- pairwise matrix entries must be positive"),
+    ({"doc": "--- * ---\n", "other": "Motors wear.\n"},
+     ["metrics", "--doc", "{doc}", "--doc", "{other}"], 2,
+     "error: cannot compute type-token ratio of a token-free text"),
+    ({"doc": " \n", "script": _replies(), "search": "queries: {}\n", "nli": "pairs: []\n"},
+     _VERIFY, 2, "error: knowledge text is empty"),
+    ({"doc": "## Part 1: Intro\n## Part 2: Quality\nMotors wear.\n",
+      "script": _replies("1. Motors wear."), "search": "queries: {}\n", "nli": "pairs: []\n"},
+     _VERIFY, 2, "error: passage 1 has an empty body; nothing to ask about"),
+    ({}, [*_PLAN, "--record", "{store}"], 2,
+     "error: --record needs one of --script, --replay, or --gateway-config"),
+], ids=["empty-taxonomy", "edges-not-a-list", "dangling-edge", "unknown-target",
+        "plan-without-steps", "plan-without-order", "unbalanced-order", "non-contiguous-steps",
+        "step-declared-twice", "undeclared-step", "unreferenced-step", "code-step-names-no-node",
+        "no-step-left", "react-without-final-answer", "react-empty-final-answer",
+        "react-one-step", "blank-reply", "confidence-over-100", "script-miss", "replay-miss",
+        "non-reciprocal-ahp", "non-positive-ahp", "token-free-metrics", "empty-knowledge-doc",
+        "heading-only-part", "record-without-source"])
+def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
+    paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
+             "store": str(tmp_path / "store.jsonl")}
+    (tmp_path / "tax.yaml").write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.input")
+        (tmp_path / f"{name}.input").write_text(text, encoding="utf-8")
+    rc = main([arg.format(**paths) for arg in argv])
+    assert (rc, capsys.readouterr().err) == (code, err + "\n" if err else "")

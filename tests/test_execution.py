@@ -7,15 +7,7 @@ import warnings
 
 import pytest
 
-from autorecipe.errors import (
-    EmptyDocumentError,
-    EmptyReplyError,
-    MalformedFinalAnswerError,
-    MissingBindingError,
-    NoPartsWarning,
-    ScriptMissError,
-    TooFewStepsError,
-)
+from autorecipe.errors import AutoRecipeError, GatewayError, MissingBindingError, NoPartsWarning
 from autorecipe.execution import (
     PART_LABELS,
     STRATEGIES,
@@ -120,7 +112,7 @@ def test_split_parts_headingless_text_warns():
 
 
 def test_split_parts_rejects_empty_text():
-    with pytest.raises(EmptyDocumentError):
+    with pytest.raises(AutoRecipeError, match="^knowledge text is empty$"):
         split_parts("   \n ")
 
 
@@ -157,7 +149,7 @@ def test_wrap_react_needs_two_steps():
     lone = PromptSequence(
         (PromptStep(1, "export", "Please help me export a markdown output."),), StepRef(1)
     )
-    with pytest.raises(TooFewStepsError):
+    with pytest.raises(AutoRecipeError, match="^the reasoning scaffold needs at least two steps$"):
         wrap_react(lone)
 
 
@@ -186,7 +178,7 @@ def test_parse_react_reply_last_marker_wins():
 
 
 def test_parse_react_reply_requires_marker():
-    with pytest.raises(MalformedFinalAnswerError):
+    with pytest.raises(AutoRecipeError, match="^reply has no Final Answer marker$"):
         parse_react_reply("Thought: no conclusion yet")
 
 
@@ -265,7 +257,7 @@ def test_allqreact_unwraps_final_answer(health_tax, registry):
 def test_allqreact_rejects_empty_final_answer(health_tax, registry):
     seq = _materialized(health_tax)
     gateway = _EchoGateway(["Thought: done\nFinal Answer: "])
-    with pytest.raises(MalformedFinalAnswerError):
+    with pytest.raises(AutoRecipeError, match="^Final Answer marker carries no text$"):
         execute(seq, "allqreact", registry.role("domain-expert"), gateway, registry)
 
 
@@ -323,14 +315,16 @@ def test_execute_timestamps_are_monotonic(health_tax, registry):
 
 def test_execute_empty_reply_fails(health_tax, registry):
     seq = _materialized(health_tax)
-    with pytest.raises(EmptyReplyError):
+    with pytest.raises(
+        AutoRecipeError, match=r"^gateway returned an empty reply for step\(s\) \(1, "
+    ):
         execute(seq, "allq", registry.role("domain-expert"), _EchoGateway(["   "]), registry)
 
 
 def test_execute_attaches_step_index_to_gateway_errors(health_tax, registry):
     seq = _materialized(health_tax)
     gateway = ScriptedGateway(replies=[], strict=True)
-    with pytest.raises(ScriptMissError) as info:
+    with pytest.raises(GatewayError, match="^no scripted reply for session ") as info:
         execute(seq, "gitq", registry.role("domain-expert"), gateway, registry)
     assert info.value.step_index == 1
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autorecipe.errors import EmptyTextError
+from autorecipe.errors import AutoRecipeError
 from autorecipe.metrics import (
     TokenProfile,
     coverage,
@@ -86,8 +86,8 @@ def test_metrics_take_texts_or_profiles_alike(a, b, weighted):
     ):
         try:
             expected = fn(a, b)
-        except EmptyTextError:
-            with pytest.raises(EmptyTextError):
+        except AutoRecipeError as exc:
+            with pytest.raises(AutoRecipeError, match=f"^{re.escape(str(exc))}$"):
                 fn(pa, pb)
         else:
             assert fn(pa, pb) == expected
@@ -108,7 +108,7 @@ def test_ttr_hand_value():
 
 
 def test_ttr_empty_text():
-    with pytest.raises(EmptyTextError):
+    with pytest.raises(AutoRecipeError, match="^cannot compute type-token ratio of a token-free"):
         type_token_ratio("   ")
 
 
@@ -137,7 +137,7 @@ def test_coverage_weighted_counts_tokens():
 
 
 def test_coverage_empty_base():
-    with pytest.raises(EmptyTextError):
+    with pytest.raises(AutoRecipeError, match="^coverage base text has no tokens$"):
         coverage("", "a")
 
 

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autorecipe.errors import AutoRecipeError, PlanError
+from autorecipe.errors import AutoRecipeError
 from autorecipe.execution import parse_react_reply, split_parts
 from autorecipe.planning import STEP_KINDS, parse_plan, parse_sequence, serialize_sequence
 from autorecipe.refinement import parse_confidence
@@ -83,6 +83,7 @@ def test_parse_sequence_raises_plan_error_on_any_document_shape(doc):
     text = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
     try:
         seq = parse_sequence(text)
-    except PlanError:
+    except AutoRecipeError as exc:
+        assert type(exc) is AutoRecipeError
         return
     assert parse_sequence(serialize_sequence(seq)) == seq

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from autorecipe import presets
-from autorecipe.errors import MissingBindingError, NotFoundError, UnknownPlaceholderWarning
+from autorecipe.errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarning
 from autorecipe.prompts import (
     ROLE_NAMES,
     PromptRegistry,
@@ -63,7 +63,7 @@ def test_partial_leaves_other_slots():
 
 
 def test_registry_get_unknown():
-    with pytest.raises(NotFoundError):
+    with pytest.raises(AutoRecipeError, match="^no template registered under 'nope'$"):
         PromptRegistry(templates={"u": PromptTemplate("u", "user", "body")}).get("nope")
 
 

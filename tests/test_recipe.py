@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autorecipe import recipe as recipe_module
-from autorecipe.errors import NotFoundError, ValidationFailedError
+from autorecipe.errors import AutoRecipeError, ValidationFailedError
 from autorecipe.execution import split_parts
 from autorecipe.recipe import (
     AGGREGATION_CONFIG_FILE,
@@ -568,7 +568,7 @@ def test_random_recipes_round_trip_through_a_bundle(recipe):
 
 
 def test_parse_bundle_missing_index(tmp_path):
-    with pytest.raises(NotFoundError):
+    with pytest.raises(AutoRecipeError, match=r"^no recipe\.yaml in "):
         parse_bundle(tmp_path)
 
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from autorecipe.errors import (
-    EmptyDocumentError,
+    AutoRecipeError,
     FewerClaimsWarning,
     GatewayError,
     SearchClientError,
@@ -77,7 +77,7 @@ def test_segment_assigns_contiguous_ids(three_part_doc):
 
 
 def test_segment_rejects_empty_document():
-    with pytest.raises(EmptyDocumentError):
+    with pytest.raises(AutoRecipeError, match="^knowledge document has no parts to segment$"):
         segment(KnowledgeDocument(parts=()))
 
 
@@ -147,7 +147,7 @@ def test_generate_claims_prompt_contents(registry):
 def test_generate_claims_argument_validation(registry):
     with pytest.raises(ValueError):
         generate_claims(_passage(), _Recorder([]), k=0, registry=registry)
-    with pytest.raises(GatewayError):
+    with pytest.raises(AutoRecipeError, match="^passage 1 has an empty body; nothing to ask about"):
         generate_claims(_passage("   "), _Recorder([]), registry=registry)
 
 

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from autorecipe.errors import (
-    ConfidenceOutOfRangeError,
+    AutoRecipeError,
+    GatewayError,
     NoConfidenceError,
     NoConfidenceWarning,
-    ScriptMissError,
 )
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.refinement import (
@@ -55,7 +55,7 @@ def test_parse_confidence_last_marker_wins():
 def test_parse_confidence_errors():
     with pytest.raises(NoConfidenceError):
         parse_confidence("no marker anywhere")
-    with pytest.raises(ConfidenceOutOfRangeError):
+    with pytest.raises(AutoRecipeError, match=r"^confidence 150\.0% is outside \[0, 100\]$"):
         parse_confidence("Confidence: 150%")
 
 
@@ -201,7 +201,7 @@ def test_refine_missing_marker_warns_and_drops(registry):
 
 def test_refine_out_of_range_confidence_raises(registry):
     gateway = _Recorder(["Sure. Confidence: 120%"])
-    with pytest.raises(ConfidenceOutOfRangeError):
+    with pytest.raises(AutoRecipeError, match=r"^confidence 120\.0% is outside \[0, 100\]$"):
         refine(gateway, registry.role("domain-expert"), QUESTION)
 
 
@@ -214,7 +214,7 @@ def test_refine_argument_validation(registry):
 
 def test_refine_gateway_failure_attaches_partial_records(registry):
     gateway = ScriptedGateway(replies=["First.\nConfidence: 90%"], strict=True)
-    with pytest.raises(ScriptMissError) as info:
+    with pytest.raises(GatewayError, match="^no scripted reply for session ") as info:
         refine(gateway, registry.role("domain-expert"), QUESTION, max_rounds=3)
     partial = info.value.partial_records
     assert len(partial) == 1

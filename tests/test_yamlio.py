@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from autorecipe import presets
 from autorecipe._yamlio import load_mapping, load_yaml
-from autorecipe.errors import AutoRecipeError, TaxonomyError, ValidationFailedError
+from autorecipe.errors import AutoRecipeError, ValidationFailedError
 from autorecipe.planning import Goal, generate_sequence_deterministic, serialize_sequence
 from autorecipe.prompts import default_registry
 from autorecipe.recipe import (
@@ -159,17 +159,16 @@ def test_load_yaml_reads_open_files_as_text(tmp_path):
         assert load_yaml(fh, str(path)) == yaml.safe_load(_FIXTURES[0])
 
 
-@pytest.mark.parametrize("error", [AutoRecipeError, TaxonomyError])
-def test_load_yaml_deep_nesting_names_the_source(error):
-    with pytest.raises(error, match="unreadable deep.yaml: nested too deeply"):
-        load_yaml("[" * 3000 + "]" * 3000, "deep.yaml", error)
+def test_load_yaml_deep_nesting_names_the_source():
+    with pytest.raises(AutoRecipeError, match="^unreadable deep.yaml: nested too deeply$"):
+        load_yaml("[" * 3000 + "]" * 3000, "deep.yaml")
 
 
 @pytest.mark.parametrize("text", ['!!int ""\n', "!!bool x\n", "!!timestamp x\n",
                                   "!!timestamp 2024-02-30\n", "kpi: !!float x\n"])
 def test_load_yaml_bad_tagged_scalar_names_the_source(text):
-    with pytest.raises(TaxonomyError, match="unreadable doc.yaml: bad tagged value"):
-        load_yaml(text, "doc.yaml", TaxonomyError)
+    with pytest.raises(AutoRecipeError, match="^unreadable doc.yaml: bad tagged value"):
+        load_yaml(text, "doc.yaml")
 
 
 def test_load_yaml_keeps_syntax_errors_as_yaml_errors():
