@@ -1,13 +1,28 @@
-"""The one YAML loader every input goes through.
+"""The one YAML loader every input goes through, and the one shape check.
 
-Inputs that must be mappings (configs, scripts, bundle files) go through
-``load_mapping``, which checks the document's shape in one place.
+``load_checked`` loads a document and checks it against a schema built
+from the kinds below; ``check`` does the same for a document read some
+other way, such as one JSON record.  The rules are the same for every file:
+
+- a null value counts as an absent key, and a null document as an empty
+  mapping;
+- a record is closed: a key it does not name is a violation;
+- a violation reads ``<source>: <path> must be <noun>, got <value>``, where
+  the path is dotted, list positions count from 1, and the document itself
+  is named by what it is meant to be.
+
+Every violation found is raised at once, in one ``ValidationFailedError``.
+The check only reads the document; a loader reads an absent optional key
+as its default.
 
 Dumping stays on ``yaml.safe_dump`` at each writer, so written files do
 not depend on which parser PyYAML was built with.
 """
 
 from __future__ import annotations
+
+import reprlib
+import sys
 
 import yaml
 
@@ -54,13 +69,109 @@ def load_yaml(stream, source):
         raise AutoRecipeError(f"unreadable {source}: bad tagged value ({exc!r})") from exc
 
 
-def load_mapping(stream, source, what: str) -> dict:
-    """A YAML document that must be a mapping; an empty document is ``{}``.
+# --- schemas ---------------------------------------------------------------------
+#
+# Each kind appends (where, noun, value) to ``found`` for every place a value
+# does not fit it.  ``path`` starts with the document's name, which stands in
+# for the path only where the path is empty.
 
-    Any other document raises ``ValidationFailedError`` naming ``source``
-    and ``what`` the document is meant to be.
+def _where(path: tuple) -> str:
+    return ".".join(map(str, path[1:])) or path[0]
+
+
+class _Kind:
+    """Values of ``types``, called ``noun`` in a violation."""
+
+    def __init__(self, noun: str, *types: type):
+        self.noun, self.types = noun, types
+
+    def check(self, value, path, found) -> None:
+        # bool is a subclass of int, so only a bool kind takes true and false.
+        if isinstance(value, self.types) and (bool in self.types or not isinstance(value, bool)):
+            self.check_inside(value, path, found)
+        else:
+            found.append((_where(path), self.noun, value))
+
+    def check_inside(self, value, path, found) -> None:
+        """Checks the parts of a value of the right type; a scalar has none."""
+
+
+class _Number(_Kind):
+    def check_inside(self, value, path, found) -> None:
+        # Every number is read as a float, which an int this large overflows.
+        if type(value) is int and abs(value) > sys.float_info.max:
+            found.append((_where(path), self.noun, value))
+
+
+TEXT = _Kind("a string", str)
+BOOL = _Kind("true or false", bool)
+INT = _Kind("an integer", int)
+NUMBER = _Number("a number", int, float)
+
+
+class ListOf(_Kind):
+    def __init__(self, item: _Kind):
+        super().__init__("a list", list)
+        self.item = item
+
+    def check_inside(self, value, path, found) -> None:
+        for position, item in enumerate(value, start=1):
+            self.item.check(item, (*path, position), found)
+
+
+class MapOf(_Kind):
+    def __init__(self, key: _Kind, value: _Kind):
+        super().__init__("a mapping", dict)
+        self.key, self.value = key, value
+
+    def check_inside(self, value, path, found) -> None:
+        for key, item in value.items():
+            self.key.check(key, (*path[:-1], f"{path[-1]} key"), found)
+            self.value.check(item, (*path, key), found)
+
+
+class Record(_Kind):
+    """A mapping with fixed keys; ``required`` and ``optional`` map each key to its kind."""
+
+    def __init__(self, required=None, optional=None):
+        super().__init__("a mapping", dict)
+        self.required = dict(required or {})
+        self.fields = {**self.required, **(optional or {})}
+
+    def check_inside(self, value, path, found) -> None:
+        for key, item in value.items():
+            if key not in self.fields:
+                found.append((f"{_where(path)} key", "one of " + ", ".join(self.fields), key))
+            elif item is not None:
+                self.fields[key].check(item, (*path, key), found)
+        for key, kind in self.required.items():
+            if value.get(key) is None:
+                found.append((_where((*path, key)), kind.noun, None))
+
+
+# A violation can quote a whole document or a huge number, so values are
+# shortened.
+_brief = reprlib.Repr()
+_brief.maxstring = _brief.maxother = 60
+
+
+def check(doc, source, what: str, schema: Record) -> dict:
+    """``doc``, read from ``source`` and meant to be ``what``, once it fits ``schema``.
+
+    A null document is an empty mapping.  Raises ``ValidationFailedError``
+    listing every violation.
     """
-    data = load_yaml(stream, source) or {}
-    if not isinstance(data, dict):
-        raise ValidationFailedError([f"{source}: {what} must be a mapping"])
-    return data
+    doc = {} if doc is None else doc
+    found: list[tuple[str, str, object]] = []
+    schema.check(doc, (what,), found)
+    if found:
+        raise ValidationFailedError([
+            f"{source}: {where} must be {noun}, got {_brief.repr(value)}"
+            for where, noun, value in found
+        ])
+    return doc
+
+
+def load_checked(stream, source, what: str, schema: Record) -> dict:
+    """The YAML document in ``stream``, through ``load_yaml`` and then ``check``."""
+    return check(load_yaml(stream, source), source, what, schema)

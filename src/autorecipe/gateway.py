@@ -16,8 +16,8 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 
-from ._yamlio import load_mapping
-from .errors import AutoRecipeError, GatewayError, TransportError, ValidationFailedError
+from ._yamlio import BOOL, INT, NUMBER, TEXT, ListOf, MapOf, Record, check, load_checked
+from .errors import AutoRecipeError, GatewayError, TransportError
 
 __all__ = [
     "ChatMessage",
@@ -71,29 +71,16 @@ class GatewayConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
-# field name -> its annotation, "str", "float" or "int"
-_CONFIG_TYPES = {f.name: f.type for f in fields(GatewayConfig)}
-# A float field takes an int too; no field takes a bool.
-_ACCEPTED = {"str": (str,), "float": (int, float), "int": (int,)}
-_TYPE_NAMES = {"str": "a string", "float": "a number", "int": "an integer"}
+# One optional key per field; a float field takes an int too.
+_CONFIG = Record(optional={
+    f.name: {"str": TEXT, "float": NUMBER, "int": INT}[f.type] for f in fields(GatewayConfig)
+})
 
 
 def load_gateway_config(path) -> GatewayConfig:
     with open(path, encoding="utf-8") as fh:
-        doc = load_mapping(fh, path, "gateway config")
-    unknown = sorted(str(key) for key in doc.keys() - _CONFIG_TYPES.keys())
-    if unknown:
-        raise ValidationFailedError(
-            [f"{path}: unknown gateway config key(s): {', '.join(unknown)}"]
-        )
-    wrong = [
-        f"{path}: {key} must be {_TYPE_NAMES[_CONFIG_TYPES[key]]}, got {value!r}"
-        for key, value in doc.items()
-        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[_CONFIG_TYPES[key]])
-    ]
-    if wrong:
-        raise ValidationFailedError(wrong)
-    return GatewayConfig(**doc)
+        doc = load_checked(fh, path, "gateway config", _CONFIG)
+    return GatewayConfig(**{key: value for key, value in doc.items() if value is not None})
 
 
 def canonical_content(text: str) -> str:
@@ -117,6 +104,11 @@ def _check_session(session: list[ChatMessage]) -> None:
         raise GatewayError("session is empty")
     if session[-1].role != "user":
         raise GatewayError("session must end with a user message")
+
+
+_SCRIPT = Record(optional={
+    "replies": ListOf(TEXT), "by_key": MapOf(TEXT, TEXT), "strict": BOOL, "default": TEXT,
+})
 
 
 class ScriptedGateway:
@@ -143,23 +135,9 @@ class ScriptedGateway:
     @classmethod
     def from_file(cls, path) -> "ScriptedGateway":
         with open(path, encoding="utf-8") as fh:
-            doc = load_mapping(fh, path, "script")
-        replies, by_key = doc.get("replies") or [], doc.get("by_key") or {}
-        violations = []
-        if not (isinstance(replies, list) and all(isinstance(r, str) for r in replies)):
-            violations.append(f"{path}: script replies must be a list of strings")
-        if not (isinstance(by_key, dict)
-                and all(isinstance(v, str) for v in [*by_key, *by_key.values()])):
-            violations.append(f"{path}: script by_key must map session keys to reply strings")
-        default = doc.get("default")
-        if default is not None and not isinstance(default, str):
-            violations.append(f"{path}: script default must be a string")
-        strict = doc.get("strict", True)
-        if not isinstance(strict, bool):
-            violations.append(f"{path}: script strict must be true or false")
-        if violations:
-            raise ValidationFailedError(violations)
-        return cls(replies=replies, by_key=by_key, strict=strict, default=default)
+            doc = load_checked(fh, path, "script", _SCRIPT)
+        return cls(replies=doc.get("replies"), by_key=doc.get("by_key"),
+                   strict=doc.get("strict") is not False, default=doc.get("default"))
 
     def complete(self, session: list[ChatMessage]) -> str:
         _check_session(session)
@@ -325,6 +303,12 @@ class RecordingGateway:
         return reply
 
 
+# One line of a store, as RecordingGateway writes it.
+_STORE_RECORD = Record(required={"key": TEXT, "reply": TEXT}, optional={
+    "session": ListOf(Record(required={"role": TEXT, "content": TEXT})),
+})
+
+
 class ReplayGateway:
     """Serves recorded replies only; an unknown session is an error, never a guess."""
 
@@ -337,14 +321,9 @@ class ReplayGateway:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise AutoRecipeError(f"{path}:{number}: not a JSON record: {exc}") from None
-                if not (
-                    isinstance(record, dict)
-                    and isinstance(record.get("key"), str)
-                    and isinstance(record.get("reply"), str)
-                ):
-                    raise AutoRecipeError(f"{path}:{number}: record needs string key and reply")
+                record = check(record, f"{path}:{number}", "record", _STORE_RECORD)
                 self._replies[record["key"]] = record["reply"]
 
     def complete(self, session: list[ChatMessage]) -> str:

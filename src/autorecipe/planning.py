@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from ._yamlio import load_yaml
+from ._yamlio import INT, TEXT, ListOf, MapOf, Record, load_checked
 from .errors import AutoRecipeError, MissingBindingError
 from .gateway import ChatMessage
 from .presets import PLANNER_CONSTRAINTS, PLANNER_TASK_INTRO
@@ -567,49 +567,34 @@ def serialize_sequence(seq: PromptSequence) -> str:
     return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
 
+_SEQUENCE = Record(
+    required={
+        "steps": ListOf(Record(required={"index": INT, "kind": TEXT, "body": TEXT})),
+        "execution_order": TEXT,
+    },
+    optional={
+        "goal": Record(required={"kpi": TEXT, "target_node": TEXT},
+                       optional={"method_phrase": TEXT, "text": TEXT}),
+        "bindings": MapOf(TEXT, TEXT),
+    },
+)
+
+
 def parse_sequence(text: str) -> PromptSequence:
     """Read back what serialize_sequence writes; any other shape raises AutoRecipeError."""
     try:
-        doc = load_yaml(text, "sequence document")
+        doc = load_checked(text, "sequence document", "sequence", _SEQUENCE)
     except yaml.YAMLError as exc:
         raise AutoRecipeError(f"unreadable sequence document: {exc}") from exc
-    if not isinstance(doc, dict) or "steps" not in doc:
-        raise AutoRecipeError("sequence document has no steps")
-    if not isinstance(doc["steps"], list):
-        raise AutoRecipeError("sequence steps must be a list")
-    steps = [_parse_step(n, entry) for n, entry in enumerate(doc["steps"], start=1)]
-    order = doc.get("execution_order")
-    if not isinstance(order, str):
-        raise AutoRecipeError("sequence document has no execution_order string")
-    goal = _parse_goal(doc["goal"]) if doc.get("goal") else None
-    bindings = doc.get("bindings") or {}
-    if not (isinstance(bindings, dict)
-            and all(isinstance(v, str) for v in [*bindings, *bindings.values()])):
-        raise AutoRecipeError("sequence bindings must map names to strings")
-    return _make_sequence(steps, parse_execution_order(order), goal=goal, bindings=bindings)
-
-
-def _parse_step(n: int, entry) -> PromptStep:
-    if not (isinstance(entry, dict)
-            and type(entry.get("index")) is int
-            and isinstance(entry.get("kind"), str)
-            and isinstance(entry.get("body"), str)):
-        raise AutoRecipeError(
-            f"sequence step {n} must be a mapping with an integer index and string kind and body"
-        )
-    try:
-        return PromptStep(entry["index"], entry["kind"], entry["body"])
-    except ValueError as exc:
-        raise AutoRecipeError(f"sequence step {n}: {exc}") from None
-
-
-def _parse_goal(g) -> Goal:
-    if not (isinstance(g, dict)
-            and isinstance(g.get("kpi"), str)
-            and isinstance(g.get("target_node"), str)
-            and isinstance(g.get("method_phrase", ""), str)
-            and isinstance(g.get("text", ""), str)):
-        raise AutoRecipeError(
-            "sequence goal must be a mapping of strings with kpi and target_node"
-        )
-    return Goal(g["kpi"], g["target_node"], g.get("method_phrase", ""), g.get("text", ""))
+    steps = []
+    for n, entry in enumerate(doc["steps"], start=1):
+        try:
+            steps.append(PromptStep(entry["index"], entry["kind"], entry["body"]))
+        except ValueError as exc:
+            raise AutoRecipeError(f"sequence step {n}: {exc}") from None
+    goal = doc.get("goal")
+    if goal is not None:
+        goal = Goal(goal["kpi"], goal["target_node"],
+                    goal.get("method_phrase") or "", goal.get("text") or "")
+    order = parse_execution_order(doc["execution_order"])
+    return _make_sequence(steps, order, goal=goal, bindings=doc.get("bindings"))

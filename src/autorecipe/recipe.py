@@ -23,7 +23,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from ._yamlio import load_mapping
+from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, load_checked
 from .errors import AutoRecipeError, ValidationFailedError
 from .scoring import (
     _MAX_PAIRWISE,
@@ -373,38 +373,20 @@ def _indicator_to_mapping(cfg: HealthIndicatorConfig) -> dict:
     }
 
 
+_INDICATOR = Record(optional={"sensors": ListOf(Record(
+    required={"name": TEXT, "unit": TEXT},
+    optional={"ranges": MapOf(TEXT, Record(required={"min": NUMBER, "max": NUMBER}))},
+))})
+
+
 def _indicator_from_mapping(data: dict) -> HealthIndicatorConfig:
-    sensors = []
-    violations = []
-    entries = data.get("sensors") or []
-    if not isinstance(entries, list):
-        violations.append("sensors must be a list of sensor mappings")
-        entries = []
-    for i, entry in enumerate(entries, start=1):
-        where = f"sensor {i}"
-        if not isinstance(entry, dict):
-            violations.append(f"{where} is not a mapping")
-            continue
-        bad = [key for key in ("name", "unit") if not isinstance(entry.get(key), str)]
-        violations += [
-            f"{where} has no {key}" if entry.get(key) is None else f"{where} {key} must be a string"
-            for key in bad
-        ]
-        raw_ranges = entry.get("ranges") or {}
-        if not isinstance(raw_ranges, dict):
-            violations.append(f"{where} ranges must map each category to {{min, max}}")
-            continue
-        ranges = {}
-        for category, bounds in raw_ranges.items():
-            try:
-                ranges[category] = (float(bounds["min"]), float(bounds["max"]))
-            except (KeyError, TypeError, ValueError):
-                violations.append(f"{where} range {category!r} needs numeric min and max")
-        if not bad:
-            sensors.append(SensorConfig(name=entry["name"], unit=entry["unit"], ranges=ranges))
-    if violations:
-        raise ValidationFailedError(violations)
-    return HealthIndicatorConfig(sensors=tuple(sensors))
+    return HealthIndicatorConfig(sensors=tuple(
+        SensorConfig(name=sensor["name"], unit=sensor["unit"], ranges={
+            category: (float(bounds["min"]), float(bounds["max"]))
+            for category, bounds in (sensor.get("ranges") or {}).items()
+        })
+        for sensor in data.get("sensors") or []
+    ))
 
 
 def _aggregation_to_mapping(cfg: AggregationConfig) -> dict:
@@ -420,47 +402,25 @@ def _aggregation_to_mapping(cfg: AggregationConfig) -> dict:
     return data
 
 
-def _number_map(data: dict, key: str, violations: list[str]) -> dict[str, float]:
-    raw = data.get(key) or {}
-    if not isinstance(raw, dict):
-        violations.append(f"{key} must map each name to a number")
-        return {}
-    numbers = {}
-    for name, value in raw.items():
-        try:
-            numbers[name] = float(value)
-        except (TypeError, ValueError):
-            violations.append(f"{key} {name!r} must be a number")
-    return numbers
+_AGGREGATION = Record(optional={
+    "method": TEXT,
+    "category_scores": MapOf(TEXT, NUMBER),
+    "weights": MapOf(TEXT, NUMBER),
+    "sensors": ListOf(TEXT),
+    "pairwise": ListOf(ListOf(NUMBER)),
+})
 
 
 def _aggregation_from_mapping(data: dict) -> AggregationConfig:
-    violations: list[str] = []
-    category_scores = _number_map(data, "category_scores", violations)
-    weights = _number_map(data, "weights", violations)
-    rows = data.get("pairwise") or []
-    if not isinstance(rows, list):
-        violations.append("pairwise must be a list of rows")
-        rows = []
-    names = data.get("sensors") or []
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        violations.append("sensors must be a list of sensor names")
-    pairwise = []
-    for i, row in enumerate(rows, start=1):
-        try:
-            if not isinstance(row, list):
-                raise TypeError
-            pairwise.append(tuple(float(x) for x in row))
-        except (TypeError, ValueError):
-            violations.append(f"pairwise row {i} must be a list of numbers")
-    if violations:
-        raise ValidationFailedError(violations)
+    def numbers(key: str) -> dict[str, float]:
+        return {name: float(value) for name, value in (data.get(key) or {}).items()}
+
     return AggregationConfig(
-        category_scores=category_scores,
-        method=data.get("method", ""),
-        weights=weights or None,
-        sensors=tuple(names),
-        pairwise=tuple(pairwise),
+        category_scores=numbers("category_scores"),
+        method=data.get("method") or "",
+        weights=numbers("weights") or None,
+        sensors=tuple(data.get("sensors") or ()),
+        pairwise=tuple(tuple(float(x) for x in row) for row in data.get("pairwise") or ()),
     )
 
 
@@ -484,14 +444,29 @@ def _manifest(recipe: Recipe) -> dict:
     }
 
 
+# The bundle's index and wrapper manifest; parse_bundle then compares the
+# manifest with the one the recipe derives.
+_INDEX = Record(required={"kpi": TEXT, "asset_class": TEXT}, optional={
+    "artifacts": ListOf(Record(required={"kind": TEXT, "path": TEXT, "sha256": TEXT})),
+})
+_MANIFEST = Record(required={
+    "indicator_config": TEXT,
+    "aggregation_config": TEXT,
+    "dataset": TEXT,
+    "output": TEXT,
+    "model": Record(required={"name": TEXT, "method": TEXT, "version": TEXT}),
+    "run": Record(required={"created_at": TEXT, "tool_version": TEXT}, optional={"seed": INT}),
+})
+
+
 def load_indicator_config(path) -> HealthIndicatorConfig:
     text = Path(path).read_text(encoding="utf-8")
-    return _indicator_from_mapping(load_mapping(text, path, "indicator config"))
+    return _indicator_from_mapping(load_checked(text, path, "indicator config", _INDICATOR))
 
 
 def load_aggregation_config(path) -> AggregationConfig:
     text = Path(path).read_text(encoding="utf-8")
-    return _aggregation_from_mapping(load_mapping(text, path, "aggregation config"))
+    return _aggregation_from_mapping(load_checked(text, path, "aggregation config", _AGGREGATION))
 
 
 def _dump_yaml(data: dict) -> str:
@@ -554,28 +529,16 @@ def parse_bundle(bundle_dir) -> Recipe:
         index_text = index_path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ValidationFailedError([f"{RECIPE_INDEX_FILE} is not UTF-8 text"]) from None
-    index = load_mapping(index_text, index_path, "recipe index")
+    index = load_checked(index_text, RECIPE_INDEX_FILE, "recipe index", _INDEX)
     payloads: dict[str, bytes] = {}
     violations = []
-    entries = index.get("artifacts") or []
-    if not isinstance(entries, list):
-        violations.append(f"{RECIPE_INDEX_FILE} artifacts must be a list")
-        entries = []
-    for i, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict):
-            violations.append(f"artifact {i} of {RECIPE_INDEX_FILE} is not a mapping")
-            continue
-        absent = [key for key in ("path", "kind") if not isinstance(entry.get(key), str)]
-        if absent:
-            violations += [f"artifact {i} of {RECIPE_INDEX_FILE} has no {key}" for key in absent]
-            continue
+    for entry in index.get("artifacts") or []:
         path = root / entry["path"]
         if not path.is_file():
             violations.append(f"missing artifact file {entry['path']!r}")
             continue
         payload = path.read_bytes()
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != entry.get("sha256"):
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
             violations.append(f"content hash mismatch for {entry['path']!r}")
         payloads[entry["kind"]] = payload
     violations += [
@@ -590,33 +553,23 @@ def parse_bundle(bundle_dir) -> Recipe:
         except UnicodeDecodeError:
             raise ValidationFailedError([f"{filename} is not UTF-8 text"]) from None
 
-    manifest = load_mapping(text(WRAPPER_MANIFEST_FILE), root / WRAPPER_MANIFEST_FILE,
-                            "wrapper manifest")
-    run = manifest.get("run") if isinstance(manifest.get("run"), dict) else {}
-    seed, created_at = run.get("seed"), run.get("created_at")
-    violations = [
-        f"{RECIPE_INDEX_FILE} {key} must be a string"
-        for key in ("kpi", "asset_class") if not isinstance(index.get(key), str)
-    ]
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        violations.append(f"{WRAPPER_MANIFEST_FILE} run.seed must be an integer or null")
-    if not isinstance(created_at, str):
-        violations.append(f"{WRAPPER_MANIFEST_FILE} run.created_at must be a string")
-    if violations:
-        raise ValidationFailedError(violations)
+    def document(filename: str, what: str, schema: Record) -> dict:
+        return load_checked(text(filename), filename, what, schema)
+
+    manifest = document(WRAPPER_MANIFEST_FILE, "wrapper manifest", _MANIFEST)
     recipe = Recipe(
         kpi=index["kpi"],
         asset_class=index["asset_class"],
         knowledge_doc=text(KNOWLEDGE_DOC_FILE),
-        indicator=_indicator_from_mapping(load_mapping(
-            text(INDICATOR_CONFIG_FILE), root / INDICATOR_CONFIG_FILE, "indicator config"
-        )),
-        aggregation=_aggregation_from_mapping(load_mapping(
-            text(AGGREGATION_CONFIG_FILE), root / AGGREGATION_CONFIG_FILE, "aggregation config"
-        )),
+        indicator=_indicator_from_mapping(
+            document(INDICATOR_CONFIG_FILE, "indicator config", _INDICATOR)
+        ),
+        aggregation=_aggregation_from_mapping(
+            document(AGGREGATION_CONFIG_FILE, "aggregation config", _AGGREGATION)
+        ),
         dataset=dataset_from_csv(text(DATASET_FILE)),
-        seed=seed,
-        created_at=created_at,
+        seed=manifest["run"].get("seed"),
+        created_at=manifest["run"]["created_at"],
     )
     if manifest != _manifest(recipe):
         violations.append(f"{WRAPPER_MANIFEST_FILE} is not the manifest of this recipe")

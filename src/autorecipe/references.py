@@ -13,21 +13,14 @@ order so output does not depend on completion order.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import warnings
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ._yamlio import load_mapping
-from .errors import (
-    AutoRecipeError,
-    FewerClaimsWarning,
-    NliClientError,
-    SearchClientError,
-    ValidationFailedError,
-)
+from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_checked
+from .errors import AutoRecipeError, FewerClaimsWarning, NliClientError, SearchClientError
 from .execution import KnowledgeDocument
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry, instantiate
@@ -117,6 +110,13 @@ class CitedDocument:
 
 # --- scripted clients ---------------------------------------------------------
 
+_SEARCH_SCRIPT = Record(optional={
+    "queries": MapOf(TEXT, ListOf(Record(required={"url": TEXT},
+                                         optional={"text": TEXT, "error": TEXT}))),
+    "strict": BOOL,
+})
+
+
 class ScriptedSearchClient:
     """File- or dict-backed search results keyed by the exact query string."""
 
@@ -128,31 +128,13 @@ class ScriptedSearchClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedSearchClient":
         with open(path, encoding="utf-8") as handle:
-            data = load_mapping(handle, path, "search script")
-        queries = data.get("queries") or {}
-        if not isinstance(queries, dict):
-            raise ValidationFailedError([f"{path}: search script queries must be a mapping"])
-        results, violations = {}, []
-        for query, hits in queries.items():
-            if not isinstance(hits or [], list):
-                violations.append(f"{path}: search script query {query!r}: hits must be a list")
-                continue
-            results[query] = []
-            for n, hit in enumerate(hits or [], start=1):
-                where = f"{path}: search script query {query!r} hit {n}"
-                if not (isinstance(hit, dict) and isinstance(hit.get("url"), str)):
-                    violations.append(f"{where} must be a mapping with a string url")
-                    continue
-                fields = {name: hit.get(name, "") for name in ("text", "error")}
-                wrong = [name for name, value in fields.items() if not isinstance(value, str)]
-                violations += [f"{where} {name} must be a string" for name in wrong]
-                results[query].append(SearchHit(url=hit["url"], **fields))
-        strict = data.get("strict", True)
-        if not isinstance(strict, bool):
-            violations.append(f"{path}: search script strict must be true or false")
-        if violations:
-            raise ValidationFailedError(violations)
-        return cls(results, strict=strict)
+            data = load_checked(handle, path, "search script", _SEARCH_SCRIPT)
+        results = {
+            query: [SearchHit(hit["url"], hit.get("text") or "", hit.get("error") or "")
+                    for hit in hits]
+            for query, hits in (data.get("queries") or {}).items()
+        }
+        return cls(results, strict=data.get("strict") is not False)
 
     def search(self, query: str, max_results: int) -> list[SearchHit]:
         self.queries.append(query)
@@ -163,7 +145,11 @@ class ScriptedSearchClient:
         return list(self.results[query])[:max_results]
 
 
-_NLI_PAIR_KEYS = {"premise", "hypothesis", "entailed"}
+_NLI_SCRIPT = Record(optional={
+    "pairs": ListOf(Record(required={"premise": TEXT, "hypothesis": TEXT},
+                           optional={"entailed": BOOL})),
+    "strict": BOOL,
+})
 
 
 class ScriptedNliClient:
@@ -176,33 +162,12 @@ class ScriptedNliClient:
     @classmethod
     def from_file(cls, path) -> "ScriptedNliClient":
         with open(path, encoding="utf-8") as handle:
-            data = load_mapping(handle, path, "NLI script")
-        entries = data.get("pairs") or []
-        if not isinstance(entries, list):
-            raise ValidationFailedError([f"{path}: NLI script pairs must be a list"])
-        pairs, violations = {}, []
-        for n, entry in enumerate(entries, start=1):
-            if not (isinstance(entry, dict) and isinstance(entry.get("premise"), str)
-                    and isinstance(entry.get("hypothesis"), str)):
-                violations.append(f"{path}: NLI script pair {n} must be a mapping "
-                                  "with string premise and hypothesis")
-                continue
-            unknown = sorted(str(key) for key in entry.keys() - _NLI_PAIR_KEYS)
-            if unknown:
-                violations.append(f"{path}: NLI script pair {n} has unknown key(s): "
-                                  f"{', '.join(unknown)}")
-                continue
-            entailed = entry.get("entailed", False)
-            if not isinstance(entailed, bool):
-                violations.append(f"{path}: NLI script pair {n} entailed must be true or false")
-            key = (entry["premise"].strip(), entry["hypothesis"].strip())
-            pairs[key] = entailed
-        strict = data.get("strict", False)
-        if not isinstance(strict, bool):
-            violations.append(f"{path}: NLI script strict must be true or false")
-        if violations:
-            raise ValidationFailedError(violations)
-        return cls(pairs, strict=strict)
+            data = load_checked(handle, path, "NLI script", _NLI_SCRIPT)
+        pairs = {
+            (pair["premise"].strip(), pair["hypothesis"].strip()): bool(pair.get("entailed"))
+            for pair in data.get("pairs") or []
+        }
+        return cls(pairs, strict=bool(data.get("strict")))
 
     def judge(self, premise: str, hypothesis: str) -> bool:
         key = (premise.strip(), hypothesis.strip())
@@ -313,38 +278,27 @@ def _paragraphs(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _claim_key(claim: Claim) -> str:
-    return hashlib.sha256(claim.statement.encode("utf-8")).hexdigest()
-
-
 def _evidence_for_claim(
     claim: Claim,
     search_client,
     nli_client,
     max_results: int,
-    cache: dict | None,
 ) -> list[Evidence]:
     evidence = []
     for rank, hit in _ranked_hits(claim, search_client, max_results):
         if hit.error or not hit.text.strip():
             verdict, snippet = "error", ""
         else:
-            cache_key = (_claim_key(claim), hit.url)
-            if cache is not None and cache_key in cache:
-                verdict, snippet = cache[cache_key]
-            else:
-                verdict, snippet = "not-entailed", ""
-                for paragraph in _paragraphs(hit.text):
-                    result = verify(claim, paragraph, nli_client)
-                    if result == "entailed":
-                        verdict, snippet = "entailed", paragraph
-                        break
-                    if result == "error":
-                        verdict = "error"
-                if verdict == "error":
-                    snippet = ""
-                if cache is not None:
-                    cache[cache_key] = (verdict, snippet)
+            verdict, snippet = "not-entailed", ""
+            for paragraph in _paragraphs(hit.text):
+                result = verify(claim, paragraph, nli_client)
+                if result == "entailed":
+                    verdict, snippet = "entailed", paragraph
+                    break
+                if result == "error":
+                    verdict = "error"
+            if verdict == "error":
+                snippet = ""
         evidence.append(Evidence(
             passage_id=claim.passage_id,
             claim_index=claim.index,
@@ -362,20 +316,18 @@ def collect_evidence(
     nli_client,
     max_results: int = DEFAULT_MAX_RESULTS,
     max_workers: int = 4,
-    cache: dict | None = None,
 ) -> list[Evidence]:
     """Search and verify every claim, in deterministic output order."""
     claims = list(claims)
     if max_workers > 1 and len(claims) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             batches = list(pool.map(
-                lambda c: _evidence_for_claim(c, search_client, nli_client, max_results, cache),
+                lambda c: _evidence_for_claim(c, search_client, nli_client, max_results),
                 claims,
             ))
     else:
         batches = [
-            _evidence_for_claim(c, search_client, nli_client, max_results, cache)
-            for c in claims
+            _evidence_for_claim(c, search_client, nli_client, max_results) for c in claims
         ]
     evidence = [e for batch in batches for e in batch]
     evidence.sort(key=lambda e: (e.passage_id, e.claim_index, e.rank))
@@ -429,7 +381,6 @@ def build_references(
     max_results: int = DEFAULT_MAX_RESULTS,
     max_workers: int = 4,
     registry: PromptRegistry | None = None,
-    cache: dict | None = None,
 ) -> CitedDocument:
     """Full pipeline: segment, claim generation, search, entailment, attach.
 
@@ -453,6 +404,6 @@ def build_references(
     claims = [claim for batch in batches for claim in batch]
     evidence = collect_evidence(
         claims, search_client, nli_client,
-        max_results=max_results, max_workers=max_workers, cache=cache,
+        max_results=max_results, max_workers=max_workers,
     )
     return attach_references(kd, claims, evidence)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from ._yamlio import load_yaml
+from ._yamlio import TEXT, ListOf, Record, load_checked
 from .errors import AutoRecipeError, CycleDetectedError, MultipleRootsError
 
 __all__ = [
@@ -102,9 +102,15 @@ class Taxonomy:
         return self._children.get(self.node_id(name), ())
 
 
+# Labels are strings; a blank or absent one is reported by its edge below.
+_TAXONOMY = Record(optional={
+    "kpi": TEXT,
+    "edges": ListOf(Record(optional={"parent": TEXT, "relation": TEXT, "child": TEXT})),
+})
+
+
 def _require_field(record: dict, key: str, position: int) -> str:
-    value = record.get(key)
-    text = " ".join(str(value).split()) if value is not None else ""
+    text = " ".join((record.get(key) or "").split())
     if not text:
         raise AutoRecipeError(f"edge {position} has no {key}")
     return text
@@ -115,20 +121,17 @@ def parse_taxonomy(text: str) -> Taxonomy:
     """Parse and validate a taxonomy document.
 
     Raises CycleDetectedError naming one cycle, MultipleRootsError when
-    more than one node lacks an incoming edge, and AutoRecipeError for
-    blank or root-less documents, incomplete edge records or unreachable
-    nodes.
+    more than one node lacks an incoming edge, ValidationFailedError for a
+    document of the wrong shape, and AutoRecipeError for blank or
+    root-less documents and incomplete edge records.
     """
     if not text or not text.strip():
         raise AutoRecipeError("taxonomy document is empty")
     try:
-        doc = load_yaml(text, "taxonomy document")
+        doc = load_checked(text, "taxonomy document", "taxonomy", _TAXONOMY)
     except yaml.YAMLError as exc:
         raise AutoRecipeError(f"unreadable taxonomy document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AutoRecipeError("taxonomy document has no mapping content")
-    root_raw = doc.get("kpi")
-    root_label = " ".join(str(root_raw).split()) if root_raw is not None else ""
+    root_label = " ".join((doc.get("kpi") or "").split())
     if not root_label:
         raise AutoRecipeError("taxonomy document declares no kpi root")
 
@@ -141,13 +144,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
     root = intern(root_label)
 
-    raw_edges = doc.get("edges") or []
-    if not isinstance(raw_edges, list):
-        raise AutoRecipeError("edges must be a list of {parent, relation, child} records")
     edges: list[TaxonEdge] = []
-    for i, record in enumerate(raw_edges, 1):
-        if not isinstance(record, dict):
-            raise AutoRecipeError(f"edge {i} is not a {{parent, relation, child}} record")
+    for i, record in enumerate(doc.get("edges") or [], 1):
         parent = intern(_require_field(record, "parent", i))
         relation = _require_field(record, "relation", i)
         child = intern(_require_field(record, "child", i))
@@ -165,24 +163,11 @@ def parse_taxonomy(text: str) -> Taxonomy:
 
     _reject_cycles(labels, children, parents)
 
-    orphaned = [nid for nid in labels if not parents[nid]]
-    if orphaned != [root]:
-        extra = [labels[nid] for nid in orphaned if nid != root]
-        if extra:
-            raise MultipleRootsError([root_label] + extra)
-
-    reachable = {root}
-    stack = [root]
-    while stack:
-        for c in children[stack.pop()]:
-            if c not in reachable:
-                reachable.add(c)
-                stack.append(c)
-    unreachable = [labels[nid] for nid in labels if nid not in reachable]
-    if unreachable:
-        raise AutoRecipeError(
-            "nodes not reachable from the root: " + ", ".join(sorted(unreachable))
-        )
+    # With no cycle, walking parents up from any node ends at a parentless
+    # one; so when the root is the only such node, every node reaches it.
+    extra = [labels[nid] for nid in labels if not parents[nid] and nid != root]
+    if extra:
+        raise MultipleRootsError([root_label] + extra)
 
     nodes = {
         nid: TaxonNode(nid, label, _node_kind(nid, root, relations[nid], children[nid]))

@@ -489,49 +489,55 @@ def test_script_that_is_not_a_mapping_is_an_input_error(site, what, tax_file, tm
 
 
 @pytest.mark.parametrize("site, text, message", [
-    ("search-script", "queries: [a, b]\n", "search script queries must be a mapping"),
+    ("search-script", "queries: [a, b]\n", "queries must be a mapping, got ['a', 'b']"),
     ("search-script", "queries:\n  q: https://a.example\n",
-     "search script query 'q': hits must be a list"),
+     "queries.q must be a list, got 'https://a.example'"),
     ("search-script", "queries:\n  q: [https://a.example]\n",
-     "search script query 'q' hit 1 must be a mapping with a string url"),
+     "queries.q.1 must be a mapping, got 'https://a.example'"),
     ("search-script", "queries:\n  q:\n    - {url: https://a.example}\n    - {text: t}\n",
-     "search script query 'q' hit 2 must be a mapping with a string url"),
+     "queries.q.2.url must be a string, got None"),
     ("search-script", "queries:\n  q:\n    - {url: 7}\n",
-     "search script query 'q' hit 1 must be a mapping with a string url"),
+     "queries.q.1.url must be a string, got 7"),
     ("search-script", "queries:\n  q:\n    - {url: https://a.example, text: [t]}\n",
-     "search script query 'q' hit 1 text must be a string"),
-    ("nli-script", "pairs: 5\n", "NLI script pairs must be a list"),
-    ("nli-script", "pairs: [just text]\n",
-     "NLI script pair 1 must be a mapping with string premise and hypothesis"),
+     "queries.q.1.text must be a string, got ['t']"),
+    ("nli-script", "pairs: 5\n", "pairs must be a list, got 5"),
+    ("nli-script", "pairs: [just text]\n", "pairs.1 must be a mapping, got 'just text'"),
     ("nli-script", "pairs:\n  - {premise: p, hypothesis: h}\n  - {premise: p}\n",
-     "NLI script pair 2 must be a mapping with string premise and hypothesis"),
+     "pairs.2.hypothesis must be a string, got None"),
     ("nli-script", "pairs:\n  - {premise: 1, hypothesis: h}\n",
-     "NLI script pair 1 must be a mapping with string premise and hypothesis"),
-    ("script", "replies: abc\n", "script replies must be a list of strings"),
-    ("script", "replies: [first, 2]\n", "script replies must be a list of strings"),
-    ("script", "by_key: [a, b]\n", "script by_key must map session keys to reply strings"),
-    ("script", "default: 5\n", "script default must be a string"),
+     "pairs.1.premise must be a string, got 1"),
+    ("script", "replies: abc\n", "replies must be a list, got 'abc'"),
+    ("script", "replies: [first, 2]\n", "replies.2 must be a string, got 2"),
+    ("script", "by_key: [a, b]\n", "by_key must be a mapping, got ['a', 'b']"),
+    ("script", "default: 5\n", "default must be a string, got 5"),
     ("nli-script", "pairs:\n  - {premise: p, hypothesis: h, entailed: 'false'}\n",
-     "NLI script pair 1 entailed must be true or false"),
-    ("nli-script", "strict: 'false'\npairs: []\n", "NLI script strict must be true or false"),
+     "pairs.1.entailed must be true or false, got 'false'"),
+    ("nli-script", "strict: 'false'\npairs: []\n", "strict must be true or false, got 'false'"),
     ("nli-script", "pairs:\n  - {premise: p, hypothesis: h, entailment: true}\n",
-     "NLI script pair 1 has unknown key(s): entailment"),
+     "pairs.1 key must be one of premise, hypothesis, entailed, got 'entailment'"),
     ("search-script", "strict: 'false'\nqueries: {}\n",
-     "search script strict must be true or false"),
-    ("script", "strict: 'false'\nreplies: [a]\n", "script strict must be true or false"),
+     "strict must be true or false, got 'false'"),
+    ("script", "strict: 'false'\nreplies: [a]\n", "strict must be true or false, got 'false'"),
+    ("script", "by_key: {5: r}\n", "by_key key must be a string, got 5"),
+    ("script", "by_key: {k: 5}\n", "by_key.k must be a string, got 5"),
+    ("search-script", "queries: {5: []}\n", "queries key must be a string, got 5"),
+    ("search-script", "queries: {q: [{url: u, error: 5}]}\n",
+     "queries.q.1.error must be a string, got 5"),
+    ("nli-script", "pairs: [{premise: p, hypothesis: 5}]\n",
+     "pairs.1.hypothesis must be a string, got 5"),
 ], ids=["queries-list", "hits-scalar", "hit-scalar", "hit-without-url", "url-not-text",
         "text-list", "pairs-scalar", "pair-scalar", "pair-without-hypothesis",
         "premise-not-text", "replies-text", "reply-not-text", "by-key-list", "default-not-text",
         "entailed-text", "nli-strict-text", "nli-pair-unknown-key",
-        "search-strict-text", "script-strict-text"])
+        "search-strict-text", "script-strict-text", "by-key-int-key", "by-key-int-reply",
+        "query-not-text", "error-not-text", "hypothesis-not-text"])
 def test_malformed_script_entries_are_input_errors(site, text, message, tax_file, tmp_path,
                                                    capsys):
     argv = _deep_site_args(site, tmp_path, tax_file, text=text)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"{tmp_path / 'deep.yaml'}: {message}" in err
+    assert err == f"error: validation failed:\n- {tmp_path / 'deep.yaml'}: {message}\n"
 
 
 def test_plan_text_with_deeply_nested_order_is_an_input_error(tax_file, tmp_path, capsys):
@@ -549,25 +555,32 @@ def test_plan_text_with_deeply_nested_order_is_an_input_error(tax_file, tmp_path
 
 
 @pytest.mark.parametrize("text, message", [
-    ("method: weighted\nweights: [0.5, 0.5]\n", "weights must map each name to a number"),
+    ("method: weighted\nweights: [0.5, 0.5]\n", "weights must be a mapping, got [0.5, 0.5]"),
     ("method: weighted\ncategory_scores: [0.25, 0.5]\n",
-     "category_scores must map each name to a number"),
-    ("method: ahp\nsensors: 5\npairwise: [[1.0]]\n", "sensors must be a list of sensor names"),
-    ("method: ahp\nsensors: [[a]]\npairwise: [[1.0]]\n", "sensors must be a list of sensor names"),
-], ids=["list-weights", "list-category-scores", "ahp-scalar-sensors", "ahp-nested-sensors"])
+     "category_scores must be a mapping, got [0.25, 0.5]"),
+    ("method: ahp\nsensors: 5\npairwise: [[1.0]]\n", "sensors must be a list, got 5"),
+    ("method: ahp\nsensors: [[a]]\npairwise: [[1.0]]\n", "sensors.1 must be a string, got ['a']"),
+    ("method: 5\n", "method must be a string, got 5"),
+    ("category_scores: {5: 0.1}\n", "category_scores key must be a string, got 5"),
+    ("category_scores: {poor: high}\n", "category_scores.poor must be a number, got 'high'"),
+    ("weights: {5: 0.5}\n", "weights key must be a string, got 5"),
+], ids=["list-weights", "list-category-scores", "ahp-scalar-sensors", "ahp-nested-sensors",
+        "method-not-text", "int-category", "text-category-score", "int-weight-name"])
 def test_score_malformed_aggregation_config_is_an_input_error(tax_file, tmp_path, capsys,
                                                               text, message):
     argv = _deep_site_args("aggregation", tmp_path, tax_file, text=text)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert message in err
+    assert err == f"error: validation failed:\n- {tmp_path / 'deep.yaml'}: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [
-    ("modle: m\nendpoint: https://e\n", "unknown gateway config key(s): modle"),
-    ("- endpoint: https://e\n", "gateway config must be a mapping"),
+    ("modle: m\nendpoint: https://e\n",
+     "gateway config key must be one of endpoint, model, timeout_seconds, max_retries, "
+     "temperature, max_tokens, max_parallel, backoff_seconds, got 'modle'"),
+    ("- endpoint: https://e\n",
+     "gateway config must be a mapping, got [{'endpoint': 'https://e'}]"),
     ("endpoint: https://e\ntimeout_seconds: fast\n", "timeout_seconds must be a number, got 'fast'"),
     ("endpoint: file:///etc/hostname\n", "endpoint must be an http(s) URL"),
 ], ids=["unknown-key", "list", "wrong-type", "file-endpoint"])
@@ -582,19 +595,23 @@ def test_gateway_config_with_unknown_keys_is_an_input_error(tax_file, tmp_path, 
 
 
 @pytest.mark.parametrize("sensors, message", [
-    ([{"unit": "percent"}], "sensor 1 has no name"),
+    ([{"unit": "percent"}], "sensors.1.name must be a string, got None"),
     ([{"name": "vibration", "unit": "percent", "ranges": [[0, 25], [25, 50]]}],
-     "sensor 1 ranges must map each category to {min, max}"),
-    (5, "sensors must be a list of sensor mappings"),
-    ([{"name": [1], "unit": "percent"}], "sensor 1 name must be a string"),
-], ids=["no-name", "list-ranges", "scalar-sensors", "list-name"])
+     "sensors.1.ranges must be a mapping, got [[0, 25], [25, 50]]"),
+    (5, "sensors must be a list, got 5"),
+    ([{"name": [1], "unit": "percent"}], "sensors.1.name must be a string, got [1]"),
+    ([{"name": "a", "unit": "u", "ranges": {5: {"min": 0, "max": 1}}}],
+     "sensors.1.ranges key must be a string, got 5"),
+    ([{"name": "a", "unit": "u", "ranges": {"poor": {"min": 0, "max": "x"}}}],
+     "sensors.1.ranges.poor.max must be a number, got 'x'"),
+], ids=["no-name", "list-ranges", "scalar-sensors", "list-name", "int-category", "text-max"])
 def test_score_malformed_indicator_config_is_an_input_error(tmp_path, capsys, sensors, message):
     indicator = _write_yaml(tmp_path / "indicator.yaml", {"sensors": sensors})
     aggregation = _write_yaml(tmp_path / "aggregation.yaml", {"method": "weighted"})
     dataset = tmp_path / "data.csv"
     dataset.write_text("asset_id,sensor_name,value,timestamp,unit\n", encoding="utf-8")
     assert main(_score_args(indicator, aggregation, dataset)) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: validation failed:\n- {indicator}: {message}\n"
 
 
 @pytest.mark.parametrize("row, message", [
@@ -679,9 +696,18 @@ def _replies(*replies) -> str:
 @pytest.mark.parametrize("files, argv, code, err", [
     ({"tax": ""}, _PLAN, 2, "error: taxonomy document is empty"),
     ({"tax": "kpi: asset health\nedges: {parent: asset health}\n"}, _PLAN, 2,
-     "error: edges must be a list of {parent, relation, child} records"),
+     "error: validation failed:\n"
+     "- taxonomy document: edges must be a list, got {'parent': 'asset health'}"),
     ({"tax": "kpi: asset health\nedges:\n  - {parent: asset health, relation: analyzed}\n"},
      _PLAN, 2, "error: edge 1 has no child"),
+    ({"tax": "kpi: 5\n"}, _PLAN, 2,
+     "error: validation failed:\n- taxonomy document: kpi must be a string, got 5"),
+    ({"tax": "kpi: a\nedges: [5]\n"}, _PLAN, 2,
+     "error: validation failed:\n- taxonomy document: edges.1 must be a mapping, got 5"),
+    ({"tax": "kpi: a\nedges: [{parent: 5, relation: has, child: b}]\n"}, _PLAN, 2,
+     "error: validation failed:\n- taxonomy document: edges.1.parent must be a string, got 5"),
+    ({"tax": "kpi: a\nedges: [{parent: a, relation: 5, child: b}]\n"}, _PLAN, 2,
+     "error: validation failed:\n- taxonomy document: edges.1.relation must be a string, got 5"),
     ({}, [*_PLAN, "--target", "gearbox"], 2,
      "error: target node 'gearbox' is not in the asset health taxonomy"),
     ({"plan": "Execution Order: Step 1\n"}, [*_PLAN, "--plan-text", "{plan}"], 2,
@@ -734,7 +760,8 @@ def _replies(*replies) -> str:
      _VERIFY, 2, "error: passage 1 has an empty body; nothing to ask about"),
     ({}, [*_PLAN, "--record", "{store}"], 2,
      "error: --record needs one of --script, --replay, or --gateway-config"),
-], ids=["empty-taxonomy", "edges-not-a-list", "dangling-edge", "unknown-target",
+], ids=["empty-taxonomy", "edges-not-a-list", "dangling-edge", "kpi-not-text",
+        "edge-not-a-record", "parent-not-text", "relation-not-text", "unknown-target",
         "plan-without-steps", "plan-without-order", "unbalanced-order", "non-contiguous-steps",
         "step-declared-twice", "undeclared-step", "unreferenced-step", "code-step-names-no-node",
         "no-step-left", "react-without-final-answer", "react-empty-final-answer",

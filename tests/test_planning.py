@@ -521,33 +521,58 @@ def test_serialize_sequence_round_trip(health_tax):
 
 
 def test_parse_sequence_rejects_non_documents():
-    with pytest.raises(AutoRecipeError, match="^sequence document has no steps$"):
+    with pytest.raises(AutoRecipeError, match=(
+        "^validation failed:\n- sequence document: sequence must be a mapping, "
+        "got 'just a string'$"
+    )):
         parse_sequence("just a string\n")
 
 
 _ONE_STEP = "steps: [{index: 1, kind: question, body: Ask.}]\n"
+_SHAPE = "validation failed:\n- sequence document: "
 
 
 @pytest.mark.parametrize("text, message", [
-    ("steps: 5\nexecution_order: Step 1\n", "sequence steps must be a list"),
-    ("steps: [1]\nexecution_order: Step 1\n", "sequence step 1 must be a mapping"),
-    ("steps: [{index: x}]\nexecution_order: Step 1\n", "sequence step 1 must be a mapping"),
+    ("steps: 5\nexecution_order: Step 1\n", _SHAPE + "steps must be a list, got 5"),
+    ("steps: [1]\nexecution_order: Step 1\n", _SHAPE + "steps.1 must be a mapping, got 1"),
+    ("steps: [{index: x}]\nexecution_order: Step 1\n",
+     _SHAPE + "steps.1.index must be an integer, got 'x'\n"
+     "- sequence document: steps.1.kind must be a string, got None\n"
+     "- sequence document: steps.1.body must be a string, got None"),
     ("steps: [{index: 1, kind: musing, body: Ask.}]\nexecution_order: Step 1\n",
-     "sequence step 1: step kind must be one of"),
-    (_ONE_STEP, "no execution_order"),
-    (_ONE_STEP + "execution_order: 1\n", "no execution_order"),
-    (_ONE_STEP + "execution_order: Step 1\ngoal: 5\n", "sequence goal must be a mapping"),
+     "sequence step 1: step kind must be one of ('question', 'code', 'export'), got 'musing'"),
+    (_ONE_STEP, _SHAPE + "execution_order must be a string, got None"),
+    (_ONE_STEP + "execution_order: 1\n", _SHAPE + "execution_order must be a string, got 1"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: 5\n", _SHAPE + "goal must be a mapping, got 5"),
     (_ONE_STEP + "execution_order: Step 1\ngoal: {kpi: k}\n",
-     "sequence goal must be a mapping"),
+     _SHAPE + "goal.target_node must be a string, got None"),
     (_ONE_STEP + "execution_order: Step 1\nbindings: [1]\n",
-     "sequence bindings must map names to strings"),
+     _SHAPE + "bindings must be a mapping, got [1]"),
     ("steps: [\n", "unreadable sequence document"),
+    (_ONE_STEP.replace("kind: question", "kind: 5") + "execution_order: Step 1\n",
+     _SHAPE + "steps.1.kind must be a string, got 5"),
+    (_ONE_STEP.replace("body: Ask.", "body: 5") + "execution_order: Step 1\n",
+     _SHAPE + "steps.1.body must be a string, got 5"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: {kpi: 5, target_node: t}\n",
+     _SHAPE + "goal.kpi must be a string, got 5"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: {kpi: k, target_node: t, method_phrase: 5}\n",
+     _SHAPE + "goal.method_phrase must be a string, got 5"),
+    (_ONE_STEP + "execution_order: Step 1\ngoal: {kpi: k, target_node: t, text: 5}\n",
+     _SHAPE + "goal.text must be a string, got 5"),
+    (_ONE_STEP + "execution_order: Step 1\nbindings: {5: v}\n",
+     _SHAPE + "bindings key must be a string, got 5"),
+    (_ONE_STEP + "execution_order: Step 1\nbindings: {k: 5}\n",
+     _SHAPE + "bindings.k must be a string, got 5"),
 ], ids=["steps-scalar", "step-scalar", "step-without-kind", "step-bad-kind",
         "no-order", "order-not-text", "goal-scalar", "goal-without-target",
-        "bindings-list", "not-yaml"])
+        "bindings-list", "not-yaml", "kind-not-text", "body-not-text", "goal-kpi-not-text",
+        "method-phrase-not-text", "goal-text-not-text", "binding-name-not-text",
+        "binding-not-text"])
 def test_parse_sequence_rejects_malformed_shapes(text, message):
-    with pytest.raises(AutoRecipeError, match=message):
+    with pytest.raises(AutoRecipeError) as info:
         parse_sequence(text)
+    # A YAML syntax error's own text follows its message.
+    assert str(info.value) == message or str(info.value).startswith(message + ": ")
 
 
 def test_random_plans_survive_format_parse_cycle():

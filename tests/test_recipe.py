@@ -358,7 +358,6 @@ def test_validate_recipe_checks_wrapper_paths(tmp_path):
         "output-path": lambda m: m.update(output=" "),
         "model-method": lambda m: m["model"].update(method="ahp"),
         "tool-version": lambda m: m["run"].update(tool_version="0.0.0"),
-        "extra-key": lambda m: m.update(extra="field"),
     }
     bundle(_recipe(), tmp_path / "unedited")
     _rewrite_manifest(tmp_path / "unedited", lambda m: None)
@@ -371,21 +370,49 @@ def test_validate_recipe_checks_wrapper_paths(tmp_path):
         assert info.value.violations == [
             f"{WRAPPER_MANIFEST_FILE} is not the manifest of this recipe"
         ], name
+    # A key the manifest does not have fails its shape check first.
+    bundle(_recipe(), tmp_path / "extra-key")
+    _rewrite_manifest(tmp_path / "extra-key", lambda m: m.update(extra="field"))
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "extra-key")
+    assert info.value.violations == [
+        f"{WRAPPER_MANIFEST_FILE}: wrapper manifest key must be one of indicator_config, "
+        "aggregation_config, dataset, output, model, run, got 'extra'"
+    ]
 
 
 @pytest.mark.parametrize("edit, violation", [
-    (lambda m: m["run"].update(seed="7"), "run.seed must be an integer or null"),
-    (lambda m: m["run"].update(seed=True), "run.seed must be an integer or null"),
-    (lambda m: m["run"].update(seed=7.0), "run.seed must be an integer or null"),
-    (lambda m: m["run"].pop("created_at"), "run.created_at must be a string"),
-    (lambda m: m.update(run=[1]), "run.created_at must be a string"),
+    (lambda m: m["run"].update(seed="7"), "run.seed must be an integer, got '7'"),
+    (lambda m: m["run"].update(seed=True), "run.seed must be an integer, got True"),
+    (lambda m: m["run"].update(seed=7.0), "run.seed must be an integer, got 7.0"),
+    (lambda m: m["run"].pop("created_at"), "run.created_at must be a string, got None"),
+    (lambda m: m.update(run=[1]), "run must be a mapping, got [1]"),
 ], ids=["text-seed", "bool-seed", "float-seed", "no-created-at", "run-not-a-mapping"])
 def test_parse_bundle_checks_run_fields(tmp_path, edit, violation):
     bundle(_recipe(), tmp_path / "out")
     _rewrite_manifest(tmp_path / "out", edit)
     with pytest.raises(ValidationFailedError) as info:
         parse_bundle(tmp_path / "out")
-    assert info.value.violations == [f"{WRAPPER_MANIFEST_FILE} {violation}"]
+    assert info.value.violations == [f"{WRAPPER_MANIFEST_FILE}: {violation}"]
+
+
+@pytest.mark.parametrize("path", [
+    "indicator_config", "aggregation_config", "dataset", "output", "model", "model.name",
+    "model.method", "model.version", "run.tool_version",
+])
+def test_parse_bundle_checks_the_kind_of_each_manifest_field(tmp_path, path):
+    def edit(manifest):
+        *parents, key = path.split(".")
+        for parent in parents:
+            manifest = manifest[parent]
+        manifest[key] = 5
+
+    bundle(_recipe(), tmp_path / "out")
+    _rewrite_manifest(tmp_path / "out", edit)
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    noun = "a mapping" if path == "model" else "a string"
+    assert info.value.violations == [f"{WRAPPER_MANIFEST_FILE}: {path} must be {noun}, got 5"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -399,7 +426,7 @@ def test_parse_bundle_rejects_non_text_index_fields(tmp_path, key, value):
     index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         parse_bundle(tmp_path / "out")
-    assert info.value.violations == [f"{RECIPE_INDEX_FILE} {key} must be a string"]
+    assert info.value.violations == [f"{RECIPE_INDEX_FILE}: {key} must be a string, got {value!r}"]
 
 
 def test_parse_bundle_reports_recipe_violations(tmp_path):
@@ -621,18 +648,19 @@ def test_load_config_helpers(tmp_path):
 
 
 @pytest.mark.parametrize("sensors, violations", [
-    ([{"unit": "percent"}, {"name": "b"}], ["sensor 1 has no name", "sensor 2 has no unit"]),
-    (["vibration"], ["sensor 1 is not a mapping"]),
+    ([{"unit": "percent"}, {"name": "b"}],
+     ["sensors.1.name must be a string, got None", "sensors.2.unit must be a string, got None"]),
+    (["vibration"], ["sensors.1 must be a mapping, got 'vibration'"]),
     ([{"name": "a", "unit": "u", "ranges": [[0, 1]]}],
-     ["sensor 1 ranges must map each category to {min, max}"]),
+     ["sensors.1.ranges must be a mapping, got [[0, 1]]"]),
     ([{"name": "a", "unit": "u", "ranges": {"poor": {"min": 0}, "good": [0, 1],
                                             "excellent": {"min": "x", "max": 1}}}],
-     ["sensor 1 range 'poor' needs numeric min and max",
-      "sensor 1 range 'good' needs numeric min and max",
-      "sensor 1 range 'excellent' needs numeric min and max"]),
-    (5, ["sensors must be a list of sensor mappings"]),
+     ["sensors.1.ranges.poor.max must be a number, got None",
+      "sensors.1.ranges.good must be a mapping, got [0, 1]",
+      "sensors.1.ranges.excellent.min must be a number, got 'x'"]),
+    (5, ["sensors must be a list, got 5"]),
     ([{"name": [1], "unit": "percent"}, {"name": "b", "unit": 7}],
-     ["sensor 1 name must be a string", "sensor 2 unit must be a string"]),
+     ["sensors.1.name must be a string, got [1]", "sensors.2.unit must be a string, got 7"]),
 ], ids=["no-name-no-unit", "not-a-mapping", "list-ranges", "bad-bounds", "scalar-sensors",
         "non-text-name-and-unit"])
 def test_load_indicator_config_reports_malformed_sensors(tmp_path, sensors, violations):
@@ -640,7 +668,7 @@ def test_load_indicator_config_reports_malformed_sensors(tmp_path, sensors, viol
     path.write_text(json.dumps({"sensors": sensors}), encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         load_indicator_config(path)
-    assert info.value.violations == violations
+    assert info.value.violations == [f"{path}: {v}" for v in violations]
 
 
 @pytest.mark.parametrize("loader, what", [
@@ -652,28 +680,28 @@ def test_load_configs_reject_non_mapping_documents(tmp_path, loader, what):
     path.write_text("- just\n- a list\n", encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         loader(path)
-    assert info.value.violations == [f"{path}: {what} must be a mapping"]
+    assert info.value.violations == [f"{path}: {what} must be a mapping, got ['just', 'a list']"]
 
 
 @pytest.mark.parametrize("change, violations", [
-    ({"weights": [0.5, 0.5]}, ["weights must map each name to a number"]),
-    ({"category_scores": "high"}, ["category_scores must map each name to a number"]),
-    ({"weights": {"a": "heavy", "b": [1]}}, ["weights 'a' must be a number",
-                                             "weights 'b' must be a number"]),
+    ({"weights": [0.5, 0.5]}, ["weights must be a mapping, got [0.5, 0.5]"]),
+    ({"category_scores": "high"}, ["category_scores must be a mapping, got 'high'"]),
+    ({"weights": {"a": "heavy", "b": [1]}}, ["weights.a must be a number, got 'heavy'",
+                                             "weights.b must be a number, got [1]"]),
     ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, 2.0], 0.5]},
-     ["pairwise row 2 must be a list of numbers"]),
+     ["pairwise.2 must be a list, got 0.5"]),
     ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, 2.0], "12"]},
-     ["pairwise row 2 must be a list of numbers"]),
+     ["pairwise.2 must be a list, got '12'"]),
     ({"method": "ahp", "sensors": ["a", "b"], "pairwise": [[1.0, "x"], [None, 1.0]]},
-     ["pairwise row 1 must be a list of numbers", "pairwise row 2 must be a list of numbers"]),
+     ["pairwise.1.2 must be a number, got 'x'", "pairwise.2.1 must be a number, got None"]),
     ({"method": "ahp", "sensors": ["a"], "pairwise": {"a": [1.0]}},
-     ["pairwise must be a list of rows"]),
+     ["pairwise must be a list, got {'a': [1.0]}"]),
     ({"method": "ahp", "sensors": 5, "pairwise": [[1.0]]},
-     ["sensors must be a list of sensor names"]),
+     ["sensors must be a list, got 5"]),
     ({"method": "ahp", "sensors": [["a"]], "pairwise": [[1.0]]},
-     ["sensors must be a list of sensor names"]),
+     ["sensors.1 must be a string, got ['a']"]),
     ({"method": "ahp", "sensors": "ab", "pairwise": [[1.0, 1.0], [1.0, 1.0]]},
-     ["sensors must be a list of sensor names"]),
+     ["sensors must be a list, got 'ab'"]),
 ], ids=["list-weights", "scalar-category-scores", "non-numeric-weights", "scalar-row",
         "text-row", "non-numeric-rows", "mapping-pairwise", "scalar-sensors", "nested-sensors",
         "text-sensors"])
@@ -685,7 +713,7 @@ def test_load_aggregation_config_reports_malformed_values(tmp_path, change, viol
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValidationFailedError) as info:
         load_aggregation_config(path)
-    assert info.value.violations == violations
+    assert info.value.violations == [f"{path}: {v}" for v in violations]
 
 
 def _first_artifact(entry):
@@ -694,11 +722,15 @@ def _first_artifact(entry):
 
 @pytest.mark.parametrize("edit, violation", [
     (_first_artifact({"kind": "sample-dataset", "sha256": ""}),
-     "artifact 1 of recipe.yaml has no path"),
-    (_first_artifact({"path": DATASET_FILE}), "artifact 1 of recipe.yaml has no kind"),
-    (_first_artifact("sample_dataset.csv"), "artifact 1 of recipe.yaml is not a mapping"),
-    (lambda index: index.update(artifacts=5), "recipe.yaml artifacts must be a list"),
-], ids=["no-path", "no-kind", "not-a-mapping", "artifacts-not-a-list"])
+     "recipe.yaml: artifacts.1.path must be a string, got None"),
+    (_first_artifact({"path": DATASET_FILE}),
+     "recipe.yaml: artifacts.1.kind must be a string, got None"),
+    (_first_artifact("sample_dataset.csv"),
+     "recipe.yaml: artifacts.1 must be a mapping, got 'sample_dataset.csv'"),
+    (lambda index: index.update(artifacts=5), "recipe.yaml: artifacts must be a list, got 5"),
+    (lambda index: index["artifacts"][0].update(sha256=5),
+     "recipe.yaml: artifacts.1.sha256 must be a string, got 5"),
+], ids=["no-path", "no-kind", "not-a-mapping", "artifacts-not-a-list", "sha256-not-text"])
 def test_parse_bundle_reports_malformed_index_entries(tmp_path, edit, violation):
     bundle(_recipe(), tmp_path / "out")
     index_path = tmp_path / "out" / RECIPE_INDEX_FILE

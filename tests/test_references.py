@@ -331,22 +331,6 @@ def test_collect_evidence_sorted_and_parallel_deterministic():
     assert all(e.verdict == "entailed" for e in serial)
 
 
-def test_collect_evidence_cache_skips_repeat_judgements():
-    claim = Claim(1, 1, "c.")
-    cache: dict = {}
-    counting = _CountingNli(ConstantNliClient(True))
-    first = collect_evidence(
-        [claim], _single_hit_client("one\n\ntwo"), counting, max_workers=1, cache=cache
-    )
-    assert counting.calls == 1
-    counting.calls = 0
-    second = collect_evidence(
-        [claim], _single_hit_client("one\n\ntwo"), counting, max_workers=1, cache=cache
-    )
-    assert counting.calls == 0
-    assert first == second
-
-
 def test_always_true_and_always_false_judges(three_part_doc):
     kd = split_parts(three_part_doc)
     claims = [Claim(p, 1, f"claim for part {p}.") for p in (1, 2, 3)]

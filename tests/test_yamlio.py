@@ -1,4 +1,10 @@
-"""The shared YAML loader: same objects as PyYAML's SafeLoader, depth errors as input errors."""
+"""The shared YAML loader and shape check.
+
+The loader builds the same objects as PyYAML's SafeLoader and reports depth
+errors as input errors.  The check applies the same three rules to every
+input file: unknown keys are violations, null is an absent key, and each
+violation names the file, the path and what was found.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autorecipe import presets
-from autorecipe._yamlio import load_mapping, load_yaml
+from autorecipe import cli
+from autorecipe._yamlio import (
+    BOOL,
+    INT,
+    NUMBER,
+    TEXT,
+    ListOf,
+    MapOf,
+    Record,
+    check,
+    load_checked,
+    load_yaml,
+)
 from autorecipe.errors import AutoRecipeError, ValidationFailedError
 from autorecipe.planning import Goal, generate_sequence_deterministic, serialize_sequence
 from autorecipe.prompts import default_registry
@@ -177,7 +195,133 @@ def test_load_yaml_keeps_syntax_errors_as_yaml_errors():
 
 
 @pytest.mark.parametrize("text", ["- a\n- b\n", "just text\n", "42\n"])
-def test_load_mapping_rejects_other_documents_naming_the_source(text):
+def test_load_checked_rejects_other_documents_naming_the_source(text):
     with pytest.raises(ValidationFailedError) as info:
-        load_mapping(text, "doc.yaml", "search script")
-    assert info.value.violations == ["doc.yaml: search script must be a mapping"]
+        load_checked(text, "doc.yaml", "search script", Record())
+    got = repr(yaml.safe_load(text))
+    assert info.value.violations == [f"doc.yaml: search script must be a mapping, got {got}"]
+
+
+_ALL_KINDS = Record(
+    required={"name": TEXT},
+    optional={"on": BOOL, "count": INT, "size": NUMBER,
+              "tags": ListOf(TEXT), "weights": MapOf(TEXT, NUMBER)},
+)
+
+
+def test_check_reports_every_violation_with_its_path():
+    doc = {"on": 1, "count": True, "size": "2", "tags": ["a", 3],
+           "weights": {"x": 1, 5: 2.5, "y": False}, "colour": "red"}
+    with pytest.raises(ValidationFailedError) as info:
+        check(doc, "f.yaml", "doc", _ALL_KINDS)
+    assert info.value.violations == [
+        "f.yaml: on must be true or false, got 1",
+        "f.yaml: count must be an integer, got True",
+        "f.yaml: size must be a number, got '2'",
+        "f.yaml: tags.2 must be a string, got 3",
+        "f.yaml: weights key must be a string, got 5",
+        "f.yaml: weights.y must be a number, got False",
+        "f.yaml: doc key must be one of name, on, count, size, tags, weights, got 'colour'",
+        "f.yaml: name must be a string, got None",
+    ]
+
+
+def test_check_takes_null_as_absent_and_returns_the_document_unchanged():
+    doc = {"name": "n", "on": None, "size": 2, "tags": None}
+    assert check(doc, "f.yaml", "doc", _ALL_KINDS) is doc
+    assert check(None, "f.yaml", "doc", Record()) == {}
+    with pytest.raises(ValidationFailedError, match="name must be a string, got None"):
+        check({"name": None}, "f.yaml", "doc", _ALL_KINDS)
+
+
+def test_check_shortens_long_values_and_rejects_ints_too_large_for_a_float():
+    with pytest.raises(ValidationFailedError) as info:
+        check({"name": "n", "size": 10**400, "tags": "x" * 500}, "f.yaml", "doc", _ALL_KINDS)
+    size, tags = info.value.violations
+    assert size.startswith("f.yaml: size must be a number, got 1000")
+    assert tags.startswith("f.yaml: tags must be a list, got 'xxx")
+    assert len(size) < 120 and len(tags) < 120
+    assert check({"name": "n", "size": 10**300}, "f.yaml", "doc", _ALL_KINDS)
+
+
+# --- the rules that changed when every loader took the one check ------------------
+
+def test_unknown_keys_are_rejected_in_every_file(tmp_path, capsys):
+    # A misspelt key used to be ignored: the script below ran with an empty
+    # queue and failed at the first gateway call (exit 3).
+    script = tmp_path / "script.yaml"
+    script.write_text("repiles:\n  - A motor.\n", encoding="utf-8")
+    taxonomy = tmp_path / "taxonomy.yaml"
+    taxonomy.write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
+    rc = cli.main(["plan", "--taxonomy", str(taxonomy), "--kpi", "asset health",
+                   "--script", str(script)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: validation failed:\n- {script}: script key must be one of replies, by_key, "
+        "strict, default, got 'repiles'\n"
+    )
+    with pytest.raises(ValidationFailedError, match=(
+        "^validation failed:\n- taxonomy document: edges.1 key must be one of parent, "
+        "relation, child, got 'label'$"
+    )):
+        parse_taxonomy("kpi: a\nedges:\n  - {parent: a, relation: has, child: b, label: x}\n")
+    search = tmp_path / "search.yaml"
+    search.write_text("quries: {}\n", encoding="utf-8")
+    from autorecipe.references import ScriptedSearchClient
+
+    with pytest.raises(ValidationFailedError) as info:
+        ScriptedSearchClient.from_file(search)
+    assert info.value.violations == [
+        f"{search}: search script key must be one of queries, strict, got 'quries'"
+    ]
+
+
+def test_configs_need_real_numbers(tmp_path):
+    from autorecipe.recipe import load_aggregation_config, load_indicator_config
+
+    indicator = tmp_path / "indicator.yaml"
+    indicator.write_text("sensors:\n  - name: v\n    unit: percent\n"
+                         "    ranges: {poor: {min: '0.5', max: 1}}\n", encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_indicator_config(indicator)
+    assert info.value.violations == [
+        f"{indicator}: sensors.1.ranges.poor.min must be a number, got '0.5'"
+    ]
+    aggregation = tmp_path / "aggregation.yaml"
+    aggregation.write_text("method: weighted\nweights: {v: true}\n", encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        load_aggregation_config(aggregation)
+    assert info.value.violations == [f"{aggregation}: weights.v must be a number, got True"]
+
+
+@pytest.mark.parametrize("label, got", [
+    ("0x10", "16"), ("yes", "True"), ("1_000", "1000"), ("[a, b]", "['a', 'b']"),
+])
+def test_taxonomy_labels_must_be_yaml_strings(label, got):
+    # str() used to turn these into the nodes "16", "True", "1000" and "['a', 'b']".
+    text = f"kpi: a\nedges:\n  - {{parent: a, relation: has, child: {label}}}\n"
+    with pytest.raises(ValidationFailedError) as info:
+        parse_taxonomy(text)
+    assert info.value.violations == [
+        f"taxonomy document: edges.1.child must be a string, got {got}"
+    ]
+
+
+def test_null_is_absent_for_every_optional_key(tmp_path):
+    from autorecipe.gateway import ScriptedGateway
+    from autorecipe.references import ScriptedNliClient, ScriptedSearchClient
+
+    script = tmp_path / "script.yaml"
+    script.write_text("strict: ~\nreplies: ~\ndefault: ~\nby_key: ~\n", encoding="utf-8")
+    gateway = ScriptedGateway.from_file(script)
+    assert (gateway.strict, gateway.default, gateway.by_key) == (True, None, {})
+    search = tmp_path / "search.yaml"
+    search.write_text("strict: ~\nqueries: ~\n", encoding="utf-8")
+    client = ScriptedSearchClient.from_file(search)
+    assert (client.strict, client.results) == (True, {})
+    nli = tmp_path / "nli.yaml"
+    nli.write_text("strict: ~\npairs:\n  - {premise: p, hypothesis: h, entailed: ~}\n",
+                   encoding="utf-8")
+    judge = ScriptedNliClient.from_file(nli)
+    assert (judge.strict, judge.pairs) == (False, {("p", "h"): False})
+
