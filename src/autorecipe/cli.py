@@ -235,15 +235,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    from .recipe import dataset_from_csv, load_aggregation_config, load_indicator_config
+    from .recipe import _csv_records, load_aggregation_config, load_indicator_config
     from .scoring import HealthScoreEstimator
 
     indicator = load_indicator_config(args.indicator_config)
     aggregation = load_aggregation_config(args.aggregation_config)
-    dataset = dataset_from_csv(_read_text(args.dataset))
     estimator = HealthScoreEstimator().fit(indicator, aggregation)
+    # The configs are checked before the dataset is read; its rows then go
+    # straight from the CSV reader into the scan, without a SampleDataset.
+    scores = estimator._predict_records(_csv_records(_read_text(args.dataset)))
     lines = ["asset_id,score"]
-    lines += [f"{s.asset_id},{s.score:.6f}" for s in estimator.predict(dataset)]
+    lines += [f"{s.asset_id},{s.score:.6f}" for s in scores]
     _write_out(args.out, "\n".join(lines) + "\n", "scores")
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -165,53 +166,65 @@ def latest_readings(dataset: SampleDataset) -> dict[str, dict[str, float]]:
 
 def validate_dataset(dataset: SampleDataset, cfg: HealthIndicatorConfig) -> list[str]:
     """Violation strings for coverage, units, timestamps, and domains."""
-    return _scan_dataset(dataset, cfg)[0]
+    return _scan_dataset(_records(dataset), cfg)[0]
+
+
+# The fields of a SensorReading are the CSV columns, in order.
+_fields = operator.attrgetter(*DATASET_HEADER)
+
+
+def _records(dataset: SampleDataset):
+    """The dataset's rows as the record tuples _scan_dataset reads."""
+    return map(_fields, dataset.rows)
 
 
 def _scan_dataset(
-    dataset: SampleDataset, cfg: HealthIndicatorConfig
+    records, cfg: HealthIndicatorConfig
 ) -> tuple[list[str], dict[str, dict[str, str]]]:
-    """One pass over the rows: violations, and the latest category per asset and sensor.
+    """One pass over the records: violations, and the latest category per asset and sensor.
 
-    Row violations come in row order, then the coverage violations of each
-    asset in first-seen order.  The latest reading of a sensor is the one
-    with the greatest timestamp, later rows winning ties (a tie at the
-    latest timestamp is itself a violation).  Its category is None when
-    its value is out of domain.
+    Each record is an ``(asset_id, sensor_name, value, timestamp, unit)``
+    tuple.  Row violations come in row order, then the coverage violations
+    of each asset in first-seen order.  The latest reading of a sensor is
+    the one with the greatest timestamp, later rows winning ties (a tie at
+    the latest timestamp is itself a violation).  Its category is None
+    when its value is out of domain.
     """
-    if not dataset.rows:
-        return ["dataset has no rows"], {}
-    configured = {s.name: s for s in cfg.sensors}
-    finders = {name: _category_finder(sensor) for name, sensor in configured.items()}
+    # One lookup a row: each configured sensor with its category finder.
+    configured = {s.name: (s, _category_finder(s)) for s in cfg.sensors}
     violations = []
     assets: dict[str, None] = {}  # first-seen order
     # (asset, sensor) -> [latest moment, its category, rows at that moment]
     latest: dict[tuple[str, str], list] = {}
-    for i, row in enumerate(dataset.rows, start=1):
-        assets[row.asset_id] = None
-        sensor = configured.get(row.sensor_name)
-        if sensor is None:
-            violations.append(f"row {i}: unknown sensor {row.sensor_name!r}")
+    i = 0
+    for i, (asset_id, sensor_name, value, timestamp, unit) in enumerate(records, start=1):
+        assets[asset_id] = None
+        entry = configured.get(sensor_name)
+        if entry is None:
+            violations.append(f"row {i}: unknown sensor {sensor_name!r}")
             continue
-        if row.unit != sensor.unit:
+        sensor, find = entry
+        if unit != sensor.unit:
             violations.append(
-                f"row {i}: unit {row.unit!r} does not match configured {sensor.unit!r}"
+                f"row {i}: unit {unit!r} does not match configured {sensor.unit!r}"
             )
         try:
-            moment = parse_rfc3339(row.timestamp)
+            moment = parse_rfc3339(timestamp)
         except ValueError as exc:
             violations.append(f"row {i}: bad timestamp: {exc}")
             continue
-        category = finders[row.sensor_name](row.value)
+        category = find(value)
         if category is None:
-            violations.append(f"row {i}: {_out_of_domain_message(row.value, sensor)}")
-        key = (row.asset_id, row.sensor_name)
+            violations.append(f"row {i}: {_out_of_domain_message(value, sensor)}")
+        key = (asset_id, sensor_name)
         current = latest.get(key)
         if current is None or moment > current[0]:
             latest[key] = [moment, category, 1]
         elif moment == current[0]:
             current[1] = category
             current[2] += 1
+    if not i:
+        return ["dataset has no rows"], {}
     for asset in assets:
         for name in configured:
             current = latest.get((asset, name))
@@ -267,7 +280,17 @@ _CSV_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def dataset_from_csv(text: str) -> SampleDataset:
-    reader = csv.reader(m.group() for m in _CSV_LINE.finditer(text))
+    return SampleDataset(rows=tuple(SensorReading(*r) for r in _csv_records(text)))
+
+
+def _csv_records(text: str):
+    """The ``(asset_id, sensor_name, value, timestamp, unit)`` record of each CSV row.
+
+    Blank lines are skipped.  Raises ValidationFailedError for an empty
+    text, a wrong header, or a row (named by its line) that does not hold
+    five fields with a numeric value.
+    """
+    reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)))
     try:
         header = next(reader)
     except StopIteration:
@@ -276,16 +299,15 @@ def dataset_from_csv(text: str) -> SampleDataset:
         raise ValidationFailedError(
             [f"dataset header must be {','.join(DATASET_HEADER)}, got {','.join(header)}"]
         )
-    rows = []
     for record in reader:
         if not record:
             continue
         try:
             asset_id, sensor_name, value, timestamp, unit = record
-            rows.append(SensorReading(asset_id, sensor_name, float(value), timestamp, unit))
+            value = float(value)
         except ValueError:
             raise ValidationFailedError([_bad_record(record, reader.line_num)]) from None
-    return SampleDataset(rows=tuple(rows))
+        yield asset_id, sensor_name, value, timestamp, unit
 
 
 def _bad_record(record: list[str], line: int) -> str:
@@ -533,6 +555,10 @@ def parse_bundle(bundle_dir) -> Recipe:
     payloads: dict[str, bytes] = {}
     violations = []
     for entry in index.get("artifacts") or []:
+        # Only the layout's own names, so no index reads outside the bundle.
+        if entry["path"] not in _KINDS:
+            violations.append(f"artifact path {entry['path']!r} is not a bundle file")
+            continue
         path = root / entry["path"]
         if not path.is_file():
             violations.append(f"missing artifact file {entry['path']!r}")

@@ -346,11 +346,18 @@ class HealthScoreEstimator:
         return self
 
     def predict(self, dataset) -> list[HealthScore]:
+        from .recipe import _records  # avoid import cycle
+
+        return self._predict_records(_records(dataset))
+
+    def _predict_records(self, records) -> list[HealthScore]:
+        """Scores from ``(asset_id, sensor_name, value, timestamp, unit)``
+        records in one pass, so a CSV reader can feed them as it reads."""
         if self._indicator is None or self._aggregation is None:
             raise AutoRecipeError("call fit() with the configs before predict()")
         from .recipe import _scan_dataset  # avoid import cycle
 
-        violations, latest = _scan_dataset(dataset, self._indicator)
+        violations, latest = _scan_dataset(records, self._indicator)
         if violations:
             raise ValidationFailedError(violations)
         return [

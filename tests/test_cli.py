@@ -15,6 +15,8 @@ from autorecipe.recipe import (
     DATASET_FILE,
     INDICATOR_CONFIG_FILE,
     SYNTHETIC_TIMESTAMP,
+    SensorReading,
+    dataset_from_csv,
     parse_bundle,
 )
 from conftest import THREE_PART_DOC
@@ -325,6 +327,27 @@ def test_score_missing_file_is_input_error(tmp_path, capsys):
         "--dataset", str(tmp_path / "absent.csv"),
     ])
     assert rc == 2
+
+
+def test_score_builds_no_sensor_reading(tax_file, tmp_path, capsys, monkeypatch):
+    out_dir = _scored_bundle(tax_file, tmp_path)
+    built = []
+    init = SensorReading.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SensorReading, "__init__", counted)
+    capsys.readouterr()
+    rc = main(_score_args(out_dir / INDICATOR_CONFIG_FILE,
+                          out_dir / AGGREGATION_CONFIG_FILE, out_dir / DATASET_FILE))
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert built == []
+    # The probe counts: the dataset route builds one reading per row.
+    text = (out_dir / DATASET_FILE).read_text(encoding="utf-8")
+    dataset_from_csv(text)
+    assert len(built) == len(text.splitlines()) - 1
 
 
 # --- metrics -----------------------------------------------------------------------
@@ -750,6 +773,10 @@ def _replies(*replies) -> str:
      "beyond tolerance"),
     ({**_SCORE_FILES, "aggregation": _AHP + "[[1, -1], [-1, 1]]\n"}, _SCORE, 2,
      "error: validation failed:\n- pairwise matrix entries must be positive"),
+    # The configs are checked before the dataset is read.
+    ({**_SCORE_FILES, "aggregation": _AHP + "[[1, 2], [2, 1]]\n", "dataset": ""}, _SCORE, 2,
+     "error: validation failed:\n- matrix is not reciprocal: a[i,j]*a[j,i] deviates from 1 "
+     "beyond tolerance"),
     ({"doc": "--- * ---\n", "other": "Motors wear.\n"},
      ["metrics", "--doc", "{doc}", "--doc", "{other}"], 2,
      "error: cannot compute type-token ratio of a token-free text"),
@@ -766,8 +793,9 @@ def _replies(*replies) -> str:
         "step-declared-twice", "undeclared-step", "unreferenced-step", "code-step-names-no-node",
         "no-step-left", "react-without-final-answer", "react-empty-final-answer",
         "react-one-step", "blank-reply", "confidence-over-100", "script-miss", "replay-miss",
-        "non-reciprocal-ahp", "non-positive-ahp", "token-free-metrics", "empty-knowledge-doc",
-        "heading-only-part", "record-without-source"])
+        "non-reciprocal-ahp", "non-positive-ahp", "bad-configs-and-dataset",
+        "token-free-metrics", "empty-knowledge-doc", "heading-only-part",
+        "record-without-source"])
 def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
     paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
              "store": str(tmp_path / "store.jsonl")}

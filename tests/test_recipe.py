@@ -638,6 +638,25 @@ def test_parse_bundle_detects_missing_file(tmp_path):
     assert any("missing artifact file" in v for v in info.value.violations)
 
 
+@pytest.mark.parametrize("path", ["../outside.txt", "sub/knowledge_document.md", "notes.md"],
+                         ids=["parent-dir", "sub-dir", "unknown-name"])
+def test_parse_bundle_reads_only_the_bundle_files(tmp_path, path):
+    bundle(_recipe(), tmp_path / "out")
+    # A copy of the knowledge document, with the index hash still matching it.
+    target = tmp_path / "out" / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes((tmp_path / "out" / KNOWLEDGE_DOC_FILE).read_bytes())
+    index_path = tmp_path / "out" / RECIPE_INDEX_FILE
+    index = yaml.safe_load(index_path.read_text(encoding="utf-8"))
+    for entry in index["artifacts"]:
+        if entry["path"] == KNOWLEDGE_DOC_FILE:
+            entry["path"] = path
+    index_path.write_text(yaml.safe_dump(index, sort_keys=False), encoding="utf-8")
+    with pytest.raises(ValidationFailedError) as info:
+        parse_bundle(tmp_path / "out")
+    assert info.value.violations[0] == f"artifact path {path!r} is not a bundle file"
+
+
 def test_load_config_helpers(tmp_path):
     recipe = _recipe()
     bundle(recipe, tmp_path / "out")

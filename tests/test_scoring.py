@@ -578,3 +578,55 @@ def test_predict_equals_row_by_row_route(case):
     assert validate_dataset(dataset, indicator) == []
     assert estimator.predict(dataset) == expected
 
+
+# --- score's streaming route against the dataset route ------------------------------------
+
+# Lines inserted anywhere after the header: a blank line, two records with a
+# quoted field holding a newline, a 4-field record and a non-numeric value.
+_ODD_LINES = ["", '"a0\nb",s0,1.0,2024-01-01T00:00:00Z,u',
+              '"u\n",s0,1.0,2024-01-01T00:00:00Z,"u\n"',
+              "a0,s0,1.0,2024-01-01T00:00:00Z", "a0,s0,high,2024-01-01T00:00:00Z,u"]
+
+
+@st.composite
+def _csv_cases(draw):
+    import csv
+    import io
+
+    from autorecipe.recipe import DATASET_HEADER
+
+    indicator, aggregation, dataset = draw(_scoring_cases())
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n",
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(draw(st.sampled_from([DATASET_HEADER] * 9 + [DATASET_HEADER[:3]])))
+    for row in dataset.rows:
+        writer.writerow([row.asset_id, row.sensor_name, repr(row.value), row.timestamp, row.unit])
+    lines = buffer.getvalue().splitlines()
+    for odd in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=2)):
+        lines.insert(draw(st.integers(1, len(lines))), odd)
+    text = "".join(line + "\n" for line in lines)
+    return indicator, aggregation, draw(st.sampled_from([text] * 8 + ["", "\n"]))
+
+
+def _scores_or_violations(score):
+    try:
+        return score()
+    except ValidationFailedError as exc:
+        return exc.violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_csv_cases())
+def test_streaming_score_equals_dataset_route(case):
+    from autorecipe.recipe import _csv_records, dataset_from_csv
+
+    indicator, aggregation, text = case
+    estimator = HealthScoreEstimator().fit(indicator, aggregation)
+    expected = _scores_or_violations(lambda: estimator.predict(dataset_from_csv(text)))
+    if isinstance(expected[0], str):
+        by_reader = expected[0].startswith(("dataset csv", "dataset header", "dataset line"))
+        event("rejected by the reader" if by_reader else "rejected by the scan")
+    else:
+        event("dataset scored")
+    assert _scores_or_violations(lambda: estimator._predict_records(_csv_records(text))) == expected
