@@ -1,4 +1,5 @@
-"""The one YAML loader every input goes through, and the one shape check.
+"""The one YAML loader every input goes through, the one dumper every
+output goes through, and the one shape check.
 
 ``load_checked`` loads a document and checks it against a schema built
 from the kinds below; ``check`` does the same for a document read some
@@ -15,8 +16,12 @@ Every violation found is raised at once, in one ``ValidationFailedError``.
 The check only reads the document; a loader reads an absent optional key
 as its default.
 
-Dumping stays on ``yaml.safe_dump`` at each writer, so written files do
-not depend on which parser PyYAML was built with.
+``dump_yaml`` writes what ``yaml.safe_dump`` writes, in PyYAML's pure-Python
+emitter, so written files do not depend on which parser PyYAML was built
+with.  The one difference is a string holding U+0085 (NEL): a YAML reader
+takes that character as a line break and folds it into a space in a plain
+or single-quoted scalar, so such a string is written double-quoted, with
+the character escaped as ``\\N``.
 """
 
 from __future__ import annotations
@@ -67,6 +72,21 @@ def load_yaml(stream, source):
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         # SafeConstructor parses tagged scalars without checking them first.
         raise AutoRecipeError(f"unreadable {source}: bad tagged value ({exc!r})") from exc
+
+
+class _Dumper(yaml.SafeDumper):
+    def represent_str(self, data):
+        if "\x85" in data:
+            return self.represent_scalar("tag:yaml.org,2002:str", data, style='"')
+        return super().represent_str(data)
+
+
+_Dumper.add_representer(str, _Dumper.represent_str)
+
+
+def dump_yaml(data) -> str:
+    """``data`` as YAML text, keys in insertion order, any string read back unchanged."""
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=False, allow_unicode=True)
 
 
 # --- schemas ---------------------------------------------------------------------

@@ -46,11 +46,9 @@ class NoConfidenceError(AutoRecipeError):
 
 
 class GatewayError(AutoRecipeError):
-    """Base class for chat-gateway failures; may carry the failing step index."""
+    """Base class for chat-gateway failures; ``execute`` sets the failing step index."""
 
-    def __init__(self, message: str, step_index: int | None = None):
-        self.step_index = step_index
-        super().__init__(message)
+    step_index: int | None = None
 
 
 class TransportError(GatewayError):

@@ -145,32 +145,15 @@ def wrap_react(seq: PromptSequence) -> str:
     return "\n\n".join([REACT_HEADER, questions, REACT_FORMAT_BLOCK, final])
 
 
-_TRIPLE = re.compile(
-    r"Question:\s*(.*?)\s*Thought:\s*(.*?)\s*Answer:\s*(.*?)"
-    r"(?=\n\s*Question:|\n\s*Thought:\s*Now I know|\n\s*Final Answer:|\Z)",
-    re.DOTALL,
-)
 _FINAL_ANSWER = re.compile(r"Final Answer:\s*", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class ReactReply:
-    final_answer: str
-    triples: tuple[tuple[str, str, str], ...]
-
-
-def parse_react_reply(text: str) -> ReactReply:
-    """Extract the Question/Thought/Answer triples and the text after the
-    last Final Answer marker."""
+def parse_react_reply(text: str) -> str:
+    """The text after the last Final Answer marker."""
     markers = list(_FINAL_ANSWER.finditer(text))
     if not markers:
         raise AutoRecipeError("reply has no Final Answer marker")
-    final_answer = text[markers[-1].end():].strip()
-    scaffold = text[: markers[-1].start()]
-    triples = tuple(
-        (q.strip(), t.strip(), a.strip()) for q, t, a in _TRIPLE.findall(scaffold)
-    )
-    return ReactReply(final_answer=final_answer, triples=triples)
+    return text[markers[-1].end():].strip()
 
 
 # --- execution --------------------------------------------------------------------
@@ -245,7 +228,7 @@ def execute(
     elif strategy == "allqreact":
         content = wrap_react(seq)
         reply = ask([system, ChatMessage("user", content)], all_steps)
-        answer = parse_react_reply(reply).final_answer
+        answer = parse_react_reply(reply)
         if not answer:
             raise AutoRecipeError("Final Answer marker carries no text")
     else:  # gitq

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -63,8 +64,14 @@ class GatewayConfig:
     backoff_seconds: float = 0.5
 
     def __post_init__(self):
+        # An infinite or NaN number would reach the socket, the sleep or the request body.
+        for name in ("timeout_seconds", "backoff_seconds", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive")
+        if self.backoff_seconds < 0:
+            raise ValueError("backoff_seconds must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_parallel < 1:
@@ -155,38 +162,24 @@ class ScriptedGateway:
         raise GatewayError(f"no scripted reply for session {key[:12]} ({preview!r})")
 
 
-class _Reply:
-    """A finished HTTP exchange: the status code and the body, read as JSON on demand."""
+def _urllib_post(url, body: bytes, headers, timeout) -> tuple[int, bytes]:
+    """POST ``body`` through ``urllib.request``, which honours the *_PROXY variables.
 
-    def __init__(self, status_code: int, body: bytes):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        return json.loads(self._body)
-
-
-_dumps = json.dumps  # the "json" parameter of _urllib_post shadows the module
-
-
-def _urllib_post(url, json=None, headers=None, timeout=None) -> _Reply:
-    """POST ``json`` through ``urllib.request``, which honours the *_PROXY variables.
-
-    An HTTP error status is a reply like any other; connection and timeout
-    failures raise ``OSError``, and a malformed response ``TransportError``.
+    Returns the status and the response body; an HTTP error status is a
+    reply like any other.  Connection and timeout failures raise
+    ``OSError``, and a malformed response ``TransportError``.
     """
     import http.client
     import urllib.error
     import urllib.request
 
-    body = _dumps(json).encode("utf-8")
-    request = urllib.request.Request(url, data=body, headers=headers or {}, method="POST")
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return _Reply(response.status, response.read())
+            return response.status, response.read()
     except urllib.error.HTTPError as exc:
         with exc:
-            return _Reply(exc.code, exc.read())
+            return exc.code, exc.read()
     except http.client.HTTPException as exc:
         raise TransportError(f"transport failure: {exc!r}") from exc
 
@@ -194,11 +187,10 @@ def _urllib_post(url, json=None, headers=None, timeout=None) -> _Reply:
 class HttpGateway:
     """JSON chat-completion client with bounded retries.
 
-    ``post(url, json=, headers=, timeout=)`` sends one request and returns
-    an object with ``status_code`` and ``json()``; the default is a
-    standard-library ``urllib`` client.  Timeouts, transport failures,
-    HTTP 429 and 5xx are retried; any other non-200 status, and a 200 whose
-    body is not a completion, fails at once.
+    ``post(url, body, headers, timeout)`` sends one request and returns
+    ``(status, body)``; the default is a standard-library ``urllib`` client.
+    Timeouts, transport failures, HTTP 429 and 5xx are retried; any other
+    non-200 status, and a 200 whose body is not a completion, fails at once.
     ``max_parallel`` is the most calls a caller should overlap.
     """
 
@@ -228,24 +220,21 @@ class HttpGateway:
 
     def complete(self, session: list[ChatMessage]) -> str:
         _check_session(session)
-        payload = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": [{"role": m.role, "content": m.content} for m in session],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
-        }
+        }).encode("utf-8")
         last_error: TransportError | None = None
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
             self._local.attempts = attempt
             try:
-                response = self._post(
-                    self.config.endpoint,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.config.timeout_seconds,
+                status, reply = self._post(
+                    self.config.endpoint, body, self._headers(), self.config.timeout_seconds
                 )
-                return self._parse_response(response)
+                return self._parse_response(status, reply)
             except OSError as exc:  # TimeoutError and urllib.error.URLError included
                 reason = getattr(exc, "reason", None)
                 timed_out = isinstance(exc, TimeoutError) or isinstance(reason, TimeoutError)
@@ -260,15 +249,14 @@ class HttpGateway:
         raise last_error
 
     @staticmethod
-    def _parse_response(response) -> str:
-        status = getattr(response, "status_code", 200)
+    def _parse_response(status: int, body: bytes) -> str:
         if status != 200:
             # Throttling and server errors may pass on a retry; other statuses will not.
             error = TransportError if status == 429 or status >= 500 else GatewayError
             raise error(f"endpoint returned HTTP {status}")
         # The endpoint answered, so a body that is no completion is not retried.
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise GatewayError(f"malformed completion payload: {exc!r}") from exc
         if not isinstance(content, str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from ._yamlio import INT, TEXT, ListOf, MapOf, Record, load_checked
+from ._yamlio import INT, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
 from .errors import AutoRecipeError, MissingBindingError
 from .gateway import ChatMessage
 from .presets import PLANNER_CONSTRAINTS, PLANNER_TASK_INTRO
@@ -564,7 +564,7 @@ def serialize_sequence(seq: PromptSequence) -> str:
         }
     if seq.bindings:
         doc["bindings"] = dict(seq.bindings)
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+    return dump_yaml(doc)
 
 
 _SEQUENCE = Record(

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import yaml
-
 from . import __version__
-from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, load_checked
+from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
 from .errors import AutoRecipeError, ValidationFailedError
 from .scoring import (
     _MAX_PAIRWISE,
@@ -491,10 +489,6 @@ def load_aggregation_config(path) -> AggregationConfig:
     return _aggregation_from_mapping(load_checked(text, path, "aggregation config", _AGGREGATION))
 
 
-def _dump_yaml(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=False, allow_unicode=True)
-
-
 def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
     """Write the six-file layout; returns artifact kind → path.
 
@@ -508,10 +502,10 @@ def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
     target.mkdir(parents=True, exist_ok=True)
     contents = {
         KNOWLEDGE_DOC_FILE: recipe.knowledge_doc,
-        INDICATOR_CONFIG_FILE: _dump_yaml(_indicator_to_mapping(recipe.indicator)),
-        AGGREGATION_CONFIG_FILE: _dump_yaml(_aggregation_to_mapping(recipe.aggregation)),
+        INDICATOR_CONFIG_FILE: dump_yaml(_indicator_to_mapping(recipe.indicator)),
+        AGGREGATION_CONFIG_FILE: dump_yaml(_aggregation_to_mapping(recipe.aggregation)),
         DATASET_FILE: dataset_to_csv(recipe.dataset),
-        WRAPPER_MANIFEST_FILE: _dump_yaml(_manifest(recipe)),
+        WRAPPER_MANIFEST_FILE: dump_yaml(_manifest(recipe)),
     }
     written: dict[str, Path] = {}
     artifacts = []
@@ -531,7 +525,7 @@ def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:
         "artifacts": artifacts,
     }
     index_path = target / RECIPE_INDEX_FILE
-    index_path.write_bytes(_dump_yaml(index).encode("utf-8"))
+    index_path.write_bytes(dump_yaml(index).encode("utf-8"))
     written["recipe-index"] = index_path
     return written
 

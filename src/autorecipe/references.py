@@ -64,10 +64,6 @@ class Claim:
     index: int
     statement: str
 
-    @property
-    def query(self) -> str:
-        return self.statement
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -250,16 +246,14 @@ def generate_claims(
     ]
 
 
-def _ranked_hits(claim: Claim, search_client, max_results: int) -> list[tuple[int, SearchHit]]:
-    if max_results <= 0:
-        return []
+def _ranked_hits(claim: Claim, search_client) -> list[tuple[int, SearchHit]]:
     try:
-        hits = search_client.search(claim.query, max_results)
+        hits = search_client.search(claim.statement, DEFAULT_MAX_RESULTS)
     except SearchClientError:
         raise
     except Exception as exc:
-        raise SearchClientError(f"search provider failed for {claim.query!r}: {exc}") from exc
-    return list(enumerate(hits[:max_results]))
+        raise SearchClientError(f"search provider failed for {claim.statement!r}: {exc}") from exc
+    return list(enumerate(hits[:DEFAULT_MAX_RESULTS]))
 
 
 def verify(claim: Claim, candidate_text: str, nli_client) -> str:
@@ -278,14 +272,9 @@ def _paragraphs(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _evidence_for_claim(
-    claim: Claim,
-    search_client,
-    nli_client,
-    max_results: int,
-) -> list[Evidence]:
+def _evidence_for_claim(claim: Claim, search_client, nli_client) -> list[Evidence]:
     evidence = []
-    for rank, hit in _ranked_hits(claim, search_client, max_results):
+    for rank, hit in _ranked_hits(claim, search_client):
         if hit.error or not hit.text.strip():
             verdict, snippet = "error", ""
         else:
@@ -310,25 +299,30 @@ def _evidence_for_claim(
     return evidence
 
 
+def _map_in_order(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    With one worker, or one item, everything runs on the caller's thread.
+    Results keep input order, and the failure raised is the first in
+    input order.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def collect_evidence(
     claims: Iterable[Claim],
     search_client,
     nli_client,
-    max_results: int = DEFAULT_MAX_RESULTS,
     max_workers: int = 4,
 ) -> list[Evidence]:
     """Search and verify every claim, in deterministic output order."""
-    claims = list(claims)
-    if max_workers > 1 and len(claims) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            batches = list(pool.map(
-                lambda c: _evidence_for_claim(c, search_client, nli_client, max_results),
-                claims,
-            ))
-    else:
-        batches = [
-            _evidence_for_claim(c, search_client, nli_client, max_results) for c in claims
-        ]
+    batches = _map_in_order(
+        lambda c: _evidence_for_claim(c, search_client, nli_client), list(claims), max_workers
+    )
     evidence = [e for batch in batches for e in batch]
     evidence.sort(key=lambda e: (e.passage_id, e.claim_index, e.rank))
     return evidence
@@ -378,7 +372,6 @@ def build_references(
     search_client,
     nli_client,
     k: int = DEFAULT_CLAIMS_PER_PASSAGE,
-    max_results: int = DEFAULT_MAX_RESULTS,
     max_workers: int = 4,
     registry: PromptRegistry | None = None,
 ) -> CitedDocument:
@@ -395,15 +388,7 @@ def build_references(
     def claims_for(passage: Passage) -> list[Claim]:
         return generate_claims(passage, gateway, k=k, registry=registry)
 
-    workers = min(len(passages), getattr(gateway, "max_parallel", 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(claims_for, passages))
-    else:
-        batches = [claims_for(p) for p in passages]
+    batches = _map_in_order(claims_for, passages, getattr(gateway, "max_parallel", 1))
     claims = [claim for batch in batches for claim in batch]
-    evidence = collect_evidence(
-        claims, search_client, nli_client,
-        max_results=max_results, max_workers=max_workers,
-    )
+    evidence = collect_evidence(claims, search_client, nli_client, max_workers=max_workers)
     return attach_references(kd, claims, evidence)

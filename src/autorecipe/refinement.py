@@ -84,8 +84,6 @@ def refine(
     question: str,
     max_rounds: int = 10,
     confidence_threshold: float = 50.0,
-    betterment_suffix: str | None = None,
-    stop_on_fixed_point: bool = True,
     registry: PromptRegistry | None = None,
 ) -> RefinementResult:
     """Iterate the question until a stop condition fires.
@@ -100,8 +98,7 @@ def refine(
     if not question.strip():
         raise ValueError("refinement needs a non-empty question")
     registry = registry or default_registry()
-    if betterment_suffix is None:
-        betterment_suffix = registry.get("refinement.betterment").body
+    betterment_suffix = registry.get("refinement.betterment").body
     base_system = registry.resolve_role(role).body
 
     result = RefinementResult()
@@ -138,7 +135,7 @@ def refine(
             break
         result.final_answer = answer
         qa_log.append((user, answer))
-        if stop_on_fixed_point and previous_accepted == answer:
+        if previous_accepted == answer:
             result.stop_reason = "fixed-point"
             break
         previous_accepted = answer

@@ -76,6 +76,21 @@ def test_plan_deterministic_to_file(tax_file, tmp_path, capsys):
     assert seq.goal.kpi == "asset health"
 
 
+def test_plan_and_generate_keep_a_next_line_character(tax_file, tmp_path):
+    """U+0085 is a line break to a YAML reader, so a plain or single-quoted
+    scalar would fold it into a space."""
+    kpi, asset_class = "asset\x85health", "electric\x85motor"
+    plan = tmp_path / "plan.yaml"
+    assert main(["plan", "--taxonomy", tax_file, "--kpi", kpi, "--out", str(plan)]) == 0
+    assert parse_sequence(plan.read_text(encoding="utf-8")).goal.kpi == kpi
+    args = _generate_args(tax_file, _generate_script(tmp_path), tmp_path / "out")
+    args[args.index("asset health")] = kpi
+    args[args.index("electric motor")] = asset_class
+    assert main(args) == 0
+    recipe = parse_bundle(tmp_path / "out")
+    assert (recipe.kpi, recipe.asset_class) == (kpi, asset_class)
+
+
 def test_plan_deterministic_to_stdout(tax_file, capsys):
     rc = main([
         "plan",
@@ -707,6 +722,9 @@ _SCORE_FILES = {
 }
 _AHP = ("method: ahp\ncategory_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
         "sensors: [a, b]\npairwise: ")
+# Nothing listens on port 9 (discard) of the loopback address.
+_GATEWAY = "endpoint: http://127.0.0.1:9/v1\n"
+_GATEWAY_PLAN = [*_PLAN, "--gateway-config", "{gateway}"]
 _CODE_PLAN = ("Step 1: Write a python function for the zebra stripes.\n"
               "Step 2: Export a markdown output as guidelines.\n"
               "Execution Order: Step 1 AND Step 2\n")
@@ -787,6 +805,17 @@ def _replies(*replies) -> str:
      _VERIFY, 2, "error: passage 1 has an empty body; nothing to ask about"),
     ({}, [*_PLAN, "--record", "{store}"], 2,
      "error: --record needs one of --script, --replay, or --gateway-config"),
+    # Gateway config values that once reached the socket, the sleep or the request body.
+    ({"gateway": _GATEWAY + "timeout_seconds: .inf\n"}, _GATEWAY_PLAN, 2,
+     "error: timeout_seconds must be finite"),
+    ({"gateway": _GATEWAY + "timeout_seconds: .nan\n"}, _GATEWAY_PLAN, 2,
+     "error: timeout_seconds must be finite"),
+    ({"gateway": _GATEWAY + "backoff_seconds: .inf\n"}, _GATEWAY_PLAN, 2,
+     "error: backoff_seconds must be finite"),
+    ({"gateway": _GATEWAY + "backoff_seconds: -1\nmax_retries: 1\n"}, _GATEWAY_PLAN, 2,
+     "error: backoff_seconds must be >= 0"),
+    ({"gateway": _GATEWAY + "temperature: .nan\n"}, _GATEWAY_PLAN, 2,
+     "error: temperature must be finite"),
 ], ids=["empty-taxonomy", "edges-not-a-list", "dangling-edge", "kpi-not-text",
         "edge-not-a-record", "parent-not-text", "relation-not-text", "unknown-target",
         "plan-without-steps", "plan-without-order", "unbalanced-order", "non-contiguous-steps",
@@ -795,7 +824,8 @@ def _replies(*replies) -> str:
         "react-one-step", "blank-reply", "confidence-over-100", "script-miss", "replay-miss",
         "non-reciprocal-ahp", "non-positive-ahp", "bad-configs-and-dataset",
         "token-free-metrics", "empty-knowledge-doc", "heading-only-part",
-        "record-without-source"])
+        "record-without-source", "infinite-timeout", "nan-timeout", "infinite-backoff",
+        "negative-backoff", "nan-temperature"])
 def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
     paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
              "store": str(tmp_path / "store.jsonl")}

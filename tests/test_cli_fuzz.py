@@ -246,6 +246,8 @@ def test_nli_script(run, text):
 @_SETTINGS
 @given(text=_GATEWAY)
 @example(text="endpoint: https://e\ntimeout_seconds: fast\n")
+@example(text="endpoint: http://127.0.0.1:9/v1\ntimeout_seconds: .inf\n")
+@example(text="endpoint: http://127.0.0.1:9/v1\nbackoff_seconds: .inf\nmax_retries: 1\n")
 def test_gateway_config(run, text):
     _fails_cleanly(run([*_PLAN, "--gateway-config", "{gateway}"], "gateway", text))
 

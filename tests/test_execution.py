@@ -153,7 +153,7 @@ def test_wrap_react_needs_two_steps():
         wrap_react(lone)
 
 
-def test_parse_react_reply_triples_and_final():
+def test_parse_react_reply_skips_the_scaffold():
     reply = (
         "Question: What factors matter?\n"
         "Thought: consider the taxonomy\n"
@@ -164,17 +164,12 @@ def test_parse_react_reply_triples_and_final():
         "Thought: Now I know how to answer the final request\n"
         "Final Answer: " + THREE_PART_DOC
     )
-    parsed = parse_react_reply(reply)
-    assert len(parsed.triples) == 2
-    assert parsed.triples[0] == (
-        "What factors matter?", "consider the taxonomy", "age and operating hours"
-    )
-    assert parsed.final_answer == THREE_PART_DOC.strip()
+    assert parse_react_reply(reply) == THREE_PART_DOC.strip()
 
 
 def test_parse_react_reply_last_marker_wins():
     reply = "Final Answer: draft\nmore scaffolding\nFinal Answer: the real text"
-    assert parse_react_reply(reply).final_answer == "the real text"
+    assert parse_react_reply(reply) == "the real text"
 
 
 def test_parse_react_reply_requires_marker():

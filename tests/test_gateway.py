@@ -147,26 +147,20 @@ def test_replay_store_is_plain_jsonl(tmp_path):
     assert record["reply"] == "r"
 
 
-class _Response:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def _reply(status=200, payload=None):
+    """What a ``post`` returns: the status and the body, empty when there is no payload."""
+    return status, b"" if payload is None else json.dumps(payload).encode("utf-8")
 
 
 def _ok(content="pong"):
-    return _Response(payload={"choices": [{"message": {"content": content}}]})
+    return _reply(payload={"choices": [{"message": {"content": content}}]})
 
 
 def test_http_gateway_success_and_payload_shape():
     seen = {}
 
-    def post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, payload=json, headers=headers, timeout=timeout)
+    def post(url, body, headers, timeout):
+        seen.update(url=url, payload=json.loads(body), headers=headers, timeout=timeout)
         return _ok("pong")
 
     config = GatewayConfig(endpoint="https://gw.example/v1", model="m-1", timeout_seconds=9.0)
@@ -193,7 +187,7 @@ def test_http_gateway_requires_an_http_endpoint(endpoint):
 def test_http_gateway_bearer_header_from_env(monkeypatch):
     captured = {}
 
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, body, headers, timeout):
         captured.update(headers)
         return _ok()
 
@@ -212,7 +206,7 @@ def test_http_gateway_retries_then_succeeds():
     calls = {"n": 0}
     sleeps = []
 
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, body, headers, timeout):
         calls["n"] += 1
         if calls["n"] < 3:
             raise ConnectionRefusedError("boom")
@@ -226,7 +220,7 @@ def test_http_gateway_retries_then_succeeds():
 
 
 def test_http_gateway_timeout_exhausts_retries():
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, body, headers, timeout):
         raise TimeoutError("slow")
 
     config = GatewayConfig(endpoint="https://e", max_retries=1)
@@ -239,18 +233,17 @@ def test_http_gateway_timeout_exhausts_retries():
 def test_http_gateway_http_error_and_malformed_payload():
     gw = HttpGateway(
         GatewayConfig(endpoint="https://e", max_retries=0),
-        post=lambda *a, **k: _Response(status_code=503),
+        post=lambda *a: _reply(503),
         sleep=lambda s: None,
     )
     with pytest.raises(TransportError):
         gw.complete(_session())
 
     # A 200 whose body is no completion fails at once: the endpoint answered.
-    for reply in (_Response(payload={"unexpected": True}), _Response(),
-                  _ok(content=None)):
+    for reply in (_reply(payload={"unexpected": True}), _reply(), _ok(content=None)):
         posts = []
 
-        def post(url, json=None, headers=None, timeout=None, reply=reply):
+        def post(url, body, headers, timeout, reply=reply):
             posts.append(url)
             return reply
 
@@ -265,9 +258,9 @@ def test_http_gateway_http_error_and_malformed_payload():
 def test_http_gateway_does_not_retry_client_errors():
     posts, sleeps = [], []
 
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, body, headers, timeout):
         posts.append(url)
-        return _Response(status_code=401)
+        return _reply(401)
 
     config = GatewayConfig(endpoint="https://e", max_retries=3)
     gw = HttpGateway(config, post=post, sleep=sleeps.append)
@@ -282,9 +275,9 @@ def test_http_gateway_does_not_retry_client_errors():
 def test_http_gateway_retries_throttling_and_server_errors(status):
     posts, sleeps = [], []
 
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, body, headers, timeout):
         posts.append(url)
-        return _Response(status_code=status)
+        return _reply(status)
 
     config = GatewayConfig(endpoint="https://e", max_retries=3, backoff_seconds=0.5)
     gw = HttpGateway(config, post=post, sleep=sleeps.append)
@@ -299,8 +292,8 @@ def test_http_gateway_attempt_count_is_per_thread():
     failures = {"flaky": 2}
     lock = threading.Lock()
 
-    def post(url, json=None, headers=None, timeout=None):
-        prompt = json["messages"][-1]["content"]
+    def post(url, body, headers, timeout):
+        prompt = json.loads(body)["messages"][-1]["content"]
         with lock:
             if failures.get(prompt, 0) > 0:
                 failures[prompt] -= 1
@@ -334,7 +327,7 @@ def test_http_gateway_attempt_count_is_per_thread():
 
 
 def test_http_gateway_exposes_max_parallel_and_recording_forwards_it(tmp_path):
-    http = HttpGateway(GatewayConfig(endpoint="https://e", max_parallel=5), post=lambda **k: _ok())
+    http = HttpGateway(GatewayConfig(endpoint="https://e", max_parallel=5), post=lambda *a: _ok())
     assert http.max_parallel == 5
     assert RecordingGateway(http, str(tmp_path / "s.jsonl")).max_parallel == 5
     scripted = ScriptedGateway(replies=["r"])
@@ -350,7 +343,10 @@ class _Endpoint(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 - name fixed by BaseHTTPRequestHandler
         self.server.paths.append(self.path)
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.path, self.headers["Content-Type"],
+                                     self.headers["Authorization"], raw))
+        body = json.loads(raw)
         if self.path == "/garbage":
             self.wfile.write(b"NOT-HTTP garbage\r\n\r\n")
             return
@@ -378,6 +374,7 @@ def endpoint(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Endpoint)
     server.daemon_threads = True
     server.paths = []
+    server.requests = []  # (path, Content-Type, Authorization, body bytes)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02})
     thread.start()
     yield server
@@ -400,6 +397,20 @@ def test_stdlib_transport_returns_the_reply(endpoint):
     gw = _stdlib_gateway(_url(endpoint, "/ok"))
     assert gw.complete(_session("ping")) == "application/json: ping"
     assert endpoint.paths == ["/ok"]
+
+
+def test_stdlib_transport_sends_these_bytes(endpoint, monkeypatch):
+    """The request on the wire, pinned byte for byte for one session and config."""
+    monkeypatch.setenv(API_KEY_ENV, "sekrit")
+    config = GatewayConfig(endpoint=_url(endpoint, "/ok"), model="m-1", temperature=0.2,
+                           max_tokens=64)
+    gw = HttpGateway(config, sleep=lambda s: None)
+    assert gw.complete(_session("ping \u00e9")) == "application/json: ping \u00e9"
+    assert endpoint.requests == [(
+        "/ok", "application/json", "Bearer sekrit",
+        b'{"model": "m-1", "messages": [{"role": "system", "content": "be brief"}, '
+        b'{"role": "user", "content": "ping \\u00e9"}], "temperature": 0.2, "max_tokens": 64}',
+    )]
 
 
 def test_stdlib_transport_retries_server_errors_then_fails(endpoint):
@@ -448,6 +459,10 @@ def test_gateway_config_validation_and_file_loading(tmp_path):
         GatewayConfig(max_retries=-1)
     with pytest.raises(ValueError):
         GatewayConfig(max_parallel=0)
+    for bad in ({"timeout_seconds": float("inf")}, {"backoff_seconds": -0.5},
+                {"backoff_seconds": float("nan")}, {"temperature": float("-inf")}):
+        with pytest.raises(ValueError):
+            GatewayConfig(**bad)
 
     path = tmp_path / "gw.yaml"
     path.write_text("endpoint: https://e\nmodel: m\nmax_retries: 5\n", encoding="utf-8")

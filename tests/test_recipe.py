@@ -10,12 +10,13 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autorecipe import recipe as recipe_module
@@ -592,6 +593,21 @@ def test_random_recipes_round_trip_through_a_bundle(recipe):
         bundle(parsed, second)
         for name in BUNDLE_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# Any text, with the characters a YAML reader takes as line breaks drawn often.
+_ANY_TEXT = st.text(st.characters() | st.sampled_from("\x85\u2028\u2029\r\n\t "),
+                    min_size=1).filter(str.strip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kpi=_ANY_TEXT, asset_class=_ANY_TEXT)
+@example(kpi="asset\x85health", asset_class="\x85motor\x85")
+def test_bundle_keeps_any_kpi_and_asset_class(kpi, asset_class):
+    recipe = replace(_recipe(), kpi=kpi, asset_class=asset_class)
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle(recipe, tmp)
+        assert parse_bundle(tmp) == recipe
 
 
 def test_parse_bundle_missing_index(tmp_path):

@@ -18,6 +18,7 @@ from autorecipe.errors import (
 from autorecipe.execution import KnowledgeDocument, KnowledgePart, split_parts
 from autorecipe.gateway import RecordingGateway, ScriptedGateway, session_key
 from autorecipe.references import (
+    DEFAULT_MAX_RESULTS,
     Claim,
     ConstantNliClient,
     Evidence,
@@ -48,6 +49,17 @@ class _Recorder:
 class _FaultySearch:
     def search(self, query, max_results):
         raise RuntimeError("socket closed")
+
+
+class _FloodingSearch:
+    """Returns more hits than asked for, and records what was asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def search(self, query, max_results):
+        self.asked.append(max_results)
+        return [SearchHit(f"https://{i}.example", text="t") for i in range(max_results + 3)]
 
 
 class _CountingNli:
@@ -174,24 +186,11 @@ def test_search_claim_separates_fetches_from_failures():
     assert client.queries == ["Motors contain bearings."]
 
 
-def test_search_claim_respects_max_results(three_part_doc):
-    claim = Claim(1, 1, "q.")
-    client = ScriptedSearchClient({
-        "q.": [SearchHit(f"https://{i}.example", text="t") for i in range(5)],
-    })
-    evidence = collect_evidence([claim], client, ConstantNliClient(True), max_results=2)
-    assert [e.url for e in evidence] == ["https://0.example", "https://1.example"]
-    assert collect_evidence([claim], client, ConstantNliClient(True), max_results=0) == []
-    assert client.queries == ["q."]  # max_results=0 asks no search at all
-
-    kd, replies, results = _pipeline_fixture(three_part_doc)
-    search = ScriptedSearchClient(results)
-    cited = build_references(
-        kd, ScriptedGateway(replies=list(replies)), search, ConstantNliClient(True),
-        k=2, max_results=0,
-    )
-    assert cited.counts.urls_identified == (0, 0, 0)
-    assert search.queries == []
+def test_search_claim_respects_max_results():
+    client = _FloodingSearch()
+    evidence = collect_evidence([Claim(1, 1, "q.")], client, ConstantNliClient(True))
+    assert [e.url for e in evidence] == [f"https://{i}.example" for i in range(DEFAULT_MAX_RESULTS)]
+    assert client.asked == [DEFAULT_MAX_RESULTS]
 
 
 def test_search_claim_strict_and_lenient_misses(three_part_doc):
@@ -311,7 +310,7 @@ def test_collect_evidence_sorted_and_parallel_deterministic():
     claims = [Claim(p, c, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
     results = {}
     for claim in claims:
-        results[claim.query] = [
+        results[claim.statement] = [
             SearchHit(f"https://{claim.passage_id}-{claim.index}-{r}.example", text="body text")
             for r in range(3)
         ]
@@ -335,7 +334,7 @@ def test_always_true_and_always_false_judges(three_part_doc):
     kd = split_parts(three_part_doc)
     claims = [Claim(p, 1, f"claim for part {p}.") for p in (1, 2, 3)]
     results = {
-        c.query: [SearchHit(f"https://{c.passage_id}.example", text="para")] for c in claims
+        c.statement: [SearchHit(f"https://{c.passage_id}.example", text="para")] for c in claims
     }
     sunny = attach_references(
         kd, claims,

@@ -169,28 +169,6 @@ def test_refine_system_carries_qa_history(registry):
     assert f"Question: {QUESTION}\nAnswer: First answer." in second_system
 
 
-def test_refine_custom_betterment_suffix(registry):
-    gateway = _Recorder([
-        "First.\nConfidence: 70%",
-        "First.\nConfidence: 70%",
-    ])
-    result = refine(
-        gateway, registry.role("domain-expert"), QUESTION,
-        betterment_suffix="Tighten it.",
-    )
-    assert result.records[1].question == f"{QUESTION} Tighten it."
-
-
-def test_refine_fixed_point_can_be_disabled(registry):
-    gateway = _Recorder(["Same.\nConfidence: 70%"] * 4)
-    result = refine(
-        gateway, registry.role("domain-expert"), QUESTION,
-        max_rounds=4, stop_on_fixed_point=False,
-    )
-    assert result.stop_reason == "max-rounds"
-    assert result.rounds == 4
-
-
 def test_refine_missing_marker_warns_and_drops(registry):
     gateway = _Recorder(["an unmarked reply"])
     with pytest.warns(NoConfidenceWarning):

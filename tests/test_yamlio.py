@@ -24,6 +24,7 @@ from autorecipe._yamlio import (
     MapOf,
     Record,
     check,
+    dump_yaml,
     load_checked,
     load_yaml,
 )
@@ -32,7 +33,6 @@ from autorecipe.planning import Goal, generate_sequence_deterministic, serialize
 from autorecipe.prompts import default_registry
 from autorecipe.recipe import (
     _aggregation_to_mapping,
-    _dump_yaml,
     _indicator_to_mapping,
     default_aggregation_config,
     default_indicator_config,
@@ -144,10 +144,10 @@ def _fixture_documents() -> list[str]:
                            for t in default_registry().templates.values()]},
             sort_keys=False, allow_unicode=True,
         ),
-        _dump_yaml(_indicator_to_mapping(default_indicator_config(sensors))),
-        _dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors))),
-        _dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors, "ahp"))),
-        _dump_yaml({"strict": True, "replies": ["Confidence: 90%", THREE_PART_DOC]}),
+        dump_yaml(_indicator_to_mapping(default_indicator_config(sensors))),
+        dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors))),
+        dump_yaml(_aggregation_to_mapping(default_aggregation_config(sensors, "ahp"))),
+        dump_yaml({"strict": True, "replies": ["Confidence: 90%", THREE_PART_DOC]}),
         "endpoint: https://e\nmodel: m\nmax_retries: 5\n",
         "",
         "# comment only\n",
