@@ -1,9 +1,13 @@
 """The one YAML loader every input goes through, the one dumper every
 output goes through, and the one shape check.
 
-``load_checked`` loads a document and checks it against a schema built
-from the kinds below; ``check`` does the same for a document read some
-other way, such as one JSON record.  The rules are the same for every file:
+``load_file`` reads an input file, and ``load_checked`` a document
+already in hand, and both check it against a schema built from the kinds
+below; ``check`` does the same for a document read some other way, such as
+one JSON record.  A document that cannot be read at all (not UTF-8 text, a
+YAML syntax error, nesting too deep, a bad tagged value) raises
+``AutoRecipeError("unreadable <source>: <reason>")``.  The rules of the
+check are the same for every file:
 
 - a null value counts as an absent key, and a null document as an empty
   mapping;
@@ -60,15 +64,21 @@ else:
 def load_yaml(stream, source):
     """The document in ``stream`` (text, bytes or an open file), as ``yaml.safe_load``.
 
-    A document nested too deeply for the composer, or an explicitly tagged
-    scalar that PyYAML cannot build (``!!int ""``, ``!!bool x``), raises
-    ``AutoRecipeError`` naming ``source``, the file path or a description
-    of the document; other syntax errors stay ``yaml.YAMLError``.
+    Every failure raises ``AutoRecipeError("unreadable <source>: <reason>")``,
+    where ``source`` is the file path or a description of the document: a
+    file that is not UTF-8 text, a syntax error, a document nested too
+    deeply for the composer, or an explicitly tagged scalar that PyYAML
+    cannot build (``!!int ""``, ``!!bool x``).
     """
     try:
         return yaml.load(stream, Loader=_Loader)
     except RecursionError:
         raise AutoRecipeError(f"unreadable {source}: nested too deeply") from None
+    # A decode error is a ValueError, so it is caught before the clause below.
+    except UnicodeDecodeError:
+        raise AutoRecipeError(f"unreadable {source}: not UTF-8 text") from None
+    except yaml.YAMLError as exc:
+        raise AutoRecipeError(f"unreadable {source}: {exc}") from exc
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         # SafeConstructor parses tagged scalars without checking them first.
         raise AutoRecipeError(f"unreadable {source}: bad tagged value ({exc!r})") from exc
@@ -195,3 +205,12 @@ def check(doc, source, what: str, schema: Record) -> dict:
 def load_checked(stream, source, what: str, schema: Record) -> dict:
     """The YAML document in ``stream``, through ``load_yaml`` and then ``check``."""
     return check(load_yaml(stream, source), source, what, schema)
+
+
+def load_file(path, what: str, schema: Record) -> dict:
+    """The YAML file at ``path``, meant to be ``what``, through ``load_checked``.
+
+    The file is read as a stream, so the marks of a syntax error name it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return load_checked(fh, path, what, schema)

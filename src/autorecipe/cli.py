@@ -32,7 +32,12 @@ EXIT_INTERNAL = 4
 
 
 def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text.  A file that is not UTF-8 reads as a YAML input file
+    does; PyYAML is not imported here, since ``metrics`` must not load it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise AutoRecipeError(f"unreadable {path}: not UTF-8 text") from None
 
 
 def _write_out(out, text: str, label: str) -> None:
@@ -156,6 +161,10 @@ def cmd_generate(args) -> int:
     gateway = _build_gateway(args)
     if gateway is None:
         raise ValueError("generate needs one of --script, --replay, or --gateway-config")
+    # Every input file is read before the first model call.
+    if args.search_script:
+        search = ScriptedSearchClient.from_file(args.search_script)
+        nli = ScriptedNliClient.from_file(args.nli_script)
     registry = default_registry()
     # Scripted and replay runs use a pinned creation time so rerunning
     # yields byte-identical bundles.
@@ -197,8 +206,6 @@ def cmd_generate(args) -> int:
     )
 
     if args.search_script:
-        search = ScriptedSearchClient.from_file(args.search_script)
-        nli = ScriptedNliClient.from_file(args.nli_script)
         cited = _stage(
             "references", build_references, doc, gateway, search, nli, registry=registry
         )
@@ -373,12 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, (GatewayError, SearchClientError, NliClientError)):
         return EXIT_GATEWAY
-    # A YAMLError can only have been raised by a loaded yaml, so look it up
-    # instead of importing it.
-    yaml = sys.modules.get("yaml")
-    if isinstance(exc, (AutoRecipeError, ValueError, OSError)) or (
-        yaml is not None and isinstance(exc, yaml.YAMLError)
-    ):
+    if isinstance(exc, (AutoRecipeError, ValueError, OSError)):
         return EXIT_INPUT
     return EXIT_INTERNAL
 

@@ -40,13 +40,12 @@ PART_LABELS = ("asset-description", "kpi-explanation", "measurement")
 class ManualClock:
     """Deterministic logical clock; default for scripted and replayed runs."""
 
-    def __init__(self, start: float = 0.0, step: float = 1.0):
-        self._now = start
-        self._step = step
+    def __init__(self):
+        self._now = 0.0
 
     def __call__(self) -> float:
         now = self._now
-        self._now += self._step
+        self._now += 1.0
         return now
 
 
@@ -66,9 +65,6 @@ class Transcript:
     def user_turns(self) -> list[TranscriptMessage]:
         return [m for m in self.messages if m.role == "user"]
 
-    def replies(self) -> list[TranscriptMessage]:
-        return [m for m in self.messages if m.role == "assistant"]
-
 
 # --- knowledge documents ------------------------------------------------------
 
@@ -87,12 +83,6 @@ class KnowledgePart:
 class KnowledgeDocument:
     parts: tuple[KnowledgePart, ...]
     preamble: str = ""
-
-    def part(self, label: str) -> KnowledgePart:
-        for p in self.parts:
-            if p.label == label:
-                return p
-        raise KeyError(label)
 
 
 _HEADING_LINE = re.compile(r"^(?:#{1,2}\s+\S.*|(?:\*\*)?Part\s*[1-9]\d*\b.*)$", re.IGNORECASE)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field, fields
 
-from ._yamlio import BOOL, INT, NUMBER, TEXT, ListOf, MapOf, Record, check, load_checked
+from ._yamlio import BOOL, INT, NUMBER, TEXT, ListOf, MapOf, Record, check, load_file
 from .errors import AutoRecipeError, GatewayError, TransportError
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "ReplayGateway",
     "load_gateway_config",
 ]
-
-logger = logging.getLogger(__name__)
 
 _ROLES = ("system", "user", "assistant")
 
@@ -85,8 +82,7 @@ _CONFIG = Record(optional={
 
 
 def load_gateway_config(path) -> GatewayConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = load_checked(fh, path, "gateway config", _CONFIG)
+    doc = load_file(path, "gateway config", _CONFIG)
     return GatewayConfig(**{key: value for key, value in doc.items() if value is not None})
 
 
@@ -141,8 +137,7 @@ class ScriptedGateway:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedGateway":
-        with open(path, encoding="utf-8") as fh:
-            doc = load_checked(fh, path, "script", _SCRIPT)
+        doc = load_file(path, "script", _SCRIPT)
         return cls(replies=doc.get("replies"), by_key=doc.get("by_key"),
                    strict=doc.get("strict") is not False, default=doc.get("default"))
 
@@ -243,7 +238,6 @@ class HttpGateway:
             except TransportError as exc:
                 last_error = exc
             if attempt <= self.config.max_retries:
-                logger.info("gateway attempt %d/%d failed; retrying", attempt, attempts)
                 self._sleep(self.config.backoff_seconds * attempt)
         assert last_error is not None
         raise last_error
@@ -303,16 +297,22 @@ class ReplayGateway:
     def __init__(self, path: str):
         self.path = path
         self._replies: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise AutoRecipeError(f"{path}:{number}: not a JSON record: {exc}") from None
-                record = check(record, f"{path}:{number}", "record", _STORE_RECORD)
-                self._replies[record["key"]] = record["reply"]
+        # Line by line: a reply may hold U+2028, where str.splitlines would cut it.
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for number, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except (json.JSONDecodeError, RecursionError) as exc:
+                        raise AutoRecipeError(
+                            f"{path}:{number}: not a JSON record: {exc}"
+                        ) from None
+                    record = check(record, f"{path}:{number}", "record", _STORE_RECORD)
+                    self._replies[record["key"]] = record["reply"]
+        except UnicodeDecodeError:
+            raise AutoRecipeError(f"unreadable {path}: not UTF-8 text") from None
 
     def complete(self, session: list[ChatMessage]) -> str:
         _check_session(session)

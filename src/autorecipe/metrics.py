@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import KeysView
+from dataclasses import dataclass
 
 from .errors import AutoRecipeError
 
@@ -27,22 +28,14 @@ __all__ = [
 
 @dataclass
 class TokenProfile:
-    """Token multiset of one document plus derived counts."""
+    """Token multiset of one document: the count of each token, and their sum."""
 
-    tokens: list[str]
-    counts: Counter = field(default_factory=Counter)
-
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = Counter(self.tokens)
+    counts: Counter
+    total: int
 
     @property
-    def total(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.counts)
+    def vocabulary(self) -> KeysView[str]:
+        return self.counts.keys()
 
     @property
     def unique(self) -> int:
@@ -63,8 +56,10 @@ def tokenize(text: str) -> TokenProfile:
     """
     folded = text.casefold()
     if folded.isascii():
-        return TokenProfile(folded.translate(_ASCII_SEPARATORS).split())
-    return TokenProfile(_TOKEN.findall(folded))
+        tokens = folded.translate(_ASCII_SEPARATORS).split()
+    else:
+        tokens = _TOKEN.findall(folded)
+    return TokenProfile(Counter(tokens), len(tokens))
 
 
 def _profile(text: str | TokenProfile) -> TokenProfile:
@@ -99,25 +94,16 @@ def coverage(
     return 100.0 * len(shared) / base_profile.unique
 
 
-def _cosine(u: list[float], v: list[float]) -> float:
-    dot = sum(a * b for a, b in zip(u, v))
-    nu = math.sqrt(sum(a * a for a in u))
-    nv = math.sqrt(sum(b * b for b in v))
-    if nu == 0.0 or nv == 0.0:
-        raise AutoRecipeError("cannot take cosine of a zero vector")
-    return dot / (nu * nv)
-
-
 def similarity(a: str | TokenProfile, b: str | TokenProfile) -> float:
     """Cosine similarity of the two texts' term-frequency vectors.
 
     The vectors span the union vocabulary, so identical texts score 1.0
-    regardless of length.
+    regardless of length.  The sums are of integer counts, so they are exact.
     """
     pa, pb = _profile(a), _profile(b)
     if pa.total == 0 or pb.total == 0:
         raise AutoRecipeError("similarity needs tokens on both sides")
-    vocab = sorted(pa.vocabulary | pb.vocabulary)
-    va = [float(pa.counts[t]) for t in vocab]
-    vb = [float(pb.counts[t]) for t in vocab]
-    return _cosine(va, vb)
+    dot = sum(n * pb.counts[t] for t, n in pa.counts.items())
+    norm_a = math.sqrt(sum(n * n for n in pa.counts.values()))
+    norm_b = math.sqrt(sum(n * n for n in pb.counts.values()))
+    return dot / (norm_a * norm_b)

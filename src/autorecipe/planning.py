@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from ._yamlio import INT, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
 from .errors import AutoRecipeError, MissingBindingError
 from .gateway import ChatMessage
@@ -582,10 +580,7 @@ _SEQUENCE = Record(
 
 def parse_sequence(text: str) -> PromptSequence:
     """Read back what serialize_sequence writes; any other shape raises AutoRecipeError."""
-    try:
-        doc = load_checked(text, "sequence document", "sequence", _SEQUENCE)
-    except yaml.YAMLError as exc:
-        raise AutoRecipeError(f"unreadable sequence document: {exc}") from exc
+    doc = load_checked(text, "sequence document", "sequence", _SEQUENCE)
     steps = []
     for n, entry in enumerate(doc["steps"], start=1):
         try:

@@ -22,10 +22,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
+from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked, load_file
 from .errors import AutoRecipeError, ValidationFailedError
 from .scoring import (
-    _MAX_PAIRWISE,
     CATEGORIES,
     DEFAULT_CATEGORY_SCORES,
     AggregationConfig,
@@ -90,14 +89,7 @@ _KINDS = {
 _OUTPUT_FILE = "health_scores.csv"
 _MODEL_NAME = "health-score-estimator"
 
-BUNDLE_FILES = (
-    KNOWLEDGE_DOC_FILE,
-    INDICATOR_CONFIG_FILE,
-    AGGREGATION_CONFIG_FILE,
-    DATASET_FILE,
-    WRAPPER_MANIFEST_FILE,
-    RECIPE_INDEX_FILE,
-)
+BUNDLE_FILES = (*_KINDS, RECIPE_INDEX_FILE)
 
 
 def parse_rfc3339(timestamp: str) -> datetime:
@@ -346,10 +338,6 @@ def default_aggregation_config(sensor_names, method: str = "weighted") -> Aggreg
             weights={name: weight for name in names},
         )
     if method == "ahp":
-        if len(names) > _MAX_PAIRWISE:
-            raise ValueError(
-                f"ahp supports at most {_MAX_PAIRWISE} sensors, got {len(names)}"
-            )
         identity = tuple(tuple(1.0 for _ in names) for _ in names)
         return AggregationConfig(
             category_scores=dict(DEFAULT_CATEGORY_SCORES),
@@ -480,13 +468,11 @@ _MANIFEST = Record(required={
 
 
 def load_indicator_config(path) -> HealthIndicatorConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return _indicator_from_mapping(load_checked(text, path, "indicator config", _INDICATOR))
+    return _indicator_from_mapping(load_file(path, "indicator config", _INDICATOR))
 
 
 def load_aggregation_config(path) -> AggregationConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return _aggregation_from_mapping(load_checked(text, path, "aggregation config", _AGGREGATION))
+    return _aggregation_from_mapping(load_file(path, "aggregation config", _AGGREGATION))
 
 
 def bundle(recipe: Recipe, out_dir) -> dict[str, Path]:

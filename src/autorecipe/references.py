@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_checked
+from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
 from .errors import AutoRecipeError, FewerClaimsWarning, NliClientError, SearchClientError
 from .execution import KnowledgeDocument
 from .gateway import ChatMessage
@@ -123,8 +123,7 @@ class ScriptedSearchClient:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedSearchClient":
-        with open(path, encoding="utf-8") as handle:
-            data = load_checked(handle, path, "search script", _SEARCH_SCRIPT)
+        data = load_file(path, "search script", _SEARCH_SCRIPT)
         results = {
             query: [SearchHit(hit["url"], hit.get("text") or "", hit.get("error") or "")
                     for hit in hits]
@@ -157,8 +156,7 @@ class ScriptedNliClient:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedNliClient":
-        with open(path, encoding="utf-8") as handle:
-            data = load_checked(handle, path, "NLI script", _NLI_SCRIPT)
+        data = load_file(path, "NLI script", _NLI_SCRIPT)
         pairs = {
             (pair["premise"].strip(), pair["hypothesis"].strip()): bool(pair.get("entailed"))
             for pair in data.get("pairs") or []

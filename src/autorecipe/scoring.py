@@ -9,6 +9,7 @@ maximum is scorable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -68,12 +69,6 @@ class SensorConfig:
 class HealthIndicatorConfig:
     sensors: tuple[SensorConfig, ...]
 
-    def sensor(self, name: str) -> SensorConfig:
-        for s in self.sensors:
-            if s.name == name:
-                return s
-        raise AutoRecipeError(f"sensor {name!r} is not configured")
-
     @property
     def sensor_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.sensors)
@@ -129,9 +124,7 @@ def validate_indicator_config(cfg: HealthIndicatorConfig) -> list[str]:
     return violations
 
 
-def validate_aggregation_config(
-    cfg: AggregationConfig, sensor_names: tuple[str, ...] | None = None
-) -> list[str]:
+def validate_aggregation_config(cfg: AggregationConfig, sensor_names: tuple[str, ...]) -> list[str]:
     violations = []
     if set(cfg.category_scores) != set(CATEGORIES):
         violations.append(f"category scores must cover exactly {list(CATEGORIES)}")
@@ -145,12 +138,15 @@ def validate_aggregation_config(
         if not cfg.weights:
             violations.append("weighted method declared without weights")
         else:
+            # NaN fails every comparison below, so it is caught here.
+            if not all(map(math.isfinite, cfg.weights.values())):
+                violations.append("weights must be finite")
             if any(w < 0 for w in cfg.weights.values()):
                 violations.append("weights must be non-negative")
             total = sum(cfg.weights.values())
             if abs(total - 1.0) > 1e-9:
                 violations.append(f"weights must sum to 1.0, got {total!r}")
-            if sensor_names is not None and set(cfg.weights) != set(sensor_names):
+            if set(cfg.weights) != set(sensor_names):
                 violations.append("weight keys must match the configured sensors")
     elif cfg.method == "ahp":
         if not cfg.sensors or not cfg.pairwise:
@@ -158,17 +154,18 @@ def validate_aggregation_config(
         else:
             import numpy as np
 
-            matrix = np.asarray(cfg.pairwise, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            # Checked before numpy sees the rows, which it cannot stack when ragged.
+            size = len(cfg.pairwise)
+            if any(len(row) != size for row in cfg.pairwise):
                 violations.append("pairwise matrix must be square")
-            elif matrix.shape[0] != len(cfg.sensors):
+            elif size != len(cfg.sensors):
                 violations.append("pairwise matrix size must match the sensor list")
             else:
                 try:
-                    _check_pairwise(matrix)
+                    _check_pairwise(np.asarray(cfg.pairwise, dtype=float))
                 except (AutoRecipeError, ValueError) as exc:
                     violations.append(str(exc))
-            if sensor_names is not None and set(cfg.sensors) != set(sensor_names):
+            if set(cfg.sensors) != set(sensor_names):
                 violations.append("ahp sensor order must match the configured sensors")
     else:
         violations.append(f"unknown aggregation method {cfg.method!r}")
@@ -268,6 +265,9 @@ def _check_pairwise(matrix: np.ndarray) -> None:
     n = matrix.shape[0]
     if n > _MAX_PAIRWISE:
         raise ValueError(f"pairwise matrix size {n} exceeds the supported maximum {_MAX_PAIRWISE}")
+    # NaN fails every comparison below, so it is caught here.
+    if not np.all(np.isfinite(matrix)):
+        raise AutoRecipeError("pairwise matrix entries must be finite")
     if np.any(matrix <= 0):
         raise AutoRecipeError("pairwise matrix entries must be positive")
     products = matrix * matrix.T

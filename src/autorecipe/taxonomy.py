@@ -18,8 +18,6 @@ import contextlib
 import gc
 from dataclasses import dataclass, field
 
-import yaml
-
 from ._yamlio import TEXT, ListOf, Record, load_checked
 from .errors import AutoRecipeError, CycleDetectedError, MultipleRootsError
 
@@ -91,9 +89,6 @@ class Taxonomy:
             raise AutoRecipeError(f"unknown node: {name!r}")
         return nid
 
-    def label(self, name: str) -> str:
-        return self.nodes[self.node_id(name)].label
-
     def kind(self, name: str) -> str:
         return self.nodes[self.node_id(name)].kind
 
@@ -127,10 +122,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
     """
     if not text or not text.strip():
         raise AutoRecipeError("taxonomy document is empty")
-    try:
-        doc = load_checked(text, "taxonomy document", "taxonomy", _TAXONOMY)
-    except yaml.YAMLError as exc:
-        raise AutoRecipeError(f"unreadable taxonomy document: {exc}") from exc
+    doc = load_checked(text, "taxonomy document", "taxonomy", _TAXONOMY)
     root_label = " ".join((doc.get("kpi") or "").split())
     if not root_label:
         raise AutoRecipeError("taxonomy document declares no kpi root")

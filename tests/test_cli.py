@@ -514,6 +514,22 @@ def test_bad_tagged_yaml_value_is_an_input_error(site, tax_file, tmp_path, capsy
     assert f"unreadable {tmp_path / 'deep.yaml'}: bad tagged value" in err
 
 
+@pytest.mark.parametrize("site", ["indicator", "aggregation", "script", "search-script",
+                                  "nli-script", "gateway-config"])
+def test_unreadable_yaml_file_is_an_input_error(site, tax_file, tmp_path, capsys):
+    path = tmp_path / "deep.yaml"
+    argv = _deep_site_args(site, tmp_path, tax_file, text="strict: [true\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # The marks name the file, since it is read as a stream.
+    assert err.startswith(f'error: unreadable {path}: while parsing a flow sequence\n'
+                          f'  in "{path}", line 1, column 9\n')
+    path.write_bytes("strict: caf\u00e9\n".encode("latin-1"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: unreadable {path}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("site, what", [
     ("script", "script"), ("search-script", "search script"), ("nli-script", "NLI script"),
 ])
@@ -722,6 +738,12 @@ _SCORE_FILES = {
 }
 _AHP = ("method: ahp\ncategory_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
         "sensors: [a, b]\npairwise: ")
+_WEIGHTED = ("method: weighted\n"
+             "category_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
+             "weights: {a: 0.5, b: 0.5}\n")
+_DATASET = ("asset_id,sensor_name,value,timestamp,unit\n"
+            "a1,a,10,2024-01-01T00:00:00Z,percent\na1,b,60,2024-01-01T00:00:00Z,percent\n")
+_LATIN_1 = "kpi: caf\u00e9\n".encode("latin-1")
 # Nothing listens on port 9 (discard) of the loopback address.
 _GATEWAY = "endpoint: http://127.0.0.1:9/v1\n"
 _GATEWAY_PLAN = [*_PLAN, "--gateway-config", "{gateway}"]
@@ -791,6 +813,13 @@ def _replies(*replies) -> str:
      "beyond tolerance"),
     ({**_SCORE_FILES, "aggregation": _AHP + "[[1, -1], [-1, 1]]\n"}, _SCORE, 2,
      "error: validation failed:\n- pairwise matrix entries must be positive"),
+    # NaN fails every comparison, so these once scored "nan" and exited 0.
+    ({**_SCORE_FILES, "aggregation": _WEIGHTED.replace("a: 0.5", "a: .nan"),
+      "dataset": _DATASET}, _SCORE, 2, "error: validation failed:\n- weights must be finite"),
+    ({**_SCORE_FILES, "aggregation": _AHP + "[[1, .nan], [.nan, 1]]\n", "dataset": _DATASET},
+     _SCORE, 2, "error: validation failed:\n- pairwise matrix entries must be finite"),
+    ({**_SCORE_FILES, "aggregation": _AHP + "[[1, 2], [0.5]]\n", "dataset": _DATASET}, _SCORE, 2,
+     "error: validation failed:\n- pairwise matrix must be square"),
     # The configs are checked before the dataset is read.
     ({**_SCORE_FILES, "aggregation": _AHP + "[[1, 2], [2, 1]]\n", "dataset": ""}, _SCORE, 2,
      "error: validation failed:\n- matrix is not reciprocal: a[i,j]*a[j,i] deviates from 1 "
@@ -805,6 +834,20 @@ def _replies(*replies) -> str:
      _VERIFY, 2, "error: passage 1 has an empty body; nothing to ask about"),
     ({}, [*_PLAN, "--record", "{store}"], 2,
      "error: --record needs one of --script, --replay, or --gateway-config"),
+    # Every input file is read before the first model call.
+    ({"script": _replies(), "search": "queries: {}\n", "nli": "pairs: 5\n"},
+     [*_GENERATE, "--search-script", "{search}", "--nli-script", "{nli}"], 2,
+     "error: validation failed:\n- {tmp}/nli.input: pairs must be a list, got 5"),
+    # A text file that is not UTF-8 reads as a YAML one does.
+    ({"tax": _LATIN_1}, _PLAN, 2, "error: unreadable {tmp}/tax.input: not UTF-8 text"),
+    ({"plan": _LATIN_1}, [*_PLAN, "--plan-text", "{plan}"], 2,
+     "error: unreadable {tmp}/plan.input: not UTF-8 text"),
+    ({"store": _LATIN_1}, [*_PLAN, "--replay", "{store}"], 2,
+     "error: unreadable {tmp}/store.input: not UTF-8 text"),
+    ({**_SCORE_FILES, "aggregation": _WEIGHTED, "dataset": _LATIN_1}, _SCORE, 2,
+     "error: unreadable {tmp}/dataset.input: not UTF-8 text"),
+    ({"doc": _LATIN_1}, ["metrics", "--doc", "{doc}"], 2,
+     "error: unreadable {tmp}/doc.input: not UTF-8 text"),
     # Gateway config values that once reached the socket, the sleep or the request body.
     ({"gateway": _GATEWAY + "timeout_seconds: .inf\n"}, _GATEWAY_PLAN, 2,
      "error: timeout_seconds must be finite"),
@@ -822,9 +865,11 @@ def _replies(*replies) -> str:
         "step-declared-twice", "undeclared-step", "unreferenced-step", "code-step-names-no-node",
         "no-step-left", "react-without-final-answer", "react-empty-final-answer",
         "react-one-step", "blank-reply", "confidence-over-100", "script-miss", "replay-miss",
-        "non-reciprocal-ahp", "non-positive-ahp", "bad-configs-and-dataset",
-        "token-free-metrics", "empty-knowledge-doc", "heading-only-part",
-        "record-without-source", "infinite-timeout", "nan-timeout", "infinite-backoff",
+        "non-reciprocal-ahp", "non-positive-ahp", "nan-weight", "nan-ahp", "ragged-ahp",
+        "bad-configs-and-dataset", "token-free-metrics", "empty-knowledge-doc",
+        "heading-only-part", "record-without-source", "bad-nli-script-before-model-calls",
+        "latin-1-taxonomy", "latin-1-plan-text", "latin-1-store", "latin-1-dataset",
+        "latin-1-doc", "infinite-timeout", "nan-timeout", "infinite-backoff",
         "negative-backoff", "nan-temperature"])
 def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
     paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
@@ -832,6 +877,10 @@ def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys)
     (tmp_path / "tax.yaml").write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
     for name, text in files.items():
         paths[name] = str(tmp_path / f"{name}.input")
-        (tmp_path / f"{name}.input").write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (tmp_path / f"{name}.input").write_bytes(text)
+        else:
+            (tmp_path / f"{name}.input").write_text(text, encoding="utf-8")
     rc = main([arg.format(**paths) for arg in argv])
+    err = err.replace("{tmp}", str(tmp_path))
     assert (rc, capsys.readouterr().err) == (code, err + "\n" if err else "")

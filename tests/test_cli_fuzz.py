@@ -265,6 +265,9 @@ def test_indicator_config(run, text):
 @given(text=_AGGREGATION)
 @example(text="method: weighted\nweights: [0.5, 0.5]\n")
 @example(text="method: weighted\nweights: {vibration: 1" + "0" * 400 + "}\n")
+@example(text="method: weighted\nweights: {vibration: .nan, never measured: 0.5}\n")
+@example(text="method: ahp\nsensors: [vibration, never measured]\npairwise: [[1, .nan], [.nan, 1]]\n")
+@example(text="method: ahp\nsensors: [vibration, never measured]\npairwise: [[1, 2], [0.5]]\n")
 def test_aggregation_config(run, text):
     _fails_cleanly(run(_SCORE, "aggregation", text))
 

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,15 @@ def test_tokenize_casefolds_and_splits_on_non_alphanumerics():
     assert "3" in profile.vocabulary
 
 
+def _counted(tokens: list[str]) -> tuple[Counter, int]:
+    """What a profile holds of a token list: the count of each token, and their sum."""
+    return Counter(tokens), len(tokens)
+
+
+def _profile_counts(profile: TokenProfile) -> tuple[Counter, int]:
+    return profile.counts, profile.total
+
+
 def _tokens_by_isalnum(text: str) -> list[str]:
     """The tokenizer's definition, one character at a time."""
     parts, word = [], []
@@ -44,12 +54,12 @@ def _tokens_by_isalnum(text: str) -> list[str]:
 @settings(max_examples=500, deadline=None)
 @given(text=st.text(alphabet=st.characters(), max_size=300))
 def test_tokenize_equals_isalnum_definition(text):
-    assert tokenize(text).tokens == _tokens_by_isalnum(text)
+    assert _profile_counts(tokenize(text)) == _counted(_tokens_by_isalnum(text))
 
 
 def test_tokenize_equals_isalnum_definition_on_every_code_point():
     text = "".join(map(chr, range(0x110000)))
-    assert tokenize(text).tokens == _tokens_by_isalnum(text)
+    assert _profile_counts(tokenize(text)) == _counted(_tokens_by_isalnum(text))
 
 
 # Curly quotes and dashes, letters whose case-fold changes length, and
@@ -63,12 +73,12 @@ _MIXED = st.sampled_from(list(string.printable) + list("é’“”—ßİﬁ\u2
     st.text(alphabet=_MIXED, max_size=300),
 ))
 def test_tokenize_equals_the_regex_on_ascii_and_mixed_text(text):
-    assert tokenize(text).tokens == re.findall(r"[^\W_]+", text.casefold())
+    assert _profile_counts(tokenize(text)) == _counted(re.findall(r"[^\W_]+", text.casefold()))
 
 
 def test_tokenize_splits_ascii_on_every_non_alphanumeric_character():
     text = "x".join(map(chr, range(128)))
-    assert tokenize(text).tokens == re.findall(r"[^\W_]+", text.casefold())
+    assert _profile_counts(tokenize(text)) == _counted(re.findall(r"[^\W_]+", text.casefold()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +106,7 @@ def test_metrics_take_texts_or_profiles_alike(a, b, weighted):
 def test_token_profile_arguments_are_not_retokenized(monkeypatch):
     import autorecipe.metrics as metrics
 
-    profile = TokenProfile(["a", "a", "b"])
+    profile = TokenProfile(*_counted(["a", "a", "b"]))
     monkeypatch.setattr(metrics, "tokenize", lambda text: pytest.fail("tokenized again"))
     assert metrics.type_token_ratio(profile) == 2 / math.sqrt(3)
     assert metrics.coverage(profile, profile) == 100.0
@@ -159,3 +169,23 @@ def test_similarity_symmetric_and_reflexive():
 
 def test_similarity_disjoint_vocabulary_is_zero():
     assert similarity("a b", "c d") == 0.0
+
+
+def _similarity_oracle(a: str, b: str) -> float:
+    """Cosine of dense float term-frequency vectors over the sorted union vocabulary."""
+    ca, cb = Counter(_tokens_by_isalnum(a)), Counter(_tokens_by_isalnum(b))
+    vocabulary = sorted(ca.keys() | cb.keys())
+    u = [float(ca[t]) for t in vocabulary]
+    v = [float(cb[t]) for t in vocabulary]
+    dot = sum(x * y for x, y in zip(u, v))
+    return dot / (math.sqrt(sum(x * x for x in u)) * math.sqrt(sum(y * y for y in v)))
+
+
+_WORDS = st.lists(st.sampled_from(["pump", "motor", "bearing", "wear", "a", "é", "3"]),
+                  min_size=1, max_size=200).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_WORDS, b=_WORDS)
+def test_similarity_equals_the_dense_vector_cosine(a, b):
+    assert similarity(a, b) == _similarity_oracle(a, b)

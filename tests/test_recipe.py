@@ -313,8 +313,12 @@ def test_default_ahp_config_is_limited_to_fifteen_sensors():
     names = [f"sensor {i}" for i in range(16)]
     config = default_aggregation_config(names[:15], method="ahp")
     assert HealthScoreEstimator().fit(default_indicator_config(names[:15]), config)
-    with pytest.raises(ValueError, match="at most 15 sensors"):
-        default_aggregation_config(names, method="ahp")
+    with pytest.raises(ValidationFailedError) as info:
+        HealthScoreEstimator().fit(default_indicator_config(names),
+                                   default_aggregation_config(names, method="ahp"))
+    assert info.value.violations == [
+        "pairwise matrix size 16 exceeds the supported maximum 15"
+    ]
 
 
 # --- recipe validation --------------------------------------------------------------------------

@@ -137,6 +137,12 @@ def test_validate_aggregation_weighted():
     assert any("match the configured sensors" in v
                for v in validate_aggregation_config(mismatched, ("a", "b")))
 
+    # NaN fails every comparison, so only the finiteness check catches it.
+    nan = AggregationConfig(
+        dict(DEFAULT_CATEGORY_SCORES), "weighted", weights={"a": float("nan"), "b": 0.5}
+    )
+    assert validate_aggregation_config(nan, ("a", "b")) == ["weights must be finite"]
+
 
 def test_validate_aggregation_category_scores():
     wrong_set = AggregationConfig({"poor": 0.2, "fine": 0.9}, "weighted", weights={"a": 1.0})
@@ -163,28 +169,43 @@ def test_validate_aggregation_ahp():
     assert validate_aggregation_config(good, ("a", "b")) == []
 
     missing = AggregationConfig(dict(DEFAULT_CATEGORY_SCORES), "ahp")
-    assert any("needs sensors" in v for v in validate_aggregation_config(missing))
+    assert any("needs sensors" in v for v in validate_aggregation_config(missing, ("a", "b")))
 
     not_square = AggregationConfig(
         dict(DEFAULT_CATEGORY_SCORES), "ahp",
         sensors=("a", "b"), pairwise=((1.0, 2.0, 3.0), (0.5, 1.0, 2.0)),
     )
-    assert any("square" in v for v in validate_aggregation_config(not_square))
+    assert any("square" in v for v in validate_aggregation_config(not_square, ("a", "b")))
+
+    ragged = AggregationConfig(
+        dict(DEFAULT_CATEGORY_SCORES), "ahp", sensors=("a", "b"), pairwise=((1.0, 2.0), (0.5,)),
+    )
+    assert validate_aggregation_config(ragged, ("a", "b")) == ["pairwise matrix must be square"]
+
+    nan = AggregationConfig(
+        dict(DEFAULT_CATEGORY_SCORES), "ahp",
+        sensors=("a", "b"), pairwise=((1.0, float("nan")), (float("nan"), 1.0)),
+    )
+    assert validate_aggregation_config(nan, ("a", "b")) == [
+        "pairwise matrix entries must be finite"
+    ]
 
     wrong_size = AggregationConfig(
         dict(DEFAULT_CATEGORY_SCORES), "ahp",
         sensors=("a", "b", "c"), pairwise=((1.0, 2.0), (0.5, 1.0)),
     )
-    assert any("match the sensor list" in v for v in validate_aggregation_config(wrong_size))
+    assert any("match the sensor list" in v
+               for v in validate_aggregation_config(wrong_size, ("a", "b", "c")))
 
     lopsided = AggregationConfig(
         dict(DEFAULT_CATEGORY_SCORES), "ahp",
         sensors=("a", "b"), pairwise=((1.0, 2.0), (1.0, 1.0)),
     )
-    assert any("reciprocal" in v for v in validate_aggregation_config(lopsided))
+    assert any("reciprocal" in v for v in validate_aggregation_config(lopsided, ("a", "b")))
 
     unknown = AggregationConfig(dict(DEFAULT_CATEGORY_SCORES), "mystery")
-    assert any("unknown aggregation method" in v for v in validate_aggregation_config(unknown))
+    assert any("unknown aggregation method" in v
+               for v in validate_aggregation_config(unknown, ("a",)))
 
 
 # --- weighted scores --------------------------------------------------------------------
@@ -290,6 +311,10 @@ def test_pairwise_rejections():
         ahp_weights([[1.0, 2.0, 3.0], [0.5, 1.0, 2.0]])
     with pytest.raises(ValueError, match="maximum"):
         ahp_weights(np.ones((16, 16)))
+    nan = float("nan")
+    for rejects in (ahp_weights, consistency_ratio):
+        with pytest.raises(AutoRecipeError, match="^pairwise matrix entries must be finite$"):
+            rejects([[1.0, nan], [nan, 1.0]])
 
 
 def test_principal_eigen_against_numpy():
@@ -478,11 +503,11 @@ def _predict_oracle(dataset, indicator, aggregation):
     violations = _validate_oracle(dataset, indicator)
     if violations:
         raise ValidationFailedError(violations)
+    sensors = {sensor.name: sensor for sensor in indicator.sensors}
     scores = []
     for asset_id, readings in sorted(latest_readings(dataset).items()):
         categories = {
-            name: _categorize_oracle(value, indicator.sensor(name))
-            for name, value in readings.items()
+            name: _categorize_oracle(value, sensors[name]) for name, value in readings.items()
         }
         scores.append(weighted_score(categories, aggregation, asset_id=asset_id))
     return scores

@@ -176,7 +176,7 @@ def test_recipe_imports_neither_execution_nor_references():
 
 
 # Runs one command and reports its exit code and which autorecipe modules,
-# and whether yaml, it loaded.
+# and whether yaml and logging, it loaded.
 LOADED = r'''
 import json
 import sys
@@ -184,7 +184,8 @@ import sys
 from autorecipe.cli import main
 
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m == "yaml" or m.startswith("autorecipe"))]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m in ("yaml", "logging") or m.startswith("autorecipe"))]))
 '''
 COMMON = ["autorecipe", "autorecipe.cli", "autorecipe.errors", "autorecipe.presets"]
 

@@ -49,7 +49,7 @@ def test_node_identity_is_case_insensitive():
     tax = parse_taxonomy(text)
     assert len(tax.nodes) == 3
     # first-seen spelling wins for display
-    assert tax.label("COMPONENT QUALITY") == "component quality"
+    assert tax.nodes[tax.node_id("COMPONENT QUALITY")].label == "component quality"
 
 
 def test_empty_documents_rejected():

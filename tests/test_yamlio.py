@@ -189,8 +189,8 @@ def test_load_yaml_bad_tagged_scalar_names_the_source(text):
         load_yaml(text, "doc.yaml")
 
 
-def test_load_yaml_keeps_syntax_errors_as_yaml_errors():
-    with pytest.raises(yaml.YAMLError):
+def test_load_yaml_syntax_error_names_the_source():
+    with pytest.raises(AutoRecipeError, match="^unreadable broken.yaml: while parsing"):
         load_yaml("a: [1, 2\n", "broken.yaml")
 
 
