@@ -74,17 +74,17 @@ def _build_gateway(args):
         load_gateway_config,
     )
 
-    if getattr(args, "script", None):
+    if args.script:
         gateway = ScriptedGateway.from_file(args.script)
-    elif getattr(args, "replay", None):
+    elif args.replay:
         gateway = ReplayGateway(args.replay)
-    elif getattr(args, "gateway_config", None):
+    elif args.gateway_config:
         gateway = HttpGateway(load_gateway_config(args.gateway_config))
-    elif getattr(args, "record", None):
+    elif args.record:
         raise ValueError("--record needs one of --script, --replay, or --gateway-config")
     else:
         return None
-    if getattr(args, "record", None):
+    if args.record:
         gateway = RecordingGateway(gateway, args.record)
     return gateway
 

@@ -305,7 +305,8 @@ class ReplayGateway:
                         continue
                     try:
                         record = json.loads(line)
-                    except (json.JSONDecodeError, RecursionError) as exc:
+                    # ValueError covers an integer too long to convert.
+                    except (ValueError, RecursionError) as exc:
                         raise AutoRecipeError(
                             f"{path}:{number}: not a JSON record: {exc}"
                         ) from None

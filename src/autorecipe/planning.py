@@ -221,9 +221,6 @@ class PromptSequence:
             names |= step.placeholders
         return frozenset(names)
 
-    def step(self, index: int) -> PromptStep:
-        return self.steps[index - 1]
-
 
 def _validate_sequence(steps: list[PromptStep], order) -> None:
     indices = [s.index for s in steps]

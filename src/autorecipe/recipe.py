@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import operator
 import random
 import re
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ __all__ = [
     "WRAPPER_MANIFEST_FILE",
     "RECIPE_INDEX_FILE",
     "BUNDLE_FILES",
-    "SensorReading",
     "SampleDataset",
     "Recipe",
     "parse_rfc3339",
@@ -108,17 +106,11 @@ def format_rfc3339(moment: datetime) -> str:
 
 
 @dataclass(frozen=True)
-class SensorReading:
-    asset_id: str
-    sensor_name: str
-    value: float
-    timestamp: str
-    unit: str
-
-
-@dataclass(frozen=True)
 class SampleDataset:
-    rows: tuple[SensorReading, ...]
+    """Sensor rows as the ``(asset_id, sensor_name, value, timestamp, unit)``
+    tuples that ``_csv_records`` yields, in ``DATASET_HEADER`` order."""
+
+    rows: tuple[tuple[str, str, float, str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -142,12 +134,12 @@ class Recipe:
 def latest_readings(dataset: SampleDataset) -> dict[str, dict[str, float]]:
     """Latest value per sensor per asset; later rows win timestamp ties."""
     latest: dict[str, dict[str, tuple[datetime, float]]] = {}
-    for row in dataset.rows:
-        moment = parse_rfc3339(row.timestamp)
-        per_asset = latest.setdefault(row.asset_id, {})
-        current = per_asset.get(row.sensor_name)
+    for asset_id, sensor_name, value, timestamp, _unit in dataset.rows:
+        moment = parse_rfc3339(timestamp)
+        per_asset = latest.setdefault(asset_id, {})
+        current = per_asset.get(sensor_name)
         if current is None or moment >= current[0]:
-            per_asset[row.sensor_name] = (moment, row.value)
+            per_asset[sensor_name] = (moment, value)
     return {
         asset: {sensor: value for sensor, (_, value) in readings.items()}
         for asset, readings in latest.items()
@@ -156,16 +148,7 @@ def latest_readings(dataset: SampleDataset) -> dict[str, dict[str, float]]:
 
 def validate_dataset(dataset: SampleDataset, cfg: HealthIndicatorConfig) -> list[str]:
     """Violation strings for coverage, units, timestamps, and domains."""
-    return _scan_dataset(_records(dataset), cfg)[0]
-
-
-# The fields of a SensorReading are the CSV columns, in order.
-_fields = operator.attrgetter(*DATASET_HEADER)
-
-
-def _records(dataset: SampleDataset):
-    """The dataset's rows as the record tuples _scan_dataset reads."""
-    return map(_fields, dataset.rows)
+    return _scan_dataset(dataset.rows, cfg)[0]
 
 
 def _scan_dataset(
@@ -245,13 +228,7 @@ def generate_synthetic(cfg: HealthIndicatorConfig, n_assets: int, seed: int) -> 
             low, high = sensor.domain
             # rounding may cross a boundary when the domain has >4 decimals
             value = min(max(round(rng.uniform(low, high), 4), low), high)
-            rows.append(SensorReading(
-                asset_id=asset_id,
-                sensor_name=sensor.name,
-                value=value,
-                timestamp=SYNTHETIC_TIMESTAMP,
-                unit=sensor.unit,
-            ))
+            rows.append((asset_id, sensor.name, value, SYNTHETIC_TIMESTAMP, sensor.unit))
     return SampleDataset(rows=tuple(rows))
 
 
@@ -259,8 +236,7 @@ def dataset_to_csv(dataset: SampleDataset) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(DATASET_HEADER)
-    for row in dataset.rows:
-        writer.writerow([row.asset_id, row.sensor_name, row.value, row.timestamp, row.unit])
+    writer.writerows(dataset.rows)
     return buffer.getvalue()
 
 
@@ -270,34 +246,37 @@ _CSV_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def dataset_from_csv(text: str) -> SampleDataset:
-    return SampleDataset(rows=tuple(SensorReading(*r) for r in _csv_records(text)))
+    return SampleDataset(rows=tuple(_csv_records(text)))
 
 
 def _csv_records(text: str):
     """The ``(asset_id, sensor_name, value, timestamp, unit)`` record of each CSV row.
 
     Blank lines are skipped.  Raises ValidationFailedError for an empty
-    text, a wrong header, or a row (named by its line) that does not hold
-    five fields with a numeric value.
+    text, a wrong header, a line the CSV reader rejects, or a row (named
+    by its line) that does not hold five fields with a numeric value.
     """
     reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)))
+    # csv.Error: a field longer than csv.field_size_limit(), or a stray "\r".
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationFailedError(["dataset csv is empty"]) from None
-    if tuple(header) != DATASET_HEADER:
-        raise ValidationFailedError(
-            [f"dataset header must be {','.join(DATASET_HEADER)}, got {','.join(header)}"]
-        )
-    for record in reader:
-        if not record:
-            continue
-        try:
-            asset_id, sensor_name, value, timestamp, unit = record
-            value = float(value)
-        except ValueError:
-            raise ValidationFailedError([_bad_record(record, reader.line_num)]) from None
-        yield asset_id, sensor_name, value, timestamp, unit
+        header = next(reader, None)
+        if header is None:
+            raise ValidationFailedError(["dataset csv is empty"])
+        if tuple(header) != DATASET_HEADER:
+            raise ValidationFailedError(
+                [f"dataset header must be {','.join(DATASET_HEADER)}, got {','.join(header)}"]
+            )
+        for record in reader:
+            if not record:
+                continue
+            try:
+                asset_id, sensor_name, value, timestamp, unit = record
+                value = float(value)
+            except ValueError:
+                raise ValidationFailedError([_bad_record(record, reader.line_num)]) from None
+            yield asset_id, sensor_name, value, timestamp, unit
+    except csv.Error as exc:
+        raise ValidationFailedError([f"dataset line {reader.line_num}: {exc}"]) from None
 
 
 def _bad_record(record: list[str], line: int) -> str:

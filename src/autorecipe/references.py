@@ -54,7 +54,6 @@ DEFAULT_MAX_RESULTS = 5
 @dataclass(frozen=True)
 class Passage:
     id: int
-    part_label: str
     body: str
 
 
@@ -187,7 +186,7 @@ def segment(kd: KnowledgeDocument) -> list[Passage]:
     if not kd.parts:
         raise AutoRecipeError("knowledge document has no parts to segment")
     return [
-        Passage(id=i, part_label=part.label, body=part.body.strip())
+        Passage(id=i, body=part.body.strip())
         for i, part in enumerate(kd.parts, start=1)
     ]
 

@@ -27,7 +27,6 @@ __all__ = [
     "SensorConfig",
     "HealthIndicatorConfig",
     "AggregationConfig",
-    "SensorContribution",
     "HealthScore",
     "categorize",
     "weighted_score",
@@ -210,18 +209,9 @@ def categorize(value: float, sensor: SensorConfig) -> str:
 
 
 @dataclass(frozen=True)
-class SensorContribution:
-    sensor: str
-    category: str
-    category_score: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class HealthScore:
     asset_id: str
     score: float
-    breakdown: tuple[SensorContribution, ...]
 
 
 def weighted_score(
@@ -243,16 +233,13 @@ def _blend(
         raise AutoRecipeError(
             "no category reading for sensor(s): " + ", ".join(sorted(missing))
         )
-    breakdown = []
+    terms = []
     for sensor, weight in weights.items():
         category = categories[sensor]
         if category not in cfg.category_scores:
             raise ValidationFailedError([f"unknown category {category!r} for sensor {sensor!r}"])
-        breakdown.append(SensorContribution(
-            sensor, category, cfg.category_scores[category], weight,
-        ))
-    score = 100.0 * sum(c.category_score * c.weight for c in breakdown)
-    return HealthScore(asset_id=asset_id, score=score, breakdown=tuple(breakdown))
+        terms.append(cfg.category_scores[category] * weight)
+    return HealthScore(asset_id=asset_id, score=100.0 * sum(terms))
 
 
 # --- pairwise comparison math ---------------------------------------------------
@@ -346,9 +333,7 @@ class HealthScoreEstimator:
         return self
 
     def predict(self, dataset) -> list[HealthScore]:
-        from .recipe import _records  # avoid import cycle
-
-        return self._predict_records(_records(dataset))
+        return self._predict_records(dataset.rows)
 
     def _predict_records(self, records) -> list[HealthScore]:
         """Scores from ``(asset_id, sensor_name, value, timestamp, unit)``

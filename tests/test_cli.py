@@ -15,7 +15,7 @@ from autorecipe.recipe import (
     DATASET_FILE,
     INDICATOR_CONFIG_FILE,
     SYNTHETIC_TIMESTAMP,
-    SensorReading,
+    SampleDataset,
     dataset_from_csv,
     parse_bundle,
 )
@@ -344,25 +344,24 @@ def test_score_missing_file_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
-def test_score_builds_no_sensor_reading(tax_file, tmp_path, capsys, monkeypatch):
+def test_score_builds_no_sample_dataset(tax_file, tmp_path, capsys, monkeypatch):
     out_dir = _scored_bundle(tax_file, tmp_path)
     built = []
-    init = SensorReading.__init__
+    init = SampleDataset.__init__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(SensorReading, "__init__", counted)
+    monkeypatch.setattr(SampleDataset, "__init__", counted)
     capsys.readouterr()
     rc = main(_score_args(out_dir / INDICATOR_CONFIG_FILE,
                           out_dir / AGGREGATION_CONFIG_FILE, out_dir / DATASET_FILE))
     assert (rc, capsys.readouterr().err) == (0, "")
     assert built == []
-    # The probe counts: the dataset route builds one reading per row.
-    text = (out_dir / DATASET_FILE).read_text(encoding="utf-8")
-    dataset_from_csv(text)
-    assert len(built) == len(text.splitlines()) - 1
+    # The probe counts: the dataset route holds the whole dataset.
+    dataset_from_csv((out_dir / DATASET_FILE).read_text(encoding="utf-8"))
+    assert len(built) == 1
 
 
 # --- metrics -----------------------------------------------------------------------
@@ -848,6 +847,14 @@ def _replies(*replies) -> str:
      "error: unreadable {tmp}/dataset.input: not UTF-8 text"),
     ({"doc": _LATIN_1}, ["metrics", "--doc", "{doc}"], 2,
      "error: unreadable {tmp}/doc.input: not UTF-8 text"),
+    # The first once exited 4, and the second named no file or line.
+    ({**_SCORE_FILES, "aggregation": _WEIGHTED,
+      "dataset": _DATASET + "x" * 140_000 + ",a,10,2024-01-01T00:00:00Z,percent\n"}, _SCORE, 2,
+     "error: validation failed:\n- dataset line 4: field larger than field limit (131072)"),
+    ({"store": '{"key": ' + "1" * 5000 + "}\n"}, [*_PLAN, "--replay", "{store}"], 2,
+     "error: {tmp}/store.input:1: not a JSON record: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+     "the limit"),
     # Gateway config values that once reached the socket, the sleep or the request body.
     ({"gateway": _GATEWAY + "timeout_seconds: .inf\n"}, _GATEWAY_PLAN, 2,
      "error: timeout_seconds must be finite"),
@@ -869,8 +876,8 @@ def _replies(*replies) -> str:
         "bad-configs-and-dataset", "token-free-metrics", "empty-knowledge-doc",
         "heading-only-part", "record-without-source", "bad-nli-script-before-model-calls",
         "latin-1-taxonomy", "latin-1-plan-text", "latin-1-store", "latin-1-dataset",
-        "latin-1-doc", "infinite-timeout", "nan-timeout", "infinite-backoff",
-        "negative-backoff", "nan-temperature"])
+        "latin-1-doc", "oversized-csv-field", "huge-integer-in-store", "infinite-timeout",
+        "nan-timeout", "infinite-backoff", "negative-backoff", "nan-temperature"])
 def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
     paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
              "store": str(tmp_path / "store.jsonl")}

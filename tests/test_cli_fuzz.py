@@ -7,6 +7,10 @@ on a command line where only that file varies, and where no content of the
 file can make the command succeed, so the exit code must be 2 (input error)
 or 3 (gateway or client error) and stderr must start with ``error: ``.
 
+Aggregation configs are the exception: they run against a dataset that
+scores, so a config that passes every check must print a score in
+[0, 100].
+
 The ``@example``s are the shapes that once exited 4 or passed unchecked.
 """
 
@@ -16,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import warnings
 
 import pytest
@@ -137,15 +142,18 @@ _DATASET = st.tuples(
 
 _RANGES = ("{poor: {min: 0, max: 25}, medium: {min: 25, max: 50}, "
            "good: {min: 50, max: 75}, excellent: {min: 75, max: 100}}")
-# No dataset row can name "never measured", so scoring always reports it missing.
+_CATEGORY_SCORES = "category_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
+# No fuzzed dataset row can name "never measured", so scoring always reports
+# it missing; "scored" is the one dataset with a valid row for each sensor.
 _FIXED = {
     "taxonomy": presets.ASSET_HEALTH_TAXONOMY,
     "indicator": f"sensors:\n  - {{name: vibration, unit: percent, ranges: {_RANGES}}}\n"
                  f"  - {{name: never measured, unit: percent, ranges: {_RANGES}}}\n",
-    "aggregation": "method: weighted\n"
-                   "category_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 1.0}\n"
-                   "weights: {vibration: 0.5, never measured: 0.5}\n",
+    "aggregation": "method: weighted\n" + _CATEGORY_SCORES
+                   + "weights: {vibration: 0.5, never measured: 0.5}\n",
     "dataset": _HEADER + "\n",
+    "scored": _HEADER + "\na1,vibration,12.5,2024-01-01T00:00:00Z,percent\n"
+              "a1,never measured,60,2024-01-01T00:00:00Z,percent\n",
     "script": "strict: true\nreplies: []\n",
     "search": "queries: {}\n",
     "nli": "pairs: []\n",
@@ -162,11 +170,13 @@ _VERIFY = ["verify-refs", "--doc", "{doc}", "--script", "{script}",
            "--search-script", "{search}", "--nli-script", "{nli}"]
 _SCORE = ["score", "--indicator-config", "{indicator}", "--aggregation-config", "{aggregation}",
           "--dataset", "{dataset}"]
+_SCORED = [*_SCORE[:-1], "{scored}"]
 
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
-    """Runs a command line with ``name``'s file holding ``text``; returns (code, stderr)."""
+    """Runs a command line with ``name``'s file holding ``text``; returns
+    (code, stdout, stderr)."""
     root = tmp_path_factory.mktemp("cli-fuzz")
     paths = {"out": str(root / "bundle")}
     for name, text in _FIXED.items():
@@ -177,18 +187,18 @@ def run(tmp_path_factory):
         path = root / f"fuzzed-{name}"
         path.write_text(text, encoding="utf-8")
         args = [arg.format(**{**paths, name: str(path)}) for arg in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(args)
-        return code, err.getvalue()
+        return code, out.getvalue(), err.getvalue()
 
     return run
 
 
 def _fails_cleanly(result):
-    code, err = result
+    code, _, err = result
     assert code in (2, 3), err
     assert err.startswith("error: "), err
 
@@ -265,11 +275,25 @@ def test_indicator_config(run, text):
 @given(text=_AGGREGATION)
 @example(text="method: weighted\nweights: [0.5, 0.5]\n")
 @example(text="method: weighted\nweights: {vibration: 1" + "0" * 400 + "}\n")
-@example(text="method: weighted\nweights: {vibration: .nan, never measured: 0.5}\n")
-@example(text="method: ahp\nsensors: [vibration, never measured]\npairwise: [[1, .nan], [.nan, 1]]\n")
+@example(text="method: weighted\n" + _CATEGORY_SCORES
+              + "weights: {vibration: .nan, never measured: 0.5}\n")
+@example(text="method: ahp\n" + _CATEGORY_SCORES
+              + "sensors: [vibration, never measured]\npairwise: [[1, .nan], [.nan, 1]]\n")
 @example(text="method: ahp\nsensors: [vibration, never measured]\npairwise: [[1, 2], [0.5]]\n")
+# Valid configs, so that the scoring branch runs.
+@example(text="method: weighted\n" + _CATEGORY_SCORES
+              + "weights: {vibration: 0.25, never measured: 0.75}\n")
+@example(text="method: ahp\n" + _CATEGORY_SCORES
+              + "sensors: [never measured, vibration]\npairwise: [[1, 4], [0.25, 1]]\n")
 def test_aggregation_config(run, text):
-    _fails_cleanly(run(_SCORE, "aggregation", text))
+    result = run(_SCORED, "aggregation", text)
+    if result[0] != 0:
+        _fails_cleanly(result)
+        return
+    scored = re.fullmatch(r"asset_id,score\na1,([^\n]*)\n", result[1])
+    assert scored, result[1]
+    # NaN and the infinities fail this comparison too.
+    assert 0.0 <= float(scored[1]) <= 100.0, result[1]
 
 
 @_SETTINGS

@@ -1,0 +1,108 @@
+"""The bytes each command writes, pinned by sha256.
+
+A bundle, a plan, a scores table or a metrics table that changes by one
+byte fails here.  Change an output and its hash together, and only on
+purpose.  Scoring is pinned for the weighted method only: ahp weights go
+through numpy's ``exp`` and ``log``, whose last bits may differ between
+numpy versions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from autorecipe import presets
+from autorecipe.cli import main
+from autorecipe.recipe import BUNDLE_FILES
+from conftest import THREE_PART_DOC
+
+# The replies of acceptance criterion 09's scripted generate run.
+_DESCRIPTION = "A 75 kW induction motor driving a conveyor.\nConfidence: 90%"
+_REPLIES = [_DESCRIPTION, _DESCRIPTION, *(f"Interim guidance {i}." for i in range(1, 8)),
+            THREE_PART_DOC]
+
+GENERATE_SHA256 = {
+    (0, 5): {
+        "knowledge_document.md": "94e8e09d0c75e0f63a0dbc36ab63c91d4717e54205a0325d9d9f6b7509547ad5",
+        "indicator_config.yaml": "b32cd50f511f0f1cf3c3dda4271f921be5b17e1d794a3c115415344a68d7bdb6",
+        "aggregation_config.yaml": "ec5c6c101415d3fa4e2a843a8df3f50df750a922f26d779ab281cb617742ab1f",
+        "sample_dataset.csv": "3769bf05a58f66251dddb2bb4aa0c7bd9104703c78ac2d2dbf71e6d54286e276",
+        "wrapper_manifest.yaml": "3f3de9fcc91ba28d6a94bbf0149d3081b640616d25f9e2210e95a81780fcd2ce",
+        "recipe.yaml": "737bcd5e069a76de17d17b3e78af99e00a7c9a8ec5e75b478204f870ca53c9fc",
+        "scores.csv": "b4c4aad62c4411b56324007a9e9a57c4805d17f6bb3190057485ee39b3d26c93",
+    },
+    (7, 3): {
+        "knowledge_document.md": "94e8e09d0c75e0f63a0dbc36ab63c91d4717e54205a0325d9d9f6b7509547ad5",
+        "indicator_config.yaml": "b32cd50f511f0f1cf3c3dda4271f921be5b17e1d794a3c115415344a68d7bdb6",
+        "aggregation_config.yaml": "ec5c6c101415d3fa4e2a843a8df3f50df750a922f26d779ab281cb617742ab1f",
+        "sample_dataset.csv": "1e0c8feed7cd2e4ffe247f2cf8570bb28b334d6fda75a15236311d83d93b8271",
+        "wrapper_manifest.yaml": "e99ea0b4a9cb66482e51ccc08f947b8b1618332a74336ef9277d5fa4017d9bfa",
+        "recipe.yaml": "7d410e4fe87c2da63ff0ece7e7d292ccbb8c74b9f06752a3c8b2e8e3e9c1cb6a",
+        "scores.csv": "6f0890373aac68191a0af0bc93417f2d6640d7423c1c951d20af4e7601bfe82b",
+    },
+}
+PLAN_SHA256 = "2aa8df2f62fff75c854b9c1cc4a91617bf644b60edf363c00fda93613f6e9aef"
+METRICS_SHA256 = "e8f23409a1740e11402a569884a13edd9ac10ea7ecbbc8be762c5ba42126b2c4"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def tax_file(tmp_path):
+    path = tmp_path / "health.yaml"
+    path.write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("seed, num_assets", GENERATE_SHA256)
+def test_generated_bundle_and_its_scores_are_pinned(seed, num_assets, tax_file, tmp_path):
+    script = tmp_path / "script.yaml"
+    script.write_text(
+        "strict: true\nreplies:\n"
+        + "".join("- |-\n  " + reply.replace("\n", "\n  ") + "\n" for reply in _REPLIES),
+        encoding="utf-8",
+    )
+    out = tmp_path / "bundle"
+    assert main([
+        "generate",
+        "--taxonomy", str(tax_file),
+        "--kpi", "asset health",
+        "--target", "asset profile",
+        "--asset-class", "electric motor",
+        "--script", str(script),
+        "--seed", str(seed),
+        "--num-assets", str(num_assets),
+        "--out", str(out),
+    ]) == 0
+    scores = tmp_path / "scores.csv"
+    assert main([
+        "score",
+        "--indicator-config", str(out / "indicator_config.yaml"),
+        "--aggregation-config", str(out / "aggregation_config.yaml"),
+        "--dataset", str(out / "sample_dataset.csv"),
+        "--out", str(scores),
+    ]) == 0
+    written = {name: _sha256(out / name) for name in BUNDLE_FILES}
+    written["scores.csv"] = _sha256(scores)
+    assert written == GENERATE_SHA256[seed, num_assets]
+
+
+def test_plan_is_pinned(tax_file, tmp_path):
+    out = tmp_path / "plan.yaml"
+    assert main(["plan", "--taxonomy", str(tax_file), "--kpi", "asset health",
+                 "--out", str(out)]) == 0
+    assert _sha256(out) == PLAN_SHA256
+
+
+def test_metrics_table_is_pinned(tmp_path, monkeypatch):
+    # The table names each document by the path it was given.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "first.md").write_text(THREE_PART_DOC, encoding="utf-8")
+    (tmp_path / "second.md").write_text(presets.COMPONENT_HEALTH_DEMONSTRATION, encoding="utf-8")
+    assert main(["metrics", "--doc", "first.md", "--doc", "second.md",
+                 "--out", "metrics.csv"]) == 0
+    assert _sha256(tmp_path / "metrics.csv") == METRICS_SHA256

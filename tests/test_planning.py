@@ -144,7 +144,7 @@ def test_parse_demonstration_plan(health_tax):
 
 def test_parse_demonstration_multiline_export_body():
     seq = parse_plan(COMPONENT_HEALTH_DEMONSTRATION)
-    export = seq.step(11)
+    export = seq.steps[11 - 1]
     assert export.kind == "export"
     assert "Part 1:" in export.body
     assert "Part 3 (optional)" in export.body
@@ -172,8 +172,8 @@ def test_parse_plan_discards_think_commentary():
         "Execution Order: Step 1 AND Step 2\n"
     )
     seq = parse_plan(text)
-    assert seq.step(1).body == "Ask about the fleet."
-    assert seq.step(2).body == "Ask again."
+    assert seq.steps[1 - 1].body == "Ask about the fleet."
+    assert seq.steps[2 - 1].body == "Ask again."
 
 
 def test_parse_plan_accepts_bold_markers_and_case():
@@ -303,13 +303,13 @@ def test_resolve_rewrites_code_step_when_sensors_downstream(health_tax, registry
     resolved = resolve_code_steps(seq, health_tax, registry)
     assert len(resolved.steps) == 11
     assert all(s.kind != "code" for s in resolved.steps)
-    rewritten = resolved.step(10)
+    rewritten = resolved.steps[10 - 1]
     assert rewritten.kind == "question"
     assert "component quality" in rewritten.body
     assert "sensor" in rewritten.body.casefold()
     # everything else is untouched
     for index in (1, 2, 3, 9, 11):
-        assert resolved.step(index).body == seq.step(index).body
+        assert resolved.steps[index - 1].body == seq.steps[index - 1].body
 
 
 def test_resolve_drops_code_step_without_sensor_descendants(health_tax):
@@ -320,11 +320,11 @@ def test_resolve_drops_code_step_without_sensor_descendants(health_tax):
         "Execution Order: (Step 1 AND Step 2 AND Step 3) Goal completed!\n"
     )
     seq = parse_plan(text)
-    assert seq.step(2).kind == "code"
+    assert seq.steps[2 - 1].kind == "code"
     resolved = resolve_code_steps(seq, health_tax)
     assert [s.index for s in resolved.steps] == [1, 2]
     assert [s.kind for s in resolved.steps] == ["question", "export"]
-    assert resolved.step(2).body == seq.step(3).body
+    assert resolved.steps[2 - 1].body == seq.steps[3 - 1].body
     assert resolved.execution_order == Conjunction((StepRef(1), StepRef(2)))
 
 
@@ -422,7 +422,7 @@ def test_deterministic_asset_profile_plan(health_tax):
     assert is_all_and(seq.execution_order)
     assert order_indices(seq.execution_order) == list(range(1, 10))
     assert seq.goal == goal
-    first = seq.step(1).body
+    first = seq.steps[1 - 1].body
     assert "1. age" in first and "2. operating hours" in first and "3. idle hours" in first
     for step in seq.steps:
         assert classify_step(step.body) == step.kind
@@ -451,14 +451,14 @@ def test_deterministic_environmental_impact_plan(sustainability_tax):
     # no measurement descendants here, so no code step is generated
     assert len(seq.steps) == 10
     assert [s.kind for s in seq.steps] == ["question"] * 9 + ["export"]
-    assert "asset sustainability" in seq.step(1).body
+    assert "asset sustainability" in seq.steps[1 - 1].body
 
 
 def test_deterministic_leaf_target_plan(health_tax):
     seq = generate_sequence_deterministic(health_tax, Goal("asset health", "age"))
     assert len(seq.steps) == 5
     assert [s.kind for s in seq.steps] == ["question"] * 4 + ["export"]
-    assert "age" in seq.step(1).body
+    assert "age" in seq.steps[1 - 1].body
 
 
 def test_deterministic_generation_errors(health_tax):
@@ -500,7 +500,7 @@ def test_materialize_without_optional_slots():
         "Execution Order: Step 1 AND Step 2\n"
     )
     done = materialize_sequence(parse_plan(text), "wind turbine")
-    assert done.step(1).body == "Describe the wind turbine fleet."
+    assert done.steps[1 - 1].body == "Describe the wind turbine fleet."
     assert done.bindings == {"asset_class": "wind turbine"}
 
 

@@ -34,7 +34,6 @@ from autorecipe.recipe import (
     WRAPPER_MANIFEST_FILE,
     Recipe,
     SampleDataset,
-    SensorReading,
     bundle,
     dataset_from_csv,
     dataset_to_csv,
@@ -104,17 +103,17 @@ def test_format_rfc3339_round_trip():
 
 def test_latest_readings_later_timestamp_wins():
     rows = (
-        SensorReading("a", "t", 10.0, "2024-01-01T00:00:00Z", "percent"),
-        SensorReading("a", "t", 20.0, "2024-01-02T00:00:00Z", "percent"),
-        SensorReading("b", "t", 30.0, "2024-01-01T00:00:00Z", "percent"),
+        ("a", "t", 10.0, "2024-01-01T00:00:00Z", "percent"),
+        ("a", "t", 20.0, "2024-01-02T00:00:00Z", "percent"),
+        ("b", "t", 30.0, "2024-01-01T00:00:00Z", "percent"),
     )
     assert latest_readings(SampleDataset(rows)) == {"a": {"t": 20.0}, "b": {"t": 30.0}}
 
 
 def test_latest_readings_tie_takes_later_row():
     rows = (
-        SensorReading("a", "t", 10.0, "2024-01-01T00:00:00Z", "percent"),
-        SensorReading("a", "t", 99.0, "2024-01-01T00:00:00Z", "percent"),
+        ("a", "t", 10.0, "2024-01-01T00:00:00Z", "percent"),
+        ("a", "t", 99.0, "2024-01-01T00:00:00Z", "percent"),
     )
     assert latest_readings(SampleDataset(rows)) == {"a": {"t": 99.0}}
 
@@ -131,10 +130,10 @@ def test_validate_dataset_violations():
     indicator = default_indicator_config(SENSORS)
     base = "2024-01-01T00:00:00Z"
     rows = (
-        SensorReading("a", "pressure", 10.0, base, "percent"),
-        SensorReading("a", "temperature", 10.0, base, "celsius"),
-        SensorReading("a", "temperature", 10.0, "not a time", "percent"),
-        SensorReading("a", "vibration", 400.0, base, "percent"),
+        ("a", "pressure", 10.0, base, "percent"),
+        ("a", "temperature", 10.0, base, "celsius"),
+        ("a", "temperature", 10.0, "not a time", "percent"),
+        ("a", "vibration", 400.0, base, "percent"),
     )
     violations = validate_dataset(SampleDataset(rows), indicator)
     assert any("unknown sensor 'pressure'" in v for v in violations)
@@ -146,10 +145,10 @@ def test_validate_dataset_violations():
 def test_validate_dataset_coverage_and_ambiguity():
     indicator = default_indicator_config(SENSORS)
     rows = (
-        SensorReading("a", "temperature", 10.0, "2024-01-01T00:00:00Z", "percent"),
-        SensorReading("b", "temperature", 10.0, "2024-01-01T00:00:00Z", "percent"),
-        SensorReading("b", "temperature", 20.0, "2024-01-01T00:00:00Z", "percent"),
-        SensorReading("b", "vibration", 20.0, "2024-01-01T00:00:00Z", "percent"),
+        ("a", "temperature", 10.0, "2024-01-01T00:00:00Z", "percent"),
+        ("b", "temperature", 10.0, "2024-01-01T00:00:00Z", "percent"),
+        ("b", "temperature", 20.0, "2024-01-01T00:00:00Z", "percent"),
+        ("b", "vibration", 20.0, "2024-01-01T00:00:00Z", "percent"),
     )
     violations = validate_dataset(SampleDataset(rows), indicator)
     assert any("'a' has no reading for sensor 'vibration'" in v for v in violations)
@@ -158,10 +157,10 @@ def test_validate_dataset_coverage_and_ambiguity():
 
 _ORDER_SCRIPT = """
 import json
-from autorecipe.recipe import SampleDataset, SensorReading, default_indicator_config, validate_dataset
+from autorecipe.recipe import SampleDataset, default_indicator_config, validate_dataset
 stamp = "2024-01-01T00:00:00Z"
-rows = [SensorReading(f"asset-{i}", "temperature", 10.0, stamp, "percent") for i in range(12)]
-rows += [SensorReading("asset-3", "vibration", 10.0, stamp, "percent")] * 2
+rows = [(f"asset-{i}", "temperature", 10.0, stamp, "percent") for i in range(12)]
+rows += [("asset-3", "vibration", 10.0, stamp, "percent")] * 2
 print(json.dumps(validate_dataset(SampleDataset(tuple(rows)),
                                   default_indicator_config(["temperature", "vibration"]))))
 """
@@ -194,15 +193,15 @@ def test_generate_synthetic_shape():
     indicator = default_indicator_config(SENSORS)
     dataset = generate_synthetic(indicator, 5, seed=0)
     assert len(dataset.rows) == 5 * len(SENSORS)
-    assert tuple(dict.fromkeys(row.asset_id for row in dataset.rows)) == tuple(
+    assert tuple(dict.fromkeys(asset_id for asset_id, *_ in dataset.rows)) == tuple(
         f"asset-{i:03d}" for i in range(1, 6)
     )
-    assert {row.sensor_name for row in dataset.rows} == set(SENSORS)
-    for row in dataset.rows:
-        assert 0.0 <= row.value <= 100.0
-        assert row.value == round(row.value, 4)
-        assert row.timestamp == SYNTHETIC_TIMESTAMP
-        assert row.unit == "percent"
+    assert {sensor_name for _, sensor_name, *_ in dataset.rows} == set(SENSORS)
+    for _, _, value, timestamp, unit in dataset.rows:
+        assert 0.0 <= value <= 100.0
+        assert value == round(value, 4)
+        assert timestamp == SYNTHETIC_TIMESTAMP
+        assert unit == "percent"
 
 
 def test_generate_synthetic_seeded_determinism():
@@ -239,7 +238,7 @@ def test_generate_synthetic_awkward_domain_stays_in_bounds():
     cfg = default_indicator_config(["s"], domain=(0.0, 0.123456))
     dataset = generate_synthetic(cfg, 50, seed=3)
     assert validate_dataset(dataset, cfg) == []
-    assert all(0.0 <= row.value <= 0.123456 for row in dataset.rows)
+    assert all(0.0 <= value <= 0.123456 for _, _, value, _, _ in dataset.rows)
 
 
 # --- csv ------------------------------------------------------------------------------------
@@ -276,6 +275,18 @@ def test_dataset_from_csv_names_the_line_of_a_bad_row():
     with pytest.raises(ValidationFailedError) as info:
         dataset_from_csv(f"{header}\n{good}\na,temperature,n/a,2024-01-01T00:00:00Z,percent\n")
     assert info.value.violations == ["dataset line 3: value 'n/a' is not a number"]
+
+
+def test_dataset_from_csv_names_the_line_the_csv_reader_rejects():
+    limit = "field larger than field limit (131072)"
+    with pytest.raises(ValidationFailedError) as info:
+        dataset_from_csv("x" * 140_000 + "\n")
+    assert info.value.violations == [f"dataset line 1: {limit}"]
+    good = "a,temperature,1.5,2024-01-01T00:00:00Z,percent"
+    with pytest.raises(ValidationFailedError) as info:
+        dataset_from_csv(f"{','.join(DATASET_HEADER)}\n{good}\n{good}\r{good}\n")
+    assert len(info.value.violations) == 1
+    assert info.value.violations[0].startswith("dataset line 3: new-line character seen")
 
 
 # --- config defaults --------------------------------------------------------------------------
@@ -450,7 +461,7 @@ def test_validate_recipe_cross_checks_dataset():
     from dataclasses import replace
 
     recipe = _recipe()
-    rows = (SensorReading("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
+    rows = (("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
     broken = replace(recipe, dataset=SampleDataset(rows))
     assert any("unknown sensor" in v for v in validate_recipe(broken))
 
@@ -482,7 +493,7 @@ def test_bundle_writes_six_files(tmp_path):
 def test_bundle_rejects_incomplete_recipe(tmp_path):
     from dataclasses import replace
 
-    rows = (SensorReading("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
+    rows = (("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
     broken = replace(_recipe(), knowledge_doc="", dataset=SampleDataset(rows))
     with pytest.raises(ValidationFailedError) as info:
         bundle(broken, tmp_path / "out")

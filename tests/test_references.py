@@ -73,17 +73,16 @@ class _CountingNli:
 
 
 def _passage(body: str = "An electric motor converts energy.") -> Passage:
-    return Passage(id=1, part_label="asset-description", body=body)
+    return Passage(id=1, body=body)
 
 
 # --- segmentation ---------------------------------------------------------------
 
 def test_segment_assigns_contiguous_ids(three_part_doc):
-    passages = segment(split_parts(three_part_doc))
+    document = split_parts(three_part_doc)
+    passages = segment(document)
     assert [p.id for p in passages] == [1, 2, 3]
-    assert [p.part_label for p in passages] == [
-        "asset-description", "kpi-explanation", "measurement",
-    ]
+    assert [p.body for p in passages] == [part.body.strip() for part in document.parts]
     assert passages[0].body.startswith("An electric motor")
     assert passages[0].body == passages[0].body.strip()
 
