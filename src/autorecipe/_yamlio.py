@@ -20,6 +20,18 @@ Every violation found is raised at once, in one ``ValidationFailedError``.
 The check only reads the document; a loader reads an absent optional key
 as its default.
 
+With libyaml, ``load_yaml`` builds a document straight from the parser's
+events: mappings, sequences and scalars, each plain scalar resolved and
+constructed as ``yaml.SafeLoader`` does it, once per distinct text, and
+each scalar written with a null, bool, int, float, timestamp or str tag
+constructed as that tag says.  Everything else goes to the composer route,
+PyYAML's composer and ``SafeConstructor`` over the same parser, which reads
+the document again from its start: an anchor or alias, any other tag, a
+tag on a collection, a plain ``<<`` or ``=``, a collection used as a key, a
+second document, nesting deeper than 64 levels, and every error.  So each
+value, and each error message, is the composer route's.  An open file that
+cannot be read twice, such as a pipe, goes to the composer route at once.
+
 ``dump_yaml`` writes what ``yaml.safe_dump`` writes, in PyYAML's pure-Python
 emitter, so written files do not depend on which parser PyYAML was built
 with.  The one difference is a string holding U+0085 (NEL): a YAML reader
@@ -41,6 +53,16 @@ if yaml.__with_libyaml__:
     from yaml.composer import Composer
     from yaml.constructor import SafeConstructor
     from yaml.cyaml import CParser
+    from yaml.events import (
+        DocumentEndEvent,
+        MappingEndEvent,
+        MappingStartEvent,
+        ScalarEvent,
+        SequenceEndEvent,
+        SequenceStartEvent,
+        StreamEndEvent,
+    )
+    from yaml.nodes import ScalarNode
     from yaml.resolver import Resolver
 
     class _Loader(Composer, CParser, SafeConstructor, Resolver):
@@ -57,8 +79,101 @@ if yaml.__with_libyaml__:
             Composer.__init__(self)
             SafeConstructor.__init__(self)
             Resolver.__init__(self)
+
+    _RESOLVER = Resolver()
+    _CONSTRUCTOR = SafeConstructor()
+    _STR = "tag:yaml.org,2002:str"
+    # The other scalar tags the builder constructs itself, whether a plain
+    # scalar resolves to one or it is written out ("!!int '3'", as safe_dump
+    # writes with a quoting default_style).  The merge ("<<") and value ("=")
+    # tags that plain scalars may resolve to are left to the composer route.
+    _SCALARS = {
+        tag: SafeConstructor.yaml_constructors[tag]
+        for tag in (f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float",
+                                                              "timestamp"))
+    }
+    _MAX_DEPTH = 64
 else:
     _Loader = yaml.SafeLoader
+
+
+class _Unbuilt(Exception):
+    """The document holds something only the composer route reads."""
+
+
+_MISSING = object()
+
+
+def _build(stream):
+    """The document in ``stream``, built straight from libyaml's events.
+
+    Raises ``_Unbuilt``, or whatever the parser or a constructor raises, on
+    anything it does not read itself.
+    """
+    parser = CParser(stream)
+    try:
+        get = parser.get_event
+        get()  # stream start
+        if type(get()) is StreamEndEvent:  # else a document start
+            return None
+        plain = {}  # text of a plain scalar -> its value
+        stack = []  # open collections, innermost last
+        keys = []  # for each, the key a mapping waits to store a value under
+        while True:
+            event = get()
+            kind = type(event)
+            if kind is ScalarEvent:
+                if event.anchor is not None:
+                    raise _Unbuilt
+                text = event.value
+                if event.tag is not None:
+                    value = _scalar(event.tag, text)
+                elif event.implicit[0]:
+                    value = plain.get(text, _MISSING)
+                    if value is _MISSING:
+                        value = _scalar(_RESOLVER.resolve(ScalarNode, text, (True, False)), text)
+                        if value == value:  # each .nan is its own object, as composed
+                            plain[text] = value
+                else:
+                    value = text
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                # An anchor, a tag, nesting too deep, or a collection as a key.
+                if (event.anchor is not None or event.tag is not None
+                        or len(stack) == _MAX_DEPTH
+                        or (stack and type(stack[-1]) is dict and keys[-1] is _MISSING)):
+                    raise _Unbuilt
+                stack.append({} if kind is MappingStartEvent else [])
+                keys.append(_MISSING)
+                continue
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                value = stack.pop()
+                keys.pop()
+            else:  # an alias
+                raise _Unbuilt
+            if not stack:
+                break
+            top = stack[-1]
+            if type(top) is list:
+                top.append(value)
+            elif keys[-1] is _MISSING:
+                keys[-1] = value
+            else:
+                top[keys[-1]] = value
+                keys[-1] = _MISSING
+        if type(get()) is not DocumentEndEvent or type(get()) is not StreamEndEvent:
+            raise _Unbuilt  # a second document
+        return value
+    finally:
+        parser.dispose()
+
+
+def _scalar(tag: str, text: str):
+    if tag == _STR:
+        return text
+    construct = _SCALARS.get(tag)
+    if construct is None:
+        raise _Unbuilt
+    return construct(_CONSTRUCTOR, ScalarNode(tag, text))
 
 
 def load_yaml(stream, source):
@@ -70,6 +185,22 @@ def load_yaml(stream, source):
     deeply for the composer, or an explicitly tagged scalar that PyYAML
     cannot build (``!!int ""``, ``!!bool x``).
     """
+    # What the builder does not read, and every error the composer route
+    # turns into a message, that route reads again from the start; so a
+    # stream that cannot be read twice (a pipe) goes to that route at once.
+    is_file = hasattr(stream, "read")
+    if yaml.__with_libyaml__ and (not is_file or stream.seekable()):
+        start = stream.tell() if is_file else None
+        try:
+            return _build(stream)
+        except (_Unbuilt, yaml.YAMLError, LookupError, AttributeError, TypeError, ValueError):
+            if start is not None:
+                stream.seek(start)
+    return _compose(stream, source)
+
+
+def _compose(stream, source):
+    """``load_yaml`` through PyYAML's composer and constructor."""
     try:
         return yaml.load(stream, Loader=_Loader)
     except RecursionError:

@@ -22,6 +22,7 @@ from .errors import (
     NliClientError,
     SearchClientError,
     StageError,
+    ValidationFailedError,
 )
 from .presets import COMPONENT_HEALTH_DEMONSTRATION, STRATEGIES
 
@@ -248,9 +249,22 @@ def cmd_score(args) -> int:
     indicator = load_indicator_config(args.indicator_config)
     aggregation = load_aggregation_config(args.aggregation_config)
     estimator = HealthScoreEstimator().fit(indicator, aggregation)
-    # The configs are checked before the dataset is read; its rows then go
-    # straight from the CSV reader into the scan, without a SampleDataset.
-    scores = estimator._predict_records(_csv_records(_read_text(args.dataset)))
+    # The configs are checked before the dataset is read; its lines then go
+    # from the file through the CSV reader into the scan, without a
+    # SampleDataset.  The file reads as ``_read_text`` reads it: UTF-8, with
+    # "\r\n" and a lone "\r" read as "\n".
+    try:
+        with open(args.dataset, encoding="utf-8") as fh:
+            try:
+                scores = estimator._predict_records(_csv_records(fh))
+            except ValidationFailedError:
+                # Text that is not UTF-8 anywhere in the file wins over a bad
+                # row, as it did when the file was read whole first.
+                for _ in fh:
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise AutoRecipeError(f"unreadable {args.dataset}: not UTF-8 text") from None
     lines = ["asset_id,score"]
     lines += [f"{s.asset_id},{s.score:.6f}" for s in scores]
     _write_out(args.out, "\n".join(lines) + "\n", "scores")

@@ -92,6 +92,14 @@ BUNDLE_FILES = (*_KINDS, RECIPE_INDEX_FILE)
 
 def parse_rfc3339(timestamp: str) -> datetime:
     """UTC datetime from an RFC 3339 string; 'Z' suffix accepted."""
+    # Most stamps are UTC as written, which fromisoformat reads as they stand
+    # (Python 3.11 reads a "Z"); anything else is tidied up first.
+    try:
+        moment = datetime.fromisoformat(timestamp)
+        if moment.tzinfo is timezone.utc:
+            return moment
+    except ValueError:
+        pass
     text = timestamp.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -249,19 +257,25 @@ def dataset_from_csv(text: str) -> SampleDataset:
     return SampleDataset(rows=tuple(_csv_records(text)))
 
 
-def _csv_records(text: str):
+def _csv_records(source):
     """The ``(asset_id, sensor_name, value, timestamp, unit)`` record of each CSV row.
 
-    Blank lines are skipped.  Raises ValidationFailedError for an empty
-    text, a wrong header, a line the CSV reader rejects, or a row (named
-    by its line) that does not hold five fields with a numeric value.
+    ``source`` is the CSV text, or its lines as a file opened in text mode
+    yields them.  One leading byte-order mark is dropped, and blank lines
+    are skipped.  Raises ValidationFailedError for an empty text, a wrong
+    header, a line the CSV reader rejects, or a row (named by its line)
+    that does not hold five fields with a numeric value.
     """
-    reader = csv.reader(map(re.Match.group, _CSV_LINE.finditer(text)))
+    if isinstance(source, str):
+        source = map(re.Match.group, _CSV_LINE.finditer(source))
+    reader = csv.reader(source)
     # csv.Error: a field longer than csv.field_size_limit(), or a stray "\r".
     try:
         header = next(reader, None)
         if header is None:
             raise ValidationFailedError(["dataset csv is empty"])
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
         if tuple(header) != DATASET_HEADER:
             raise ValidationFailedError(
                 [f"dataset header must be {','.join(DATASET_HEADER)}, got {','.join(header)}"]

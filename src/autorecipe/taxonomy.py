@@ -40,9 +40,9 @@ def _collector_paused():
     """Pause the cyclic garbage collector, then restore its previous state.
 
     Everything a parse allocates stays alive until it ends, so on a large
-    document the collector's full passes rescan the growing YAML node tree
-    and taxonomy again and again and free nothing.  Reference counting goes
-    on meanwhile; a cycle (a recursive YAML alias) waits for the next pass.
+    document the collector's passes rescan the growing document and
+    taxonomy again and again and free nothing.  Reference counting goes on
+    meanwhile; a cycle (a recursive YAML alias) waits for the next pass.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -227,7 +227,8 @@ def traverse_top_down(tax: Taxonomy, start: str) -> list[str]:
             continue
         visited.add(nid)
         order.append(tax.nodes[nid].label)
-        stack.extend(reversed(tax.children(nid)))
+        # Ids on the stack are normalized already, so children() would redo that.
+        stack.extend(reversed(tax._children.get(nid, ())))
     return order
 
 

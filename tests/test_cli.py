@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import yaml
 import pytest
 
@@ -362,6 +365,61 @@ def test_score_builds_no_sample_dataset(tax_file, tmp_path, capsys, monkeypatch)
     # The probe counts: the dataset route holds the whole dataset.
     dataset_from_csv((out_dir / DATASET_FILE).read_text(encoding="utf-8"))
     assert len(built) == 1
+
+
+def _score_argv(tmp_path, dataset) -> list[str]:
+    """score's arguments for two sensors, weighted, and ``dataset`` (text or bytes)."""
+    paths = {}
+    for name, content in {**_SCORE_FILES, "aggregation": _WEIGHTED, "dataset": dataset}.items():
+        paths[name] = tmp_path / f"{name}.input"
+        paths[name].write_bytes(content if isinstance(content, bytes) else content.encode())
+    return [arg.format(**paths) for arg in _SCORE]
+
+
+def test_score_reads_a_dataset_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet "CSV UTF-8" exports start with U+FEFF, which is invisible on
+    # screen; it used to make the header mismatch and exit 2.
+    assert main(_score_argv(tmp_path, "\ufeff" + _DATASET)) == 0
+    assert capsys.readouterr().out == "asset_id,score\na1,40.000000\n"
+
+
+def test_score_reads_its_inputs_from_fifos(tmp_path, capsys):
+    """A named pipe, as ``/dev/stdin`` or ``<(cat file)`` give, cannot be read
+    twice or told its position, and is read all the same."""
+    contents = {**_SCORE_FILES, "aggregation": _WEIGHTED, "dataset": _DATASET}
+    paths = {name: tmp_path / f"{name}.fifo" for name in contents}
+
+    def feed(name):
+        with open(paths[name], "w", encoding="utf-8") as out:
+            out.write(contents[name])
+
+    writers = []
+    for name in contents:
+        os.mkfifo(paths[name])
+        writers.append(threading.Thread(target=feed, args=(name,), daemon=True))
+        writers[-1].start()
+    try:
+        rc = main([arg.format(**paths) for arg in _SCORE])
+    finally:
+        for writer in writers:
+            writer.join(timeout=10)
+    assert (rc, capsys.readouterr().out) == (0, "asset_id,score\na1,40.000000\n")
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_score_reads_any_line_ending_as_a_newline(tmp_path, capsys, ending):
+    assert main(_score_argv(tmp_path, _DATASET)) == 0
+    expected = capsys.readouterr().out
+    assert main(_score_argv(tmp_path, _DATASET.replace("\n", ending))) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_score_reports_text_that_is_not_utf8_past_an_early_bad_row(tmp_path, capsys):
+    # score streams the file, yet the whole file is checked for UTF-8 first.
+    dataset = (_DATASET + "a1,a,high\n" + "a1,a,1,x,percent\n" * 5000).encode() + b"caf\xe9\n"
+    assert main(_score_argv(tmp_path, dataset)) == 2
+    path = tmp_path / "dataset.input"
+    assert capsys.readouterr().err == f"error: unreadable {path}: not UTF-8 text\n"
 
 
 # --- metrics -----------------------------------------------------------------------

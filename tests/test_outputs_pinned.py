@@ -10,6 +10,8 @@ numpy versions.
 from __future__ import annotations
 
 import hashlib
+import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -106,3 +108,92 @@ def test_metrics_table_is_pinned(tmp_path, monkeypatch):
     assert main(["metrics", "--doc", "first.md", "--doc", "second.md",
                  "--out", "metrics.csv"]) == 0
     assert _sha256(tmp_path / "metrics.csv") == METRICS_SHA256
+
+
+# --- bulk-shaped inputs ------------------------------------------------------------
+#
+# A taxonomy of a few hundred edges and a dataset of a few thousand rows, drawn
+# from a fixed seed.  The dataset mixes "Z" and "+00:00" timestamps, puts some
+# values exactly on a category edge and holds blank lines, so the scan's fast
+# and fallback routes both write into the pinned bytes.
+
+BULK_PLAN_SHA256 = "2194201c4e4ce41040139b5d1f794b4896434a21f61c9be9b98bb34949d453fb"
+BULK_SCORES_SHA256 = "c0128a6ba2613761bbfcc74cf1f11b583aea5febefa5a79f1a8d6d3550f54fb5"
+
+_WORDS = ["bearing", "winding", "rotor", "stator", "coupling", "seal", "pump", "valve"]
+_EDGES = (0.0, 25.0, 50.0, 75.0, 100.0)
+
+
+def _bulk_taxonomy(rng: random.Random, n_edges: int) -> str:
+    subsystems = [f"subsystem {i}" for i in range(1, 5)]
+    components = [f"{s} component {j}" for s in subsystems for j in range(1, 7)]
+    lines = ["kpi: fleet health", "edges:"]
+
+    def edge(parent: str, relation: str, child: str) -> None:
+        lines.append(f"  - {{parent: {parent}, relation: {relation}, child: {child}}}")
+
+    for s in subsystems:
+        edge("fleet health", "analyzed", s)
+    for c in components:
+        edge(c.rsplit(" component", 1)[0], "impacted", c)
+    leaves: list[str] = []
+    for n in range(n_edges - len(subsystems) - len(components)):
+        parent = components[n % len(components)]
+        if leaves and rng.random() < 0.02:
+            edge(parent, "impacted", rng.choice(leaves))  # a shared leaf
+            continue
+        kind, relation = rng.choice([("sensor", "measured"), ("sensor", "recorded"),
+                                     ("factor", "impacted"), ("factor", "influenced")])
+        leaf = f"{_WORDS[n % len(_WORDS)]} {kind} {n}"
+        edge(parent, relation, leaf)
+        leaves.append(leaf)
+    return "\n".join(lines) + "\n"
+
+
+def _bulk_dataset(rng: random.Random, n_assets: int) -> str:
+    sensors = [f"{word} sensor" for word in _WORDS[:4]]
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    rows = []
+    for a in range(1, n_assets + 1):
+        for sensor in sensors:
+            for minute in rng.sample(range(60 * 24 * 30), rng.randint(3, 7)):
+                value = rng.choice(_EDGES) if rng.random() < 0.05 else round(rng.uniform(0, 100), 3)
+                stamp = (start + timedelta(minutes=minute)).strftime("%Y-%m-%dT%H:%M:%S")
+                stamp += rng.choice(["Z", "+00:00", ".250Z", "+02:00"])
+                rows.append(f"asset-{a:04d},{sensor},{value!r},{stamp},percent")
+    rng.shuffle(rows)
+    for _ in range(len(rows) // 200):
+        rows.insert(rng.randrange(len(rows) + 1), "")
+    return "asset_id,sensor_name,value,timestamp,unit\n" + "\n".join(rows) + "\n"
+
+
+def test_plan_on_a_bulk_shaped_taxonomy_is_pinned(tmp_path):
+    tax = tmp_path / "taxonomy.yaml"
+    tax.write_text(_bulk_taxonomy(random.Random(11), 400), encoding="utf-8")
+    out = tmp_path / "plan.yaml"
+    assert main(["plan", "--taxonomy", str(tax), "--kpi", "fleet health",
+                 "--target", "fleet health", "--out", str(out)]) == 0
+    assert _sha256(out) == BULK_PLAN_SHA256
+
+
+def test_scores_on_a_bulk_shaped_dataset_are_pinned(tmp_path):
+    sensors = [f"{word} sensor" for word in _WORDS[:4]]
+    ranges = "".join(f"      {cat}: {{min: {low}, max: {high}}}\n" for cat, low, high
+                     in zip(("poor", "medium", "good", "excellent"), _EDGES, _EDGES[1:]))
+    indicator = tmp_path / "indicator.yaml"
+    indicator.write_text("sensors:\n" + "".join(
+        f"  - name: {name}\n    unit: percent\n    ranges:\n{ranges}" for name in sensors
+    ), encoding="utf-8")
+    aggregation = tmp_path / "aggregation.yaml"
+    aggregation.write_text(
+        "method: weighted\n"
+        "category_scores: {poor: 0.1, medium: 0.4, good: 0.7, excellent: 0.95}\n"
+        "weights: {" + ", ".join(f"{name}: {w}" for name, w in zip(sensors, (0.1, 0.2, 0.3, 0.4)))
+        + "}\n", encoding="utf-8")
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(_bulk_dataset(random.Random(12), 150), encoding="utf-8")
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--indicator-config", str(indicator),
+                 "--aggregation-config", str(aggregation),
+                 "--dataset", str(dataset), "--out", str(out)]) == 0
+    assert _sha256(out) == BULK_SCORES_SHA256

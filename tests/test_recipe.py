@@ -99,6 +99,48 @@ def test_format_rfc3339_round_trip():
     assert parse_rfc3339(format_rfc3339(moment)) == moment
 
 
+def _moment_or_error(parse, timestamp):
+    try:
+        moment = parse(timestamp)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return moment, moment.utcoffset()
+
+
+@st.composite
+def _timestamps(draw):
+    """RFC 3339 spellings and near misses: any zone, fraction, format or padding."""
+    date = draw(st.sampled_from(["2024-01-01", "2024-02-29", "2023-02-29", "0001-01-01",
+                                 "9999-12-31", "20240101"]))
+    time = draw(st.sampled_from(["00:00:00", "23:59:59", "12:30", "24:00:00", "123000", "7"]))
+    fraction = draw(st.sampled_from(["", ".5", ".123", ".123456", ".1234567", ","]))
+    zone = draw(st.sampled_from(["", "Z", "z", "+00:00", "-00:00", "+01:00", "-04:30", "+0200",
+                                 "+00", "+14:00", "+24:00", "+00:00:30", " Z", "ZZ"]))
+    text = date + draw(st.sampled_from(["T", "t", " "])) + time + fraction + zone
+    pad = draw(st.sampled_from(["", " ", "\t", "\n"]))
+    return draw(st.sampled_from([text, pad + text, text + pad, pad + text + pad]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(timestamp=st.one_of(_timestamps(), st.text(max_size=30)))
+@example(timestamp="2024-01-01T00:00:00Z")
+@example(timestamp="0001-01-01T00:00:00+01:00")
+def test_parse_rfc3339_reads_as_its_rewriting_route_reads(timestamp):
+    # parse_rfc3339 takes a stamp that is UTC as written as fromisoformat
+    # reads it; every stamp reads as it did when each one was rewritten first.
+    def rewritten(timestamp):
+        text = timestamp.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        parsed = datetime.fromisoformat(text)
+        if parsed.tzinfo is None:
+            raise ValueError(f"timestamp {timestamp!r} carries no timezone")
+        return parsed.astimezone(timezone.utc)
+
+    # The same instant in UTC, or the same error.
+    assert _moment_or_error(parse_rfc3339, timestamp) == _moment_or_error(rewritten, timestamp)
+
+
 # --- latest readings ---------------------------------------------------------------
 
 def test_latest_readings_later_timestamp_wins():
@@ -256,6 +298,49 @@ def test_dataset_csv_round_trip():
 def test_dataset_csv_lines_are_those_a_string_buffer_yields(text):
     # dataset_from_csv hands csv.reader exactly the lines io.StringIO(text) would.
     assert [m.group() for m in recipe_module._CSV_LINE.finditer(text)] == list(io.StringIO(text))
+
+
+def test_dataset_from_csv_drops_one_leading_byte_order_mark():
+    header = ",".join(DATASET_HEADER)
+    row = "a,temperature,1.5,2024-01-01T00:00:00Z,percent\n"
+    assert dataset_from_csv(f"\ufeff{header}\n{row}") == dataset_from_csv(f"{header}\n{row}")
+    with pytest.raises(ValidationFailedError) as info:
+        dataset_from_csv(f"\ufeff\ufeff{header}\n{row}")
+    assert info.value.violations == [f"dataset header must be {header}, got \ufeff{header}"]
+
+
+def _records_or_violations(records):
+    try:
+        return list(records)
+    except ValidationFailedError as exc:
+        return exc.violations
+
+
+# Pieces of a dataset file: fields, a quoted field holding line breaks, NUL,
+# a field over csv.field_size_limit(), and every kind of line ending.
+_CSV_PIECES = ["a0", "s0", "1.5", "2024-01-01T00:00:00Z", "u", ",", '"x\ny"', '"x\r\ny"',
+               '"x\ry"', "\x00", "\ufeff", "é", '"', "\n", "\r\n", "\r", "\n\n"]
+
+
+@st.composite
+def _dataset_files(draw):
+    header = draw(st.sampled_from([",".join(DATASET_HEADER), "\ufeff" + ",".join(DATASET_HEADER)]))
+    body = "".join(draw(st.lists(st.sampled_from(_CSV_PIECES), max_size=40)))
+    if draw(st.integers(0, 19)) == 0:
+        body += "x" * 140_000
+    return header + draw(st.sampled_from(["\n", "\r\n", "\r", ""])) + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_dataset_files())
+def test_dataset_file_lines_give_the_records_of_its_text(tmp_path_factory, text):
+    # score streams the file's lines; the text route reads it whole, as
+    # Path.read_text does, with "\r\n" and "\r" read as "\n".
+    path = tmp_path_factory.mktemp("csv") / "dataset.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _records_or_violations(recipe_module._csv_records(path.read_text(encoding="utf-8")))
+    with open(path, encoding="utf-8") as fh:
+        assert _records_or_violations(recipe_module._csv_records(fh)) == expected
 
 
 def test_dataset_from_csv_rejects_bad_input():

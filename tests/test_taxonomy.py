@@ -216,15 +216,20 @@ LOADERS = list(dict.fromkeys([_yamlio._Loader, yaml.SafeLoader]))
 C_LOADERS = [_yamlio._Loader, yaml.CSafeLoader] if yaml.__with_libyaml__ else []
 
 
+def _unbuilt(stream):
+    raise _yamlio._Unbuilt
+
+
 @contextlib.contextmanager
 def _loading_with(loader):
-    """parse_taxonomy with another loader class (hypothesis tests take no fixtures)."""
-    original = _yamlio._Loader
-    _yamlio._Loader = loader
+    """parse_taxonomy through another loader class, the event builder left out
+    (hypothesis tests take no fixtures)."""
+    original, build = _yamlio._Loader, _yamlio._build
+    _yamlio._Loader, _yamlio._build = loader, _unbuilt
     try:
         yield
     finally:
-        _yamlio._Loader = original
+        _yamlio._Loader, _yamlio._build = original, build
 
 
 _TOO_DEEP = "^unreadable taxonomy document: nested too deeply$"
@@ -285,6 +290,7 @@ def test_libyaml_and_python_loaders_build_equal_taxonomies(loader, text):
         got = parse_taxonomy(text)
     # Taxonomy equality covers root, nodes with their kinds, edges and children.
     assert got == expected
+    assert parse_taxonomy(text) == expected  # through the event builder
 
 
 def _node_kind_brute_force(tax, nid):
@@ -321,6 +327,8 @@ _YAMLISH = st.lists(
 def test_parse_taxonomy_fuzz_raises_only_package_or_value_errors(loader, text):
     with _loading_with(loader), contextlib.suppress(AutoRecipeError, ValueError):
         parse_taxonomy(text)
+    with contextlib.suppress(AutoRecipeError, ValueError):
+        parse_taxonomy(text)  # through the event builder
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -8,13 +8,15 @@ violation names the file, the path and what was found.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from autorecipe import presets
-from autorecipe import cli
+from autorecipe import _yamlio, cli, presets
 from autorecipe._yamlio import (
     BOOL,
     INT,
@@ -163,11 +165,115 @@ def _with_examples(test):
     return test
 
 
+@contextlib.contextmanager
+def _composer_calls():
+    """The sources ``load_yaml`` hands to the composer route meanwhile
+    (hypothesis tests take no monkeypatch fixture)."""
+    calls = []
+    compose = _yamlio._compose
+
+    def spy(stream, source):
+        calls.append(source)
+        return compose(stream, source)
+
+    _yamlio._compose = spy
+    try:
+        yield calls
+    finally:
+        _yamlio._compose = compose
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=_documents())
 @_with_examples
 def test_load_yaml_builds_what_the_safe_loader_builds(text):
-    assert load_yaml(text, "doc") == yaml.load(text, Loader=yaml.SafeLoader)
+    with _composer_calls() as calls:
+        assert load_yaml(text, "doc") == yaml.load(text, Loader=yaml.SafeLoader)
+    # Every document of the input shapes is built from events, not composed.
+    assert calls == ([] if yaml.__with_libyaml__ else ["doc"])
+
+
+# Top-level entries that only the composer route reads, some of them errors.
+_UNBUILT = [
+    "a: &x [1, {b: 2}]\nc: *x\n",
+    "base: &b {k: 1, j: 0}\nm:\n  <<: *b\n  j: 2\n",
+    "m: {<<: {k: 1}, j: 2}\n",
+    "m: {<<: [{k: 1}, {k: 2}]}\n",
+    "v: =\n",
+    "t: !!binary aGVsbG8=\n",
+    "t: !!set {a, b}\n",
+    "t: !!omap [{a: 1}, {b: 2}]\n",
+    "t: ! 12\n",
+    "t: !!bool x\n",
+    "t: !!int ''\n",
+    "? {a: 1}\n: v\n",
+    "? [a, b]\n: v\n",
+    "{[1]: x}: y\n",
+    "d: 2024-02-30\n",
+    "d: 2024-02-30\ne: [unclosed\n",
+    "first: 1\n---\nsecond: document\n",
+    "first: 1\n...\n---\n- x\n",
+    "t: !!str [a]\n",
+]
+
+
+@st.composite
+def _unbuilt_documents(draw):
+    """Plain entries around at least one entry the builder leaves to the composer."""
+    plain = st.sampled_from(["kpi: health\n", "n: [1, 2.5, ~, yes, 2024-01-01]\n",
+                             "s: 'quoted'\n", "f: {x: y}\n"])
+    entries = draw(st.lists(plain, max_size=2))
+    depth = draw(st.integers(90, 400))
+    unbuilt = draw(st.one_of(st.sampled_from(_UNBUILT),
+                             st.just(f"deep: {'[' * depth}{']' * depth}\n")))
+    entries.insert(draw(st.integers(0, len(entries))), unbuilt)
+    return "".join(entries)
+
+
+def _value_or_message(load):
+    try:
+        return load()
+    except AutoRecipeError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@settings(max_examples=200, deadline=None)
+@given(text=_unbuilt_documents())
+def test_load_yaml_composes_what_it_does_not_build(text):
+    with _composer_calls() as calls:
+        got = _value_or_message(lambda: load_yaml(text, "doc"))
+    assert calls == ["doc"]
+    # The value, or the error message, of the composer route on its own.
+    assert got == _value_or_message(lambda: _yamlio._compose(text, "doc"))
+    if not str(got).startswith("error: "):
+        try:
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+        except RecursionError:  # the pure-Python parser may need a few more frames
+            return
+        assert got == expected
+
+
+def test_load_yaml_reads_an_open_file_again_for_the_composer(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_text("a: &x 1\nb: *x\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert load_yaml(fh, str(path)) == {"a": 1, "b": 1}
+    path.write_text("a: 1\nb: [2\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(AutoRecipeError) as info:
+        load_yaml(fh, str(path))
+    # The composer route read the file from its start: its marks name the file.
+    assert f'in "{path}", line 3' in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["a: 1\nb: [x, 2.5]\n", "a: &x 1\nb: *x\n"])
+def test_load_yaml_reads_a_pipe_once(text):
+    # A pipe cannot be read twice, so it goes straight to the composer route.
+    read_end, write_end = os.pipe()
+    with open(write_end, "w", encoding="utf-8") as out:
+        out.write(text)
+    with open(read_end, encoding="utf-8") as fh:
+        assert load_yaml(fh, "pipe") == yaml.safe_load(text)
 
 
 def test_load_yaml_reads_open_files_as_text(tmp_path):
