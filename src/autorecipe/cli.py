@@ -135,12 +135,116 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+# Stands in for the refined description while refinement runs.  It holds no
+# placeholder syntax, and a step it stands in for is never sent.
+_PENDING_DESCRIPTION = "(pending refinement)"
+
+
+class _RefinementFailed(Exception):
+    """Stops execution; the error reported is refinement's own."""
+
+
+def _describe_and_execute(args, seq, gateway, registry):
+    """The knowledge document, from refinement and execution run as two chains.
+
+    Refinement runs only when no description is given.  An execution turn
+    waits for the refined description only when its text holds it, so with
+    ``max_parallel`` of 2 or more the turns before the first such one
+    overlap refinement.  With one worker the chains run one after the other
+    on this thread, in the order of a sequential run.  A run that succeeds
+    sends the sessions that order sends, and a run that fails reports the
+    error it reports: refinement's first, then materialization's, then
+    execution's.  Once refinement has failed, execution starts no new turn.
+    """
+    import threading
+
+    from .execution import _check_materialized, execute
+    from .planning import materialize_sequence
+    from .prompts import RoleProfile, instantiate
+    from .references import _map_in_order
+    from .refinement import refine
+
+    settled = threading.Event()  # refinement has answered or failed
+    description = args.asset_description  # empty until there is one
+    if description:
+        settled.set()
+
+    def refinement() -> None:
+        nonlocal description
+        if settled.is_set():
+            return
+        try:
+            question = instantiate(
+                registry.get("refinement.initial"), {"asset_class": args.asset_class}
+            )
+            result = _stage(
+                "refine",
+                refine,
+                gateway,
+                RoleProfile("domain-expert", "refinement.system"),
+                question,
+                max_rounds=args.max_rounds,
+                confidence_threshold=args.confidence_threshold,
+                registry=registry,
+            )
+            if not result.final_answer:
+                raise StageError(
+                    "refine", ValueError("no accepted answer to use as the asset description")
+                )
+            description = result.final_answer
+        finally:
+            settled.set()
+
+    full = None  # the sequence with the description bound, once built
+
+    def with_description():
+        nonlocal full
+        settled.wait()
+        if not description:
+            raise _RefinementFailed()
+        if full is None:
+            full = materialize_sequence(seq, args.asset_class, description)
+        _check_materialized(full)
+        return full
+
+    waiting = {s.index for s in seq.steps if "asset_description" in s.placeholders}
+
+    def late(step):
+        if settled.is_set() and not description:
+            raise _RefinementFailed()
+        return with_description().steps[step.index - 1] if step.index in waiting else step
+
+    def execution():
+        # Materialization's checks run before the first turn, so a plan they
+        # reject sends nothing.  While refinement runs, a stand-in takes the
+        # description's place; it reaches no turn, as ``late`` swaps in the
+        # real step.  With one worker refinement is over by now, and execute
+        # gets the sequence a sequential run gives it.
+        bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
+                       description or _PENDING_DESCRIPTION)
+        # The role's system prompt takes no binding, so the stand-in is not in it.
+        role = registry.role("domain-expert")
+        try:
+            return _stage("execute", execute, bound, args.strategy, role, gateway,
+                          registry=registry, late=late)
+        finally:
+            # A sequential run checks the whole materialized sequence before
+            # its first turn, so that error wins over any other of execute's,
+            # whether or not the strategy sends a step holding the description.
+            _stage("execute", with_description)
+
+    _, (doc, _transcript) = _map_in_order(
+        lambda chain: chain(), [refinement, execution], getattr(gateway, "max_parallel", 1)
+    )
+    return doc
+
+
 def cmd_generate(args) -> int:
     from datetime import datetime, timezone
 
-    from .execution import execute, render_knowledge
-    from .planning import bind_goal, materialize_sequence
-    from .prompts import RoleProfile, default_registry, instantiate
+    from .execution import render_knowledge
+    from .planning import bind_goal
+    from .prompts import default_registry
     from .recipe import (
         SYNTHETIC_TIMESTAMP,
         Recipe,
@@ -151,7 +255,6 @@ def cmd_generate(args) -> int:
         generate_synthetic,
     )
     from .references import ScriptedNliClient, ScriptedSearchClient, build_references, render_cited
-    from .refinement import refine
     from .taxonomy import traverse_top_down
 
     if bool(args.search_script) != bool(args.nli_script):
@@ -174,37 +277,7 @@ def cmd_generate(args) -> int:
     # The plan never goes through the model here: no gateway is passed.
     seq = _stage("plan", _plan, args, taxonomies, tax, goal, registry=registry)
 
-    description = args.asset_description
-    if not description:
-        question = instantiate(
-            registry.get("refinement.initial"), {"asset_class": args.asset_class}
-        )
-        result = _stage(
-            "refine",
-            refine,
-            gateway,
-            RoleProfile("domain-expert", "refinement.system"),
-            question,
-            max_rounds=args.max_rounds,
-            confidence_threshold=args.confidence_threshold,
-            registry=registry,
-        )
-        description = result.final_answer
-        if not description:
-            raise StageError(
-                "refine", ValueError("no accepted answer to use as the asset description")
-            )
-
-    materialized = _stage("materialize", materialize_sequence, seq, args.asset_class, description)
-    doc, _transcript = _stage(
-        "execute",
-        execute,
-        materialized,
-        args.strategy,
-        registry.role("domain-expert"),
-        gateway,
-        registry=registry,
-    )
+    doc = _describe_and_execute(args, seq, gateway, registry)
 
     if args.search_script:
         cited = _stage(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import AutoRecipeError, GatewayError, MissingBindingError, NoPartsWarning
 from .gateway import ChatMessage
@@ -159,6 +159,13 @@ def _system_content(seq: PromptSequence, role: RoleProfile, registry: PromptRegi
     return instantiate(template, {k: seq.bindings[k] for k in needed})
 
 
+def _check_materialized(seq: PromptSequence) -> None:
+    if seq.placeholders:
+        raise ValueError(
+            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
+        )
+
+
 def execute(
     seq: PromptSequence,
     strategy: str,
@@ -166,21 +173,26 @@ def execute(
     gateway,
     registry: PromptRegistry | None = None,
     clock=None,
+    late=None,
 ) -> tuple[KnowledgeDocument, Transcript]:
     """Run the sequence under one strategy and split the outcome into a
     knowledge document.
 
     The sequence must be fully materialized and must end with an export
     step.  With a scripted gateway the transcript is deterministic.
+
+    ``late``, when given, is called with each step right before the turn
+    that carries its text is sent, and the step it returns is sent in its
+    place.  A caller uses it to fill in a step whose text is not known yet
+    while the steps before it are already out, or to stop with an error
+    before the next turn.  The sequence's own checks run on ``seq``, before
+    the first call.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not seq.steps:
         raise ValueError("cannot execute an empty sequence")
-    if seq.placeholders:
-        raise ValueError(
-            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
-        )
+    _check_materialized(seq)
     if seq.steps[-1].kind != "export":
         raise ValueError("the last step must be an export step")
 
@@ -190,6 +202,8 @@ def execute(
     transcript = Transcript(strategy=strategy)
     transcript.messages.append(TranscriptMessage("system", system.content, (), clock()))
     all_steps = tuple(s.index for s in seq.steps)
+
+    sent = late or (lambda step: step)
 
     def ask(session: list[ChatMessage], steps: tuple[int, ...]) -> str:
         transcript.messages.append(
@@ -206,17 +220,17 @@ def execute(
         return reply
 
     if strategy == "lastq":
-        content = seq.steps[-1].body
-        reply = ask([system, ChatMessage("user", content)], (seq.steps[-1].index,))
+        last = sent(seq.steps[-1])
+        reply = ask([system, ChatMessage("user", last.body)], (last.index,))
         answer = reply
     elif strategy in ("allq", "allqcot"):
-        content = "\n\n".join(f"Step {s.index}: {s.body}" for s in seq.steps)
+        content = "\n\n".join(f"Step {s.index}: {s.body}" for s in map(sent, seq.steps))
         if strategy == "allqcot":
             content = content + "\n\n" + COT_SUFFIX
         reply = ask([system, ChatMessage("user", content)], all_steps)
         answer = reply
     elif strategy == "allqreact":
-        content = wrap_react(seq)
+        content = wrap_react(replace(seq, steps=tuple(map(sent, seq.steps))))
         reply = ask([system, ChatMessage("user", content)], all_steps)
         answer = parse_react_reply(reply)
         if not answer:
@@ -225,6 +239,7 @@ def execute(
         session: list[ChatMessage] = [system]
         reply = ""
         for step in seq.steps:
+            step = sent(step)
             session.append(ChatMessage("user", step.body))
             reply = ask(session, (step.index,))
             session.append(ChatMessage("assistant", reply))

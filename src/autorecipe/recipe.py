@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -106,7 +107,10 @@ def parse_rfc3339(timestamp: str) -> datetime:
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         raise ValueError(f"timestamp {timestamp!r} carries no timezone")
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {timestamp!r} falls outside years 1-9999 in UTC") from None
 
 
 def format_rfc3339(moment: datetime) -> str:
@@ -268,14 +272,18 @@ def _csv_records(source):
     """
     if isinstance(source, str):
         source = map(re.Match.group, _CSV_LINE.finditer(source))
-    reader = csv.reader(source)
+    # The mark goes before the reader sees the line, so that a quoted first
+    # field still reads as quoted.
+    lines = iter(source)
+    first = next(lines, None)
+    if first is not None:
+        lines = itertools.chain((first.removeprefix("\ufeff"),), lines)
+    reader = csv.reader(lines)
     # csv.Error: a field longer than csv.field_size_limit(), or a stray "\r".
     try:
         header = next(reader, None)
         if header is None:
             raise ValidationFailedError(["dataset csv is empty"])
-        if header:
-            header[0] = header[0].removeprefix("\ufeff")
         if tuple(header) != DATASET_HEADER:
             raise ValidationFailedError(
                 [f"dataset header must be {','.join(DATASET_HEADER)}, got {','.join(header)}"]

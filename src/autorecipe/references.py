@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
@@ -306,6 +305,10 @@ def _map_in_order(fn, items: list, workers: int) -> list:
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # Imported here, where a pool starts: it costs a one-worker run its
+    # start-up time, and it loads ``logging``.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -383,6 +383,26 @@ def test_score_reads_a_dataset_that_starts_with_a_byte_order_mark(tmp_path, caps
     assert capsys.readouterr().out == "asset_id,score\na1,40.000000\n"
 
 
+def test_score_reads_a_byte_order_mark_before_a_quoted_first_field(tmp_path, capsys):
+    # The mark once reached the CSV reader, which then read the opening quote
+    # as a literal character and rejected the header (exit 2).
+    quoted = '\ufeff"asset_id","sensor_name",value,timestamp,unit\n' + _DATASET.split("\n", 1)[1]
+    assert main(_score_argv(tmp_path, quoted)) == 0
+    assert capsys.readouterr().out == "asset_id,score\na1,40.000000\n"
+
+
+def test_score_reports_a_stamp_outside_the_utc_years_as_a_bad_row(tmp_path, capsys):
+    # Midnight of 1 January 0001 at +01:00 falls in year 0 in UTC; it once
+    # exited 4 with "internal error: date value out of range".
+    dataset = _DATASET.replace("2024-01-01T00:00:00Z", "0001-01-01T00:00:00+01:00", 1)
+    assert main(_score_argv(tmp_path, dataset)) == 2
+    assert capsys.readouterr().err == (
+        "error: validation failed:\n- row 1: bad timestamp: timestamp "
+        "'0001-01-01T00:00:00+01:00' falls outside years 1-9999 in UTC\n"
+        "- asset 'a1' has no reading for sensor 'a'\n"
+    )
+
+
 def test_score_reads_its_inputs_from_fifos(tmp_path, capsys):
     """A named pipe, as ``/dev/stdin`` or ``<(cat file)`` give, cannot be read
     twice or told its position, and is read all the same."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -288,6 +289,67 @@ def test_strategy_turn_counts_match_contract(health_tax, registry):
             seq, strategy, registry.role("domain-expert"), _EchoGateway(replies), registry
         )
         assert len(transcript.user_turns()) == expected[strategy], strategy
+
+
+# --- execute: the late hook ------------------------------------------------------------
+
+def _replies_for(strategy, count):
+    if strategy == "gitq":
+        return ["filler."] * (count - 1) + [THREE_PART_DOC]
+    if strategy == "allqreact":
+        return ["Thought: done\nFinal Answer: " + THREE_PART_DOC]
+    return [THREE_PART_DOC]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_late_hook_fills_each_step_right_before_its_turn(health_tax, registry, strategy):
+    seq = _materialized(health_tax)
+    stand_in = replace(seq, steps=tuple(replace(s, body=f"stand-in {s.index}") for s in seq.steps))
+    plain = _EchoGateway(_replies_for(strategy, len(seq.steps)))
+    execute(seq, strategy, registry.role("domain-expert"), plain, registry)
+    hooked = _EchoGateway(_replies_for(strategy, len(seq.steps)))
+    passed = []  # (step index, turns sent before the hook saw the step)
+
+    def late(step):
+        passed.append((step.index, len(hooked.sessions)))
+        return seq.steps[step.index - 1]
+
+    execute(stand_in, strategy, registry.role("domain-expert"), hooked, registry, late=late)
+    # What the hook returns is what goes out, byte for byte.
+    assert hooked.sessions == plain.sessions
+    indices = [s.index for s in seq.steps]
+    if strategy == "gitq":
+        assert passed == [(i, i - 1) for i in indices]
+    elif strategy == "lastq":
+        assert passed == [(indices[-1], 0)]
+    else:
+        assert passed == [(i, 0) for i in indices]
+
+
+def test_late_hook_error_stops_before_the_next_turn(health_tax, registry):
+    seq = _materialized(health_tax)
+    gateway = _EchoGateway(_replies_for("gitq", len(seq.steps)))
+
+    def late(step):
+        if step.index == 3:
+            raise RuntimeError("stop here")
+        return step
+
+    with pytest.raises(RuntimeError, match="stop here"):
+        execute(seq, "gitq", registry.role("domain-expert"), gateway, registry, late=late)
+    assert len(gateway.sessions) == 2
+
+
+def test_late_hook_runs_after_the_sequence_checks(health_tax, registry):
+    unbound = resolve_code_steps(
+        generate_sequence_deterministic(health_tax, Goal("asset health", "asset profile")),
+        health_tax,
+    )
+    seen = []
+    with pytest.raises(ValueError, match="placeholders"):
+        execute(unbound, "gitq", registry.role("domain-expert"), ScriptedGateway(["x"]),
+                registry, late=seen.append)
+    assert seen == []
 
 
 # --- execute: bookkeeping ------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -106,6 +108,47 @@ def test_record_then_replay_round_trip(tmp_path):
     assert replay.complete(_session("one")) == "alpha"
     with pytest.raises(GatewayError, match=r"^no recorded reply for session .* \('never seen'\)$"):
         replay.complete(_session("never seen"))
+
+
+def test_recording_store_keeps_every_record_whole_under_concurrent_writers(tmp_path):
+    """More writer threads than cores share one recording gateway, each
+    sending its own sessions, with a thread switch forced every microsecond."""
+    writers, calls = min(2 * (os.cpu_count() or 1) + 1, 33), 40
+    texts = [f"writer {w} call {n}: " + "x" * (n * 400) for w in range(writers)
+             for n in range(calls)]
+    scripted = ScriptedGateway(by_key={session_key(_session(t)): f"reply to {t}" for t in texts})
+    store = tmp_path / "store.jsonl"
+    recording = RecordingGateway(scripted, str(store))
+    failures = []
+
+    def write(w):
+        try:
+            for n in range(calls):
+                text = texts[w * calls + n]
+                assert recording.complete(_session(text)) == f"reply to {text}"
+        except BaseException as exc:  # reported from the test's thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=write, args=(w,), daemon=True) for w in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    text = store.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    records = [json.loads(line) for line in text.splitlines()]
+    assert all(set(r) == {"key", "session", "reply"} for r in records)
+    assert len(records) == len(scripted.calls) == writers * calls
+    replay = ReplayGateway(str(store))
+    for t in texts:
+        assert replay.complete(_session(t)) == f"reply to {t}"
 
 
 # Each bad line, and what is wrong with it.

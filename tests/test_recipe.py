@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,6 +89,14 @@ def test_parse_rfc3339_zulu_and_offsets():
     assert shifted.tzinfo == timezone.utc
 
 
+def test_parse_rfc3339_names_a_stamp_outside_the_utc_years():
+    # Converting to UTC would leave year 1; the error is a ValueError, as for
+    # any other bad stamp, not the OverflowError astimezone raises.
+    for stamp in ("0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:30"):
+        with pytest.raises(ValueError, match=re.escape(f"timestamp '{stamp}' falls outside")):
+            parse_rfc3339(stamp)
+
+
 def test_parse_rfc3339_rejects_naive():
     with pytest.raises(ValueError):
         parse_rfc3339("2024-01-01T00:00:00")
@@ -135,7 +144,10 @@ def test_parse_rfc3339_reads_as_its_rewriting_route_reads(timestamp):
         parsed = datetime.fromisoformat(text)
         if parsed.tzinfo is None:
             raise ValueError(f"timestamp {timestamp!r} carries no timezone")
-        return parsed.astimezone(timezone.utc)
+        try:
+            return parsed.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError(f"timestamp {timestamp!r} falls outside years 1-9999 in UTC") from None
 
     # The same instant in UTC, or the same error.
     assert _moment_or_error(parse_rfc3339, timestamp) == _moment_or_error(rewritten, timestamp)
@@ -307,6 +319,8 @@ def test_dataset_from_csv_drops_one_leading_byte_order_mark():
     with pytest.raises(ValidationFailedError) as info:
         dataset_from_csv(f"\ufeff\ufeff{header}\n{row}")
     assert info.value.violations == [f"dataset header must be {header}, got \ufeff{header}"]
+    quoted = '"' + '","'.join(DATASET_HEADER) + '"'
+    assert dataset_from_csv(f"\ufeff{quoted}\n{row}") == dataset_from_csv(f"{header}\n{row}")
 
 
 def _records_or_violations(records):
