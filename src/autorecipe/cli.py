@@ -135,8 +135,8 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-# Stands in for the refined description while refinement runs.  It holds no
-# placeholder syntax, and a step it stands in for is never sent.
+# Stands in for the refined description while refinement runs; a step it
+# stands in for is never sent.
 _PENDING_DESCRIPTION = "(pending refinement)"
 
 
@@ -158,7 +158,7 @@ def _describe_and_execute(args, seq, gateway, registry):
     """
     import threading
 
-    from .execution import _check_materialized, execute
+    from .execution import execute
     from .planning import materialize_sequence
     from .prompts import RoleProfile, instantiate
     from .references import _map_in_order
@@ -171,8 +171,6 @@ def _describe_and_execute(args, seq, gateway, registry):
 
     def refinement() -> None:
         nonlocal description
-        if settled.is_set():
-            return
         try:
             question = instantiate(
                 registry.get("refinement.initial"), {"asset_class": args.asset_class}
@@ -197,22 +195,20 @@ def _describe_and_execute(args, seq, gateway, registry):
 
     full = None  # the sequence with the description bound, once built
 
-    def with_description():
+    def late(step):
         nonlocal full
+        if settled.is_set() and not description:
+            raise _RefinementFailed()
+        if "asset_description" not in seq.steps[step.index - 1].placeholders:
+            return step
         settled.wait()
         if not description:
             raise _RefinementFailed()
+        # Execution's materialization passed these checks with a value that
+        # is not blank, and neither is the description: this cannot fail.
         if full is None:
             full = materialize_sequence(seq, args.asset_class, description)
-        _check_materialized(full)
-        return full
-
-    waiting = {s.index for s in seq.steps if "asset_description" in s.placeholders}
-
-    def late(step):
-        if settled.is_set() and not description:
-            raise _RefinementFailed()
-        return with_description().steps[step.index - 1] if step.index in waiting else step
+        return full.steps[step.index - 1]
 
     def execution():
         # Materialization's checks run before the first turn, so a plan they
@@ -224,17 +220,12 @@ def _describe_and_execute(args, seq, gateway, registry):
                        description or _PENDING_DESCRIPTION)
         # The role's system prompt takes no binding, so the stand-in is not in it.
         role = registry.role("domain-expert")
-        try:
-            return _stage("execute", execute, bound, args.strategy, role, gateway,
-                          registry=registry, late=late)
-        finally:
-            # A sequential run checks the whole materialized sequence before
-            # its first turn, so that error wins over any other of execute's,
-            # whether or not the strategy sends a step holding the description.
-            _stage("execute", with_description)
+        return _stage("execute", execute, bound, args.strategy, role, gateway,
+                      registry=registry, late=late)
 
-    _, (doc, _transcript) = _map_in_order(
-        lambda chain: chain(), [refinement, execution], getattr(gateway, "max_parallel", 1)
+    chains = [execution] if description else [refinement, execution]
+    *_, (doc, _transcript) = _map_in_order(
+        lambda chain: chain(), chains, getattr(gateway, "max_parallel", 1)
     )
     return doc
 

@@ -159,13 +159,6 @@ def _system_content(seq: PromptSequence, role: RoleProfile, registry: PromptRegi
     return instantiate(template, {k: seq.bindings[k] for k in needed})
 
 
-def _check_materialized(seq: PromptSequence) -> None:
-    if seq.placeholders:
-        raise ValueError(
-            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
-        )
-
-
 def execute(
     seq: PromptSequence,
     strategy: str,
@@ -178,8 +171,11 @@ def execute(
     """Run the sequence under one strategy and split the outcome into a
     knowledge document.
 
-    The sequence must be fully materialized and must end with an export
-    step.  With a scripted gateway the transcript is deterministic.
+    The sequence must end with an export step.  One that holds
+    placeholders must come from ``materialize_sequence``, which records its
+    bindings; the text its values brought in is sent verbatim, and ``${...}``
+    in it is not read again.  With a scripted gateway the transcript is
+    deterministic.
 
     ``late``, when given, is called with each step right before the turn
     that carries its text is sent, and the step it returns is sent in its
@@ -192,7 +188,10 @@ def execute(
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not seq.steps:
         raise ValueError("cannot execute an empty sequence")
-    _check_materialized(seq)
+    if not seq.bindings and seq.placeholders:
+        raise ValueError(
+            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
+        )
     if seq.steps[-1].kind != "export":
         raise ValueError("the last step must be an export step")
 

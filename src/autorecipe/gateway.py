@@ -73,6 +73,8 @@ class GatewayConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
 
 
 # One optional key per field; a float field takes an int too.

@@ -527,7 +527,13 @@ def generate_sequence_deterministic(
 def materialize_sequence(
     seq: PromptSequence, asset_class: str, asset_description: str = ""
 ) -> PromptSequence:
-    """Fill the asset slots in every step; empty values count as missing."""
+    """Fill the asset slots in every step; empty values count as missing.
+
+    This is the one place that reads placeholders.  Each step's plan text
+    is checked before any value goes in, and the values are inserted
+    verbatim in one pass, so ``${...}`` inside a value is never read as a
+    placeholder, here or later.
+    """
     if not asset_class or not asset_class.strip():
         raise ValueError("materialization needs a non-empty asset class")
     bindings = {"asset_class": asset_class}

@@ -5,7 +5,6 @@ import os
 import socket
 import sys
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -381,8 +380,8 @@ def test_http_gateway_exposes_max_parallel_and_recording_forwards_it(tmp_path):
 # --- the standard-library transport against a local server ----------------------------
 
 class _Endpoint(BaseHTTPRequestHandler):
-    """Answers by path: /ok echoes, /fail is HTTP 500, /denied is 401, /slow stalls,
-    /garbage is not HTTP."""
+    """Answers by path: /ok echoes, /fail is HTTP 500, /denied is 401, /slow stalls
+    until the fixture releases it and then answers nothing, /garbage is not HTTP."""
 
     def do_POST(self):  # noqa: N802 - name fixed by BaseHTTPRequestHandler
         self.server.paths.append(self.path)
@@ -394,7 +393,8 @@ class _Endpoint(BaseHTTPRequestHandler):
             self.wfile.write(b"NOT-HTTP garbage\r\n\r\n")
             return
         if self.path == "/slow":
-            time.sleep(1.0)
+            self.server.release.wait(10)
+            return
         if self.path in ("/fail", "/denied"):
             self.send_error(500 if self.path == "/fail" else 401)
             return
@@ -415,12 +415,16 @@ def endpoint(monkeypatch):
     for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(name, raising=False)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Endpoint)
-    server.daemon_threads = True
+    # Handler threads are not daemons, so server_close joins them: none
+    # outlives the test to write into a later one's output.
+    server.daemon_threads = False
+    server.release = threading.Event()
     server.paths = []
     server.requests = []  # (path, Content-Type, Authorization, body bytes)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02})
     thread.start()
     yield server
+    server.release.set()
     server.shutdown()
     server.server_close()
     thread.join(10)
@@ -502,6 +506,9 @@ def test_gateway_config_validation_and_file_loading(tmp_path):
         GatewayConfig(max_retries=-1)
     with pytest.raises(ValueError):
         GatewayConfig(max_parallel=0)
+    for tokens in (0, -3):
+        with pytest.raises(ValueError, match="^max_tokens must be >= 1$"):
+            GatewayConfig(max_tokens=tokens)
     for bad in ({"timeout_seconds": float("inf")}, {"backoff_seconds": -0.5},
                 {"backoff_seconds": float("nan")}, {"temperature": float("-inf")}):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autorecipe.errors import AutoRecipeError, MissingBindingError
+from autorecipe.execution import execute
+from autorecipe.gateway import ScriptedGateway
 from autorecipe.planning import (
     Conjunction,
     Disjunction,
@@ -39,7 +41,9 @@ from autorecipe.presets import (
     PLANNER_CONSTRAINTS,
     PLANNER_TASK_INTRO,
 )
+from autorecipe.prompts import default_registry
 from autorecipe.taxonomy import Taxonomy, TaxonNode, normalize_name
+from conftest import THREE_PART_DOC
 
 
 # --- step and order primitives -------------------------------------------------
@@ -508,6 +512,45 @@ def test_materialize_rejects_blank_asset_class():
     text = "Step 1: Ask a question.\nExecution Order: Step 1\n"
     with pytest.raises(ValueError):
         materialize_sequence(parse_plan(text), "  ")
+
+
+_TEXT = ["Compare the ", "${asset_class}", " with ", "${asset_description}", ".",
+         " cost $5 {est}"]
+_VALUE = ["$", "{", "}", "${asset_class}", "${asset_description}", "${HOME}", "\\", "\\1",
+          "\\g<0>", "pump", " "]
+
+# Values are never blank: materialization reads a blank value as missing.
+_values = st.lists(st.sampled_from(_VALUE), min_size=1, max_size=5).map("".join).filter(str.strip)
+
+
+def _fill_by_hand(body: str, values: dict[str, str]) -> str:
+    """Each ``${name}`` of ``body`` replaced by its value, left to right, in one pass."""
+    out = []
+    while True:
+        found = [(body.find("${%s}" % name), name) for name in values if "${%s}" % name in body]
+        if not found:
+            return "".join(out) + body
+        at, name = min(found)
+        out.append(body[:at] + values[name])
+        body = body[at + len(name) + 3:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=st.lists(st.sampled_from(_TEXT), min_size=1, max_size=6).map("".join),
+       asset_class=_values, description=_values)
+def test_materialize_inserts_values_verbatim_and_execute_accepts_them(
+        body, asset_class, description):
+    """Placeholders are read in the plan's text only: ``${...}``, braces and
+    backslashes in a value go in as they are and are not read again."""
+    export = "Please help me export a markdown output as guidelines."
+    seq = parse_plan(f"Step 1: {body}\nStep 2: {export}\nExecution Order: Step 1 AND Step 2\n")
+    done = materialize_sequence(seq, asset_class, description)
+    values = {"asset_class": asset_class, "asset_description": description}
+    assert [s.body for s in done.steps] == [_fill_by_hand(s.body, values) for s in seq.steps]
+    registry = default_registry()
+    _, transcript = execute(done, "allq", registry.role("domain-expert"),
+                            ScriptedGateway([THREE_PART_DOC]), registry)
+    assert done.steps[0].body in transcript.user_turns()[0].content
 
 
 # --- persistence ---------------------------------------------------------------------
