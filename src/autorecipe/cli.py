@@ -256,10 +256,14 @@ def cmd_generate(args) -> int:
     gateway = _build_gateway(args)
     if gateway is None:
         raise ValueError("generate needs one of --script, --replay, or --gateway-config")
-    # Every input file is read before the first model call.
+    # Every input file is read, and every input checked, before the first model call.
     if args.search_script:
         search = ScriptedSearchClient.from_file(args.search_script)
         nli = ScriptedNliClient.from_file(args.nli_script)
+    out = Path(args.out)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot write the bundle to {args.out}: {existing} is not a directory")
     registry = default_registry()
     # Scripted and replay runs use a pinned creation time so rerunning
     # yields byte-identical bundles.
@@ -267,16 +271,6 @@ def cmd_generate(args) -> int:
 
     # The plan never goes through the model here: no gateway is passed.
     seq = _stage("plan", _plan, args, taxonomies, tax, goal, registry=registry)
-
-    doc = _describe_and_execute(args, seq, gateway, registry)
-
-    if args.search_script:
-        cited = _stage(
-            "references", build_references, doc, gateway, search, nli, registry=registry
-        )
-        knowledge_doc = render_cited(cited)
-    else:
-        knowledge_doc = render_knowledge(doc)
 
     target_label = tax.nodes[tax.node_id(goal.target_node)].label
     sensors = [
@@ -287,6 +281,16 @@ def cmd_generate(args) -> int:
     indicator = default_indicator_config(sensors)
     aggregation = default_aggregation_config(sensors)
     dataset = _stage("dataset", generate_synthetic, indicator, args.num_assets, args.seed)
+
+    doc = _describe_and_execute(args, seq, gateway, registry)
+
+    if args.search_script:
+        cited = _stage(
+            "references", build_references, doc, gateway, search, nli, registry=registry
+        )
+        knowledge_doc = render_cited(cited)
+    else:
+        knowledge_doc = render_knowledge(doc)
 
     created_at = (
         SYNTHETIC_TIMESTAMP if deterministic else format_rfc3339(datetime.now(timezone.utc))

@@ -351,15 +351,19 @@ def default_aggregation_config(sensor_names, method: str = "weighted") -> Aggreg
 
 # --- recipe validation and bundling ----------------------------------------------
 
+# A lone surrogate has no UTF-8 form, so no bundle file can hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def validate_recipe(recipe: Recipe) -> list[str]:
     """Every invariant violation as a string; empty means bundle-ready."""
     violations = []
-    if not recipe.kpi.strip():
-        violations.append("kpi must be non-empty")
-    if not recipe.asset_class.strip():
-        violations.append("asset class must be non-empty")
-    if not recipe.knowledge_doc.strip():
-        violations.append("knowledge document must be non-empty")
+    for name, text in (("kpi", recipe.kpi), ("asset class", recipe.asset_class),
+                       ("knowledge document", recipe.knowledge_doc)):
+        if not text.strip():
+            violations.append(f"{name} must be non-empty")
+        elif _SURROGATE.search(text):
+            violations.append(f"{name} holds a lone surrogate, which UTF-8 cannot encode")
     violations += validate_indicator_config(recipe.indicator)
     violations += validate_aggregation_config(recipe.aggregation, recipe.indicator.sensor_names)
     violations += validate_dataset(recipe.dataset, recipe.indicator)

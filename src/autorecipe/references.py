@@ -6,9 +6,7 @@ query, and an entailment client judges whether a fetched page backs the
 claim.  Entailed urls become the passage's citation list.
 
 Fetched pages are checked paragraph by paragraph; the first entailing
-paragraph wins for that url.  Search, fetch, and verification may run
-concurrently, but results are re-sorted into (passage, claim, rank)
-order so output does not depend on completion order.
+paragraph wins for that url.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ class Evidence:
     url: str
     snippet: str
     verdict: str
-    rank: int = 0
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -242,14 +239,14 @@ def generate_claims(
     ]
 
 
-def _ranked_hits(claim: Claim, search_client) -> list[tuple[int, SearchHit]]:
+def _search(claim: Claim, search_client) -> list[SearchHit]:
     try:
         hits = search_client.search(claim.statement, DEFAULT_MAX_RESULTS)
     except SearchClientError:
         raise
     except Exception as exc:
         raise SearchClientError(f"search provider failed for {claim.statement!r}: {exc}") from exc
-    return list(enumerate(hits[:DEFAULT_MAX_RESULTS]))
+    return hits[:DEFAULT_MAX_RESULTS]
 
 
 def verify(claim: Claim, candidate_text: str, nli_client) -> str:
@@ -270,7 +267,7 @@ def _paragraphs(text: str) -> list[str]:
 
 def _evidence_for_claim(claim: Claim, search_client, nli_client) -> list[Evidence]:
     evidence = []
-    for rank, hit in _ranked_hits(claim, search_client):
+    for hit in _search(claim, search_client):
         if hit.error or not hit.text.strip():
             verdict, snippet = "error", ""
         else:
@@ -290,7 +287,6 @@ def _evidence_for_claim(claim: Claim, search_client, nli_client) -> list[Evidenc
             url=hit.url,
             snippet=snippet,
             verdict=verdict,
-            rank=rank,
         ))
     return evidence
 
@@ -309,23 +305,14 @@ def _map_in_order(fn, items: list, workers: int) -> list:
     # start-up time, and it loads ``logging``.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, items))
 
 
-def collect_evidence(
-    claims: Iterable[Claim],
-    search_client,
-    nli_client,
-    max_workers: int = 4,
-) -> list[Evidence]:
-    """Search and verify every claim, in deterministic output order."""
-    batches = _map_in_order(
-        lambda c: _evidence_for_claim(c, search_client, nli_client), list(claims), max_workers
-    )
-    evidence = [e for batch in batches for e in batch]
-    evidence.sort(key=lambda e: (e.passage_id, e.claim_index, e.rank))
-    return evidence
+def collect_evidence(claims: Iterable[Claim], search_client, nli_client) -> list[Evidence]:
+    """Search and verify every claim on the caller's thread: evidence in
+    claim order, and within a claim in hit order."""
+    return [e for claim in claims for e in _evidence_for_claim(claim, search_client, nli_client)]
 
 
 def attach_references(
@@ -372,7 +359,6 @@ def build_references(
     search_client,
     nli_client,
     k: int = DEFAULT_CLAIMS_PER_PASSAGE,
-    max_workers: int = 4,
     registry: PromptRegistry | None = None,
 ) -> CitedDocument:
     """Full pipeline: segment, claim generation, search, entailment, attach.
@@ -380,7 +366,8 @@ def build_references(
     Claim requests overlap up to the gateway's ``max_parallel``; a gateway
     without one is asked one passage at a time on the caller's thread.
     Claims keep passage order, and a failure raised is the first in
-    passage order.
+    passage order.  Search and entailment then run one claim at a time on
+    the caller's thread.
     """
     passages = segment(kd)
     registry = registry or default_registry()
@@ -390,5 +377,5 @@ def build_references(
 
     batches = _map_in_order(claims_for, passages, getattr(gateway, "max_parallel", 1))
     claims = [claim for batch in batches for claim in batch]
-    evidence = collect_evidence(claims, search_client, nli_client, max_workers=max_workers)
+    evidence = collect_evidence(claims, search_client, nli_client)
     return attach_references(kd, claims, evidence)

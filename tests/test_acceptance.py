@@ -336,14 +336,14 @@ def _search_results() -> dict[str, list[SearchHit]]:
 
 
 def test_criterion_08_reference_soundness(registry):
-    with _criterion(8, 5.0, "entailment verdicts bound citation counts; 8-way rerun is stable"):
+    with _criterion(8, 5.0, "entailment verdicts bound citation counts; 10 reruns are identical"):
         def cited_with(nli):
             return build_references(
                 split_parts(THREE_PART_DOC),
                 ScriptedGateway(replies=_claim_replies()),
                 ScriptedSearchClient(_search_results()),
                 nli,
-                k=3, max_workers=8, registry=registry,
+                k=3, registry=registry,
             )
 
         with warnings.catch_warnings():

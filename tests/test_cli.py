@@ -236,6 +236,30 @@ def test_generate_one_citation_script_alone_is_input_error(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("case", ["num-assets-below-1", "out-is-a-file", "out-under-a-file"])
+def test_generate_checks_its_inputs_before_any_model_call(
+    tax_file, tmp_path, capsys, monkeypatch, case
+):
+    calls = []
+    complete = ScriptedGateway.complete
+    monkeypatch.setattr(ScriptedGateway, "complete",
+                        lambda self, session: calls.append(session) or complete(self, session))
+    afile = tmp_path / "afile"
+    afile.write_text("not a bundle\n", encoding="utf-8")
+    out, extra, err = {
+        "num-assets-below-1": (tmp_path / "bundle", ["--num-assets", "0"],
+                               "stage dataset: n_assets must be at least 1"),
+        "out-is-a-file": (afile, [], f"cannot write the bundle to {afile}: "),
+        "out-under-a-file": (afile / "bundle", [], f"cannot write the bundle to {afile}/bundle: "),
+    }[case]
+    if case != "num-assets-below-1":
+        err += f"{afile} is not a directory"
+    rc = main(_generate_args(tax_file, _generate_script(tmp_path), out, extra=extra))
+    assert (rc, capsys.readouterr().err, len(calls)) == (2, f"error: {err}\n", 0)
+    assert afile.read_text(encoding="utf-8") == "not a bundle\n"
+    assert not (tmp_path / "bundle").exists()
+
+
 @pytest.mark.parametrize("bad_line", ['{"key": "abc", "reply": "torn', '{"reply": "r"}'])
 def test_generate_corrupt_replay_store_is_input_error(tax_file, tmp_path, capsys, bad_line):
     store = tmp_path / "exchanges.jsonl"

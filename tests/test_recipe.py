@@ -630,7 +630,7 @@ def test_bundle_renders_citations(tmp_path):
 
     recipe = _recipe()
     claims = [Claim(1, 1, "Motors convert energy.")]
-    evidence = [Evidence(1, 1, "https://ref.example", "snippet", "entailed", rank=0)]
+    evidence = [Evidence(1, 1, "https://ref.example", "snippet", "entailed")]
     cited = attach_references(split_parts(recipe.knowledge_doc), claims, evidence)
     cited_recipe = replace(recipe, knowledge_doc=render_cited(cited))
     bundle(cited_recipe, tmp_path / "out")
@@ -717,9 +717,19 @@ _ANY_TEXT = st.text(st.characters() | st.sampled_from("\x85\u2028\u2029\r\n\t ")
 @settings(max_examples=100, deadline=None)
 @given(kpi=_ANY_TEXT, asset_class=_ANY_TEXT)
 @example(kpi="asset\x85health", asset_class="\x85motor\x85")
+@example(kpi="0", asset_class="\ud800")
 def test_bundle_keeps_any_kpi_and_asset_class(kpi, asset_class):
     recipe = replace(_recipe(), kpi=kpi, asset_class=asset_class)
     with tempfile.TemporaryDirectory() as tmp:
+        try:
+            (kpi + asset_class).encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate has no UTF-8 form: the bundle is refused, not
+            # written unreadable.
+            with pytest.raises(ValidationFailedError, match="lone surrogate"):
+                bundle(recipe, tmp)
+            assert not any(Path(tmp).iterdir())
+            return
         bundle(recipe, tmp)
         assert parse_bundle(tmp) == recipe
 

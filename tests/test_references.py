@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorecipe.errors import (
     AutoRecipeError,
@@ -175,11 +177,11 @@ def test_search_claim_separates_fetches_from_failures():
         ],
     })
     nli = _CountingNli(ConstantNliClient(True))
-    evidence = collect_evidence([claim], client, nli, max_workers=1)
-    assert [(e.url, e.verdict, e.snippet, e.rank) for e in evidence] == [
-        ("https://a.example", "entailed", "bearing text", 0),
-        ("https://b.example", "error", "", 1),
-        ("https://c.example", "error", "", 2),
+    evidence = collect_evidence([claim], client, nli)
+    assert [(e.url, e.verdict, e.snippet) for e in evidence] == [
+        ("https://a.example", "entailed", "bearing text"),
+        ("https://b.example", "error", ""),
+        ("https://c.example", "error", ""),
     ]
     assert nli.calls == 1  # failed fetches are never judged
     assert client.queries == ["Motors contain bearings."]
@@ -270,7 +272,7 @@ def test_collect_evidence_first_entailing_paragraph_wins():
         ("second paragraph", "c."): True,
         ("third paragraph", "c."): True,
     })
-    evidence = collect_evidence([claim], _single_hit_client(text), client, max_workers=1)
+    evidence = collect_evidence([claim], _single_hit_client(text), client)
     assert len(evidence) == 1
     assert evidence[0].verdict == "entailed"
     assert evidence[0].snippet == "second paragraph"
@@ -278,9 +280,7 @@ def test_collect_evidence_first_entailing_paragraph_wins():
 
 def test_collect_evidence_not_entailed_without_match():
     claim = Claim(1, 1, "c.")
-    evidence = collect_evidence(
-        [claim], _single_hit_client("one\n\ntwo"), ConstantNliClient(False), max_workers=1
-    )
+    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), ConstantNliClient(False))
     assert evidence[0].verdict == "not-entailed"
     assert evidence[0].snippet == ""
 
@@ -288,9 +288,7 @@ def test_collect_evidence_not_entailed_without_match():
 def test_collect_evidence_error_verdict_when_judgement_fails():
     claim = Claim(1, 1, "c.")
     strict = ScriptedNliClient({}, strict=True)
-    evidence = collect_evidence(
-        [claim], _single_hit_client("one\n\ntwo"), strict, max_workers=1
-    )
+    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), strict)
     assert evidence[0].verdict == "error"
     assert evidence[0].snippet == ""
 
@@ -298,35 +296,100 @@ def test_collect_evidence_error_verdict_when_judgement_fails():
 def test_collect_evidence_recovers_after_judgement_error():
     claim = Claim(1, 1, "c.")
     client = ScriptedNliClient({("two", "c."): True}, strict=True)
-    evidence = collect_evidence(
-        [claim], _single_hit_client("one\n\ntwo"), client, max_workers=1
-    )
+    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), client)
     assert evidence[0].verdict == "entailed"
     assert evidence[0].snippet == "two"
 
 
-def test_collect_evidence_sorted_and_parallel_deterministic():
+class _ThreadRecorder:
+    """Search and NLI client that notes the thread each call runs on."""
+
+    def __init__(self, results):
+        self.search_client = ScriptedSearchClient(results)
+        self.threads = set()
+
+    def search(self, query, max_results):
+        self.threads.add(threading.get_ident())
+        return self.search_client.search(query, max_results)
+
+    def judge(self, premise, hypothesis):
+        self.threads.add(threading.get_ident())
+        return True
+
+
+def test_collect_evidence_runs_on_the_callers_thread():
     claims = [Claim(p, c, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
-    results = {}
+    recorder = _ThreadRecorder({
+        claim.statement: [SearchHit(f"https://{claim.passage_id}-{claim.index}-{r}.example",
+                                    text="body text") for r in range(3)]
+        for claim in claims
+    })
+    evidence = collect_evidence(claims, recorder, recorder)
+    assert recorder.threads == {threading.get_ident()}
+    assert recorder.search_client.queries == [claim.statement for claim in claims]
+    assert len(evidence) == 18
+    assert all(e.verdict == "entailed" for e in evidence)
+
+
+_PARAGRAPHS = ("alpha", "beta", "gamma")
+_PAGE_TEXTS = st.one_of(
+    st.sampled_from(["", "   ", "\n\n"]),
+    st.lists(st.sampled_from(_PARAGRAPHS), min_size=1, max_size=3).map("\n\n".join),
+)
+# Hit r of every claim has url _URLS[r], so an evidence url names its hit rank.
+_URLS = [f"https://hit{rank}.example" for rank in range(DEFAULT_MAX_RESULTS + 2)]
+_HITS = st.lists(
+    st.tuples(_PAGE_TEXTS, st.sampled_from(["", "", "fetch timed out"])), max_size=len(_URLS),
+).map(lambda pages: [SearchHit(url, text, error) for url, (text, error) in zip(_URLS, pages)])
+
+
+@st.composite
+def _evidence_inputs(draw):
+    """Claims in (passage, index) order, their hits, and a verdict map."""
+    claims = [
+        Claim(passage, index, f"claim {passage}-{index}.")
+        for passage in range(1, draw(st.integers(1, 3)) + 1)
+        for index in range(1, draw(st.integers(0, 3)) + 1)
+    ]
+    results = {claim.statement: draw(_HITS) for claim in claims}
+    pairs = draw(st.dictionaries(
+        st.tuples(st.sampled_from(_PARAGRAPHS), st.sampled_from([c.statement for c in claims]))
+        if claims else st.nothing(),
+        st.booleans(),
+    ))
+    return claims, results, pairs, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evidence_inputs())
+def test_collect_evidence_equals_a_nested_loop_in_claim_and_hit_order(inputs):
+    claims, results, pairs, strict = inputs
+
+    def judged(paragraph, claim):
+        if (paragraph, claim.statement) in pairs:
+            return "entailed" if pairs[paragraph, claim.statement] else "not-entailed"
+        return "error" if strict else "not-entailed"
+
+    expected = []
     for claim in claims:
-        results[claim.statement] = [
-            SearchHit(f"https://{claim.passage_id}-{claim.index}-{r}.example", text="body text")
-            for r in range(3)
-        ]
-    runs = []
-    for _ in range(10):
-        evidence = collect_evidence(
-            claims, ScriptedSearchClient(results), ConstantNliClient(True), max_workers=8
-        )
-        runs.append(evidence)
-    serial = collect_evidence(
-        claims, ScriptedSearchClient(results), ConstantNliClient(True), max_workers=1
+        for hit in results[claim.statement][:DEFAULT_MAX_RESULTS]:
+            paragraphs = [p.strip() for p in hit.text.split("\n\n") if p.strip()]
+            verdicts = [judged(p, claim) for p in paragraphs]
+            if hit.error or not paragraphs:
+                verdict, snippet = "error", ""
+            elif "entailed" in verdicts:
+                verdict, snippet = "entailed", paragraphs[verdicts.index("entailed")]
+            else:
+                verdict, snippet = ("error" if "error" in verdicts else "not-entailed"), ""
+            expected.append(Evidence(claim.passage_id, claim.index, hit.url, snippet, verdict))
+
+    evidence = collect_evidence(
+        claims, ScriptedSearchClient(results), ScriptedNliClient(pairs, strict=strict)
     )
-    assert all(run == runs[0] for run in runs)
-    assert runs[0] == serial
-    keys = [(e.passage_id, e.claim_index, e.rank) for e in serial]
-    assert keys == sorted(keys)
-    assert all(e.verdict == "entailed" for e in serial)
+    assert evidence == expected
+    # The order a sort by (passage, claim, hit rank) gives.
+    keys = [(e.passage_id, e.claim_index, _URLS.index(e.url)) for e in evidence]
+    assert keys == sorted(set(keys))
 
 
 def test_always_true_and_always_false_judges(three_part_doc):
@@ -362,13 +425,13 @@ def test_attach_references_counts_fixture(three_part_doc):
         + [Claim(3, i, f"p3 claim {i}.") for i in (1, 2, 3)]
     )
     evidence = [
-        Evidence(1, 1, "https://a.example", "snip", "entailed", rank=0),
-        Evidence(1, 2, "https://a.example", "snip", "entailed", rank=0),  # repeat url
-        Evidence(1, 2, "https://b.example", "snip", "entailed", rank=1),
-        Evidence(1, 3, "https://c.example", "", "not-entailed", rank=0),
-        Evidence(2, 1, "https://d.example", "snip", "entailed", rank=0),
-        Evidence(2, 2, "https://e.example", "", "error", rank=0),
-        Evidence(3, 1, "https://f.example", "", "not-entailed", rank=0),
+        Evidence(1, 1, "https://a.example", "snip", "entailed"),
+        Evidence(1, 2, "https://a.example", "snip", "entailed"),  # repeat url
+        Evidence(1, 2, "https://b.example", "snip", "entailed"),
+        Evidence(1, 3, "https://c.example", "", "not-entailed"),
+        Evidence(2, 1, "https://d.example", "snip", "entailed"),
+        Evidence(2, 2, "https://e.example", "", "error"),
+        Evidence(3, 1, "https://f.example", "", "not-entailed"),
     ]
     cited = attach_references(kd, claims, evidence)
     assert cited.counts.claims == (3, 2, 3)
@@ -393,9 +456,9 @@ def test_render_cited_appends_numbered_references(three_part_doc):
     kd = split_parts(three_part_doc)
     claims = [Claim(1, 1, "c1."), Claim(3, 1, "c3.")]
     evidence = [
-        Evidence(1, 1, "https://a.example", "s", "entailed", rank=0),
-        Evidence(1, 1, "https://b.example", "s", "entailed", rank=1),
-        Evidence(3, 1, "https://c.example", "s", "entailed", rank=0),
+        Evidence(1, 1, "https://a.example", "s", "entailed"),
+        Evidence(1, 1, "https://b.example", "s", "entailed"),
+        Evidence(3, 1, "https://c.example", "s", "entailed"),
     ]
     cited = attach_references(kd, claims, evidence)
     text = render_cited(cited)
@@ -457,7 +520,6 @@ def test_build_references_replay_is_stable(three_part_doc):
             ScriptedSearchClient(results),
             ConstantNliClient(True),
             k=2,
-            max_workers=8,
         )
         outcomes.append((cited.citations, cited.counts))
     assert all(outcome == outcomes[0] for outcome in outcomes)
@@ -508,7 +570,7 @@ class _ParallelGateway:
 
 def _references_of(kd, gateway, k=1, search=None):
     search = search or ScriptedSearchClient({}, strict=False)
-    return build_references(kd, gateway, search, ConstantNliClient(True), k=k, max_workers=1)
+    return build_references(kd, gateway, search, ConstantNliClient(True), k=k)
 
 
 def test_build_references_keeps_passage_order_when_replies_finish_in_reverse(three_part_doc):

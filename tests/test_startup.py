@@ -1,7 +1,9 @@
 """Start-up cost: each command imports only the modules it uses.
 
 numpy loads only for AHP, requests never, and the bulk commands (plan,
-score, metrics) load only their own stages.  Each check runs in a fresh
+score, metrics) load only their own stages.  concurrent.futures and logging
+load only where a pool starts: for an HTTP gateway's overlapped model calls,
+never for a scripted or replayed generate.  Each check runs in a fresh
 interpreter, since this test session itself has everything loaded.
 """
 
@@ -21,12 +23,12 @@ from autorecipe.cli import main
 from conftest import THREE_PART_DOC
 
 # Runs the commands in one interpreter and reports, after each, its exit code
-# and which of numpy and requests are in sys.modules.
+# and which of the HEAVY modules are in sys.modules.
 CHILD = r'''
 import json
 import sys
 
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "requests", "concurrent.futures", "logging")
 
 
 def loaded():
@@ -97,10 +99,25 @@ def _commands(tmp: Path) -> tuple[list, list]:
     tax.write_text(presets.ASSET_HEALTH_TAXONOMY, encoding="utf-8")
     description = "A 75 kW induction motor driving a conveyor.\nConfidence: 90%"
     replies = [description, description] + [f"Interim guidance {i}." for i in range(1, 8)]
-    script = _write_yaml(tmp / "script.yaml", {"strict": True, "replies": replies + [THREE_PART_DOC]})
+    # Three claims for each of the document's three parts, each found on two
+    # pages, one of which backs it.
+    claims = [[f"Claim {i} of part {part} holds." for i in range(1, 4)] for part in range(1, 4)]
+    replies += [THREE_PART_DOC] + ["\n".join(group) for group in claims]
+    script = _write_yaml(tmp / "script.yaml", {"strict": True, "replies": replies})
+    statements = [claim for group in claims for claim in group]
+    search = _write_yaml(tmp / "search.yaml", {"strict": True, "queries": {
+        claim: [{"url": f"https://{n}.example", "text": f"Page {n} backs it."},
+                {"url": "https://other.example", "text": "Unrelated page."}]
+        for n, claim in enumerate(statements)
+    }})
+    nli = _write_yaml(tmp / "nli.yaml", {"pairs": [
+        {"premise": f"Page {n} backs it.", "hypothesis": claim, "entailed": True}
+        for n, claim in enumerate(statements)
+    ]})
     store, recorded, replayed = tmp / "store.jsonl", tmp / "recorded", tmp / "replayed"
     goal = ["--taxonomy", str(tax), "--kpi", "asset health", "--target", "asset profile"]
-    generate = ["generate", *goal, "--asset-class", "electric motor"]
+    generate = ["generate", *goal, "--asset-class", "electric motor",
+                "--search-script", search, "--nli-script", nli]
     sensors = ["age", "operating hours", "idle hours"]
     ahp = _write_yaml(tmp / "ahp.yaml", {
         "method": "ahp",
@@ -152,8 +169,12 @@ def test_numpy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
         ["score (ahp)", 0, ["numpy"]],
         ["HttpGateway()", 0, ["numpy"]],
         ["HttpGateway.complete -> echo: ping", 0, ["numpy"]],
-        ["generate --gateway-config", 0, ["numpy"]],
+        ["generate --gateway-config", 0, ["numpy", "concurrent.futures", "logging"]],
     ]
+    # Both generate runs cited every part: the citation stage really ran.
+    for run in ("recorded", "replayed"):
+        assert (tmp_path / run / "knowledge_document.md").read_text(encoding="utf-8").count(
+            "References:\n1. https://") == 3
     # The HTTP run got the recorded replies through the standard-library transport.
     for name in ("knowledge_document.md", "indicator_config.yaml", "sample_dataset.csv"):
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "recorded" / name).read_bytes()
