@@ -13,6 +13,7 @@ client error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -55,14 +56,14 @@ def _load_taxonomies(paths) -> list:
     return [parse_taxonomy(_read_text(p)) for p in paths]
 
 
-def _goal_from_args(args):
+def _goal_from_args(args, method_phrase: str = "", text: str = ""):
     from .planning import Goal
 
     return Goal(
         kpi=args.kpi,
         target_node=args.target or args.kpi,
-        method_phrase=args.method_phrase,
-        text=args.goal_text,
+        method_phrase=method_phrase,
+        text=text,
     )
 
 
@@ -128,7 +129,7 @@ def cmd_plan(args) -> int:
     from .planning import bind_goal, serialize_sequence
 
     taxonomies = _load_taxonomies(args.taxonomy)
-    goal = _goal_from_args(args)
+    goal = _goal_from_args(args, args.method_phrase, args.goal_text)
     tax = bind_goal(taxonomies, goal)
     seq = _plan(args, taxonomies, tax, goal, gateway=_build_gateway(args))
     _write_out(args.out, serialize_sequence(seq), f"{len(seq.steps)}-step plan")
@@ -160,7 +161,7 @@ def _describe_and_execute(args, seq, gateway, registry):
 
     from .execution import execute
     from .planning import materialize_sequence
-    from .prompts import RoleProfile, instantiate
+    from .prompts import instantiate
     from .references import _map_in_order
     from .refinement import refine
 
@@ -179,7 +180,7 @@ def _describe_and_execute(args, seq, gateway, registry):
                 "refine",
                 refine,
                 gateway,
-                RoleProfile("domain-expert", "refinement.system"),
+                "refinement.system",
                 question,
                 max_rounds=args.max_rounds,
                 confidence_threshold=args.confidence_threshold,
@@ -218,10 +219,8 @@ def _describe_and_execute(args, seq, gateway, registry):
         # gets the sequence a sequential run gives it.
         bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
                        description or _PENDING_DESCRIPTION)
-        # The role's system prompt takes no binding, so the stand-in is not in it.
-        role = registry.role("domain-expert")
-        return _stage("execute", execute, bound, args.strategy, role, gateway,
-                      registry=registry, late=late)
+        return _stage("execute", execute, bound, args.strategy, registry.role("domain-expert"),
+                      gateway, registry=registry, late=late)
 
     chains = [execution] if description else [refinement, execution]
     *_, (doc, _transcript) = _map_in_order(
@@ -377,15 +376,36 @@ def cmd_verify_refs(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+def _text(value: str) -> str:
+    """Free command-line text.  A byte that is not UTF-8 arrives as a lone
+    surrogate, which no prompt, plan or bundle can carry."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError("text that UTF-8 cannot encode") from None
+    return value
+
+
+def _threshold(value: str) -> float:
+    """A confidence percentage that a reply's confidence, in [0, 100], can meet."""
+    try:
+        threshold = float(value)
+    except ValueError:
+        threshold = math.nan
+    if not (math.isfinite(threshold) and threshold <= 100.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number at most 100, got {value!r}")
+    return threshold
+
+
 def _add_goal_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--taxonomy", action="append", required=True,
         help="taxonomy YAML file; repeat for multiple taxonomies",
     )
-    parser.add_argument("--kpi", required=True, help="KPI name; must match a taxonomy root")
-    parser.add_argument("--target", default="", help="target node (defaults to the KPI root)")
-    parser.add_argument("--method-phrase", default="", help="phrase appended to the default goal text")
-    parser.add_argument("--goal-text", default="", help="full goal text, overriding the default")
+    parser.add_argument("--kpi", type=_text, required=True,
+                        help="KPI name; must match a taxonomy root")
+    parser.add_argument("--target", type=_text, default="",
+                        help="target node (defaults to the KPI root)")
     parser.add_argument("--plan-text", default="", help="parse this plan text file instead of generating")
 
 
@@ -406,6 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="build a prompt sequence for a KPI goal")
     _add_goal_arguments(plan)
+    plan.add_argument("--method-phrase", type=_text, default="",
+                      help="phrase appended to the default goal text")
+    plan.add_argument("--goal-text", type=_text, default="",
+                      help="full goal text, overriding the default")
     _add_gateway_arguments(plan)
     plan.add_argument("--out", default="", help="sequence YAML path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
@@ -413,15 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="produce a full recipe bundle")
     _add_goal_arguments(generate)
     _add_gateway_arguments(generate)
-    generate.add_argument("--asset-class", required=True, help="asset class the recipe targets")
+    generate.add_argument("--asset-class", type=_text, required=True,
+                          help="asset class the recipe targets")
     generate.add_argument(
-        "--asset-description", default="",
+        "--asset-description", type=_text, default="",
         help="asset description; generated through refinement when omitted",
     )
     generate.add_argument("--strategy", choices=STRATEGIES, default="gitq")
     generate.add_argument("--max-rounds", type=int, default=10, help="refinement round cap")
     generate.add_argument(
-        "--confidence-threshold", type=float, default=50.0,
+        "--confidence-threshold", type=_threshold, default=50.0,
         help="minimum confidence percentage for accepting a refinement answer",
     )
     generate.add_argument("--seed", type=int, default=0, help="synthetic dataset seed")

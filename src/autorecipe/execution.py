@@ -13,11 +13,11 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import AutoRecipeError, GatewayError, MissingBindingError, NoPartsWarning
+from .errors import AutoRecipeError, GatewayError, NoPartsWarning
 from .gateway import ChatMessage
 from .planning import PromptSequence
 from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
-from .prompts import PromptRegistry, RoleProfile, default_registry, instantiate
+from .prompts import PromptRegistry, default_registry
 
 __all__ = [
     "STRATEGIES",
@@ -148,21 +148,10 @@ def parse_react_reply(text: str) -> str:
 
 # --- execution --------------------------------------------------------------------
 
-def _system_content(seq: PromptSequence, role: RoleProfile, registry: PromptRegistry) -> str:
-    template = registry.resolve_role(role)
-    needed = template.required_placeholders
-    if not needed:
-        return template.body
-    missing = needed - seq.bindings.keys()
-    if missing:
-        raise MissingBindingError(missing, context=template.id)
-    return instantiate(template, {k: seq.bindings[k] for k in needed})
-
-
 def execute(
     seq: PromptSequence,
     strategy: str,
-    role: RoleProfile,
+    role: str,
     gateway,
     registry: PromptRegistry | None = None,
     clock=None,
@@ -171,7 +160,8 @@ def execute(
     """Run the sequence under one strategy and split the outcome into a
     knowledge document.
 
-    The sequence must end with an export step.  One that holds
+    ``role`` is the id of the system prompt, which opens every session as
+    it stands.  The sequence must end with an export step.  One that holds
     placeholders must come from ``materialize_sequence``, which records its
     bindings; the text its values brought in is sent verbatim, and ``${...}``
     in it is not read again.  With a scripted gateway the transcript is
@@ -197,7 +187,7 @@ def execute(
 
     registry = registry or default_registry()
     clock = clock or ManualClock()
-    system = ChatMessage("system", _system_content(seq, role, registry))
+    system = ChatMessage("system", registry.get(role).body)
     transcript = Transcript(strategy=strategy)
     transcript.messages.append(TranscriptMessage("system", system.content, (), clock()))
     all_steps = tuple(s.index for s in seq.steps)

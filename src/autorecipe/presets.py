@@ -158,9 +158,6 @@ You are a helpful, respectful, and honest assistant, serving as a domain expert 
 
 We seek detailed insights into the factors that affect industrial asset health, particularly to calculate the asset health score. Focus on assets such as turbines, electrical transformers, and compressors. The crucial aspects that influence asset health are generally grouped into three categories: a) the quality and health of asset components, b) the history of maintenance, failures, and repairs, and c) the profile of the asset, such as installation, asset location, and its age. In this session, our emphasis will be on understanding how the quality and health of asset components impact the overall asset score."""
 
-_DATA_SCIENTIST_SYSTEM = """\
-You will play a role as the data scientist and software engineer. The user will describe the guidelines for assessing the component quality of an asset type. You need help to generate the necessary asset configurations, sample dataset, python code, and model recipes. The following are the general guidelines for asset quality. ${asset_class} and ${asset_description} as domain knowledge."""
-
 _REFINEMENT_SYSTEM = """\
 You are a helpful AI assistant. Given an industrial asset, generate its description and its components.
 
@@ -209,30 +206,22 @@ Part 3 (optional): highlights the sensors deployed or being able to use measure 
 _PLAN_SENSOR_QUESTION = """\
 Highlight the sensors deployed or being able to use to measure the ${target} quality or its quality deterioration. Please output as a list, each list contains a) the quality problem being monitored; b) the sensor used, and c) the reason of using such sensor."""
 
-# template id -> (role, body)
-PROMPT_SEEDS: dict[str, tuple[str, str]] = {
-    "domain-expert.system": ("system", _DOMAIN_EXPERT_SYSTEM),
-    "data-scientist.system": ("system", _DATA_SCIENTIST_SYSTEM),
-    "refinement.system": ("system", _REFINEMENT_SYSTEM),
-    "refinement.initial": ("user", "Describe ${asset_class}, and its components."),
+# template id -> body
+PROMPT_SEEDS: dict[str, str] = {
+    "domain-expert.system": _DOMAIN_EXPERT_SYSTEM,
+    "refinement.system": _REFINEMENT_SYSTEM,
+    "refinement.initial": "Describe ${asset_class}, and its components.",
     "refinement.betterment": (
-        "user",
-        "Generate better solutions in terms of readability, accuracy, and completeness.",
+        "Generate better solutions in terms of readability, accuracy, and completeness."
     ),
-    "claims.extract": ("user", _CLAIMS_EXTRACT),
-    "plan.enumerate-children": ("user", _PLAN_ENUMERATE_CHILDREN),
-    "plan.enumerate-self": ("user", _PLAN_ENUMERATE_SELF),
-    "plan.child": ("user", _PLAN_CHILD),
-    "plan.collect": ("user", _PLAN_COLLECT),
-    "plan.specialize-asset": ("user", _PLAN_SPECIALIZE_ASSET),
-    "plan.specialize-kpis": ("user", _PLAN_SPECIALIZE_KPIS),
-    "plan.code-check": ("user", _PLAN_CODE_CHECK),
-    "plan.export": ("user", _PLAN_EXPORT),
-    "plan.sensor-question": ("user", _PLAN_SENSOR_QUESTION),
-}
-
-# role name -> system prompt template id
-ROLE_SEEDS: dict[str, str] = {
-    "domain-expert": "domain-expert.system",
-    "data-scientist": "data-scientist.system",
+    "claims.extract": _CLAIMS_EXTRACT,
+    "plan.enumerate-children": _PLAN_ENUMERATE_CHILDREN,
+    "plan.enumerate-self": _PLAN_ENUMERATE_SELF,
+    "plan.child": _PLAN_CHILD,
+    "plan.collect": _PLAN_COLLECT,
+    "plan.specialize-asset": _PLAN_SPECIALIZE_ASSET,
+    "plan.specialize-kpis": _PLAN_SPECIALIZE_KPIS,
+    "plan.code-check": _PLAN_CODE_CHECK,
+    "plan.export": _PLAN_EXPORT,
+    "plan.sensor-question": _PLAN_SENSOR_QUESTION,
 }

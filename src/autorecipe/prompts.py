@@ -1,8 +1,9 @@
-"""The shipped prompt templates and role profiles, looked up by id.
+"""The shipped prompt templates, looked up by id.
 
 Templates use ``${name}`` placeholders.  The set of required
 placeholders is always derived from the body, never declared by hand,
-so it cannot drift.
+so it cannot drift.  A persona is the id of the system prompt it speaks
+with; that prompt holds no placeholder and is sent as it stands.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarn
 __all__ = [
     "PromptTemplate",
     "PromptRegistry",
-    "RoleProfile",
-    "ROLE_NAMES",
     "PLACEHOLDER_PATTERN",
     "instantiate",
     "default_registry",
@@ -26,20 +25,11 @@ __all__ = [
 
 PLACEHOLDER_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
-ROLE_NAMES = ("domain-expert", "data-scientist")
-
 
 @dataclass(frozen=True)
 class PromptTemplate:
     id: str
-    role: str  # system | user
     body: str
-
-    def __post_init__(self):
-        if self.role not in ("system", "user"):
-            raise ValueError(f"template role must be system or user, got {self.role!r}")
-        if not self.id:
-            raise ValueError("template id must be non-empty")
 
     @property
     def required_placeholders(self) -> frozenset[str]:
@@ -51,7 +41,7 @@ class PromptTemplate:
             lambda m: bindings[m.group(1)] if m.group(1) in bindings else m.group(0),
             self.body,
         )
-        return PromptTemplate(self.id, self.role, body)
+        return PromptTemplate(self.id, body)
 
 
 def instantiate(template: PromptTemplate, bindings: dict[str, str]) -> str:
@@ -76,21 +66,9 @@ def instantiate(template: PromptTemplate, bindings: dict[str, str]) -> str:
 
 
 @dataclass(frozen=True)
-class RoleProfile:
-    """A chat persona: its name and the system prompt it speaks with."""
-
-    name: str
-    system_prompt_id: str
-
-    def __post_init__(self):
-        if self.name not in ROLE_NAMES:
-            raise ValueError(f"unknown role name {self.name!r}; expected one of {ROLE_NAMES}")
-
-
-@dataclass(frozen=True)
 class PromptRegistry:
     templates: dict[str, PromptTemplate] = field(default_factory=dict)
-    roles: dict[str, RoleProfile] = field(default_factory=dict)
+    roles: dict[str, str] = field(default_factory=dict)  # persona -> system prompt id
 
     def get(self, template_id: str) -> PromptTemplate:
         try:
@@ -98,28 +76,20 @@ class PromptRegistry:
         except KeyError:
             raise AutoRecipeError(f"no template registered under {template_id!r}") from None
 
-    def role(self, name: str) -> RoleProfile:
+    def role(self, name: str) -> str:
+        """The id of the persona's system prompt."""
         try:
             return self.roles[name]
         except KeyError:
-            raise AutoRecipeError(f"no role profile registered under {name!r}") from None
-
-    def resolve_role(self, profile: RoleProfile) -> PromptTemplate:
-        """Return the profile's system template, checking it exists and is a system prompt."""
-        template = self.get(profile.system_prompt_id)
-        if template.role != "system":
-            raise ValueError(
-                f"role {profile.name!r} points at {template.id!r}, which is not a system prompt"
-            )
-        return template
+            raise AutoRecipeError(f"no role registered under {name!r}") from None
 
 
 def default_registry() -> PromptRegistry:
-    """Registry of the shipped prompt seeds and the two role profiles."""
+    """Registry of the shipped prompt seeds and the domain-expert persona."""
     return PromptRegistry(
         templates={
-            template_id: PromptTemplate(template_id, role, body)
-            for template_id, (role, body) in presets.PROMPT_SEEDS.items()
+            template_id: PromptTemplate(template_id, body)
+            for template_id, body in presets.PROMPT_SEEDS.items()
         },
-        roles={name: RoleProfile(name, prompt_id) for name, prompt_id in presets.ROLE_SEEDS.items()},
+        roles={"domain-expert": "domain-expert.system"},
     )

@@ -222,9 +222,9 @@ def generate_claims(
     registry = registry or default_registry()
     template = registry.get("claims.extract")
     prompt = instantiate(template, {"claim_count": str(k), "passage": passage.body})
-    system = registry.resolve_role(registry.role("domain-expert"))
+    system = registry.get(registry.role("domain-expert")).body
     reply = gateway.complete([
-        ChatMessage("system", system.body),
+        ChatMessage("system", system),
         ChatMessage("user", prompt),
     ])
     sentences = _parse_claim_sentences(reply)[:k]

@@ -10,6 +10,7 @@ fixed point was reached.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from . import metrics
 from .errors import AutoRecipeError, GatewayError, NoConfidenceError, NoConfidenceWarning
 from .gateway import ChatMessage
-from .prompts import PromptRegistry, RoleProfile, default_registry
+from .prompts import PromptRegistry, default_registry
 
 __all__ = [
     "STOP_REASONS",
@@ -80,7 +81,7 @@ class RefinementResult:
 
 def refine(
     gateway,
-    role: RoleProfile,
+    role: str,
     question: str,
     max_rounds: int = 10,
     confidence_threshold: float = 50.0,
@@ -92,14 +93,23 @@ def refine(
     dropped (below-threshold) answer is never returned.  A reply with no
     confidence marker counts as 0% and warns.  A gateway failure raises
     with the partial records attached to the exception.
+
+    ``role`` is the id of the system prompt that the Q/A history is
+    appended to; its text is sent as it stands.  The threshold must be a
+    finite number at most 100, and ``max_rounds`` at least 1; anything
+    else raises ValueError before the first call.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if not (math.isfinite(confidence_threshold) and confidence_threshold <= 100.0):
+        raise ValueError(
+            f"confidence_threshold must be a finite number at most 100, got {confidence_threshold}"
+        )
     if not question.strip():
         raise ValueError("refinement needs a non-empty question")
     registry = registry or default_registry()
     betterment_suffix = registry.get("refinement.betterment").body
-    base_system = registry.resolve_role(role).body
+    base_system = registry.get(role).body
 
     result = RefinementResult()
     qa_log: list[tuple[str, str]] = []

@@ -32,6 +32,16 @@ def tax_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def model_calls(monkeypatch):
+    """Every session a scripted gateway is asked, in call order."""
+    calls = []
+    complete = ScriptedGateway.complete
+    monkeypatch.setattr(ScriptedGateway, "complete",
+                        lambda self, session: calls.append(session) or complete(self, session))
+    return calls
+
+
 def _write_yaml(path, data) -> str:
     path.write_text(yaml.safe_dump(data, sort_keys=False, allow_unicode=True), encoding="utf-8")
     return str(path)
@@ -238,12 +248,8 @@ def test_generate_one_citation_script_alone_is_input_error(
 
 @pytest.mark.parametrize("case", ["num-assets-below-1", "out-is-a-file", "out-under-a-file"])
 def test_generate_checks_its_inputs_before_any_model_call(
-    tax_file, tmp_path, capsys, monkeypatch, case
+    tax_file, tmp_path, capsys, model_calls, case
 ):
-    calls = []
-    complete = ScriptedGateway.complete
-    monkeypatch.setattr(ScriptedGateway, "complete",
-                        lambda self, session: calls.append(session) or complete(self, session))
     afile = tmp_path / "afile"
     afile.write_text("not a bundle\n", encoding="utf-8")
     out, extra, err = {
@@ -255,9 +261,80 @@ def test_generate_checks_its_inputs_before_any_model_call(
     if case != "num-assets-below-1":
         err += f"{afile} is not a directory"
     rc = main(_generate_args(tax_file, _generate_script(tmp_path), out, extra=extra))
-    assert (rc, capsys.readouterr().err, len(calls)) == (2, f"error: {err}\n", 0)
+    assert (rc, capsys.readouterr().err, len(model_calls)) == (2, f"error: {err}\n", 0)
     assert afile.read_text(encoding="utf-8") == "not a bundle\n"
     assert not (tmp_path / "bundle").exists()
+
+
+def _parse_error(argv, capsys) -> str:
+    """The last stderr line of a command line the parser refuses with exit 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+# A byte that is not UTF-8 reaches Python's argv as a lone surrogate.
+NOT_UTF8 = b"motor\xff".decode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--kpi"),
+    ("generate", "--target"),
+    ("generate", "--asset-class"),
+    ("generate", "--asset-description"),
+    ("plan", "--goal-text"),
+    ("plan", "--method-phrase"),
+])
+def test_text_that_utf8_cannot_encode_is_refused_before_any_model_call(
+    tax_file, tmp_path, capsys, model_calls, command, flag
+):
+    out = tmp_path / "out"
+    script = _generate_script(tmp_path)
+    if command == "generate":
+        argv = _generate_args(tax_file, script, out, extra=[flag, NOT_UTF8])
+    else:
+        argv = ["plan", "--taxonomy", tax_file, "--kpi", "asset health", "--script", script,
+                "--out", str(out), flag, NOT_UTF8]
+    err = _parse_error(argv, capsys)
+    assert (err, len(model_calls)) == (
+        f"autorecipe {command}: error: argument {flag}: text that UTF-8 cannot encode", 0
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "100.5", "150", "ten"])
+def test_generate_refuses_a_confidence_threshold_no_reply_can_meet(
+    tax_file, tmp_path, capsys, model_calls, threshold
+):
+    out = tmp_path / "bundle"
+    argv = _generate_args(tax_file, _generate_script(tmp_path), out,
+                          extra=[f"--confidence-threshold={threshold}"])
+    err = _parse_error(argv, capsys)
+    assert (err, len(model_calls)) == (
+        "autorecipe generate: error: argument --confidence-threshold: "
+        f"must be a finite number at most 100, got '{threshold}'", 0
+    )
+    assert not out.exists()
+
+
+def test_generate_accepts_a_negative_confidence_threshold(tax_file, tmp_path):
+    out = tmp_path / "bundle"
+    argv = _generate_args(tax_file, _generate_script(tmp_path), out,
+                          extra=["--confidence-threshold", "-5"])
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(BUNDLE_FILES)
+
+
+@pytest.mark.parametrize("flag", ["--goal-text", "--method-phrase"])
+def test_generate_has_no_goal_phrasing_flags(tax_file, tmp_path, capsys, model_calls, flag):
+    out = tmp_path / "bundle"
+    argv = _generate_args(tax_file, _generate_script(tmp_path), out, extra=[flag, "anything"])
+    err = _parse_error(argv, capsys)
+    assert (err, len(model_calls)) == (
+        f"autorecipe: error: unrecognized arguments: {flag} anything", 0
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_line", ['{"key": "abc", "reply": "torn', '{"reply": "r"}'])

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from autorecipe.errors import AutoRecipeError, GatewayError, MissingBindingError, NoPartsWarning
+from autorecipe.errors import AutoRecipeError, GatewayError, NoPartsWarning
 from autorecipe.execution import (
     PART_LABELS,
     STRATEGIES,
@@ -29,7 +29,6 @@ from autorecipe.planning import (
     StepRef,
     generate_sequence_deterministic,
     materialize_sequence,
-    parse_plan,
     resolve_code_steps,
 )
 from autorecipe.presets import COT_SUFFIX, REACT_FORMAT_BLOCK, REACT_HEADER
@@ -381,27 +380,6 @@ def test_execute_attaches_step_index_to_gateway_errors(health_tax, registry):
     with pytest.raises(GatewayError, match="^no scripted reply for session ") as info:
         execute(seq, "gitq", registry.role("domain-expert"), gateway, registry)
     assert info.value.step_index == 1
-
-
-def test_execute_system_role_with_bindings(health_tax, registry):
-    seq = _materialized(health_tax)
-    gateway = _EchoGateway([THREE_PART_DOC])
-    execute(seq, "allq", registry.role("data-scientist"), gateway, registry)
-    system = gateway.sessions[0][0]
-    assert system.role == "system"
-    assert "electric motor" in system.content
-    assert "75 kW induction motor" in system.content
-
-
-def test_execute_system_role_missing_binding(registry):
-    text = (
-        "Step 1: Describe the ${asset_class} fleet.\n"
-        "Step 2: Please help me export a markdown output as guidelines.\n"
-        "Execution Order: Step 1 AND Step 2\n"
-    )
-    seq = materialize_sequence(parse_plan(text), "electric motor")
-    with pytest.raises(MissingBindingError):
-        execute(seq, "allq", registry.role("data-scientist"), _EchoGateway(["x"]), registry)
 
 
 # --- transcripts -------------------------------------------------------------------

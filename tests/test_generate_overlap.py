@@ -38,14 +38,14 @@ from autorecipe.planning import (
     parse_plan,
     resolve_code_steps,
 )
-from autorecipe.prompts import RoleProfile, default_registry, instantiate
+from autorecipe.prompts import default_registry, instantiate
 from autorecipe.recipe import BUNDLE_FILES
 from autorecipe.refinement import refine
 from autorecipe.taxonomy import parse_taxonomy
 from conftest import THREE_PART_DOC
 from test_gateway import endpoint  # noqa: F401 - the fixture the socket test runs on
 
-REFINEMENT_SYSTEM = presets.PROMPT_SEEDS["refinement.system"][1]
+REFINEMENT_SYSTEM = presets.PROMPT_SEEDS["refinement.system"]
 REACT_DOC = "Thought: all steps answered.\nFinal Answer: " + THREE_PART_DOC
 
 
@@ -138,7 +138,7 @@ def _stage_by_stage(target, plan_text, asset_class, strategy, replies, rounds) -
     seq = resolve_code_steps(seq, tax, registry=registry)
     gateway = ScriptedGateway(replies=replies)
     question = instantiate(registry.get("refinement.initial"), {"asset_class": asset_class})
-    description = refine(gateway, RoleProfile("domain-expert", "refinement.system"), question,
+    description = refine(gateway, "refinement.system", question,
                          max_rounds=rounds, registry=registry).final_answer
     execute(materialize_sequence(seq, asset_class, description), strategy,
             registry.role("domain-expert"), gateway, registry=registry)

@@ -161,7 +161,7 @@ def test_refine_system_carries_qa_history(registry):
         "Second answer.\nConfidence: 30%",
     ])
     refine(gateway, registry.role("domain-expert"), QUESTION, max_rounds=5)
-    base = registry.resolve_role(registry.role("domain-expert")).body
+    base = registry.get(registry.role("domain-expert")).body
     first_system = gateway.sessions[0][0].content
     second_system = gateway.sessions[1][0].content
     assert first_system == base
@@ -188,6 +188,21 @@ def test_refine_argument_validation(registry):
         refine(_Recorder([]), registry.role("domain-expert"), QUESTION, max_rounds=0)
     with pytest.raises(ValueError):
         refine(_Recorder([]), registry.role("domain-expert"), "   ")
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 100.5])
+def test_refine_refuses_a_threshold_no_confidence_can_meet(registry, threshold):
+    gateway = _Recorder(["Answer.\nConfidence: 100%"])
+    with pytest.raises(ValueError, match="^confidence_threshold must be a finite number at most 100"):
+        refine(gateway, registry.role("domain-expert"), QUESTION, confidence_threshold=threshold)
+    assert gateway.sessions == []
+
+
+@pytest.mark.parametrize("threshold", [-5.0, 100.0])
+def test_refine_accepts_a_threshold_a_confidence_can_meet(registry, threshold):
+    result = refine(_Recorder(["Answer.\nConfidence: 100%"]), registry.role("domain-expert"),
+                    QUESTION, max_rounds=1, confidence_threshold=threshold)
+    assert (result.final_answer, result.stop_reason) == ("Answer.", "max-rounds")
 
 
 def test_refine_gateway_failure_attaches_partial_records(registry):

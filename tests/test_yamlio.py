@@ -142,7 +142,9 @@ def _fixture_documents() -> list[str]:
         presets.ASSET_SUSTAINABILITY_TAXONOMY,
         serialize_sequence(generate_sequence_deterministic(health, goal)),
         yaml.safe_dump(
-            {"templates": [{"id": t.id, "role": t.role, "body": t.body}
+            {"templates": [{"id": t.id,
+                            "role": "system" if t.id.endswith(".system") else "user",
+                            "body": t.body}
                            for t in default_registry().templates.values()]},
             sort_keys=False, allow_unicode=True,
         ),
