@@ -1,11 +1,11 @@
 """The one YAML loader every input goes through, the one dumper every
 output goes through, and the one shape check.
 
-``load_file`` reads an input file, and ``load_checked`` a document
-already in hand, and both check it against a schema built from the kinds
-below; ``check`` does the same for a document read some other way, such as
-one JSON record.  A document that cannot be read at all (not UTF-8 text, a
-YAML syntax error, nesting too deep, a bad tagged value) raises
+``load_file`` reads an input file's text once, and ``load_checked`` parses
+text already in hand; both check the document against a schema built from
+the kinds below, and ``check`` does the same for a document read some other
+way, such as one JSON record.  A document that cannot be read at all (not
+UTF-8 text, a YAML syntax error, nesting too deep, a bad tagged value) raises
 ``AutoRecipeError("unreadable <source>: <reason>")``.  The rules of the
 check are the same for every file:
 
@@ -29,8 +29,9 @@ PyYAML's composer and ``SafeConstructor`` over the same parser, which reads
 the document again from its start: an anchor or alias, any other tag, a
 tag on a collection, a plain ``<<`` or ``=``, a collection used as a key, a
 second document, nesting deeper than 64 levels, and every error.  So each
-value, and each error message, is the composer route's.  An open file that
-cannot be read twice, such as a pipe, goes to the composer route at once.
+value, and each error message, is the composer route's.  Both routes parse
+text, so a pipe is read once, like any other file, and the marks of an
+error name the document's source.
 
 ``dump_yaml`` writes what ``yaml.safe_dump`` writes, in PyYAML's pure-Python
 emitter, so written files do not depend on which parser PyYAML was built
@@ -42,6 +43,7 @@ the character escaped as ``\\N``.
 
 from __future__ import annotations
 
+import io
 import reprlib
 import sys
 
@@ -104,13 +106,13 @@ class _Unbuilt(Exception):
 _MISSING = object()
 
 
-def _build(stream):
-    """The document in ``stream``, built straight from libyaml's events.
+def _build(text: str):
+    """The document in ``text``, built straight from libyaml's events.
 
     Raises ``_Unbuilt``, or whatever the parser or a constructor raises, on
     anything it does not read itself.
     """
-    parser = CParser(stream)
+    parser = CParser(text)
     try:
         get = parser.get_event
         get()  # stream start
@@ -176,38 +178,31 @@ def _scalar(tag: str, text: str):
     return construct(_CONSTRUCTOR, ScalarNode(tag, text))
 
 
-def load_yaml(stream, source):
-    """The document in ``stream`` (text, bytes or an open file), as ``yaml.safe_load``.
+def load_yaml(text: str, source):
+    """The YAML document in ``text``, as ``yaml.safe_load`` builds it.
 
     Every failure raises ``AutoRecipeError("unreadable <source>: <reason>")``,
     where ``source`` is the file path or a description of the document: a
-    file that is not UTF-8 text, a syntax error, a document nested too
-    deeply for the composer, or an explicitly tagged scalar that PyYAML
-    cannot build (``!!int ""``, ``!!bool x``).
+    syntax error, a document nested too deeply for the composer, or an
+    explicitly tagged scalar that PyYAML cannot build (``!!int ""``,
+    ``!!bool x``).
     """
-    # What the builder does not read, and every error the composer route
-    # turns into a message, that route reads again from the start; so a
-    # stream that cannot be read twice (a pipe) goes to that route at once.
-    is_file = hasattr(stream, "read")
-    if yaml.__with_libyaml__ and (not is_file or stream.seekable()):
-        start = stream.tell() if is_file else None
+    if yaml.__with_libyaml__:
         try:
-            return _build(stream)
+            return _build(text)
         except (_Unbuilt, yaml.YAMLError, LookupError, AttributeError, TypeError, ValueError):
-            if start is not None:
-                stream.seek(start)
-    return _compose(stream, source)
+            pass
+    return _compose(text, source)
 
 
-def _compose(stream, source):
+def _compose(text: str, source):
     """``load_yaml`` through PyYAML's composer and constructor."""
+    stream = io.StringIO(text)
+    stream.name = source  # what the marks of an error name
     try:
         return yaml.load(stream, Loader=_Loader)
     except RecursionError:
         raise AutoRecipeError(f"unreadable {source}: nested too deeply") from None
-    # A decode error is a ValueError, so it is caught before the clause below.
-    except UnicodeDecodeError:
-        raise AutoRecipeError(f"unreadable {source}: not UTF-8 text") from None
     except yaml.YAMLError as exc:
         raise AutoRecipeError(f"unreadable {source}: {exc}") from exc
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
@@ -333,15 +328,19 @@ def check(doc, source, what: str, schema: Record) -> dict:
     return doc
 
 
-def load_checked(stream, source, what: str, schema: Record) -> dict:
-    """The YAML document in ``stream``, through ``load_yaml`` and then ``check``."""
-    return check(load_yaml(stream, source), source, what, schema)
+def load_checked(text: str, source, what: str, schema: Record) -> dict:
+    """The YAML document in ``text``, through ``load_yaml`` and then ``check``."""
+    return check(load_yaml(text, source), source, what, schema)
 
 
 def load_file(path, what: str, schema: Record) -> dict:
     """The YAML file at ``path``, meant to be ``what``, through ``load_checked``.
 
-    The file is read as a stream, so the marks of a syntax error name it.
+    The file is read as UTF-8 text, once; the marks of a syntax error name it.
     """
-    with open(path, encoding="utf-8") as fh:
-        return load_checked(fh, path, what, schema)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise AutoRecipeError(f"unreadable {path}: not UTF-8 text") from None
+    return load_checked(text, path, what, schema)

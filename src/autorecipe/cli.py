@@ -42,6 +42,18 @@ def _read_text(path) -> str:
         raise AutoRecipeError(f"unreadable {path}: not UTF-8 text") from None
 
 
+def _check_out_file(out) -> None:
+    """Refuses an ``--out`` file that cannot be written, before any model call;
+    an empty ``out`` is stdout."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ValueError(f"cannot write to {out}: it is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"cannot write to {out}: {path.parent} is not a directory")
+
+
 def _write_out(out, text: str, label: str) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -87,6 +99,12 @@ def _build_gateway(args):
     else:
         return None
     if args.record:
+        # Checked before the first call, so no reply is lost; the check
+        # leaves an empty store behind.
+        try:
+            open(args.record, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ValueError(f"cannot append to {args.record}: {exc.strerror}") from None
         gateway = RecordingGateway(gateway, args.record)
     return gateway
 
@@ -128,6 +146,7 @@ def _plan(args, taxonomies, tax, goal, gateway=None, registry=None):
 def cmd_plan(args) -> int:
     from .planning import bind_goal, serialize_sequence
 
+    _check_out_file(args.out)
     taxonomies = _load_taxonomies(args.taxonomy)
     goal = _goal_from_args(args, args.method_phrase, args.goal_text)
     tax = bind_goal(taxonomies, goal)
@@ -358,6 +377,7 @@ def cmd_verify_refs(args) -> int:
     from .execution import split_parts
     from .references import ScriptedNliClient, ScriptedSearchClient, build_references, render_cited
 
+    _check_out_file(args.out)
     document = split_parts(_read_text(args.doc))
     gateway = _build_gateway(args)
     if gateway is None:
@@ -485,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(exc: BaseException) -> int:
+    if isinstance(exc, StageError):
+        exc = exc.cause
     if isinstance(exc, (GatewayError, SearchClientError, NliClientError)):
         return EXIT_GATEWAY
     if isinstance(exc, (AutoRecipeError, ValueError, OSError)):
@@ -496,9 +518,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc.cause)
     except Exception as exc:
         code = _exit_code(exc)
         prefix = "internal error" if code == EXIT_INTERNAL else "error"

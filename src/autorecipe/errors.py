@@ -41,10 +41,6 @@ class MissingBindingError(AutoRecipeError):
         super().__init__(f"missing bindings{where}: " + ", ".join(sorted(self.names)))
 
 
-class NoConfidenceError(AutoRecipeError):
-    """A refinement reply carries no Confidence marker."""
-
-
 class GatewayError(AutoRecipeError):
     """Base class for chat-gateway failures; ``execute`` sets the failing step index."""
 
@@ -53,7 +49,7 @@ class GatewayError(AutoRecipeError):
 
 class TransportError(GatewayError):
     """A gateway failure that may pass on a retry: a timeout, a dropped
-    connection, throttling or a server error."""
+    connection, or an HTTP status that ``HttpGateway`` retries."""
 
 
 class SearchClientError(AutoRecipeError):

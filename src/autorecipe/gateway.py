@@ -181,13 +181,20 @@ def _urllib_post(url, body: bytes, headers, timeout) -> tuple[int, bytes]:
         raise TransportError(f"transport failure: {exc!r}") from exc
 
 
+# The statuses that may pass on a retry: a request timeout, throttling, and a
+# server error, bad gateway, unavailable server or gateway timeout.  Any
+# other status, 501 and 505 among them, gets the same answer again.
+_RETRIED = frozenset({408, 429, 500, 502, 503, 504})
+
+
 class HttpGateway:
     """JSON chat-completion client with bounded retries.
 
     ``post(url, body, headers, timeout)`` sends one request and returns
     ``(status, body)``; the default is a standard-library ``urllib`` client.
-    Timeouts, transport failures, HTTP 429 and 5xx are retried; any other
-    non-200 status, and a 200 whose body is not a completion, fails at once.
+    Timeouts, transport failures and the statuses in ``_RETRIED`` are
+    retried; any other non-200 status, and a 200 whose body is not a
+    completion, fails at once.
     ``max_parallel`` is the most calls a caller should overlap.
     """
 
@@ -247,8 +254,7 @@ class HttpGateway:
     @staticmethod
     def _parse_response(status: int, body: bytes) -> str:
         if status != 200:
-            # Throttling and server errors may pass on a retry; other statuses will not.
-            error = TransportError if status == 429 or status >= 500 else GatewayError
+            error = TransportError if status in _RETRIED else GatewayError
             raise error(f"endpoint returned HTTP {status}")
         # The endpoint answered, so a body that is no completion is not retried.
         try:

@@ -2,10 +2,11 @@
 
 The same question is asked for up to ``max_rounds`` rounds.  Later
 rounds carry the full Q/A history in the system context and append a
-betterment suffix to the question.  Every reply must end with a
-"Confidence: X%" marker; an answer below the threshold is dropped and
-stops the loop, and two identical accepted answers in a row mean a
-fixed point was reached.
+betterment suffix to the question.  Every reply should end with a
+"Confidence: X%" marker, which ``split_confidence`` finds and cuts off in
+one scan; a reply with none scores 0% and warns.  An answer below the
+threshold is dropped and stops the loop, and two identical accepted
+answers in a row mean a fixed point was reached.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import metrics
-from .errors import AutoRecipeError, GatewayError, NoConfidenceError, NoConfidenceWarning
+from .errors import AutoRecipeError, GatewayError, NoConfidenceWarning
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry
 
@@ -24,8 +25,7 @@ __all__ = [
     "STOP_REASONS",
     "IterationRecord",
     "RefinementResult",
-    "parse_confidence",
-    "strip_confidence",
+    "split_confidence",
     "refine",
     "iteration_metrics",
 ]
@@ -35,27 +35,24 @@ STOP_REASONS = ("low-confidence", "fixed-point", "max-rounds")
 _CONFIDENCE = re.compile(r"Confidence\s*:\s*\**\s*(\d+(?:\.\d+)?)\s*%", re.IGNORECASE)
 
 
-def parse_confidence(text: str) -> float:
-    """Percentage from the last Confidence marker; trailing notes are ignored."""
-    matches = list(_CONFIDENCE.finditer(text))
-    if not matches:
-        raise NoConfidenceError("reply carries no Confidence marker")
-    value = float(matches[-1].group(1))
+def split_confidence(text: str) -> tuple[str, float | None]:
+    """The reply without its last Confidence marker, and that marker's percentage.
+
+    Anything after the marker on its line (token-limit notes and the like)
+    goes with it.  With no marker the percentage is None and the answer is
+    the whole reply.  A percentage above 100 raises AutoRecipeError.
+    """
+    last = None
+    for last in _CONFIDENCE.finditer(text):
+        pass
+    if last is None:
+        return text.strip(), None
+    value = float(last.group(1))
     if value > 100.0:
         raise AutoRecipeError(f"confidence {value}% is outside [0, 100]")
-    return value
-
-
-def strip_confidence(text: str) -> str:
-    """Remove the last Confidence marker; anything after it on the same
-    line (token-limit notes and the like) goes with it."""
-    matches = list(_CONFIDENCE.finditer(text))
-    if not matches:
-        return text.strip()
-    start = matches[-1].start()
-    end = text.find("\n", matches[-1].end())
+    end = text.find("\n", last.end())
     end = len(text) if end < 0 else end
-    return (text[:start] + text[end:]).strip()
+    return (text[:last.start()] + text[end:]).strip(), value
 
 
 @dataclass(frozen=True)
@@ -125,12 +122,10 @@ def refine(
         except GatewayError as exc:
             exc.partial_records = list(result.records)
             raise
-        try:
-            confidence = parse_confidence(reply)
-        except NoConfidenceError:
+        answer, confidence = split_confidence(reply)
+        if confidence is None:
             warnings.warn(NoConfidenceWarning(f"round {round_no}: no confidence marker"))
             confidence = 0.0
-        answer = strip_confidence(reply)
         accepted = confidence >= confidence_threshold
         result.records.append(IterationRecord(
             round=round_no,

@@ -23,7 +23,6 @@ from .errors import AutoRecipeError, CycleDetectedError, MultipleRootsError
 
 __all__ = [
     "TaxonNode",
-    "TaxonEdge",
     "Taxonomy",
     "normalize_name",
     "parse_taxonomy",
@@ -66,17 +65,10 @@ class TaxonNode:
 
 
 @dataclass(frozen=True)
-class TaxonEdge:
-    parent: str  # node id
-    relation: str
-    child: str  # node id
-
-
-@dataclass(frozen=True)
 class Taxonomy:
     root: str
     nodes: dict[str, TaxonNode]
-    edges: tuple[TaxonEdge, ...]
+    edges: tuple[tuple[str, str, str], ...]  # (parent id, relation, child id)
     _children: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     @property
@@ -127,31 +119,32 @@ def parse_taxonomy(text: str) -> Taxonomy:
     if not root_label:
         raise AutoRecipeError("taxonomy document declares no kpi root")
 
-    labels: dict[str, str] = {}  # id -> first-seen display label
-
-    def intern(label: str) -> str:
-        nid = normalize_name(label)
-        labels.setdefault(nid, label)
-        return nid
-
-    root = intern(root_label)
-
-    edges: list[TaxonEdge] = []
+    # With its whitespace collapsed, a label's node id is its casefold.
+    # Node ids map to the first-seen display label, and to ordered sets
+    # (dict keys) of children and parents; ``measured`` holds each child
+    # that some relation with a measurement stem points to, and such a
+    # child is a measurement if it is a leaf.
+    root = root_label.casefold()
+    labels: dict[str, str] = {root: root_label}
+    children: dict[str, dict[str, None]] = {root: {}}
+    parents: dict[str, dict[str, None]] = {root: {}}
+    measured: set[str] = set()
+    edges: list[tuple[str, str, str]] = []
     for i, record in enumerate(doc.get("edges") or [], 1):
-        parent = intern(_require_field(record, "parent", i))
+        parent = _require_field(record, "parent", i)
         relation = _require_field(record, "relation", i)
-        child = intern(_require_field(record, "child", i))
-        edges.append(TaxonEdge(parent, relation, child))
-
-    # Ordered sets (dict keys) of children and parents, plus each child's
-    # casefolded incoming relations: one pass over the edges.
-    children: dict[str, dict[str, None]] = {nid: {} for nid in labels}
-    parents: dict[str, dict[str, None]] = {nid: {} for nid in labels}
-    relations: dict[str, list[str]] = {nid: [] for nid in labels}
-    for e in edges:
-        children[e.parent][e.child] = None
-        parents[e.child][e.parent] = None
-        relations[e.child].append(e.relation.casefold())
+        child = _require_field(record, "child", i)
+        pid, cid = parent.casefold(), child.casefold()
+        if pid not in labels:
+            labels[pid], children[pid], parents[pid] = parent, {}, {}
+        if cid not in labels:
+            labels[cid], children[cid], parents[cid] = child, {}, {}
+        children[pid][cid] = None
+        parents[cid][pid] = None
+        folded = relation.casefold()
+        if any(stem in folded for stem in _MEASUREMENT_STEMS):
+            measured.add(cid)
+        edges.append((pid, relation, cid))
 
     _reject_cycles(labels, children, parents)
 
@@ -162,21 +155,13 @@ def parse_taxonomy(text: str) -> Taxonomy:
         raise MultipleRootsError([root_label] + extra)
 
     nodes = {
-        nid: TaxonNode(nid, label, _node_kind(nid, root, relations[nid], children[nid]))
+        nid: TaxonNode(nid, label, "kpi-root" if nid == root
+                       else "measurement" if nid in measured and not children[nid]
+                       else "factor")
         for nid, label in labels.items()
     }
     frozen_children = {nid: tuple(kids) for nid, kids in children.items()}
     return Taxonomy(root=root, nodes=nodes, edges=tuple(edges), _children=frozen_children)
-
-
-def _node_kind(nid: str, root: str, relations: list[str], children: dict[str, None]) -> str:
-    """Kind of one node from its own children and casefolded incoming relations."""
-    if nid == root:
-        return "kpi-root"
-    if not children:
-        if any(stem in rel for rel in relations for stem in _MEASUREMENT_STEMS):
-            return "measurement"
-    return "factor"
 
 
 def _reject_cycles(labels, children, parents) -> None:
@@ -207,8 +192,8 @@ def _reject_cycles(labels, children, parents) -> None:
 def render_statements(tax: Taxonomy) -> list[str]:
     """One line per fact: the root line, then '<parent> is <relation> by <child>'."""
     lines = [f"{tax.root_label} is root node"]
-    for e in tax.edges:
-        lines.append(f"{tax.nodes[e.parent].label} is {e.relation} by {tax.nodes[e.child].label}")
+    for parent, relation, child in tax.edges:
+        lines.append(f"{tax.nodes[parent].label} is {relation} by {tax.nodes[child].label}")
     return lines
 
 

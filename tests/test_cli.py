@@ -266,6 +266,79 @@ def test_generate_checks_its_inputs_before_any_model_call(
     assert not (tmp_path / "bundle").exists()
 
 
+def _output_check_case(case, tax_file, tmp_path):
+    """A command line whose store or ``--out`` file cannot be written, and its error."""
+    script = _generate_script(tmp_path)
+    store = tmp_path / "store.jsonl"
+    missing = tmp_path / "nodir"
+    if case.startswith("generate"):
+        store = tmp_path if case == "generate-record-is-a-directory" else missing / "x.jsonl"
+        argv = _generate_args(tax_file, script, tmp_path / "bundle", extra=["--record", str(store)])
+        reason = "Is a directory" if store == tmp_path else "No such file or directory"
+        return argv, f"cannot append to {store}: {reason}"
+    out = tmp_path if case == "plan-out-is-a-directory" else missing / "out.md"
+    if case.startswith("plan"):
+        argv = ["plan", "--taxonomy", tax_file, "--kpi", "asset health", "--script", script]
+    else:
+        doc, script, search, nli = _reference_fixtures(tmp_path)
+        argv = ["verify-refs", "--doc", str(doc), "--script", script,
+                "--search-script", search, "--nli-script", nli]
+    argv += ["--record", str(store), "--out", str(out)]
+    reason = "it is a directory" if out == tmp_path else f"{missing} is not a directory"
+    return argv, f"cannot write to {out}: {reason}"
+
+
+# Each of these once made its model calls first, then failed to write.
+@pytest.mark.parametrize("case", ["generate-record-is-a-directory",
+                                  "generate-record-in-a-missing-directory",
+                                  "plan-out-in-a-missing-directory", "plan-out-is-a-directory",
+                                  "verify-refs-out-in-a-missing-directory"])
+def test_outputs_are_checked_before_any_model_call(
+    tax_file, tmp_path, capsys, model_calls, case
+):
+    argv, err = _output_check_case(case, tax_file, tmp_path)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out, len(model_calls)) == (2, f"error: {err}\n", "", 0)
+    assert not (tmp_path / "bundle").exists() and not (tmp_path / "nodir").exists()
+
+
+def test_a_run_that_fails_its_input_checks_may_leave_an_empty_store(
+    tax_file, tmp_path, capsys, model_calls
+):
+    store = tmp_path / "store.jsonl"
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    argv = _generate_args(tax_file, _generate_script(tmp_path), afile,
+                          extra=["--record", str(store)])
+    assert (main(argv), len(model_calls)) == (2, 0)
+    assert store.read_text(encoding="utf-8") == ""
+    # Replayed, that store holds no records.
+    capsys.readouterr()
+    rc = main(["plan", "--taxonomy", tax_file, "--kpi", "asset health", "--replay", str(store)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: no recorded reply for session ")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("generate", "autorecipe.recipe.generate_synthetic"),
+    ("plan", "autorecipe.taxonomy.parse_taxonomy"),
+])
+def test_every_internal_error_says_so(tax_file, tmp_path, capsys, monkeypatch, command, target):
+    # Inside a stage this once printed "error: stage dataset: 'sensor'".
+    def broken(*args, **kwargs):
+        raise KeyError("sensor")
+
+    monkeypatch.setattr(target, broken)
+    if command == "generate":
+        argv = _generate_args(tax_file, _generate_script(tmp_path), tmp_path / "bundle")
+        err = "internal error: stage dataset: 'sensor'\n"
+    else:
+        argv = ["plan", "--taxonomy", tax_file, "--kpi", "asset health"]
+        err = "internal error: 'sensor'\n"
+    assert (main(argv), capsys.readouterr().err) == (4, err)
+
+
 def _parse_error(argv, capsys) -> str:
     """The last stderr line of a command line the parser refuses with exit 2."""
     with pytest.raises(SystemExit) as info:

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from autorecipe.cli import EXIT_GATEWAY, _exit_code
 from autorecipe.errors import (
     AutoRecipeError,
     GatewayError,
@@ -313,7 +314,8 @@ def test_http_gateway_does_not_retry_client_errors():
     assert gw.last_attempts == 1
 
 
-@pytest.mark.parametrize("status", [429, 500, 503])
+# 408 once failed at once, and 502 and 504 were retried as every 5xx was.
+@pytest.mark.parametrize("status", [408, 429, 500, 502, 503, 504])
 def test_http_gateway_retries_throttling_and_server_errors(status):
     posts, sleeps = [], []
 
@@ -327,6 +329,24 @@ def test_http_gateway_retries_throttling_and_server_errors(status):
         gw.complete(_session())
     assert len(posts) == 4
     assert sleeps == [0.5, 1.0, 1.5]
+
+
+# All but 409 were retried, as every status of 500 or above was.
+@pytest.mark.parametrize("status", [409, 501, 505, 511, 599])
+def test_http_gateway_fails_at_once_on_a_status_no_retry_can_pass(status):
+    posts, sleeps = [], []
+
+    def post(url, body, headers, timeout):
+        posts.append(url)
+        return _reply(status)
+
+    config = GatewayConfig(endpoint="https://e", max_retries=2, backoff_seconds=0.5)
+    gw = HttpGateway(config, post=post, sleep=sleeps.append)
+    with pytest.raises(GatewayError, match=f"^endpoint returned HTTP {status}$") as info:
+        gw.complete(_session())
+    assert type(info.value) is GatewayError
+    assert (len(posts), sleeps, gw.last_attempts) == (1, [], 1)
+    assert _exit_code(info.value) == EXIT_GATEWAY
 
 
 def test_http_gateway_attempt_count_is_per_thread():

@@ -17,7 +17,9 @@ import pytest
 
 from autorecipe import presets
 from autorecipe.cli import main
+from autorecipe.planning import Goal, build_planning_context
 from autorecipe.recipe import BUNDLE_FILES
+from autorecipe.taxonomy import parse_taxonomy
 from conftest import THREE_PART_DOC
 
 # The replies of acceptance criterion 09's scripted generate run.
@@ -98,6 +100,24 @@ def test_plan_is_pinned(tax_file, tmp_path):
     assert main(["plan", "--taxonomy", str(tax_file), "--kpi", "asset health",
                  "--out", str(out)]) == 0
     assert _sha256(out) == PLAN_SHA256
+
+
+# The system message of the planning session: every taxonomy statement, in
+# edge order, between the task text and the demonstration.
+PLANNING_CONTEXT_SHA256 = {
+    "asset health": "977e00caa4e9a9226c189e48c6a958d3a71da0565e965d07331b386b40a9c879",
+    "asset sustainability": "a01f12ba0740989719c92d2c6d87129885891471f00f64c17047b4d04aa976f7",
+}
+
+
+@pytest.mark.parametrize("text", [presets.ASSET_HEALTH_TAXONOMY,
+                                  presets.ASSET_SUSTAINABILITY_TAXONOMY])
+def test_planning_context_is_pinned(text):
+    tax = parse_taxonomy(text)
+    goal = Goal(kpi=tax.root_label, target_node=tax.root_label)
+    system, _user = build_planning_context([tax], presets.COMPONENT_HEALTH_DEMONSTRATION, goal)
+    digest = hashlib.sha256(system.content.encode("utf-8")).hexdigest()
+    assert digest == PLANNING_CONTEXT_SHA256[tax.root_label]
 
 
 def test_metrics_table_is_pinned(tmp_path, monkeypatch):

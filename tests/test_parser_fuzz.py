@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from autorecipe.errors import AutoRecipeError, ValidationFailedError
 from autorecipe.execution import parse_react_reply, split_parts
 from autorecipe.planning import STEP_KINDS, parse_plan, parse_sequence, serialize_sequence
-from autorecipe.refinement import parse_confidence
+from autorecipe.refinement import split_confidence
 
 ALLOWED = (AutoRecipeError, ValueError)
 
@@ -69,7 +69,7 @@ _SEQUENCE_DOCS = st.one_of(_VALUES, st.fixed_dictionaries({}, optional={
 def test_text_parsers_raise_only_package_errors(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for parse in (parse_plan, split_parts, parse_react_reply, parse_confidence,
+        for parse in (parse_plan, split_parts, parse_react_reply, split_confidence,
                       parse_sequence):
             try:
                 parse(text)

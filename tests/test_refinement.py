@@ -3,22 +3,23 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorecipe.errors import (
     AutoRecipeError,
     GatewayError,
-    NoConfidenceError,
     NoConfidenceWarning,
 )
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.refinement import (
     STOP_REASONS,
     iteration_metrics,
-    parse_confidence,
     refine,
-    strip_confidence,
+    split_confidence,
 )
 
 QUESTION = "Describe a wind turbine, and its components."
@@ -41,48 +42,102 @@ class _Recorder:
 # --- confidence markers ------------------------------------------------------------
 
 def test_parse_confidence_forms():
-    assert parse_confidence("Answer.\nConfidence: 85%") == 85.0
-    assert parse_confidence("Answer. confidence : 72.5 %") == 72.5
-    assert parse_confidence("Answer.\nConfidence: **90%**") == 90.0
-    assert parse_confidence("Answer.\nConfidence: 0%") == 0.0
+    assert split_confidence("Answer.\nConfidence: 85%") == ("Answer.", 85.0)
+    assert split_confidence("Answer. confidence : 72.5 %") == ("Answer.", 72.5)
+    assert split_confidence("Answer.\nConfidence: **90%**") == ("Answer.", 90.0)
+    assert split_confidence("Answer.\nConfidence: 0%") == ("Answer.", 0.0)
 
 
 def test_parse_confidence_last_marker_wins():
     text = "Draft. Confidence: 40%\nRevised. Confidence: 80%"
-    assert parse_confidence(text) == 80.0
+    assert split_confidence(text)[1] == 80.0
 
 
 def test_parse_confidence_errors():
-    with pytest.raises(NoConfidenceError):
-        parse_confidence("no marker anywhere")
+    assert split_confidence("no marker anywhere") == ("no marker anywhere", None)
     with pytest.raises(AutoRecipeError, match=r"^confidence 150\.0% is outside \[0, 100\]$"):
-        parse_confidence("Confidence: 150%")
+        split_confidence("Confidence: 150%")
 
 
 def test_strip_confidence_trailing_line():
-    assert strip_confidence("Answer text.\nConfidence: 90%") == "Answer text."
+    assert split_confidence("Answer text.\nConfidence: 90%")[0] == "Answer text."
 
 
 def test_strip_confidence_inline_marker():
-    assert strip_confidence("Answer text. Confidence: 90%") == "Answer text."
+    assert split_confidence("Answer text. Confidence: 90%")[0] == "Answer text."
 
 
 def test_strip_confidence_takes_same_line_notes():
-    assert strip_confidence("Body.\nConfidence: 90% (TOKENSTOP)") == "Body."
+    assert split_confidence("Body.\nConfidence: 90% (TOKENSTOP)")[0] == "Body."
 
 
 def test_strip_confidence_keeps_following_lines():
     text = "Intro\nConfidence: 88% note\nPostscript"
-    assert strip_confidence(text) == "Intro\n\nPostscript"
+    assert split_confidence(text)[0] == "Intro\n\nPostscript"
 
 
 def test_strip_confidence_only_last_marker():
     text = "Early guess. Confidence: 10%\nBody\nConfidence: 90%"
-    assert strip_confidence(text) == "Early guess. Confidence: 10%\nBody"
+    assert split_confidence(text)[0] == "Early guess. Confidence: 10%\nBody"
 
 
 def test_strip_confidence_without_marker():
-    assert strip_confidence("  plain text  ") == "plain text"
+    assert split_confidence("  plain text  ") == ("plain text", None)
+
+
+# The two functions split_confidence replaces, as they were: each scanned
+# the reply for its markers on its own.
+_ORACLE_MARKER = re.compile(r"Confidence\s*:\s*\**\s*(\d+(?:\.\d+)?)\s*%", re.IGNORECASE)
+
+
+def _oracle_parse_confidence(text):
+    matches = list(_ORACLE_MARKER.finditer(text))
+    if not matches:
+        return None
+    value = float(matches[-1].group(1))
+    if value > 100.0:
+        raise AutoRecipeError(f"confidence {value}% is outside [0, 100]")
+    return value
+
+
+def _oracle_strip_confidence(text):
+    matches = list(_ORACLE_MARKER.finditer(text))
+    if not matches:
+        return text.strip()
+    start = matches[-1].start()
+    end = text.find("\n", matches[-1].end())
+    end = len(text) if end < 0 else end
+    return (text[:start] + text[end:]).strip()
+
+
+_PROSE = st.text(alphabet=st.sampled_from("ab %:*.\n\tConfidence0123456789"), max_size=12)
+
+
+@st.composite
+def _replies(draw):
+    """Prose with 0-3 markers, each of 0-150 in any of its written forms."""
+    parts = [draw(_PROSE)]
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.one_of(st.integers(0, 150).map(str),
+                               st.floats(0, 150).map(lambda v: f"{v:.2f}")))
+        stars = draw(st.sampled_from(["", "**"]))
+        label = draw(st.sampled_from(["Confidence", "confidence", "CONFIDENCE"]))
+        space = draw(st.sampled_from(["", " ", "\t"]))
+        parts.append(f"{label}{space}:{space}{stars}{value}{space}%{stars}")
+        parts.append(draw(st.sampled_from(["", " (TOKENSTOP)", " note", "\n"])) + draw(_PROSE))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_replies())
+def test_split_confidence_equals_the_two_scans_it_replaces(text):
+    try:
+        expected = (_oracle_strip_confidence(text), _oracle_parse_confidence(text))
+    except AutoRecipeError as exc:
+        with pytest.raises(AutoRecipeError, match=f"^{re.escape(str(exc))}$"):
+            split_confidence(text)
+    else:
+        assert split_confidence(text) == expected
 
 
 # --- refinement loop -----------------------------------------------------------------

@@ -297,7 +297,7 @@ def _node_kind_brute_force(tax, nid):
     """The definition: a leaf is a measurement when any incoming relation has a stem."""
     if nid == tax.root:
         return "kpi-root"
-    relations = [e.relation.casefold() for e in tax.edges if e.child == nid]
+    relations = [relation.casefold() for _parent, relation, child in tax.edges if child == nid]
     stems = ("measur", "record", "sampl", "source")
     if not tax.children(nid) and any(s in r for r in relations for s in stems):
         return "measurement"

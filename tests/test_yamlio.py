@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from autorecipe import _yamlio, cli, presets
@@ -28,6 +29,7 @@ from autorecipe._yamlio import (
     check,
     dump_yaml,
     load_checked,
+    load_file,
     load_yaml,
 )
 from autorecipe.errors import AutoRecipeError, ValidationFailedError
@@ -174,15 +176,26 @@ def _composer_calls():
     calls = []
     compose = _yamlio._compose
 
-    def spy(stream, source):
+    def spy(text, source):
         calls.append(source)
-        return compose(stream, source)
+        return compose(text, source)
 
     _yamlio._compose = spy
     try:
         yield calls
     finally:
         _yamlio._compose = compose
+
+
+@contextlib.contextmanager
+def _unchecked():
+    """``load_file`` returns the document it read, with no shape check."""
+    checked = _yamlio.check
+    _yamlio.check = lambda doc, source, what, schema: doc
+    try:
+        yield
+    finally:
+        _yamlio.check = checked
 
 
 @settings(max_examples=400, deadline=None)
@@ -257,32 +270,53 @@ def test_load_yaml_composes_what_it_does_not_build(text):
 
 
 def test_load_yaml_reads_an_open_file_again_for_the_composer(tmp_path):
+    # ``load_file`` reads the file once; the composer route parses that text,
+    # and the marks of its errors name the file.
     path = tmp_path / "doc.yaml"
     path.write_text("a: &x 1\nb: *x\n", encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        assert load_yaml(fh, str(path)) == {"a": 1, "b": 1}
+    with _unchecked(), _composer_calls() as calls:
+        assert load_file(path, "doc", Record()) == {"a": 1, "b": 1}
+    assert calls == [path]
     path.write_text("a: 1\nb: [2\n", encoding="utf-8")
-    with open(path, encoding="utf-8") as fh, pytest.raises(AutoRecipeError) as info:
-        load_yaml(fh, str(path))
-    # The composer route read the file from its start: its marks name the file.
+    with pytest.raises(AutoRecipeError) as info:
+        load_file(path, "doc", Record())
     assert f'in "{path}", line 3' in str(info.value)
 
 
 @pytest.mark.parametrize("text", ["a: 1\nb: [x, 2.5]\n", "a: &x 1\nb: *x\n"])
-def test_load_yaml_reads_a_pipe_once(text):
-    # A pipe cannot be read twice, so it goes straight to the composer route.
-    read_end, write_end = os.pipe()
-    with open(write_end, "w", encoding="utf-8") as out:
-        out.write(text)
-    with open(read_end, encoding="utf-8") as fh:
-        assert load_yaml(fh, "pipe") == yaml.safe_load(text)
+def test_load_yaml_reads_a_pipe_once(tmp_path, text):
+    # A FIFO is read once, like any other file, and a plain document in it is
+    # built from events.
+    fifo = tmp_path / "doc.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,),
+                              kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    with _unchecked(), _composer_calls() as calls:
+        got = load_file(fifo, "doc", Record())
+    writer.join(timeout=10)
+    assert got == yaml.safe_load(text)
+    assert calls == ([fifo] if "&" in text or not yaml.__with_libyaml__ else [])
 
 
 def test_load_yaml_reads_open_files_as_text(tmp_path):
     path = tmp_path / "doc.yaml"
     path.write_text(_FIXTURES[0], encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        assert load_yaml(fh, str(path)) == yaml.safe_load(_FIXTURES[0])
+    with _unchecked():
+        assert load_file(path, "taxonomy", Record()) == yaml.safe_load(_FIXTURES[0])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_documents(), st.sampled_from(_UNBUILT)))
+@_with_examples
+def test_load_file_reads_what_load_yaml_reads_from_its_text(tmp_path, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    with _unchecked():
+        got = _value_or_message(lambda: load_file(str(path), "doc", Record()))
+    # The same value, or the same message, marks naming the file included.
+    assert got == _value_or_message(lambda: load_yaml(text, str(path)))
 
 
 def test_load_yaml_deep_nesting_names_the_source():
