@@ -183,9 +183,9 @@ def load_yaml(text: str, source):
 
     Every failure raises ``AutoRecipeError("unreadable <source>: <reason>")``,
     where ``source`` is the file path or a description of the document: a
-    syntax error, a document nested too deeply for the composer, or an
-    explicitly tagged scalar that PyYAML cannot build (``!!int ""``,
-    ``!!bool x``).
+    syntax error, a document nested too deeply for the composer, text that
+    UTF-8 cannot encode (a lone surrogate), or an explicitly tagged scalar
+    that PyYAML cannot build (``!!int ""``, ``!!bool x``).
     """
     if yaml.__with_libyaml__:
         try:
@@ -205,6 +205,10 @@ def _compose(text: str, source):
         raise AutoRecipeError(f"unreadable {source}: nested too deeply") from None
     except yaml.YAMLError as exc:
         raise AutoRecipeError(f"unreadable {source}: {exc}") from exc
+    except UnicodeEncodeError:
+        # libyaml reads UTF-8, and a lone surrogate has none; the error
+        # would quote the text.
+        raise AutoRecipeError(f"unreadable {source}: text that UTF-8 cannot encode") from None
     except (LookupError, AttributeError, TypeError, ValueError) as exc:
         # SafeConstructor parses tagged scalars without checking them first.
         raise AutoRecipeError(f"unreadable {source}: bad tagged value ({exc!r})") from exc

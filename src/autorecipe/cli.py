@@ -20,7 +20,6 @@ from pathlib import Path
 from .errors import (
     AutoRecipeError,
     GatewayError,
-    NliClientError,
     SearchClientError,
     StageError,
     ValidationFailedError,
@@ -43,8 +42,8 @@ def _read_text(path) -> str:
 
 
 def _check_out_file(out) -> None:
-    """Refuses an ``--out`` file that cannot be written, before any model call;
-    an empty ``out`` is stdout."""
+    """Refuses an ``--out`` file that cannot be written, before any model call
+    or input is read; an empty ``out`` is stdout."""
     if not out:
         return
     path = Path(out)
@@ -332,6 +331,7 @@ def cmd_score(args) -> int:
     from .recipe import _csv_records, load_aggregation_config, load_indicator_config
     from .scoring import HealthScoreEstimator
 
+    _check_out_file(args.out)
     indicator = load_indicator_config(args.indicator_config)
     aggregation = load_aggregation_config(args.aggregation_config)
     estimator = HealthScoreEstimator().fit(indicator, aggregation)
@@ -360,6 +360,7 @@ def cmd_score(args) -> int:
 def cmd_metrics(args) -> int:
     from .metrics import coverage, similarity, tokenize, type_token_ratio
 
+    _check_out_file(args.out)
     profiles = [tokenize(_read_text(p)) for p in args.doc]
     base = profiles[0]
     lines = ["doc,tokens,unique,ttr,coverage_vs_first,similarity_vs_first"]
@@ -417,6 +418,17 @@ def _threshold(value: str) -> float:
     return threshold
 
 
+def _rounds(value: str) -> int:
+    """A refinement round cap, at least 1."""
+    try:
+        rounds = int(value)
+    except ValueError:
+        rounds = 0
+    if rounds < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {value!r}")
+    return rounds
+
+
 def _add_goal_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--taxonomy", action="append", required=True,
@@ -464,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="asset description; generated through refinement when omitted",
     )
     generate.add_argument("--strategy", choices=STRATEGIES, default="gitq")
-    generate.add_argument("--max-rounds", type=int, default=10, help="refinement round cap")
+    generate.add_argument("--max-rounds", type=_rounds, default=10,
+                          help="refinement round cap, at least 1")
     generate.add_argument(
         "--confidence-threshold", type=_threshold, default=50.0,
         help="minimum confidence percentage for accepting a refinement answer",
@@ -507,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, StageError):
         exc = exc.cause
-    if isinstance(exc, (GatewayError, SearchClientError, NliClientError)):
+    if isinstance(exc, (GatewayError, SearchClientError)):
         return EXIT_GATEWAY
     if isinstance(exc, (AutoRecipeError, ValueError, OSError)):
         return EXIT_INPUT

@@ -4,9 +4,9 @@ A class exists here only where some code tells it apart: a caller
 catches it, or its constructor formats data.  Every other failure is a
 plain ``AutoRecipeError``, and its message, not its class, names what
 went wrong.  The CLI maps the families to exit codes: ``GatewayError``
-(``TransportError`` included), ``SearchClientError`` and
-``NliClientError`` exit 3; every other ``AutoRecipeError`` exits 2; a
-``StageError`` exits as the failure it wraps.
+(``TransportError`` included) and ``SearchClientError`` exit 3; every
+other ``AutoRecipeError`` exits 2; a ``StageError`` exits as the failure
+it wraps.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class TransportError(GatewayError):
 
 
 class SearchClientError(AutoRecipeError):
-    pass
-
-
-class NliClientError(AutoRecipeError):
     pass
 
 

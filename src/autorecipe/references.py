@@ -5,8 +5,9 @@ produces short declarative claims, each claim is used as a web-search
 query, and an entailment client judges whether a fetched page backs the
 claim.  Entailed urls become the passage's citation list.
 
-Fetched pages are checked paragraph by paragraph; the first entailing
-paragraph wins for that url.
+A search hit is entailed when it has no fetch error and one of its
+paragraphs entails the claim.  Paragraphs are judged in page order, and
+judging stops at the first that entails it.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
-from .errors import AutoRecipeError, FewerClaimsWarning, NliClientError, SearchClientError
+from .errors import AutoRecipeError, FewerClaimsWarning, SearchClientError
 from .execution import KnowledgeDocument
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry, instantiate
 
 __all__ = [
-    "VERDICTS",
     "Passage",
     "Claim",
-    "Evidence",
     "SearchHit",
     "ReferenceCounts",
     "CitedDocument",
@@ -35,14 +34,11 @@ __all__ = [
     "ConstantNliClient",
     "segment",
     "generate_claims",
-    "verify",
     "collect_evidence",
     "attach_references",
     "render_cited",
     "build_references",
 ]
-
-VERDICTS = ("entailed", "not-entailed", "error")
 
 DEFAULT_CLAIMS_PER_PASSAGE = 3
 DEFAULT_MAX_RESULTS = 5
@@ -57,23 +53,7 @@ class Passage:
 @dataclass(frozen=True)
 class Claim:
     passage_id: int
-    index: int
     statement: str
-
-
-@dataclass(frozen=True)
-class Evidence:
-    passage_id: int
-    claim_index: int
-    url: str
-    snippet: str
-    verdict: str
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"verdict must be one of {VERDICTS}, got {self.verdict!r}")
-        if self.verdict == "entailed" and not self.snippet.strip():
-            raise ValueError("entailed evidence requires a non-empty snippet")
 
 
 @dataclass(frozen=True)
@@ -138,33 +118,29 @@ class ScriptedSearchClient:
 _NLI_SCRIPT = Record(optional={
     "pairs": ListOf(Record(required={"premise": TEXT, "hypothesis": TEXT},
                            optional={"entailed": BOOL})),
+    # Read and checked, but it changes nothing: a pair the script does not
+    # hold is never entailed.
     "strict": BOOL,
 })
 
 
 class ScriptedNliClient:
-    """Exact-match (premise, hypothesis) verdicts loaded from a file or dict."""
+    """Exact-match (premise, hypothesis) verdicts loaded from a file or dict;
+    a pair it does not hold is not entailed."""
 
-    def __init__(self, pairs: dict[tuple[str, str], bool], strict: bool = False):
+    def __init__(self, pairs: dict[tuple[str, str], bool]):
         self.pairs = pairs
-        self.strict = strict
 
     @classmethod
     def from_file(cls, path) -> "ScriptedNliClient":
         data = load_file(path, "NLI script", _NLI_SCRIPT)
-        pairs = {
+        return cls({
             (pair["premise"].strip(), pair["hypothesis"].strip()): bool(pair.get("entailed"))
             for pair in data.get("pairs") or []
-        }
-        return cls(pairs, strict=bool(data.get("strict")))
+        })
 
     def judge(self, premise: str, hypothesis: str) -> bool:
-        key = (premise.strip(), hypothesis.strip())
-        if key in self.pairs:
-            return self.pairs[key]
-        if self.strict:
-            raise NliClientError("no scripted verdict for this premise/hypothesis pair")
-        return False
+        return self.pairs.get((premise.strip(), hypothesis.strip()), False)
 
 
 class ConstantNliClient:
@@ -233,10 +209,7 @@ def generate_claims(
             f"passage {passage.id}: requested {k} claims but parsed {len(sentences)}",
             FewerClaimsWarning,
         )
-    return [
-        Claim(passage_id=passage.id, index=i, statement=s)
-        for i, s in enumerate(sentences, start=1)
-    ]
+    return [Claim(passage_id=passage.id, statement=s) for s in sentences]
 
 
 def _search(claim: Claim, search_client) -> list[SearchHit]:
@@ -249,46 +222,17 @@ def _search(claim: Claim, search_client) -> list[SearchHit]:
     return hits[:DEFAULT_MAX_RESULTS]
 
 
-def verify(claim: Claim, candidate_text: str, nli_client) -> str:
-    """Entailment verdict for premise=candidate text, hypothesis=claim."""
-    if not candidate_text.strip():
-        raise ValueError("candidate text must be non-empty")
-    try:
-        entailed = nli_client.judge(candidate_text, claim.statement)
-    except NliClientError:
-        return "error"
-    return "entailed" if entailed else "not-entailed"
-
-
 def _paragraphs(text: str) -> list[str]:
     parts = [p.strip() for p in re.split(r"\n\s*\n", text)]
     return [p for p in parts if p]
 
 
-def _evidence_for_claim(claim: Claim, search_client, nli_client) -> list[Evidence]:
-    evidence = []
-    for hit in _search(claim, search_client):
-        if hit.error or not hit.text.strip():
-            verdict, snippet = "error", ""
-        else:
-            verdict, snippet = "not-entailed", ""
-            for paragraph in _paragraphs(hit.text):
-                result = verify(claim, paragraph, nli_client)
-                if result == "entailed":
-                    verdict, snippet = "entailed", paragraph
-                    break
-                if result == "error":
-                    verdict = "error"
-            if verdict == "error":
-                snippet = ""
-        evidence.append(Evidence(
-            passage_id=claim.passage_id,
-            claim_index=claim.index,
-            url=hit.url,
-            snippet=snippet,
-            verdict=verdict,
-        ))
-    return evidence
+def _entailed(claim: Claim, hit: SearchHit, nli_client) -> bool:
+    """Premise a paragraph of the page, hypothesis the claim; a fetch error
+    is judged not at all."""
+    return not hit.error and any(
+        nli_client.judge(paragraph, claim.statement) for paragraph in _paragraphs(hit.text)
+    )
 
 
 def _map_in_order(fn, items: list, workers: int) -> list:
@@ -309,27 +253,35 @@ def _map_in_order(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def collect_evidence(claims: Iterable[Claim], search_client, nli_client) -> list[Evidence]:
-    """Search and verify every claim on the caller's thread: evidence in
-    claim order, and within a claim in hit order."""
-    return [e for claim in claims for e in _evidence_for_claim(claim, search_client, nli_client)]
+def collect_evidence(
+    claims: Iterable[Claim], search_client, nli_client
+) -> list[tuple[int, str, bool]]:
+    """Search and judge every claim on the caller's thread: one
+    ``(passage_id, url, entailed)`` per search hit, in claim order and,
+    within a claim, in hit order."""
+    return [
+        (claim.passage_id, hit.url, _entailed(claim, hit, nli_client))
+        for claim in claims
+        for hit in _search(claim, search_client)
+    ]
 
 
 def attach_references(
-    kd: KnowledgeDocument, claims: Iterable[Claim], evidence: Iterable[Evidence]
+    kd: KnowledgeDocument, claims: Iterable[Claim], evidence: Iterable[tuple[int, str, bool]]
 ) -> CitedDocument:
-    """Unique entailed urls per passage, in discovery order."""
+    """Unique entailed urls per passage, in discovery order; ``evidence``
+    holds ``collect_evidence``'s tuples."""
     n = len(kd.parts)
     claims_per_part = [0] * n
     for claim in claims:
         claims_per_part[claim.passage_id - 1] += 1
     cited: list[list[str]] = [[] for _ in range(n)]
     identified: list[set[str]] = [set() for _ in range(n)]
-    for item in evidence:
-        slot = item.passage_id - 1
-        identified[slot].add(item.url)
-        if item.verdict == "entailed" and item.url not in cited[slot]:
-            cited[slot].append(item.url)
+    for passage_id, url, entailed in evidence:
+        slot = passage_id - 1
+        identified[slot].add(url)
+        if entailed and url not in cited[slot]:
+            cited[slot].append(url)
     counts = ReferenceCounts(
         claims=tuple(claims_per_part),
         urls_identified=tuple(len(s) for s in identified),

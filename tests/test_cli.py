@@ -303,6 +303,35 @@ def test_outputs_are_checked_before_any_model_call(
     assert not (tmp_path / "bundle").exists() and not (tmp_path / "nodir").exists()
 
 
+# Neither makes a model call, but each once read and processed all its input
+# before it failed to write.
+@pytest.mark.parametrize("command", ["score", "metrics"])
+@pytest.mark.parametrize("where", ["in-a-missing-directory", "is-a-directory"])
+def test_score_and_metrics_check_their_out_file_first(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    from autorecipe import metrics, recipe
+
+    read = []
+    if command == "score":
+        argv = _score_argv(tmp_path, _DATASET)
+        monkeypatch.setattr(recipe, "load_indicator_config", lambda *a: read.append(a))
+    else:
+        doc = tmp_path / "doc.md"
+        doc.write_text(THREE_PART_DOC, encoding="utf-8")
+        argv = ["metrics", "--doc", str(doc)]
+        monkeypatch.setattr(metrics, "tokenize", lambda *a: read.append(a))
+    missing = tmp_path / "nodir"
+    out = tmp_path if where == "is-a-directory" else missing / "out.csv"
+    reason = "it is a directory" if out == tmp_path else f"{missing} is not a directory"
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out, read) == (
+        2, f"error: cannot write to {out}: {reason}\n", "", []
+    )
+    assert not missing.exists()
+
+
 def test_a_run_that_fails_its_input_checks_may_leave_an_empty_store(
     tax_file, tmp_path, capsys, model_calls
 ):
@@ -387,6 +416,24 @@ def test_generate_refuses_a_confidence_threshold_no_reply_can_meet(
     assert (err, len(model_calls)) == (
         "autorecipe generate: error: argument --confidence-threshold: "
         f"must be a finite number at most 100, got '{threshold}'", 0
+    )
+    assert not out.exists()
+
+
+# With a description given, refinement never runs; a cap of 0 was once accepted there.
+@pytest.mark.parametrize("rounds, extra", [
+    ("0", []), ("-1", []), ("two", []), ("1.5", []), ("0", ["--asset-description", "a motor"]),
+], ids=["zero", "negative", "a-word", "a-fraction", "zero-with-a-description"])
+def test_generate_refuses_a_round_cap_below_one(
+    tax_file, tmp_path, capsys, model_calls, rounds, extra
+):
+    out = tmp_path / "bundle"
+    argv = _generate_args(tax_file, _generate_script(tmp_path), out,
+                          extra=[f"--max-rounds={rounds}", *extra])
+    err = _parse_error(argv, capsys)
+    assert (err, len(model_calls)) == (
+        f"autorecipe generate: error: argument --max-rounds: "
+        f"must be an integer of at least 1, got '{rounds}'", 0
     )
     assert not out.exists()
 

@@ -14,6 +14,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+import yaml
 
 from autorecipe import presets
 from autorecipe.cli import main
@@ -93,6 +94,92 @@ def test_generated_bundle_and_its_scores_are_pinned(seed, num_assets, tax_file, 
     written = {name: _sha256(out / name) for name in BUNDLE_FILES}
     written["scores.csv"] = _sha256(scores)
     assert written == GENERATE_SHA256[seed, num_assets]
+
+
+# The same run with citations.  Passage 1's first hit is entailed only by its
+# second paragraph, its second hit is a fetch error, and its third hit's
+# paragraph has no scripted verdict: a strict NLI script cites nothing for a
+# pair it does not hold.  Two claims cite one url, which is listed once.
+_CLAIM_REPLIES = [
+    "1. A motor converts electrical energy into torque.\n"
+    "2. Motors are driven by electricity.\n3. Motors need maintenance.",
+    "Asset health summarizes remaining capability. It is a single number. It is read daily.",
+    "- Vibration is measured by an accelerometer.\n- Health is not measured directly.\n"
+    "- Accelerometers sit on the drive end.",
+]
+_SEARCH = {
+    "A motor converts electrical energy into torque.": [
+        {"url": "https://motors.example/basics",
+         "text": "Motors come in many sizes.\n\nA motor turns electrical energy into torque."
+                 "\n\nTorque is measured in newton metres."},
+        {"url": "https://down.example", "error": "timeout"},
+        {"url": "https://unscripted.example", "text": "Nothing scripted judges this page."},
+    ],
+    "Motors are driven by electricity.": [
+        {"url": "https://unscripted.example", "text": "Nothing scripted judges this page."},
+        {"url": "https://motors.example/electric", "text": "Electric motors run on electricity."},
+    ],
+    "Motors need maintenance.": [
+        {"url": "https://motors.example/electric", "text": "Electric motors need servicing."},
+    ],
+    "Asset health summarizes remaining capability.": [
+        {"url": "https://health.example", "text": "Health scores sum up what an asset can still do."},
+    ],
+    "It is a single number.": [],
+    "It is read daily.": [],
+    "Accelerometers sit on the drive end.": [],
+    "Vibration is measured by an accelerometer.": [
+        {"url": "https://sensors.example", "text": "\n\nAccelerometers pick up vibration.\n\n"},
+        {"url": "https://empty.example", "text": "  "},
+    ],
+    "Health is not measured directly.": [
+        {"url": "https://health.example", "text": "Health scores sum up what an asset can still do."},
+    ],
+}
+_NLI_PAIRS = [
+    ("Motors come in many sizes.", "A motor converts electrical energy into torque.", False),
+    ("A motor turns electrical energy into torque.",
+     "A motor converts electrical energy into torque.", True),
+    ("Electric motors run on electricity.", "Motors are driven by electricity.", True),
+    ("Electric motors need servicing.", "Motors need maintenance.", True),
+    ("Health scores sum up what an asset can still do.",
+     "Asset health summarizes remaining capability.", True),
+    ("Accelerometers pick up vibration.", "Vibration is measured by an accelerometer.", True),
+    ("Health scores sum up what an asset can still do.", "Health is not measured directly.", False),
+]
+CITED_GENERATE_SHA256 = {
+    "knowledge_document.md": "281cacd8c9494f865566b8d06eaabaf1ce586ec91fe76db293a2c417b56728ea",
+    "indicator_config.yaml": "b32cd50f511f0f1cf3c3dda4271f921be5b17e1d794a3c115415344a68d7bdb6",
+    "aggregation_config.yaml": "ec5c6c101415d3fa4e2a843a8df3f50df750a922f26d779ab281cb617742ab1f",
+    "sample_dataset.csv": "3769bf05a58f66251dddb2bb4aa0c7bd9104703c78ac2d2dbf71e6d54286e276",
+    "wrapper_manifest.yaml": "3f3de9fcc91ba28d6a94bbf0149d3081b640616d25f9e2210e95a81780fcd2ce",
+    "recipe.yaml": "67e83bdd4ddceae0bade2d67f93fa8ad89c824ff9151392bf3ef18e12855330d",
+}
+
+
+def test_generated_bundle_with_citations_is_pinned(tax_file, tmp_path):
+    script = tmp_path / "script.yaml"
+    script.write_text(yaml.safe_dump({"strict": True, "replies": _REPLIES + _CLAIM_REPLIES}),
+                      encoding="utf-8")
+    search = tmp_path / "search.yaml"
+    search.write_text(yaml.safe_dump({"strict": True, "queries": _SEARCH}), encoding="utf-8")
+    nli = tmp_path / "nli.yaml"
+    nli.write_text(yaml.safe_dump({"strict": True, "pairs": [
+        {"premise": p, "hypothesis": h, "entailed": e} for p, h, e in _NLI_PAIRS
+    ]}), encoding="utf-8")
+    out = tmp_path / "bundle"
+    assert main([
+        "generate",
+        "--taxonomy", str(tax_file),
+        "--kpi", "asset health",
+        "--target", "asset profile",
+        "--asset-class", "electric motor",
+        "--script", str(script),
+        "--search-script", str(search),
+        "--nli-script", str(nli),
+        "--out", str(out),
+    ]) == 0
+    assert {name: _sha256(out / name) for name in BUNDLE_FILES} == CITED_GENERATE_SHA256
 
 
 def test_plan_is_pinned(tax_file, tmp_path):

@@ -53,7 +53,6 @@ from autorecipe.recipe import (
 from autorecipe.references import (
     CitedDocument,
     Claim,
-    Evidence,
     ReferenceCounts,
     attach_references,
     render_cited,
@@ -629,8 +628,8 @@ def test_bundle_renders_citations(tmp_path):
     from dataclasses import replace
 
     recipe = _recipe()
-    claims = [Claim(1, 1, "Motors convert energy.")]
-    evidence = [Evidence(1, 1, "https://ref.example", "snippet", "entailed")]
+    claims = [Claim(1, "Motors convert energy.")]
+    evidence = [(1, "https://ref.example", True)]
     cited = attach_references(split_parts(recipe.knowledge_doc), claims, evidence)
     cited_recipe = replace(recipe, knowledge_doc=render_cited(cited))
     bundle(cited_recipe, tmp_path / "out")

@@ -23,7 +23,6 @@ from autorecipe.references import (
     DEFAULT_MAX_RESULTS,
     Claim,
     ConstantNliClient,
-    Evidence,
     Passage,
     ScriptedNliClient,
     ScriptedSearchClient,
@@ -34,7 +33,6 @@ from autorecipe.references import (
     generate_claims,
     render_cited,
     segment,
-    verify,
 )
 
 
@@ -64,13 +62,15 @@ class _FloodingSearch:
         return [SearchHit(f"https://{i}.example", text="t") for i in range(max_results + 3)]
 
 
-class _CountingNli:
+class _JudgeRecorder:
+    """Passes each judgement on, and notes its (premise, hypothesis) in order."""
+
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.calls = []
 
     def judge(self, premise, hypothesis):
-        self.calls += 1
+        self.calls.append((premise, hypothesis))
         return self.inner.judge(premise, hypothesis)
 
 
@@ -103,9 +103,11 @@ def test_generate_claims_numbered_list(registry):
         "3. Generators output alternating current.\n"
     )
     claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
-    assert [c.index for c in claims] == [1, 2, 3]
-    assert claims[0].statement == "Wind turbines convert wind into electricity."
-    assert claims[1].statement == "Gearboxes multiply rotor speed."
+    assert [c.statement for c in claims] == [
+        "Wind turbines convert wind into electricity.",
+        "Gearboxes multiply rotor speed.",
+        "Generators output alternating current.",
+    ]
     assert all(c.passage_id == 1 for c in claims)
 
 
@@ -168,7 +170,7 @@ def test_generate_claims_argument_validation(registry):
 # A claim is searched as a query inside collect_evidence and build_references.
 
 def test_search_claim_separates_fetches_from_failures():
-    claim = Claim(1, 1, "Motors contain bearings.")
+    claim = Claim(1, "Motors contain bearings.")
     client = ScriptedSearchClient({
         "Motors contain bearings.": [
             SearchHit("https://a.example", text="bearing text"),
@@ -176,26 +178,29 @@ def test_search_claim_separates_fetches_from_failures():
             SearchHit("https://c.example", text="   "),
         ],
     })
-    nli = _CountingNli(ConstantNliClient(True))
+    nli = _JudgeRecorder(ConstantNliClient(True))
     evidence = collect_evidence([claim], client, nli)
-    assert [(e.url, e.verdict, e.snippet) for e in evidence] == [
-        ("https://a.example", "entailed", "bearing text"),
-        ("https://b.example", "error", ""),
-        ("https://c.example", "error", ""),
+    assert evidence == [
+        (1, "https://a.example", True),
+        (1, "https://b.example", False),
+        (1, "https://c.example", False),
     ]
-    assert nli.calls == 1  # failed fetches are never judged
+    # A failed fetch and a blank page are never judged.
+    assert nli.calls == [("bearing text", "Motors contain bearings.")]
     assert client.queries == ["Motors contain bearings."]
 
 
 def test_search_claim_respects_max_results():
     client = _FloodingSearch()
-    evidence = collect_evidence([Claim(1, 1, "q.")], client, ConstantNliClient(True))
-    assert [e.url for e in evidence] == [f"https://{i}.example" for i in range(DEFAULT_MAX_RESULTS)]
+    evidence = collect_evidence([Claim(1, "q.")], client, ConstantNliClient(True))
+    assert [url for _, url, _ in evidence] == [
+        f"https://{i}.example" for i in range(DEFAULT_MAX_RESULTS)
+    ]
     assert client.asked == [DEFAULT_MAX_RESULTS]
 
 
 def test_search_claim_strict_and_lenient_misses(three_part_doc):
-    claim = Claim(1, 1, "unknown query.")
+    claim = Claim(1, "unknown query.")
     with pytest.raises(SearchClientError, match="no scripted results"):
         collect_evidence([claim], ScriptedSearchClient({}, strict=True), ConstantNliClient(True))
     lenient = ScriptedSearchClient({}, strict=False)
@@ -218,7 +223,7 @@ def test_search_claim_strict_and_lenient_misses(three_part_doc):
 
 def test_search_claim_wraps_provider_crashes(three_part_doc):
     with pytest.raises(SearchClientError, match="socket closed"):
-        collect_evidence([Claim(1, 1, "q.")], _FaultySearch(), ConstantNliClient(True))
+        collect_evidence([Claim(1, "q.")], _FaultySearch(), ConstantNliClient(True))
     kd, replies, _ = _pipeline_fixture(three_part_doc)
     with pytest.raises(SearchClientError, match="socket closed"):
         build_references(
@@ -229,76 +234,61 @@ def test_search_claim_wraps_provider_crashes(three_part_doc):
 
 # --- verification -----------------------------------------------------------------------
 
-def test_verify_verdicts():
-    claim = Claim(1, 1, "The sky is blue.")
-    assert verify(claim, "evidence text", ConstantNliClient(True)) == "entailed"
-    assert verify(claim, "evidence text", ConstantNliClient(False)) == "not-entailed"
-
-
-def test_verify_error_verdict_on_strict_miss():
-    claim = Claim(1, 1, "The sky is blue.")
-    strict = ScriptedNliClient({}, strict=True)
-    assert verify(claim, "evidence text", strict) == "error"
-
-
-def test_verify_scripted_pairs_match_after_stripping():
-    claim = Claim(1, 1, "Motors spin.")
-    client = ScriptedNliClient({("premise text", "Motors spin."): True})
-    assert verify(claim, "  premise text  ", client) == "entailed"
-
-
-def test_verify_rejects_empty_candidate():
-    with pytest.raises(ValueError):
-        verify(Claim(1, 1, "x."), "   ", ConstantNliClient(True))
-
-
-def test_evidence_validation():
-    with pytest.raises(ValueError):
-        Evidence(1, 1, "https://a", "", "maybe")
-    with pytest.raises(ValueError):
-        Evidence(1, 1, "https://a", "", "entailed")
-
-
-# --- evidence collection ------------------------------------------------------------------
-
 def _single_hit_client(text: str) -> ScriptedSearchClient:
     return ScriptedSearchClient({"c.": [SearchHit("https://a.example", text=text)]})
 
 
+def test_verify_verdicts():
+    claim = Claim(1, "c.")
+    client = _single_hit_client("evidence text")
+    assert collect_evidence([claim], client, ConstantNliClient(True)) == [
+        (1, "https://a.example", True)
+    ]
+    assert collect_evidence([claim], client, ConstantNliClient(False)) == [
+        (1, "https://a.example", False)
+    ]
+
+
+def test_verify_scripted_pairs_match_after_stripping():
+    client = ScriptedNliClient({("premise text", "Motors spin."): True})
+    assert client.judge("  premise text  ", " Motors spin.\n") is True
+    assert client.judge("premise", "Motors spin.") is False
+
+
+# --- evidence collection ------------------------------------------------------------------
+
 def test_collect_evidence_first_entailing_paragraph_wins():
-    claim = Claim(1, 1, "c.")
+    claim = Claim(1, "c.")
     text = "first paragraph\n\nsecond paragraph\n\nthird paragraph"
-    client = ScriptedNliClient({
+    nli = _JudgeRecorder(ScriptedNliClient({
         ("second paragraph", "c."): True,
         ("third paragraph", "c."): True,
-    })
-    evidence = collect_evidence([claim], _single_hit_client(text), client)
-    assert len(evidence) == 1
-    assert evidence[0].verdict == "entailed"
-    assert evidence[0].snippet == "second paragraph"
+    }))
+    evidence = collect_evidence([claim], _single_hit_client(text), nli)
+    assert evidence == [(1, "https://a.example", True)]
+    assert nli.calls == [("first paragraph", "c."), ("second paragraph", "c.")]
 
 
 def test_collect_evidence_not_entailed_without_match():
-    claim = Claim(1, 1, "c.")
-    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), ConstantNliClient(False))
-    assert evidence[0].verdict == "not-entailed"
-    assert evidence[0].snippet == ""
+    nli = _JudgeRecorder(ConstantNliClient(False))
+    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
+    assert evidence == [(1, "https://a.example", False)]
+    assert nli.calls == [("one", "c."), ("two", "c.")]
 
 
 def test_collect_evidence_error_verdict_when_judgement_fails():
-    claim = Claim(1, 1, "c.")
-    strict = ScriptedNliClient({}, strict=True)
-    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), strict)
-    assert evidence[0].verdict == "error"
-    assert evidence[0].snippet == ""
+    # A pair the script does not hold is not entailed; judging raises nothing.
+    nli = _JudgeRecorder(ScriptedNliClient({}))
+    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
+    assert evidence == [(1, "https://a.example", False)]
+    assert nli.calls == [("one", "c."), ("two", "c.")]
 
 
 def test_collect_evidence_recovers_after_judgement_error():
-    claim = Claim(1, 1, "c.")
-    client = ScriptedNliClient({("two", "c."): True}, strict=True)
-    evidence = collect_evidence([claim], _single_hit_client("one\n\ntwo"), client)
-    assert evidence[0].verdict == "entailed"
-    assert evidence[0].snippet == "two"
+    # An unscripted paragraph does not stop a later one from entailing the claim.
+    client = ScriptedNliClient({("two", "c."): True})
+    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), client)
+    assert evidence == [(1, "https://a.example", True)]
 
 
 class _ThreadRecorder:
@@ -318,17 +308,16 @@ class _ThreadRecorder:
 
 
 def test_collect_evidence_runs_on_the_callers_thread():
-    claims = [Claim(p, c, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
+    claims = [Claim(p, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
     recorder = _ThreadRecorder({
-        claim.statement: [SearchHit(f"https://{claim.passage_id}-{claim.index}-{r}.example",
-                                    text="body text") for r in range(3)]
+        claim.statement: [SearchHit(f"https://{r}.example", text="body text") for r in range(3)]
         for claim in claims
     })
     evidence = collect_evidence(claims, recorder, recorder)
     assert recorder.threads == {threading.get_ident()}
     assert recorder.search_client.queries == [claim.statement for claim in claims]
     assert len(evidence) == 18
-    assert all(e.verdict == "entailed" for e in evidence)
+    assert all(entailed for _, _, entailed in evidence)
 
 
 _PARAGRAPHS = ("alpha", "beta", "gamma")
@@ -336,7 +325,6 @@ _PAGE_TEXTS = st.one_of(
     st.sampled_from(["", "   ", "\n\n"]),
     st.lists(st.sampled_from(_PARAGRAPHS), min_size=1, max_size=3).map("\n\n".join),
 )
-# Hit r of every claim has url _URLS[r], so an evidence url names its hit rank.
 _URLS = [f"https://hit{rank}.example" for rank in range(DEFAULT_MAX_RESULTS + 2)]
 _HITS = st.lists(
     st.tuples(_PAGE_TEXTS, st.sampled_from(["", "", "fetch timed out"])), max_size=len(_URLS),
@@ -345,9 +333,9 @@ _HITS = st.lists(
 
 @st.composite
 def _evidence_inputs(draw):
-    """Claims in (passage, index) order, their hits, and a verdict map."""
+    """Claims in passage order, their hits, and a verdict map that may miss pairs."""
     claims = [
-        Claim(passage, index, f"claim {passage}-{index}.")
+        Claim(passage, f"claim {passage}-{index}.")
         for passage in range(1, draw(st.integers(1, 3)) + 1)
         for index in range(1, draw(st.integers(0, 3)) + 1)
     ]
@@ -357,44 +345,33 @@ def _evidence_inputs(draw):
         if claims else st.nothing(),
         st.booleans(),
     ))
-    return claims, results, pairs, draw(st.booleans())
+    return claims, results, pairs
 
 
 @settings(max_examples=200, deadline=None)
 @given(_evidence_inputs())
 def test_collect_evidence_equals_a_nested_loop_in_claim_and_hit_order(inputs):
-    claims, results, pairs, strict = inputs
-
-    def judged(paragraph, claim):
-        if (paragraph, claim.statement) in pairs:
-            return "entailed" if pairs[paragraph, claim.statement] else "not-entailed"
-        return "error" if strict else "not-entailed"
-
-    expected = []
+    claims, results, pairs = inputs
+    expected, expected_calls = [], []
     for claim in claims:
         for hit in results[claim.statement][:DEFAULT_MAX_RESULTS]:
+            entailed = False
             paragraphs = [p.strip() for p in hit.text.split("\n\n") if p.strip()]
-            verdicts = [judged(p, claim) for p in paragraphs]
-            if hit.error or not paragraphs:
-                verdict, snippet = "error", ""
-            elif "entailed" in verdicts:
-                verdict, snippet = "entailed", paragraphs[verdicts.index("entailed")]
-            else:
-                verdict, snippet = ("error" if "error" in verdicts else "not-entailed"), ""
-            expected.append(Evidence(claim.passage_id, claim.index, hit.url, snippet, verdict))
+            for paragraph in [] if hit.error else paragraphs:
+                expected_calls.append((paragraph, claim.statement))
+                if pairs.get((paragraph, claim.statement), False):
+                    entailed = True
+                    break
+            expected.append((claim.passage_id, hit.url, entailed))
 
-    evidence = collect_evidence(
-        claims, ScriptedSearchClient(results), ScriptedNliClient(pairs, strict=strict)
-    )
-    assert evidence == expected
-    # The order a sort by (passage, claim, hit rank) gives.
-    keys = [(e.passage_id, e.claim_index, _URLS.index(e.url)) for e in evidence]
-    assert keys == sorted(set(keys))
+    nli = _JudgeRecorder(ScriptedNliClient(pairs))
+    assert collect_evidence(claims, ScriptedSearchClient(results), nli) == expected
+    assert nli.calls == expected_calls
 
 
 def test_always_true_and_always_false_judges(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(p, 1, f"claim for part {p}.") for p in (1, 2, 3)]
+    claims = [Claim(p, f"claim for part {p}.") for p in (1, 2, 3)]
     results = {
         c.statement: [SearchHit(f"https://{c.passage_id}.example", text="para")] for c in claims
     }
@@ -420,18 +397,18 @@ def test_always_true_and_always_false_judges(three_part_doc):
 def test_attach_references_counts_fixture(three_part_doc):
     kd = split_parts(three_part_doc)
     claims = (
-        [Claim(1, i, f"p1 claim {i}.") for i in (1, 2, 3)]
-        + [Claim(2, i, f"p2 claim {i}.") for i in (1, 2)]
-        + [Claim(3, i, f"p3 claim {i}.") for i in (1, 2, 3)]
+        [Claim(1, f"p1 claim {i}.") for i in (1, 2, 3)]
+        + [Claim(2, f"p2 claim {i}.") for i in (1, 2)]
+        + [Claim(3, f"p3 claim {i}.") for i in (1, 2, 3)]
     )
     evidence = [
-        Evidence(1, 1, "https://a.example", "snip", "entailed"),
-        Evidence(1, 2, "https://a.example", "snip", "entailed"),  # repeat url
-        Evidence(1, 2, "https://b.example", "snip", "entailed"),
-        Evidence(1, 3, "https://c.example", "", "not-entailed"),
-        Evidence(2, 1, "https://d.example", "snip", "entailed"),
-        Evidence(2, 2, "https://e.example", "", "error"),
-        Evidence(3, 1, "https://f.example", "", "not-entailed"),
+        (1, "https://a.example", True),
+        (1, "https://a.example", True),  # repeat url
+        (1, "https://b.example", True),
+        (1, "https://c.example", False),
+        (2, "https://d.example", True),
+        (2, "https://e.example", False),
+        (3, "https://f.example", False),
     ]
     cited = attach_references(kd, claims, evidence)
     assert cited.counts.claims == (3, 2, 3)
@@ -445,7 +422,7 @@ def test_attach_references_counts_fixture(three_part_doc):
 
 def test_attach_references_counts_claims_without_evidence(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(1, 1, "lonely claim.")]
+    claims = [Claim(1, "lonely claim.")]
     cited = attach_references(kd, claims, [])
     assert cited.counts.claims == (1, 0, 0)
     assert cited.counts.urls_identified == (0, 0, 0)
@@ -454,11 +431,11 @@ def test_attach_references_counts_claims_without_evidence(three_part_doc):
 
 def test_render_cited_appends_numbered_references(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(1, 1, "c1."), Claim(3, 1, "c3.")]
+    claims = [Claim(1, "c1."), Claim(3, "c3.")]
     evidence = [
-        Evidence(1, 1, "https://a.example", "s", "entailed"),
-        Evidence(1, 1, "https://b.example", "s", "entailed"),
-        Evidence(3, 1, "https://c.example", "s", "entailed"),
+        (1, "https://a.example", True),
+        (1, "https://b.example", True),
+        (3, "https://c.example", True),
     ]
     cited = attach_references(kd, claims, evidence)
     text = render_cited(cited)

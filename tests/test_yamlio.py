@@ -331,6 +331,17 @@ def test_load_yaml_bad_tagged_scalar_names_the_source(text):
         load_yaml(text, "doc.yaml")
 
 
+@pytest.mark.parametrize("text", ["a: \ud800" + "x" * 30000, "a: [\ud800]\n", "\udfff: b\n"],
+                         ids=["long-value", "in-a-list", "key"])
+def test_load_yaml_lone_surrogate_message_is_short(text):
+    # Files are decoded strictly, so only text passed in-process can hold one.
+    with pytest.raises(AutoRecipeError) as info:
+        load_yaml(text, "doc")
+    assert len(str(info.value)) < 200
+    if yaml.__with_libyaml__:
+        assert str(info.value) == "unreadable doc: text that UTF-8 cannot encode"
+
+
 def test_load_yaml_syntax_error_names_the_source():
     with pytest.raises(AutoRecipeError, match="^unreadable broken.yaml: while parsing"):
         load_yaml("a: [1, 2\n", "broken.yaml")
@@ -465,5 +476,5 @@ def test_null_is_absent_for_every_optional_key(tmp_path):
     nli.write_text("strict: ~\npairs:\n  - {premise: p, hypothesis: h, entailed: ~}\n",
                    encoding="utf-8")
     judge = ScriptedNliClient.from_file(nli)
-    assert (judge.strict, judge.pairs) == (False, {("p", "h"): False})
+    assert judge.pairs == {("p", "h"): False}
 
