@@ -271,8 +271,6 @@ def cmd_generate(args) -> int:
     goal = _goal_from_args(args)
     tax = bind_goal(taxonomies, goal)
     gateway = _build_gateway(args)
-    if gateway is None:
-        raise ValueError("generate needs one of --script, --replay, or --gateway-config")
     # Every input file is read, and every input checked, before the first model call.
     if args.search_script:
         search = ScriptedSearchClient.from_file(args.search_script)
@@ -381,8 +379,6 @@ def cmd_verify_refs(args) -> int:
     _check_out_file(args.out)
     document = split_parts(_read_text(args.doc))
     gateway = _build_gateway(args)
-    if gateway is None:
-        raise ValueError("verify-refs needs one of --script, --replay, or --gateway-config")
     search = ScriptedSearchClient.from_file(args.search_script)
     nli = ScriptedNliClient.from_file(args.nli_script)
     cited = build_references(document, gateway, search, nli, k=args.claims_per_part)
@@ -390,8 +386,7 @@ def cmd_verify_refs(args) -> int:
     print(f"urls identified per part: {cited.counts.urls_identified}")
     print(f"urls validated per part: {cited.counts.urls_validated}")
     if args.out:
-        Path(args.out).write_text(render_cited(cited), encoding="utf-8")
-        print(f"wrote cited document to {args.out}")
+        _write_out(args.out, render_cited(cited), "cited document")
     return EXIT_OK
 
 
@@ -418,15 +413,15 @@ def _threshold(value: str) -> float:
     return threshold
 
 
-def _rounds(value: str) -> int:
-    """A refinement round cap, at least 1."""
+def _at_least_one(value: str) -> int:
+    """A count or a cap: an integer of at least 1."""
     try:
-        rounds = int(value)
+        count = int(value)
     except ValueError:
-        rounds = 0
-    if rounds < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {value!r}")
-    return rounds
+    return count
 
 
 def _add_goal_arguments(parser: argparse.ArgumentParser) -> None:
@@ -441,8 +436,8 @@ def _add_goal_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plan-text", default="", help="parse this plan text file instead of generating")
 
 
-def _add_gateway_arguments(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group()
+def _add_gateway_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    source = parser.add_mutually_exclusive_group(required=required)
     source.add_argument("--script", default="", help="scripted gateway replies (YAML)")
     source.add_argument("--replay", default="", help="replay store written by --record (JSONL)")
     source.add_argument("--gateway-config", default="", help="HTTP gateway config (YAML)")
@@ -462,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="phrase appended to the default goal text")
     plan.add_argument("--goal-text", type=_text, default="",
                       help="full goal text, overriding the default")
-    _add_gateway_arguments(plan)
+    _add_gateway_arguments(plan, required=False)
     plan.add_argument("--out", default="", help="sequence YAML path (stdout when omitted)")
     plan.set_defaults(func=cmd_plan)
 
@@ -476,14 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="asset description; generated through refinement when omitted",
     )
     generate.add_argument("--strategy", choices=STRATEGIES, default="gitq")
-    generate.add_argument("--max-rounds", type=_rounds, default=10,
+    generate.add_argument("--max-rounds", type=_at_least_one, default=10,
                           help="refinement round cap, at least 1")
     generate.add_argument(
         "--confidence-threshold", type=_threshold, default=50.0,
         help="minimum confidence percentage for accepting a refinement answer",
     )
     generate.add_argument("--seed", type=int, default=0, help="synthetic dataset seed")
-    generate.add_argument("--num-assets", type=int, default=5, help="assets in the sample dataset")
+    generate.add_argument("--num-assets", type=_at_least_one, default=5,
+                          help="assets in the sample dataset, at least 1")
     generate.add_argument("--search-script", default="", help="scripted search results (YAML)")
     generate.add_argument("--nli-script", default="", help="scripted entailment verdicts (YAML)")
     generate.add_argument("--out", required=True, help="bundle output directory")
@@ -510,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gateway_arguments(verify)
     verify.add_argument("--search-script", required=True, help="scripted search results (YAML)")
     verify.add_argument("--nli-script", required=True, help="scripted entailment verdicts (YAML)")
-    verify.add_argument("--claims-per-part", type=int, default=3)
+    verify.add_argument("--claims-per-part", type=_at_least_one, default=3,
+                        help="claims drawn from each part, at least 1")
     verify.add_argument("--out", default="", help="write the cited markdown here")
     verify.set_defaults(func=cmd_verify_refs)
 

@@ -30,9 +30,9 @@ from .scoring import (
     AggregationConfig,
     HealthIndicatorConfig,
     SensorConfig,
-    _category_finder,
-    _out_of_domain_message,
+    parse_rfc3339,
     validate_aggregation_config,
+    validate_dataset,
     validate_indicator_config,
 )
 
@@ -91,28 +91,6 @@ _MODEL_NAME = "health-score-estimator"
 BUNDLE_FILES = (*_KINDS, RECIPE_INDEX_FILE)
 
 
-def parse_rfc3339(timestamp: str) -> datetime:
-    """UTC datetime from an RFC 3339 string; 'Z' suffix accepted."""
-    # Most stamps are UTC as written, which fromisoformat reads as they stand
-    # (Python 3.11 reads a "Z"); anything else is tidied up first.
-    try:
-        moment = datetime.fromisoformat(timestamp)
-        if moment.tzinfo is timezone.utc:
-            return moment
-    except ValueError:
-        pass
-    text = timestamp.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp {timestamp!r} carries no timezone")
-    try:
-        return parsed.astimezone(timezone.utc)
-    except OverflowError:
-        raise ValueError(f"timestamp {timestamp!r} falls outside years 1-9999 in UTC") from None
-
-
 def format_rfc3339(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -156,73 +134,6 @@ def latest_readings(dataset: SampleDataset) -> dict[str, dict[str, float]]:
         asset: {sensor: value for sensor, (_, value) in readings.items()}
         for asset, readings in latest.items()
     }
-
-
-def validate_dataset(dataset: SampleDataset, cfg: HealthIndicatorConfig) -> list[str]:
-    """Violation strings for coverage, units, timestamps, and domains."""
-    return _scan_dataset(dataset.rows, cfg)[0]
-
-
-def _scan_dataset(
-    records, cfg: HealthIndicatorConfig
-) -> tuple[list[str], dict[str, dict[str, str]]]:
-    """One pass over the records: violations, and the latest category per asset and sensor.
-
-    Each record is an ``(asset_id, sensor_name, value, timestamp, unit)``
-    tuple.  Row violations come in row order, then the coverage violations
-    of each asset in first-seen order.  The latest reading of a sensor is
-    the one with the greatest timestamp, later rows winning ties (a tie at
-    the latest timestamp is itself a violation).  Its category is None
-    when its value is out of domain.
-    """
-    # One lookup a row: each configured sensor with its category finder.
-    configured = {s.name: (s, _category_finder(s)) for s in cfg.sensors}
-    violations = []
-    assets: dict[str, None] = {}  # first-seen order
-    # (asset, sensor) -> [latest moment, its category, rows at that moment]
-    latest: dict[tuple[str, str], list] = {}
-    i = 0
-    for i, (asset_id, sensor_name, value, timestamp, unit) in enumerate(records, start=1):
-        assets[asset_id] = None
-        entry = configured.get(sensor_name)
-        if entry is None:
-            violations.append(f"row {i}: unknown sensor {sensor_name!r}")
-            continue
-        sensor, find = entry
-        if unit != sensor.unit:
-            violations.append(
-                f"row {i}: unit {unit!r} does not match configured {sensor.unit!r}"
-            )
-        try:
-            moment = parse_rfc3339(timestamp)
-        except ValueError as exc:
-            violations.append(f"row {i}: bad timestamp: {exc}")
-            continue
-        category = find(value)
-        if category is None:
-            violations.append(f"row {i}: {_out_of_domain_message(value, sensor)}")
-        key = (asset_id, sensor_name)
-        current = latest.get(key)
-        if current is None or moment > current[0]:
-            latest[key] = [moment, category, 1]
-        elif moment == current[0]:
-            current[1] = category
-            current[2] += 1
-    if not i:
-        return ["dataset has no rows"], {}
-    for asset in assets:
-        for name in configured:
-            current = latest.get((asset, name))
-            if current is None:
-                violations.append(f"asset {asset!r} has no reading for sensor {name!r}")
-            elif current[2] > 1:
-                violations.append(
-                    f"asset {asset!r} sensor {name!r} has an ambiguous latest reading"
-                )
-    categories: dict[str, dict[str, str]] = {}
-    for (asset, name), (_, category, _) in latest.items():
-        categories.setdefault(asset, {})[name] = category
-    return violations, categories
 
 
 def generate_synthetic(cfg: HealthIndicatorConfig, n_assets: int, seed: int) -> SampleDataset:

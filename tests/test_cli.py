@@ -220,16 +220,25 @@ def test_generate_with_explicit_description_skips_refinement(tax_file, tmp_path)
     assert (out_dir / DATASET_FILE).is_file()
 
 
-def test_generate_requires_a_gateway(tax_file, tmp_path, capsys):
-    rc = main([
-        "generate",
-        "--taxonomy", tax_file,
-        "--kpi", "asset health",
-        "--asset-class", "electric motor",
-        "--out", str(tmp_path / "bundle"),
-    ])
-    assert rc == 2
-    assert "--script" in capsys.readouterr().err
+# The parser refuses a missing source before any file is read: no taxonomy is there.
+def test_generate_requires_a_gateway(tmp_path, capsys):
+    argv = ["generate", "--taxonomy", str(tmp_path / "missing.yaml"), "--kpi", "asset health",
+            "--asset-class", "electric motor", "--out", str(tmp_path / "bundle")]
+    assert _parse_error(argv, capsys) == (
+        "autorecipe generate: error: one of the arguments --script --replay --gateway-config "
+        "is required"
+    )
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_verify_refs_requires_a_gateway(tmp_path, capsys):
+    argv = ["verify-refs", "--doc", str(tmp_path / "missing.md"),
+            "--search-script", str(tmp_path / "search.yaml"),
+            "--nli-script", str(tmp_path / "nli.yaml")]
+    assert _parse_error(argv, capsys) == (
+        "autorecipe verify-refs: error: one of the arguments --script --replay --gateway-config "
+        "is required"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--search-script", "--nli-script"])
@@ -254,14 +263,18 @@ def test_generate_checks_its_inputs_before_any_model_call(
     afile.write_text("not a bundle\n", encoding="utf-8")
     out, extra, err = {
         "num-assets-below-1": (tmp_path / "bundle", ["--num-assets", "0"],
-                               "stage dataset: n_assets must be at least 1"),
+                               "autorecipe generate: error: argument --num-assets: "
+                               "must be an integer of at least 1, got '0'"),
         "out-is-a-file": (afile, [], f"cannot write the bundle to {afile}: "),
         "out-under-a-file": (afile / "bundle", [], f"cannot write the bundle to {afile}/bundle: "),
     }[case]
-    if case != "num-assets-below-1":
-        err += f"{afile} is not a directory"
-    rc = main(_generate_args(tax_file, _generate_script(tmp_path), out, extra=extra))
-    assert (rc, capsys.readouterr().err, len(model_calls)) == (2, f"error: {err}\n", 0)
+    argv = _generate_args(tax_file, _generate_script(tmp_path), out, extra=extra)
+    if case == "num-assets-below-1":
+        assert (_parse_error(argv, capsys), len(model_calls)) == (err, 0)
+    else:
+        rc = main(argv)
+        err = f"error: {err}{afile} is not a directory\n"
+        assert (rc, capsys.readouterr().err, len(model_calls)) == (2, err, 0)
     assert afile.read_text(encoding="utf-8") == "not a bundle\n"
     assert not (tmp_path / "bundle").exists()
 
@@ -434,6 +447,30 @@ def test_generate_refuses_a_round_cap_below_one(
     assert (err, len(model_calls)) == (
         f"autorecipe generate: error: argument --max-rounds: "
         f"must be an integer of at least 1, got '{rounds}'", 0
+    )
+    assert not out.exists()
+
+
+# Each once failed after its inputs were read, naming no flag.
+@pytest.mark.parametrize("command, flag, count", [
+    ("generate", "--num-assets", "0"), ("generate", "--num-assets", "-2"),
+    ("generate", "--num-assets", "five"), ("verify-refs", "--claims-per-part", "0"),
+    ("verify-refs", "--claims-per-part", "-1"), ("verify-refs", "--claims-per-part", "1.5"),
+])
+def test_counts_below_one_are_refused_at_parse_time(
+    tax_file, tmp_path, capsys, model_calls, command, flag, count
+):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = _generate_args(tax_file, _generate_script(tmp_path), out)
+    else:
+        doc, script, search, nli = _reference_fixtures(tmp_path)
+        argv = ["verify-refs", "--doc", str(doc), "--script", script,
+                "--search-script", search, "--nli-script", nli, "--out", str(out)]
+    err = _parse_error([*argv, f"{flag}={count}"], capsys)
+    assert (err, len(model_calls)) == (
+        f"autorecipe {command}: error: argument {flag}: "
+        f"must be an integer of at least 1, got '{count}'", 0
     )
     assert not out.exists()
 
@@ -740,6 +777,7 @@ def test_verify_refs_prints_counts(tmp_path, capsys):
     assert "claims per part: (1, 1, 1)" in output
     assert "urls identified per part: (1, 1, 1)" in output
     assert "urls validated per part: (1, 1, 1)" in output
+    assert output.endswith(f"\nwrote cited document to {out}\n")
     cited = out.read_text(encoding="utf-8")
     assert "References:\n1. https://ref1.example" in cited
 
@@ -997,6 +1035,7 @@ def test_parser_generate_defaults():
         "--taxonomy", "t.yaml",
         "--kpi", "asset health",
         "--asset-class", "motor",
+        "--script", "s.yaml",
         "--out", "bundle",
     ])
     assert args.strategy == "gitq"

@@ -9,12 +9,14 @@ interpreter, since this test session itself has everything loaded.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import autorecipe
@@ -194,6 +196,85 @@ def test_recipe_imports_neither_execution_nor_references():
     assert "autorecipe.recipe" in loaded
     assert "autorecipe.execution" not in loaded
     assert "autorecipe.references" not in loaded
+
+
+def _relative_imports() -> dict[str, list[tuple[str, str]]]:
+    """Each package module's relative imports, those inside functions too, as
+    ``(module, name)`` pairs; the package itself is ``__init__``."""
+    package = Path(autorecipe.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    imports = {}
+    for path in package.glob("*.py"):
+        found = imports[path.stem] = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module:
+                        found.append((node.module, alias.name))
+                    else:  # from . import name: a module, or a name of the package
+                        found.append((alias.name if alias.name in modules else "__init__",
+                                      alias.name))
+    return imports
+
+
+def test_package_modules_import_one_another_without_a_cycle():
+    imports = _relative_imports()
+    graph = {module: {target for target, _ in found} for module, found in imports.items()}
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            pytest.fail("import cycle: " + " -> ".join([*path[path.index(module):], module]))
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    assert "recipe" not in graph["scoring"]
+    # Neither module reaches into the other's private names.
+    crossing = [(module, target, name) for module, other in (("recipe", "scoring"),
+                                                              ("scoring", "recipe"))
+                for target, name in imports[module] if target == other and name.startswith("_")]
+    assert crossing == []
+
+
+# Fits, predicts and validates with scoring alone, then reports whether
+# autorecipe.recipe was ever loaded.
+SCORING_ALONE = r'''
+import sys
+from types import SimpleNamespace
+
+from autorecipe.scoring import (
+    AggregationConfig, HealthIndicatorConfig, HealthScoreEstimator, SensorConfig,
+    validate_dataset,
+)
+
+ranges = {"poor": (0.0, 25.0), "medium": (25.0, 50.0), "good": (50.0, 75.0),
+          "excellent": (75.0, 100.0)}
+indicator = HealthIndicatorConfig(sensors=(SensorConfig("a", "percent", ranges),))
+aggregation = AggregationConfig(
+    category_scores={"poor": 0.25, "medium": 0.5, "good": 0.75, "excellent": 1.0},
+    method="weighted", weights={"a": 1.0},
+)
+dataset = SimpleNamespace(rows=(("m1", "a", 60.0, "2024-01-01T00:00:00Z", "percent"),))
+scores = HealthScoreEstimator().fit(indicator, aggregation).predict(dataset)
+print([(s.asset_id, s.score) for s in scores], validate_dataset(dataset, indicator),
+      "autorecipe.recipe" in sys.modules)
+'''
+
+
+def test_scoring_fits_predicts_and_validates_without_loading_recipe():
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", SCORING_ALONE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[('m1', 75.0)] [] False\n"
 
 
 # Runs one command and reports its exit code and which autorecipe modules,
