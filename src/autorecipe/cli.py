@@ -93,8 +93,6 @@ def _build_gateway(args):
         gateway = ReplayGateway(args.replay)
     elif args.gateway_config:
         gateway = HttpGateway(load_gateway_config(args.gateway_config))
-    elif args.record:
-        raise ValueError("--record needs one of --script, --replay, or --gateway-config")
     else:
         return None
     if args.record:
@@ -145,6 +143,8 @@ def _plan(args, taxonomies, tax, goal, gateway=None, registry=None):
 def cmd_plan(args) -> int:
     from .planning import bind_goal, serialize_sequence
 
+    if args.record and not (args.script or args.replay or args.gateway_config):
+        raise ValueError("--record needs one of --script, --replay, or --gateway-config")
     _check_out_file(args.out)
     taxonomies = _load_taxonomies(args.taxonomy)
     goal = _goal_from_args(args, args.method_phrase, args.goal_text)
@@ -172,12 +172,15 @@ def _describe_and_execute(args, seq, gateway, registry):
     overlap refinement.  With one worker the chains run one after the other
     on this thread, in the order of a sequential run.  A run that succeeds
     sends the sessions that order sends, and a run that fails reports the
-    error it reports: refinement's first, then materialization's, then
-    execution's.  Once refinement has failed, execution starts no new turn.
+    error it reports.  The checks that need only the plan run first, before
+    either chain starts, so a plan they reject costs no model call:
+    materialization's, then execution's checks of the sequence.  Then come
+    refinement's errors, then execution's.  Once refinement has failed,
+    execution starts no new turn.
     """
     import threading
 
-    from .execution import execute
+    from .execution import check_sequence, execute
     from .planning import materialize_sequence
     from .prompts import instantiate
     from .references import _map_in_order
@@ -192,7 +195,7 @@ def _describe_and_execute(args, seq, gateway, registry):
         nonlocal description
         try:
             question = instantiate(
-                registry.get("refinement.initial"), {"asset_class": args.asset_class}
+                registry, "refinement.initial", {"asset_class": args.asset_class}
             )
             result = _stage(
                 "refine",
@@ -223,20 +226,19 @@ def _describe_and_execute(args, seq, gateway, registry):
         settled.wait()
         if not description:
             raise _RefinementFailed()
-        # Execution's materialization passed these checks with a value that
+        # The stand-in materialization passed these checks with a value that
         # is not blank, and neither is the description: this cannot fail.
         if full is None:
             full = materialize_sequence(seq, args.asset_class, description)
         return full.steps[step.index - 1]
 
+    # While refinement runs, a stand-in takes the description's place; it
+    # reaches no turn, as ``late`` swaps in the real step.
+    bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
+                   description or _PENDING_DESCRIPTION)
+    _stage("execute", check_sequence, bound, args.strategy)
+
     def execution():
-        # Materialization's checks run before the first turn, so a plan they
-        # reject sends nothing.  While refinement runs, a stand-in takes the
-        # description's place; it reaches no turn, as ``late`` swaps in the
-        # real step.  With one worker refinement is over by now, and execute
-        # gets the sequence a sequential run gives it.
-        bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
-                       description or _PENDING_DESCRIPTION)
         return _stage("execute", execute, bound, args.strategy, registry.role("domain-expert"),
                       gateway, registry=registry, late=late)
 

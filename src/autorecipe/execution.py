@@ -17,7 +17,7 @@ from .errors import AutoRecipeError, GatewayError, NoPartsWarning
 from .gateway import ChatMessage
 from .planning import PromptSequence
 from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
-from .prompts import PromptRegistry, default_registry
+from .prompts import PromptRegistry, default_registry, fill
 
 __all__ = [
     "STRATEGIES",
@@ -27,6 +27,7 @@ __all__ = [
     "Transcript",
     "KnowledgePart",
     "KnowledgeDocument",
+    "check_sequence",
     "wrap_react",
     "parse_react_reply",
     "split_parts",
@@ -123,15 +124,19 @@ def render_knowledge(kd: KnowledgeDocument) -> str:
 
 # --- strategy plumbing -----------------------------------------------------------
 
+def _check_react(seq: PromptSequence) -> None:
+    if len(seq.steps) < 2:
+        raise AutoRecipeError("the reasoning scaffold needs at least two steps")
+
+
 def wrap_react(seq: PromptSequence) -> str:
     """Single user prompt: enumerated questions, the reasoning format block,
     and the final request framed as a Final Answer."""
-    if len(seq.steps) < 2:
-        raise AutoRecipeError("the reasoning scaffold needs at least two steps")
+    _check_react(seq)
     questions = "\n".join(
         f"Question {s.index}: {s.body}" for s in seq.steps[:-1]
     )
-    final = REACT_FINAL_BLOCK.format(final_request=seq.steps[-1].body)
+    final = fill(REACT_FINAL_BLOCK, {"final_request": seq.steps[-1].body}, "REACT_FINAL_BLOCK")
     return "\n\n".join([REACT_HEADER, questions, REACT_FORMAT_BLOCK, final])
 
 
@@ -148,6 +153,24 @@ def parse_react_reply(text: str) -> str:
 
 # --- execution --------------------------------------------------------------------
 
+def check_sequence(seq: PromptSequence, strategy: str) -> None:
+    """Raises as ``execute`` does before its first call: on an unknown strategy,
+    an empty sequence, placeholders that ``materialize_sequence`` did not
+    bind, a last step that is not an export step, or one step for allqreact."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if not seq.steps:
+        raise ValueError("cannot execute an empty sequence")
+    if not seq.bindings and seq.placeholders:
+        raise ValueError(
+            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
+        )
+    if seq.steps[-1].kind != "export":
+        raise ValueError("the last step must be an export step")
+    if strategy == "allqreact":
+        _check_react(seq)
+
+
 def execute(
     seq: PromptSequence,
     strategy: str,
@@ -161,10 +184,9 @@ def execute(
     knowledge document.
 
     ``role`` is the id of the system prompt, which opens every session as
-    it stands.  The sequence must end with an export step.  One that holds
-    placeholders must come from ``materialize_sequence``, which records its
-    bindings; the text its values brought in is sent verbatim, and ``${...}``
-    in it is not read again.  With a scripted gateway the transcript is
+    it stands.  The sequence must pass ``check_sequence``; the text that
+    materialization's values brought in is sent verbatim, and ``${...}`` in
+    it is not read again.  With a scripted gateway the transcript is
     deterministic.
 
     ``late``, when given, is called with each step right before the turn
@@ -174,20 +196,10 @@ def execute(
     before the next turn.  The sequence's own checks run on ``seq``, before
     the first call.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if not seq.steps:
-        raise ValueError("cannot execute an empty sequence")
-    if not seq.bindings and seq.placeholders:
-        raise ValueError(
-            "sequence still has unbound placeholders: " + ", ".join(sorted(seq.placeholders))
-        )
-    if seq.steps[-1].kind != "export":
-        raise ValueError("the last step must be an export step")
-
+    check_sequence(seq, strategy)
     registry = registry or default_registry()
     clock = clock or ManualClock()
-    system = ChatMessage("system", registry.get(role).body)
+    system = ChatMessage("system", registry.get(role))
     transcript = Transcript(strategy=strategy)
     transcript.messages.append(TranscriptMessage("system", system.content, (), clock()))
     all_steps = tuple(s.index for s in seq.steps)

@@ -12,10 +12,10 @@ import re
 from dataclasses import dataclass, field, replace
 
 from ._yamlio import INT, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
-from .errors import AutoRecipeError, MissingBindingError
+from .errors import AutoRecipeError
 from .gateway import ChatMessage
 from .presets import PLANNER_CONSTRAINTS, PLANNER_TASK_INTRO
-from .prompts import PLACEHOLDER_PATTERN, PromptRegistry, default_registry
+from .prompts import PromptRegistry, default_registry, fill, fill_partial, placeholders
 from .taxonomy import Taxonomy, descendant_mentions, normalize_name, render_statements, traverse_top_down
 
 __all__ = [
@@ -75,7 +75,7 @@ class PromptStep:
 
     @property
     def placeholders(self) -> frozenset[str]:
-        return frozenset(PLACEHOLDER_PATTERN.findall(self.body))
+        return placeholders(self.body)
 
 
 # --- execution order expressions ---------------------------------------------
@@ -418,7 +418,7 @@ def resolve_code_steps(
             continue
         node = _find_named_node(step.body, tax)
         if descendant_mentions(tax, node, "sensor"):
-            body = sensor_question.partial({"target": tax.nodes[node].label}).body
+            body = fill_partial(sensor_question, {"target": tax.nodes[node].label})
             mapping[step.index] = len(resolved) + 1
             resolved.append(PromptStep(len(resolved) + 1, "question", body))
         # else: drop the step; mapping omits it so order references prune away
@@ -472,7 +472,7 @@ def generate_sequence_deterministic(
     child_labels = [tax.nodes[c].label for c in child_ids]
 
     def body(template_id: str, values: dict[str, str]) -> str:
-        return registry.get(template_id).partial(values).body
+        return fill_partial(registry.get(template_id), values)
 
     steps: list[PromptStep] = []
 
@@ -529,23 +529,17 @@ def materialize_sequence(
 ) -> PromptSequence:
     """Fill the asset slots in every step; empty values count as missing.
 
-    This is the one place that reads placeholders.  Each step's plan text
-    is checked before any value goes in, and the values are inserted
-    verbatim in one pass, so ``${...}`` inside a value is never read as a
-    placeholder, here or later.
+    Each step's plan text goes through ``prompts.fill``, so a slot with no
+    value raises MissingBindingError naming the step, and ``${...}`` inside
+    a value is never read as a placeholder, here or later.
     """
     if not asset_class or not asset_class.strip():
         raise ValueError("materialization needs a non-empty asset class")
     bindings = {"asset_class": asset_class}
     if asset_description and asset_description.strip():
         bindings["asset_description"] = asset_description
-    steps = []
-    for step in seq.steps:
-        missing = step.placeholders - bindings.keys()
-        if missing:
-            raise MissingBindingError(missing, context=f"step {step.index}")
-        new_body = PLACEHOLDER_PATTERN.sub(lambda m: bindings[m.group(1)], step.body)
-        steps.append(replace(step, body=new_body))
+    steps = [replace(step, body=fill(step.body, bindings, f"step {step.index}"))
+             for step in seq.steps]
     return _make_sequence(steps, seq.execution_order, goal=seq.goal, bindings=bindings)
 
 

@@ -146,7 +146,7 @@ Answer: the answer to the question. Keep it precise. Limit the answer length to 
 ... (this Question/Thought/Answer can repeat N times)"""
 
 REACT_FINAL_BLOCK = """\
-Thought: Now I know how to answer the final request: {final_request}
+Thought: Now I know how to answer the final request: ${final_request}
 Final Answer: the final answer to the request. Please write a nice article summarizing the answers you have in the thought process.
 
 Begin!"""

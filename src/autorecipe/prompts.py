@@ -1,76 +1,60 @@
-"""The shipped prompt templates, looked up by id.
+"""The shipped prompts, looked up by id; a prompt is its text.
 
-Templates use ``${name}`` placeholders.  The set of required
-placeholders is always derived from the body, never declared by hand,
-so it cannot drift.  A persona is the id of the system prompt it speaks
-with; that prompt holds no placeholder and is sent as it stands.
+This module is the one reader of ``${name}`` slots.  The names a text
+needs are always read from the text, never declared by hand, so they
+cannot drift.  A persona is the id of the system prompt it speaks with;
+that prompt holds no placeholder and is sent as it stands.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import presets
 from .errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarning
 
 __all__ = [
-    "PromptTemplate",
     "PromptRegistry",
-    "PLACEHOLDER_PATTERN",
+    "placeholders",
+    "fill",
+    "fill_partial",
     "instantiate",
     "default_registry",
 ]
 
-PLACEHOLDER_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
+_PLACEHOLDER = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    id: str
-    body: str
-
-    @property
-    def required_placeholders(self) -> frozenset[str]:
-        return frozenset(PLACEHOLDER_PATTERN.findall(self.body))
-
-    def partial(self, bindings: dict[str, str]) -> "PromptTemplate":
-        """Substitute only the given names, leaving other placeholders intact."""
-        body = PLACEHOLDER_PATTERN.sub(
-            lambda m: bindings[m.group(1)] if m.group(1) in bindings else m.group(0),
-            self.body,
-        )
-        return PromptTemplate(self.id, body)
+def placeholders(text: str) -> frozenset[str]:
+    """The names of the text's ``${name}`` slots."""
+    return frozenset(_PLACEHOLDER.findall(text))
 
 
-def instantiate(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Fill every placeholder; the result contains no placeholder syntax.
+def fill_partial(text: str, bindings: Mapping[str, str]) -> str:
+    """Substitute only the given names, leaving other placeholders intact."""
+    return _PLACEHOLDER.sub(lambda m: bindings.get(m.group(1), m.group(0)), text)
 
-    Raises MissingBindingError when bindings do not cover the template's
-    placeholders; unused binding names only warn.
-    """
-    required = template.required_placeholders
-    missing = required - bindings.keys()
+
+def fill(text: str, bindings: Mapping[str, str], context: str) -> str:
+    """Fill every slot with its value, verbatim and in one pass, so ``${...}``
+    in a value is never read.  A slot with no value raises MissingBindingError
+    naming ``context``."""
+    missing = placeholders(text) - bindings.keys()
     if missing:
-        raise MissingBindingError(missing, context=template.id)
-    extras = bindings.keys() - required
-    if extras:
-        warnings.warn(
-            UnknownPlaceholderWarning(
-                f"{template.id}: unused bindings: {', '.join(sorted(extras))}"
-            ),
-            stacklevel=2,
-        )
-    return PLACEHOLDER_PATTERN.sub(lambda m: bindings[m.group(1)], template.body)
+        raise MissingBindingError(missing, context=context)
+    return _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], text)
 
 
 @dataclass(frozen=True)
 class PromptRegistry:
-    templates: dict[str, PromptTemplate] = field(default_factory=dict)
-    roles: dict[str, str] = field(default_factory=dict)  # persona -> system prompt id
+    templates: Mapping[str, str] = field(default_factory=dict)  # id -> text
+    roles: Mapping[str, str] = field(default_factory=dict)  # persona -> system prompt id
 
-    def get(self, template_id: str) -> PromptTemplate:
+    def get(self, template_id: str) -> str:
         try:
             return self.templates[template_id]
         except KeyError:
@@ -84,12 +68,27 @@ class PromptRegistry:
             raise AutoRecipeError(f"no role registered under {name!r}") from None
 
 
+def instantiate(registry: PromptRegistry, template_id: str, bindings: dict[str, str]) -> str:
+    """The template filled by ``fill``; unused binding names only warn."""
+    text = registry.get(template_id)
+    filled = fill(text, bindings, template_id)
+    extras = bindings.keys() - placeholders(text)
+    if extras:
+        warnings.warn(
+            UnknownPlaceholderWarning(
+                f"{template_id}: unused bindings: {', '.join(sorted(extras))}"
+            ),
+            stacklevel=2,
+        )
+    return filled
+
+
+_DEFAULT = PromptRegistry(
+    templates=MappingProxyType(presets.PROMPT_SEEDS),
+    roles=MappingProxyType({"domain-expert": "domain-expert.system"}),
+)
+
+
 def default_registry() -> PromptRegistry:
-    """Registry of the shipped prompt seeds and the domain-expert persona."""
-    return PromptRegistry(
-        templates={
-            template_id: PromptTemplate(template_id, body)
-            for template_id, body in presets.PROMPT_SEEDS.items()
-        },
-        roles={"domain-expert": "domain-expert.system"},
-    )
+    """Read-only registry of the shipped prompt seeds and the domain-expert persona."""
+    return _DEFAULT

@@ -196,9 +196,10 @@ def generate_claims(
     if not passage.body.strip():
         raise AutoRecipeError(f"passage {passage.id} has an empty body; nothing to ask about")
     registry = registry or default_registry()
-    template = registry.get("claims.extract")
-    prompt = instantiate(template, {"claim_count": str(k), "passage": passage.body})
-    system = registry.get(registry.role("domain-expert")).body
+    prompt = instantiate(
+        registry, "claims.extract", {"claim_count": str(k), "passage": passage.body}
+    )
+    system = registry.get(registry.role("domain-expert"))
     reply = gateway.complete([
         ChatMessage("system", system),
         ChatMessage("user", prompt),

@@ -16,7 +16,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from . import metrics
 from .errors import AutoRecipeError, GatewayError, NoConfidenceWarning
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry
@@ -62,7 +61,6 @@ class IterationRecord:
     answer: str  # reply with the confidence line removed; kept even when dropped
     confidence: float
     accepted: bool
-    answer_length: int  # token count under the shared tokenizer
 
 
 @dataclass
@@ -105,8 +103,8 @@ def refine(
     if not question.strip():
         raise ValueError("refinement needs a non-empty question")
     registry = registry or default_registry()
-    betterment_suffix = registry.get("refinement.betterment").body
-    base_system = registry.get(role).body
+    betterment_suffix = registry.get("refinement.betterment")
+    base_system = registry.get(role)
 
     result = RefinementResult()
     qa_log: list[tuple[str, str]] = []
@@ -133,7 +131,6 @@ def refine(
             answer=answer,
             confidence=confidence,
             accepted=accepted,
-            answer_length=metrics.tokenize(answer).total,
         ))
         if not accepted:
             result.stop_reason = "low-confidence"
@@ -150,18 +147,19 @@ def refine(
 
 
 def iteration_metrics(records: list[IterationRecord], weighted: bool = False) -> list[dict]:
-    """Per-round length, coverage and similarity against the round-1 answer."""
-    if not records:
-        return []
-    base = records[0].answer
-    rows = []
-    for record in records:
-        rows.append({
+    """Per-round token count, coverage and similarity against the round-1
+    answer; each answer is tokenized once."""
+    from .metrics import coverage, similarity, tokenize  # generate never loads it
+
+    profiles = [tokenize(record.answer) for record in records]
+    return [
+        {
             "round": record.round,
             "confidence": record.confidence,
             "accepted": record.accepted,
-            "answer_length": record.answer_length,
-            "coverage_vs_first": metrics.coverage(base, record.answer, weighted=weighted),
-            "similarity_vs_first": metrics.similarity(base, record.answer),
-        })
-    return rows
+            "answer_length": profile.total,
+            "coverage_vs_first": coverage(profiles[0], profile, weighted=weighted),
+            "similarity_vs_first": similarity(profiles[0], profile),
+        }
+        for record, profile in zip(records, profiles)
+    ]

@@ -241,6 +241,19 @@ def test_verify_refs_requires_a_gateway(tmp_path, capsys):
     )
 
 
+def test_plan_record_without_a_source_reads_no_file(tax_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("autorecipe.taxonomy.parse_taxonomy",
+                        lambda text: pytest.fail("taxonomy parsed"))
+    store = tmp_path / "s.jsonl"
+    for tax in (tmp_path / "missing.yaml", tax_file):
+        argv = ["plan", "--taxonomy", str(tax), "--kpi", "asset health",
+                "--record", str(store), "--out", str(tmp_path / "plan.yaml")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --record needs one of --script, --replay, or --gateway-config\n")
+    assert not store.exists() and not (tmp_path / "plan.yaml").exists()
+
+
 @pytest.mark.parametrize("flag", ["--search-script", "--nli-script"])
 def test_generate_one_citation_script_alone_is_input_error(
     tax_file, tmp_path, capsys, monkeypatch, flag

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import warnings
 from dataclasses import replace
 
 import pytest
 
+from autorecipe import presets
 from autorecipe.errors import AutoRecipeError, GatewayError, NoPartsWarning
 from autorecipe.execution import (
     PART_LABELS,
@@ -29,6 +31,7 @@ from autorecipe.planning import (
     StepRef,
     generate_sequence_deterministic,
     materialize_sequence,
+    parse_plan,
     resolve_code_steps,
 )
 from autorecipe.presets import COT_SUFFIX, REACT_FORMAT_BLOCK, REACT_HEADER
@@ -244,6 +247,34 @@ def test_allqreact_unwraps_final_answer(health_tax, registry):
     assert len(transcript.user_turns()) == 1
     assert len(kd.parts) == 3
     assert gateway.sessions[0][1].content == wrap_react(seq)
+
+
+# The one user turn allqreact sends for each preset plan and for the
+# deterministic plan.  Session keys hash it, so a changed scaffold makes every
+# recorded allqreact store miss.
+ALLQREACT_TURN_SHA256 = {
+    "ASSET_PROFILE_PLAN": "262562116bf1da1531e439286c388c055c712a8f46d4e24d3f4aa3e489552952",
+    "ENVIRONMENTAL_IMPACT_PLAN": "ba48dd2627efc990980683d9dcde75e1af3051f37bfa23360e117ca1ae7079c0",
+    "deterministic": "85eb039ab195edcc6ab7ec43163de0597e835ce3cb2aba9e3bfcb9e884100354",
+}
+
+
+def test_allqreact_user_turn_is_pinned(health_tax, registry):
+    plans = {name: parse_plan(getattr(presets, name))
+             for name in ("ASSET_PROFILE_PLAN", "ENVIRONMENTAL_IMPACT_PLAN")}
+    plans["deterministic"] = resolve_code_steps(
+        generate_sequence_deterministic(health_tax, Goal("asset health", "asset profile")),
+        health_tax,
+    )
+    reply = "Thought: done\nFinal Answer: " + THREE_PART_DOC
+    turns = {}
+    for name, seq in plans.items():
+        done = materialize_sequence(seq, "electric motor", "a 75 kW induction motor")
+        _, transcript = execute(done, "allqreact", registry.role("domain-expert"),
+                                ScriptedGateway([reply]), registry)
+        [turn] = transcript.user_turns()
+        turns[name] = hashlib.sha256(turn.content.encode("utf-8")).hexdigest()
+    assert turns == ALLQREACT_TURN_SHA256
 
 
 def test_allqreact_rejects_empty_final_answer(health_tax, registry):

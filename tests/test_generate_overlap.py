@@ -1,11 +1,12 @@
 """generate runs refinement and execution as two chains.
 
 Whatever ``max_parallel`` is, a run sends the sessions a sequential run
-sends and writes the same bundle, or fails with the same error; once
-refinement has failed, execution starts at most the one call whose check
-raced the failure.  Replies come from
-a store recorded with the scripted reply queue, served by a gateway that
-answers from many threads after a random few-millisecond delay.
+sends and writes the same bundle, or fails with the same error.  The
+checks that need only the plan run before either chain starts, so a plan
+they reject sends nothing; once refinement has failed, execution starts at
+most the one call whose check raced the failure.  Replies come from a store
+recorded with the scripted reply queue, served by a gateway that answers
+from many threads after a random few-millisecond delay.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _stage_by_stage(target, plan_text, asset_class, strategy, replies, rounds) -
            else generate_sequence_deterministic(tax, goal, registry=registry))
     seq = resolve_code_steps(seq, tax, registry=registry)
     gateway = ScriptedGateway(replies=replies)
-    question = instantiate(registry.get("refinement.initial"), {"asset_class": asset_class})
+    question = instantiate(registry, "refinement.initial", {"asset_class": asset_class})
     description = refine(gateway, "refinement.system", question,
                          max_rounds=rounds, registry=registry).final_answer
     execute(materialize_sequence(seq, asset_class, description), strategy,
@@ -302,6 +303,37 @@ def test_refinement_failure_stops_execution_and_is_the_error_reported(tmp_path):
     assert 1 <= len(gateway.sent("execute")) <= 3
     assert len(gateway.starts_after_refinement_ended()) <= 1
     assert gateway.in_flight == 0
+
+
+_EXPORT = "Step 2: Export a markdown output as guidelines for the ${asset_class}.\n"
+
+
+@pytest.mark.parametrize("plan, strategy, error", [
+    ("Step 1: Name the factors.\nStep 2: Collect all the discovered factors so far.\n"
+     "Execution Order: Step 1 AND Step 2\n", "gitq",
+     "error: stage execute: the last step must be an export step\n"),
+    ("Step 1: Which site runs the ${foo}?\n" + _EXPORT + "Execution Order: Step 1 AND Step 2\n",
+     "gitq", "error: stage materialize: missing bindings in step 1: foo\n"),
+    (_EXPORT.replace("Step 2", "Step 1") + "Execution Order: Step 1\n", "allqreact",
+     "error: stage execute: the reasoning scaffold needs at least two steps\n"),
+])
+def test_a_plan_the_checks_reject_costs_no_model_call(tmp_path, plan, strategy, error):
+    """The checks that need only the plan run before refinement starts."""
+    replies = [f"A {n} kW motor.\nConfidence: 90%" for n in range(4)] + [THREE_PART_DOC] * 4
+    script = tmp_path / "script.yaml"
+    script.write_text(yaml.safe_dump({"strict": True, "replies": replies}), encoding="utf-8")
+    (tmp_path / "plan.txt").write_text(plan, encoding="utf-8")
+    store = tmp_path / "store.jsonl"
+    argv = [*_preset_argv(tmp_path), "--max-rounds", "4", "--strategy", strategy,
+            "--plan-text", str(tmp_path / "plan.txt")]
+    assert _run([*argv, "--script", str(script), "--record", str(store),
+                 "--out", str(tmp_path / "scripted")]) == (2, error)
+    assert store.read_text(encoding="utf-8") == ""
+    gateway = _ConcurrentStore(store, max_parallel=2)
+    assert _run([*argv, "--replay", str(store), "--out", str(tmp_path / "overlapped")],
+                gateway) == (2, error)
+    assert gateway.events == []
+    assert not (tmp_path / "scripted").exists() and not (tmp_path / "overlapped").exists()
 
 
 @pytest.mark.parametrize("asset_class, description", [

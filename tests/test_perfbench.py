@@ -1,12 +1,16 @@
-"""The benchmark harness still finds every program name it imports or patches.
+"""The benchmark harness still finds every program name it imports or patches,
+and every keyword it passes.
 
-`perfbench/trace_run.py` wraps functions and methods by name, so deleting
-or renaming one of them breaks `perfbench/run.py --trace` and nothing else.
+`perfbench/trace_run.py` wraps functions and methods by name, and calls some
+of them with keyword arguments, so deleting or renaming one of them breaks
+`perfbench/run.py --trace` and nothing else.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -66,3 +70,30 @@ def test_checks_and_stub_import_and_read_a_plan(harness, health_tax, tmp_path):
     plan = tmp_path / "plan.yaml"
     plan.write_text(serialize_sequence(seq), encoding="utf-8")
     assert checks.plan_ok(plan, len(seq.steps)) is None
+
+
+def _autorecipe_calls(source: str) -> list[tuple[str, str, list[str]]]:
+    """(module, name, keywords) of each call of a name imported from autorecipe."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("autorecipe"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    return [(*imported[node.func.id], [k.arg for k in node.keywords if k.arg])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in imported]
+
+
+def test_harness_passes_only_keywords_the_program_takes():
+    passed = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, name, keywords in _autorecipe_calls(path.read_text(encoding="utf-8")):
+            parameters = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+            for keyword in keywords:
+                assert keyword in parameters, f"{path.name}: {name}() takes no {keyword}="
+                passed.add((name, keyword))
+    assert {("generate_sequence_deterministic", "registry"), ("resolve_code_steps", "registry"),
+            ("execute", "registry"), ("execute", "clock"), ("ScriptedGateway", "replies"),
+            ("GatewayConfig", "endpoint"), ("GatewayConfig", "max_parallel")} <= passed

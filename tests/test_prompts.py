@@ -1,56 +1,66 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autorecipe import presets
 from autorecipe.errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarning
-from autorecipe.prompts import PromptRegistry, PromptTemplate, instantiate
+from autorecipe.planning import PromptSequence, PromptStep, StepRef, materialize_sequence
+from autorecipe.prompts import (
+    PromptRegistry,
+    default_registry,
+    fill_partial,
+    instantiate,
+    placeholders,
+)
+
+
+def _one(text: str) -> PromptRegistry:
+    return PromptRegistry(templates={"t": text})
 
 
 def test_placeholders_derived_from_body():
-    t = PromptTemplate("t", "Describe ${asset_class} using ${asset_description}.")
-    assert t.required_placeholders == {"asset_class", "asset_description"}
-    assert PromptTemplate("t", "no slots").required_placeholders == frozenset()
+    assert placeholders("Describe ${asset_class} using ${asset_description}.") == {
+        "asset_class", "asset_description"}
+    assert placeholders("no slots") == frozenset()
 
 
 def test_instantiate_fills_every_slot():
-    t = PromptTemplate("t", "Analyze ${kpi} for ${asset_class}.")
-    out = instantiate(t, {"kpi": "asset health", "asset_class": "pump"})
+    out = instantiate(_one("Analyze ${kpi} for ${asset_class}."),
+                      "t", {"kpi": "asset health", "asset_class": "pump"})
     assert out == "Analyze asset health for pump."
     assert "${" not in out
 
 
 def test_instantiate_missing_binding():
-    t = PromptTemplate("t", "Analyze ${kpi}.")
-    with pytest.raises(MissingBindingError) as excinfo:
-        instantiate(t, {})
+    with pytest.raises(MissingBindingError, match="^missing bindings in t: kpi$") as excinfo:
+        instantiate(_one("Analyze ${kpi}."), "t", {})
     assert excinfo.value.names == {"kpi"}
 
 
 def test_instantiate_extra_binding_warns():
-    t = PromptTemplate("t", "Analyze ${kpi}.")
-    with pytest.warns(UnknownPlaceholderWarning):
-        out = instantiate(t, {"kpi": "health", "stray": "x"})
+    with pytest.warns(UnknownPlaceholderWarning, match="^t: unused bindings: stray$"):
+        out = instantiate(_one("Analyze ${kpi}."), "t", {"kpi": "health", "stray": "x"})
     assert out == "Analyze health."
 
 
 def test_substitution_is_literal_not_recursive():
-    t = PromptTemplate("t", "Value: ${a}")
-    assert instantiate(t, {"a": "${b}"}) == "Value: ${b}"
+    assert instantiate(_one("Value: ${a}"), "t", {"a": "${b}"}) == "Value: ${b}"
 
 
 def test_partial_leaves_other_slots():
-    t = PromptTemplate("t", "${a} and ${b}")
-    half = t.partial({"a": "left"})
-    assert half.body == "left and ${b}"
-    assert half.required_placeholders == {"b"}
+    half = fill_partial("${a} and ${b}", {"a": "left"})
+    assert half == "left and ${b}"
+    assert placeholders(half) == {"b"}
 
 
 def test_registry_get_unknown():
     with pytest.raises(AutoRecipeError, match="^no template registered under 'nope'$"):
-        PromptRegistry(templates={"u": PromptTemplate("u", "body")}).get("nope")
+        _one("body").get("nope")
 
 
 def test_default_registry_seeds(registry):
@@ -64,14 +74,55 @@ def test_default_registry_seeds(registry):
         "plan.enumerate-children",
         "plan.sensor-question",
     ):
-        assert registry.get(template_id).body is not None
+        assert registry.get(template_id) == presets.PROMPT_SEEDS[template_id]
+
+
+def test_default_registry_is_a_read_only_view_of_the_seeds(registry):
+    assert registry.templates == presets.PROMPT_SEEDS
+    with pytest.raises(TypeError):
+        registry.templates["plan.collect"] = "Collect nothing."
+    with pytest.raises(TypeError):
+        registry.roles["domain-expert"] = "plan.collect"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        registry.templates = {}
+    assert registry.get("plan.collect") == "Collect all the discovered factors so far."
 
 
 def test_sent_system_prompts_hold_no_placeholder(registry):
     # A role's system prompt and refinement's go out as they stand, so a
     # placeholder in one would reach the model literally.
     for template_id in (*registry.roles.values(), "refinement.system"):
-        assert "${" not in registry.get(template_id).body, template_id
+        assert "${" not in registry.get(template_id), template_id
+
+
+# --- one filler ---------------------------------------------------------------------------
+
+_PIECES = st.sampled_from(["${asset_class}", "${asset_description}", "${site}"]) | st.text()
+_VALUE_PIECES = st.sampled_from(["${asset_class}", "${site}", "$", "{}", "{", "}", "${"]) | st.text()
+
+
+def _outcome(fill):
+    try:
+        return "text", fill()
+    except MissingBindingError as exc:
+        return "missing", exc.names
+
+
+@given(pieces=st.lists(_PIECES, max_size=8),
+       asset_class=st.lists(_VALUE_PIECES, max_size=4).map(lambda p: "pump " + "".join(p)),
+       description=st.lists(_VALUE_PIECES, max_size=4).map("".join))
+def test_instantiate_and_materialize_fill_alike(pieces, asset_class, description):
+    """The same text and values give the same text, or the same missing names."""
+    text = "Step text " + "".join(pieces)
+    bindings = {"asset_class": asset_class}
+    if description.strip():
+        bindings["asset_description"] = description
+    used = {name: value for name, value in bindings.items() if name in placeholders(text)}
+    seq = PromptSequence((PromptStep(1, "export", text),), StepRef(1))
+    by_id = _outcome(lambda: instantiate(_one(text), "t", used))
+    by_step = _outcome(
+        lambda: materialize_sequence(seq, asset_class, description).steps[0].body)
+    assert by_id == by_step
 
 
 # --- shipped prompt texts ------------------------------------------------------------------
@@ -108,7 +159,7 @@ PRESET_SHA256 = {
     "COT_SUFFIX": "055d95e1222cfb7822b09f10255193ad76ff1811acadb16a989cf8af3b340495",
     "REACT_HEADER": "a24aefdd8cc3ee3cd88917e1b35f1088406c1a3557fccf00f05b3203e6eb8e46",
     "REACT_FORMAT_BLOCK": "670813a92bea0bbc1f186d5b8f2e44cc375843c913cb1bc7d611630744521f53",
-    "REACT_FINAL_BLOCK": "960b371a2ea7328d9bc185737921e6ff93bc326b9dbd223ae2f3f7423d9614d8",
+    "REACT_FINAL_BLOCK": "97cbbf4b422e6ca1730ede8e957a66eed9b76bbe264b416551c6edaca73c583f",
 }
 
 
@@ -117,7 +168,7 @@ def _sha256(text: str) -> str:
 
 
 def test_shipped_template_bodies_are_pinned(registry):
-    shipped = {t.id: _sha256(t.body) for t in registry.templates.values()}
+    shipped = {template_id: _sha256(body) for template_id, body in registry.templates.items()}
     assert shipped == TEMPLATE_SHA256
     assert registry.roles == ROLE_PROMPTS
 

@@ -154,7 +154,7 @@ def test_generate_claims_prompt_contents(registry):
         generate_claims(_passage("The stator stays put."), gateway, k=2, registry=registry)
     session = gateway.sessions[0]
     assert session[0].role == "system"
-    assert session[0].content == registry.get(registry.role("domain-expert")).body
+    assert session[0].content == registry.get(registry.role("domain-expert"))
     assert "The stator stays put." in session[1].content
     assert "2" in session[1].content
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from autorecipe.errors import (
     GatewayError,
     NoConfidenceWarning,
 )
+from autorecipe import metrics
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.refinement import (
     STOP_REASONS,
+    IterationRecord,
     iteration_metrics,
     refine,
     split_confidence,
@@ -216,7 +219,7 @@ def test_refine_system_carries_qa_history(registry):
         "Second answer.\nConfidence: 30%",
     ])
     refine(gateway, registry.role("domain-expert"), QUESTION, max_rounds=5)
-    base = registry.get(registry.role("domain-expert")).body
+    base = registry.get(registry.role("domain-expert"))
     first_system = gateway.sessions[0][0].content
     second_system = gateway.sessions[1][0].content
     assert first_system == base
@@ -272,7 +275,7 @@ def test_refine_gateway_failure_attaches_partial_records(registry):
 def test_refine_answer_length_uses_token_count(registry):
     gateway = _Recorder(["Alpha beta gamma.\nConfidence: 90%"])
     result = refine(gateway, registry.role("domain-expert"), QUESTION, max_rounds=1)
-    assert result.records[0].answer_length == 3
+    assert [row["answer_length"] for row in iteration_metrics(result.records)] == [3]
 
 
 def test_refine_never_returns_a_dropped_answer(registry):
@@ -332,4 +335,46 @@ def test_iteration_metrics_rows(registry):
 
 def test_iteration_metrics_empty():
     assert iteration_metrics([]) == []
+
+
+def _rows_one_by_one(records, weighted):
+    """The rows as each was computed from the texts themselves."""
+    base = records[0].answer
+    return [{
+        "round": record.round,
+        "confidence": record.confidence,
+        "accepted": record.accepted,
+        "answer_length": metrics.tokenize(record.answer).total,
+        "coverage_vs_first": metrics.coverage(base, record.answer, weighted=weighted),
+        "similarity_vs_first": metrics.similarity(base, record.answer),
+    } for record in records]
+
+
+def _outcome(rows):
+    try:
+        return rows()
+    except AutoRecipeError as exc:
+        return str(exc)
+
+
+_ANSWER = st.lists(st.sampled_from(["motor", "Motor", "stator", "rotor", "é", "ß", "  ", ".",
+                                    "\u2019s", "x2", "_"]), max_size=8).map(" ".join)
+
+
+@given(answers=st.lists(_ANSWER, min_size=1, max_size=5), weighted=st.booleans())
+def test_iteration_metrics_rows_equal_the_row_by_row_formula(answers, weighted):
+    records = [IterationRecord(n, QUESTION, answer, 60.0, True)
+               for n, answer in enumerate(answers, start=1)]
+    expected = _outcome(lambda: _rows_one_by_one(records, weighted))
+    tokenized = []
+    real_tokenize = metrics.tokenize
+
+    def tokenize(text):
+        tokenized.append(text)
+        return real_tokenize(text)
+
+    with mock.patch.object(metrics, "tokenize", tokenize):
+        assert _outcome(lambda: iteration_metrics(records, weighted)) == expected
+    # Each answer is tokenized once, the round-1 answer included.
+    assert tokenized == answers
 

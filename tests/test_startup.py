@@ -324,3 +324,17 @@ def test_bulk_commands_load_only_their_own_stages(tmp_path):
         assert not {"autorecipe.recipe", "autorecipe.scoring",
                     "autorecipe.references"} & set(loaded[name])
     assert "yaml" not in loaded["metrics"]
+
+
+def test_scripted_and_replayed_generate_leave_metrics_unloaded(tmp_path):
+    argv = dict(_commands(tmp_path)[0])
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for name in ("generate --script --record", "generate --replay"):
+        proc = subprocess.run([sys.executable, "-c", LOADED, *argv[name]], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, name
+        assert "autorecipe.refinement" in loaded, name
+        assert "autorecipe.metrics" not in loaded, name

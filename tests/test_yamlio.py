@@ -144,10 +144,10 @@ def _fixture_documents() -> list[str]:
         presets.ASSET_SUSTAINABILITY_TAXONOMY,
         serialize_sequence(generate_sequence_deterministic(health, goal)),
         yaml.safe_dump(
-            {"templates": [{"id": t.id,
-                            "role": "system" if t.id.endswith(".system") else "user",
-                            "body": t.body}
-                           for t in default_registry().templates.values()]},
+            {"templates": [{"id": template_id,
+                            "role": "system" if template_id.endswith(".system") else "user",
+                            "body": body}
+                           for template_id, body in default_registry().templates.items()]},
             sort_keys=False, allow_unicode=True,
         ),
         dump_yaml(_indicator_to_mapping(default_indicator_config(sensors))),
