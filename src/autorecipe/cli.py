@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import (
@@ -166,8 +167,9 @@ class _RefinementFailed(Exception):
 def _describe_and_execute(args, seq, gateway, registry):
     """The knowledge document, from refinement and execution run as two chains.
 
-    Refinement runs only when no description is given.  An execution turn
-    waits for the refined description only when its text holds it, so with
+    A given description runs execution alone, on the plan materialized
+    with it.  Otherwise refinement runs first, and an execution turn waits
+    for the refined description only when its text holds it, so with
     ``max_parallel`` of 2 or more the turns before the first such one
     overlap refinement.  With one worker the chains run one after the other
     on this thread, in the order of a sequential run.  A run that succeeds
@@ -186,13 +188,19 @@ def _describe_and_execute(args, seq, gateway, registry):
     from .references import _map_in_order
     from .refinement import refine
 
+    role = registry.role("domain-expert")
+    if args.asset_description:
+        bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
+                       args.asset_description)
+        doc, _transcript = _stage("execute", execute, bound, args.strategy, role, gateway,
+                                  registry=registry)
+        return doc
+
     settled = threading.Event()  # refinement has answered or failed
-    description = args.asset_description  # empty until there is one
-    if description:
-        settled.set()
+    described = None  # the plan with the refined description bound, once there is one
 
     def refinement() -> None:
-        nonlocal description
+        nonlocal described
         try:
             question = instantiate(
                 registry, "refinement.initial", {"asset_class": args.asset_class}
@@ -211,40 +219,32 @@ def _describe_and_execute(args, seq, gateway, registry):
                 raise StageError(
                     "refine", ValueError("no accepted answer to use as the asset description")
                 )
-            description = result.final_answer
+            # The stand-in materialization passed these checks with a value
+            # that is not blank, and neither is the answer: this cannot fail.
+            described = materialize_sequence(seq, args.asset_class, result.final_answer)
         finally:
             settled.set()
 
-    full = None  # the sequence with the description bound, once built
-
     def late(step):
-        nonlocal full
-        if settled.is_set() and not description:
+        waits = "asset_description" in seq.steps[step.index - 1].placeholders
+        if waits:
+            settled.wait()
+        if settled.is_set() and described is None:
             raise _RefinementFailed()
-        if "asset_description" not in seq.steps[step.index - 1].placeholders:
-            return step
-        settled.wait()
-        if not description:
-            raise _RefinementFailed()
-        # The stand-in materialization passed these checks with a value that
-        # is not blank, and neither is the description: this cannot fail.
-        if full is None:
-            full = materialize_sequence(seq, args.asset_class, description)
-        return full.steps[step.index - 1]
+        return described.steps[step.index - 1] if waits else step
 
     # While refinement runs, a stand-in takes the description's place; it
-    # reaches no turn, as ``late`` swaps in the real step.
+    # reaches no turn, as ``late`` swaps in the described step.
     bound = _stage("materialize", materialize_sequence, seq, args.asset_class,
-                   description or _PENDING_DESCRIPTION)
+                   _PENDING_DESCRIPTION)
     _stage("execute", check_sequence, bound, args.strategy)
 
     def execution():
-        return _stage("execute", execute, bound, args.strategy, registry.role("domain-expert"),
-                      gateway, registry=registry, late=late)
+        return _stage("execute", execute, bound, args.strategy, role, gateway,
+                      registry=registry, late=late)
 
-    chains = [execution] if description else [refinement, execution]
-    *_, (doc, _transcript) = _map_in_order(
-        lambda chain: chain(), chains, getattr(gateway, "max_parallel", 1)
+    _, (doc, _transcript) = _map_in_order(
+        lambda chain: chain(), [refinement, execution], getattr(gateway, "max_parallel", 1)
     )
     return doc
 
@@ -365,6 +365,8 @@ def cmd_metrics(args) -> int:
     base = profiles[0]
     lines = ["doc,tokens,unique,ttr,coverage_vs_first,similarity_vs_first"]
     for path, profile in zip(args.doc, profiles):
+        if not profile.total:
+            raise AutoRecipeError(f"{path} has no tokens: cannot compute its type-token ratio")
         lines.append(
             f"{path},{profile.total},{profile.unique},{type_token_ratio(profile):.6f},"
             f"{coverage(base, profile, weighted=args.weighted):.2f},"
@@ -413,6 +415,13 @@ def _threshold(value: str) -> float:
     if not (math.isfinite(threshold) and threshold <= 100.0):
         raise argparse.ArgumentTypeError(f"must be a finite number at most 100, got {value!r}")
     return threshold
+
+
+def _not_empty(value: str) -> str:
+    """A path that must name something; an empty one would be the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
 
 
 def _at_least_one(value: str) -> int:
@@ -484,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="assets in the sample dataset, at least 1")
     generate.add_argument("--search-script", default="", help="scripted search results (YAML)")
     generate.add_argument("--nli-script", default="", help="scripted entailment verdicts (YAML)")
-    generate.add_argument("--out", required=True, help="bundle output directory")
+    generate.add_argument("--out", type=_not_empty, required=True, help="bundle output directory")
     generate.set_defaults(func=cmd_generate)
 
     score = sub.add_parser("score", help="score a dataset with the two configs")
@@ -526,8 +535,16 @@ def _exit_code(exc: BaseException) -> int:
     return EXIT_INTERNAL
 
 
+def _format_warning(message, *_where) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A warning prints as one line, without the source file and line that
+    # raised it.  Only the format changes: where warnings go, and which
+    # are shown, stays as the caller set it.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except Exception as exc:
@@ -535,6 +552,8 @@ def main(argv: list[str] | None = None) -> int:
         prefix = "internal error" if code == EXIT_INTERNAL else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Five strategies are supported: the last question alone (lastq), all
 questions in one turn (allq), the same with a chain-of-thought suffix
 (allqcot), a scripted reasoning scaffold (allqreact), and one guided
 turn per step (gitq).  Whatever the strategy, the final reply is split
-into a knowledge document of one to three labeled parts.
+into a knowledge document of one to three parts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .prompts import PromptRegistry, default_registry, fill
 
 __all__ = [
     "STRATEGIES",
-    "PART_LABELS",
     "ManualClock",
     "TranscriptMessage",
     "Transcript",
@@ -34,9 +33,6 @@ __all__ = [
     "render_knowledge",
     "execute",
 ]
-
-PART_LABELS = ("asset-description", "kpi-explanation", "measurement")
-
 
 class ManualClock:
     """Deterministic logical clock; default for scripted and replayed runs."""
@@ -71,7 +67,6 @@ class Transcript:
 
 @dataclass(frozen=True)
 class KnowledgePart:
-    label: str
     heading: str  # raw heading line including its newline; empty when headingless
     body: str
 
@@ -90,11 +85,11 @@ _HEADING_LINE = re.compile(r"^(?:#{1,2}\s+\S.*|(?:\*\*)?Part\s*[1-9]\d*\b.*)$", 
 
 
 def split_parts(text: str) -> KnowledgeDocument:
-    """Split reply markdown into at most three labeled parts.
+    """Split reply markdown into one to three parts.
 
     Boundaries are "Part N" marker lines or the first three H1/H2
     headings, in order of appearance.  Heading-free text becomes a
-    single asset-description part, with a warning.  The original text is
+    single part, with a warning.  The original text is
     reconstructable from preamble + parts.
     """
     if not text or not text.strip():
@@ -105,17 +100,12 @@ def split_parts(text: str) -> KnowledgeDocument:
     ][:3]
     if not boundaries:
         warnings.warn(NoPartsWarning("no part headings found; treating text as one part"))
-        return KnowledgeDocument(parts=(KnowledgePart(PART_LABELS[0], "", text),))
-    preamble = "".join(lines[: boundaries[0]])
-    parts = []
-    for n, start in enumerate(boundaries):
-        end = boundaries[n + 1] if n + 1 < len(boundaries) else len(lines)
-        parts.append(KnowledgePart(
-            label=PART_LABELS[n],
-            heading=lines[start],
-            body="".join(lines[start + 1 : end]),
-        ))
-    return KnowledgeDocument(parts=tuple(parts), preamble=preamble)
+        return KnowledgeDocument(parts=(KnowledgePart("", text),))
+    parts = tuple(
+        KnowledgePart(heading=lines[start], body="".join(lines[start + 1 : end]))
+        for start, end in zip(boundaries, boundaries[1:] + [len(lines)])
+    )
+    return KnowledgeDocument(parts=parts, preamble="".join(lines[: boundaries[0]]))
 
 
 def render_knowledge(kd: KnowledgeDocument) -> str:

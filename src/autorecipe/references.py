@@ -1,9 +1,9 @@
 """Citation pipeline for knowledge documents.
 
-Each document part becomes one passage.  Per passage the chat gateway
-produces short declarative claims, each claim is used as a web-search
-query, and an entailment client judges whether a fetched page backs the
-claim.  Entailed urls become the passage's citation list.
+Each document part's stripped body is one passage.  Per passage the chat
+gateway produces short declarative claims, each claim is used as a
+web-search query, and an entailment client judges whether a fetched page
+backs the claim.  Entailed urls become the passage's citation list.
 
 A search hit is entailed when it has no fetch error and one of its
 paragraphs entails the claim.  Paragraphs are judged in page order, and
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
@@ -24,7 +24,6 @@ from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry, instantiate
 
 __all__ = [
-    "Passage",
     "Claim",
     "SearchHit",
     "ReferenceCounts",
@@ -32,7 +31,6 @@ __all__ = [
     "ScriptedSearchClient",
     "ScriptedNliClient",
     "ConstantNliClient",
-    "segment",
     "generate_claims",
     "collect_evidence",
     "attach_references",
@@ -42,12 +40,6 @@ __all__ = [
 
 DEFAULT_CLAIMS_PER_PASSAGE = 3
 DEFAULT_MAX_RESULTS = 5
-
-
-@dataclass(frozen=True)
-class Passage:
-    id: int
-    body: str
 
 
 @dataclass(frozen=True)
@@ -153,16 +145,6 @@ class ConstantNliClient:
 
 # --- pipeline steps -----------------------------------------------------------
 
-def segment(kd: KnowledgeDocument) -> list[Passage]:
-    """One passage per document part, ids contiguous from 1."""
-    if not kd.parts:
-        raise AutoRecipeError("knowledge document has no parts to segment")
-    return [
-        Passage(id=i, body=part.body.strip())
-        for i, part in enumerate(kd.parts, start=1)
-    ]
-
-
 _LIST_PREFIX = re.compile(r"^\s*(?:[-*+]|\d+[.)]|claim\s*\d+\s*:)\s*", re.IGNORECASE)
 _MARKDOWN_NOISE = re.compile(r"[*_`#]+")
 _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
@@ -181,24 +163,24 @@ def _parse_claim_sentences(reply: str) -> list[str]:
 
 
 def generate_claims(
-    passage: Passage,
+    passage_id: int,
+    passage: str,
     gateway,
     k: int = DEFAULT_CLAIMS_PER_PASSAGE,
     registry: PromptRegistry | None = None,
 ) -> list[Claim]:
-    """Up to k single-sentence claims for one passage.
+    """Up to k single-sentence claims for one passage, the stripped body
+    of document part ``passage_id``.
 
     Emits a warning and returns fewer when the gateway reply yields
     fewer parseable sentences than requested.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not passage.body.strip():
-        raise AutoRecipeError(f"passage {passage.id} has an empty body; nothing to ask about")
+    if not passage.strip():
+        raise AutoRecipeError(f"passage {passage_id} has an empty body; nothing to ask about")
     registry = registry or default_registry()
-    prompt = instantiate(
-        registry, "claims.extract", {"claim_count": str(k), "passage": passage.body}
-    )
+    prompt = instantiate(registry, "claims.extract", {"claim_count": str(k), "passage": passage})
     system = registry.get(registry.role("domain-expert"))
     reply = gateway.complete([
         ChatMessage("system", system),
@@ -207,10 +189,10 @@ def generate_claims(
     sentences = _parse_claim_sentences(reply)[:k]
     if len(sentences) < k:
         warnings.warn(
-            f"passage {passage.id}: requested {k} claims but parsed {len(sentences)}",
+            f"passage {passage_id}: requested {k} claims but parsed {len(sentences)}",
             FewerClaimsWarning,
         )
-    return [Claim(passage_id=passage.id, statement=s) for s in sentences]
+    return [Claim(passage_id=passage_id, statement=s) for s in sentences]
 
 
 def _search(claim: Claim, search_client) -> list[SearchHit]:
@@ -236,7 +218,7 @@ def _entailed(claim: Claim, hit: SearchHit, nli_client) -> bool:
     )
 
 
-def _map_in_order(fn, items: list, workers: int) -> list:
+def _map_in_order(fn, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]`` on up to ``workers`` threads.
 
     With one worker, or one item, everything runs on the caller's thread.
@@ -314,21 +296,23 @@ def build_references(
     k: int = DEFAULT_CLAIMS_PER_PASSAGE,
     registry: PromptRegistry | None = None,
 ) -> CitedDocument:
-    """Full pipeline: segment, claim generation, search, entailment, attach.
+    """Full pipeline: claim generation, search, entailment, attach.
 
+    Passage ``i`` is the stripped body of part ``i``, counted from 1.
     Claim requests overlap up to the gateway's ``max_parallel``; a gateway
     without one is asked one passage at a time on the caller's thread.
     Claims keep passage order, and a failure raised is the first in
     passage order.  Search and entailment then run one claim at a time on
     the caller's thread.
     """
-    passages = segment(kd)
     registry = registry or default_registry()
 
-    def claims_for(passage: Passage) -> list[Claim]:
-        return generate_claims(passage, gateway, k=k, registry=registry)
+    def claims_for(passage_id: int) -> list[Claim]:
+        body = kd.parts[passage_id - 1].body.strip()
+        return generate_claims(passage_id, body, gateway, k=k, registry=registry)
 
-    batches = _map_in_order(claims_for, passages, getattr(gateway, "max_parallel", 1))
+    passage_ids = range(1, len(kd.parts) + 1)
+    batches = _map_in_order(claims_for, passage_ids, getattr(gateway, "max_parallel", 1))
     claims = [claim for batch in batches for claim in batch]
     evidence = collect_evidence(claims, search_client, nli_client)
     return attach_references(kd, claims, evidence)

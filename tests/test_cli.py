@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import yaml
 import pytest
 
+import autorecipe
 from autorecipe import presets
 from autorecipe.cli import build_parser, main
 from autorecipe.gateway import ScriptedGateway
@@ -220,6 +224,30 @@ def test_generate_with_explicit_description_skips_refinement(tax_file, tmp_path)
     assert (out_dir / DATASET_FILE).is_file()
 
 
+def test_a_given_description_is_bound_once_and_needs_no_hook(tax_file, tmp_path, monkeypatch,
+                                                              model_calls):
+    from autorecipe import execution, planning
+
+    plan = tmp_path / "plan.txt"
+    plan.write_text("Step 1: Here is a detailed explanation: ${asset_description}.\n"
+                    "Step 2: Export a markdown output as guidelines.\n"
+                    "Execution Order: Step 1 AND Step 2\n", encoding="utf-8")
+    script = _write_yaml(tmp_path / "script.yaml",
+                         {"strict": True, "replies": ["Interim guidance.", THREE_PART_DOC]})
+    materialized, executed = [], []
+    materialize, execute = planning.materialize_sequence, execution.execute
+    monkeypatch.setattr(planning, "materialize_sequence",
+                        lambda *a, **kw: materialized.append(a) or materialize(*a, **kw))
+    monkeypatch.setattr(execution, "execute",
+                        lambda *a, **kw: executed.append(kw) or execute(*a, **kw))
+    rc = main(_generate_args(tax_file, script, tmp_path / "bundle", extra=[
+        "--plan-text", str(plan), "--asset-description", "a fixed description"]))
+    assert rc == 0
+    assert [a[1:] for a in materialized] == [("electric motor", "a fixed description")]
+    assert [sorted(kw) for kw in executed] == [["registry"]]
+    assert model_calls[0][1].content == "Here is a detailed explanation: a fixed description."
+
+
 # The parser refuses a missing source before any file is read: no taxonomy is there.
 def test_generate_requires_a_gateway(tmp_path, capsys):
     argv = ["generate", "--taxonomy", str(tmp_path / "missing.yaml"), "--kpi", "asset health",
@@ -229,6 +257,16 @@ def test_generate_requires_a_gateway(tmp_path, capsys):
         "is required"
     )
     assert not (tmp_path / "bundle").exists()
+
+
+def test_generate_refuses_an_empty_out_before_reading_any_file(tmp_path, capsys):
+    argv = ["generate", "--taxonomy", str(tmp_path / "missing.yaml"), "--kpi", "asset health",
+            "--asset-class", "electric motor", "--script", str(tmp_path / "missing-script.yaml"),
+            "--out", ""]
+    assert _parse_error(argv, capsys) == (
+        "autorecipe generate: error: argument --out: must not be empty"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_refs_requires_a_gateway(tmp_path, capsys):
@@ -742,6 +780,17 @@ def test_metrics_weighted_flag(tmp_path, capsys):
     assert lines[2].split(",")[4] == "75.00"
 
 
+def test_metrics_names_the_document_without_tokens_and_writes_nothing(tmp_path, capsys):
+    doc, empty, out = tmp_path / "a.md", tmp_path / "e.md", tmp_path / "metrics.csv"
+    doc.write_text("Motors wear.\n", encoding="utf-8")
+    empty.write_text("--- * ---\n", encoding="utf-8")
+    rc = main(["metrics", "--doc", str(doc), "--doc", str(empty), "--out", str(out)])
+    assert (rc, capsys.readouterr()) == (
+        2, ("", f"error: {empty} has no tokens: cannot compute its type-token ratio\n")
+    )
+    assert not out.exists()
+
+
 # --- verify-refs --------------------------------------------------------------------
 
 def _reference_fixtures(tmp_path):
@@ -793,6 +842,29 @@ def test_verify_refs_prints_counts(tmp_path, capsys):
     assert output.endswith(f"\nwrote cited document to {out}\n")
     cited = out.read_text(encoding="utf-8")
     assert "References:\n1. https://ref1.example" in cited
+
+
+# pytest records a warning raised in its own process, so the line the CLI
+# prints shows only in a process of its own.
+def test_a_warning_prints_as_one_line_without_a_source_path(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("plain prose with no headings\n", encoding="utf-8")
+    script = _write_yaml(tmp_path / "claims.yaml",
+                         {"strict": True, "replies": ["1. Plain prose is short."]})
+    search = _write_yaml(tmp_path / "search.yaml", {"strict": False, "queries": {}})
+    nli = _write_yaml(tmp_path / "nli.yaml", {"pairs": []})
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "autorecipe.cli", "verify-refs", "--doc", str(doc),
+         "--script", script, "--search-script", search, "--nli-script", nli],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, (
+        "warning: no part headings found; treating text as one part\n"
+        "warning: passage 1: requested 3 claims but parsed 1\n"
+    ))
 
 
 def test_verify_refs_search_miss_is_gateway_error(tmp_path, capsys):
@@ -1176,7 +1248,7 @@ def _replies(*replies) -> str:
      "beyond tolerance"),
     ({"doc": "--- * ---\n", "other": "Motors wear.\n"},
      ["metrics", "--doc", "{doc}", "--doc", "{other}"], 2,
-     "error: cannot compute type-token ratio of a token-free text"),
+     "error: {tmp}/doc.input has no tokens: cannot compute its type-token ratio"),
     ({"doc": " \n", "script": _replies(), "search": "queries: {}\n", "nli": "pairs: []\n"},
      _VERIFY, 2, "error: knowledge text is empty"),
     ({"doc": "## Part 1: Intro\n## Part 2: Quality\nMotors wear.\n",

@@ -97,3 +97,52 @@ def test_harness_passes_only_keywords_the_program_takes():
     assert {("generate_sequence_deterministic", "registry"), ("resolve_code_steps", "registry"),
             ("execute", "registry"), ("execute", "clock"), ("ScriptedGateway", "replies"),
             ("GatewayConfig", "endpoint"), ("GatewayConfig", "max_parallel")} <= passed
+
+
+def test_every_span_hook_reads_a_real_call(harness, three_part_doc):
+    """Each hook the tracer declares turns the arguments and result of a real
+    call, made as the program makes it, into the counts its span keeps."""
+    from autorecipe import planning, presets, recipe, references, refinement, scoring, taxonomy
+    from autorecipe.execution import split_parts
+    from autorecipe.gateway import ScriptedGateway
+
+    trace_run = harness("trace_run")
+    hooked = ({f"{module}.{attr}" for module, attr, hook in trace_run.FUNCTIONS if hook}
+              | {name for *_, name, hook in trace_run.METHODS if hook})
+    claims = ["Motors convert energy.", "Scores summarize condition.", "Sensors measure wear."]
+    hits = {claim: [references.SearchHit(f"https://ref{i}.example", text="Backing text.")]
+            for i, claim in enumerate(claims)}
+    hits[claims[1]] = [references.SearchHit("https://ref1.example", error="timeout")]
+    tracer = trace_run.Tracer()
+    tracer.install()
+    try:
+        tax = taxonomy.parse_taxonomy(presets.ASSET_HEALTH_TAXONOMY)
+        seq = planning.generate_sequence_deterministic(tax, Goal("asset health", "asset profile"))
+        planning.resolve_code_steps(seq, tax)
+        answer = "A motor.\nConfidence: 90%"
+        refinement.refine(ScriptedGateway(replies=[answer, answer]), "refinement.system",
+                          "Describe the asset.", max_rounds=5)
+        references.build_references(
+            split_parts(three_part_doc), ScriptedGateway(replies=[f"1. {c}" for c in claims]),
+            references.ScriptedSearchClient(hits), references.ConstantNliClient(True), k=1,
+        )
+        indicator = recipe.default_indicator_config(["age", "operating hours"])
+        estimator = scoring.HealthScoreEstimator().fit(
+            indicator, recipe.default_aggregation_config(["age", "operating hours"]))
+        estimator.predict(recipe.generate_synthetic(indicator, 4, 0))
+    finally:
+        tracer.restore()
+    span_fields = {"name", "run", "parent", "thread", "id", "start", "end"}
+    counts = {}
+    for span in tracer.spans:
+        kept = {key: value for key, value in span.items() if key not in span_fields}
+        if kept:
+            counts.setdefault(span["name"], []).append(kept)
+    assert counts == {
+        "taxonomy.parse_taxonomy": [{"count": 17}],
+        "planning.resolve_code_steps": [{"count": 8}],
+        "refinement.refine": [{"count": 2}],
+        "references.attach_references": [{"identified": 3, "validated": 2}],
+        "scoring.predict": [{"count": 8}],
+    }
+    assert set(counts) == hooked

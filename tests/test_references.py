@@ -19,11 +19,11 @@ from autorecipe.errors import (
 )
 from autorecipe.execution import KnowledgeDocument, KnowledgePart, split_parts
 from autorecipe.gateway import RecordingGateway, ScriptedGateway, session_key
+from autorecipe.prompts import instantiate
 from autorecipe.references import (
     DEFAULT_MAX_RESULTS,
     Claim,
     ConstantNliClient,
-    Passage,
     ScriptedNliClient,
     ScriptedSearchClient,
     SearchHit,
@@ -32,7 +32,6 @@ from autorecipe.references import (
     collect_evidence,
     generate_claims,
     render_cited,
-    segment,
 )
 
 
@@ -74,24 +73,7 @@ class _JudgeRecorder:
         return self.inner.judge(premise, hypothesis)
 
 
-def _passage(body: str = "An electric motor converts energy.") -> Passage:
-    return Passage(id=1, body=body)
-
-
-# --- segmentation ---------------------------------------------------------------
-
-def test_segment_assigns_contiguous_ids(three_part_doc):
-    document = split_parts(three_part_doc)
-    passages = segment(document)
-    assert [p.id for p in passages] == [1, 2, 3]
-    assert [p.body for p in passages] == [part.body.strip() for part in document.parts]
-    assert passages[0].body.startswith("An electric motor")
-    assert passages[0].body == passages[0].body.strip()
-
-
-def test_segment_rejects_empty_document():
-    with pytest.raises(AutoRecipeError, match="^knowledge document has no parts to segment$"):
-        segment(KnowledgeDocument(parts=()))
+PASSAGE = "An electric motor converts energy."
 
 
 # --- claim generation --------------------------------------------------------------
@@ -102,7 +84,7 @@ def test_generate_claims_numbered_list(registry):
         "2. Gearboxes multiply rotor speed.\n"
         "3. Generators output alternating current.\n"
     )
-    claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
+    claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
     assert [c.statement for c in claims] == [
         "Wind turbines convert wind into electricity.",
         "Gearboxes multiply rotor speed.",
@@ -117,7 +99,7 @@ def test_generate_claims_strips_bullets_and_markdown(registry):
         "2) Gears transfer torque.\n"
         "Claim 3: **Bearings** degrade over time.\n"
     )
-    claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
+    claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
     assert [c.statement for c in claims] == [
         "The rotor converts wind energy.",
         "Gears transfer torque.",
@@ -127,7 +109,7 @@ def test_generate_claims_strips_bullets_and_markdown(registry):
 
 def test_generate_claims_splits_single_paragraph(registry):
     reply = "The hub holds blades. The tower supports the nacelle. The generator makes power."
-    claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
+    claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
     assert [c.statement for c in claims] == [
         "The hub holds blades.",
         "The tower supports the nacelle.",
@@ -138,20 +120,20 @@ def test_generate_claims_splits_single_paragraph(registry):
 def test_generate_claims_warns_when_fewer_parse(registry):
     reply = "Only one full sentence here.\nno trailing period on this line"
     with pytest.warns(FewerClaimsWarning):
-        claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
+        claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
     assert len(claims) == 1
 
 
 def test_generate_claims_truncates_to_k(registry):
     reply = "\n".join(f"{i}. Sentence number {i} is true." for i in range(1, 6))
-    claims = generate_claims(_passage(), _Recorder([reply]), k=3, registry=registry)
+    claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
     assert len(claims) == 3
 
 
 def test_generate_claims_prompt_contents(registry):
     gateway = _Recorder(["1. Something is true."])
     with pytest.warns(FewerClaimsWarning):
-        generate_claims(_passage("The stator stays put."), gateway, k=2, registry=registry)
+        generate_claims(1, "The stator stays put.", gateway, k=2, registry=registry)
     session = gateway.sessions[0]
     assert session[0].role == "system"
     assert session[0].content == registry.get(registry.role("domain-expert"))
@@ -161,9 +143,9 @@ def test_generate_claims_prompt_contents(registry):
 
 def test_generate_claims_argument_validation(registry):
     with pytest.raises(ValueError):
-        generate_claims(_passage(), _Recorder([]), k=0, registry=registry)
+        generate_claims(1, PASSAGE, _Recorder([]), k=0, registry=registry)
     with pytest.raises(AutoRecipeError, match="^passage 1 has an empty body; nothing to ask about"):
-        generate_claims(_passage("   "), _Recorder([]), registry=registry)
+        generate_claims(1, "   ", _Recorder([]), registry=registry)
 
 
 # --- search ---------------------------------------------------------------------------
@@ -487,6 +469,21 @@ def test_build_references_end_to_end(three_part_doc):
     assert cited.document is kd
 
 
+def test_build_references_asks_about_each_part_in_order(three_part_doc, registry):
+    kd = split_parts(three_part_doc)
+    gateway = _Recorder([f"1. Claim {i}." for i in (1, 2, 3)])
+    cited = build_references(kd, gateway, ScriptedSearchClient({}, strict=False),
+                             ConstantNliClient(True), k=1, registry=registry)
+    bodies = [part.body.strip() for part in kd.parts]
+    assert bodies[0].startswith("An electric motor")
+    # Claim request i carries part i's stripped body, and its claims count for part i.
+    assert [session[1].content for session in gateway.sessions] == [
+        instantiate(registry, "claims.extract", {"claim_count": "1", "passage": body})
+        for body in bodies
+    ]
+    assert cited.counts.claims == (1, 1, 1)
+
+
 def test_build_references_replay_is_stable(three_part_doc):
     kd, replies, results = _pipeline_fixture(three_part_doc)
     outcomes = []
@@ -514,7 +511,7 @@ class _ParallelGateway:
 
     def __init__(self, kd, max_parallel, order=(), fail=None):
         self.max_parallel = max_parallel
-        self.bodies = [p.body for p in segment(kd)]
+        self.bodies = [part.body.strip() for part in kd.parts]
         self.after = dict(zip(order[1:], order))
         self.fail = fail or {}
         self.finished = {i: threading.Event() for i in range(1, len(self.bodies) + 1)}
@@ -597,7 +594,7 @@ def test_recorded_concurrent_claim_requests_lose_no_record(tmp_path):
     """Many overlapping claim requests through a recording gateway, with frequent thread switches."""
     parts = 24
     kd = KnowledgeDocument(parts=tuple(
-        KnowledgePart(f"part-{i}", f"## Part {i}\n", f"Body of part {i}.\n")
+        KnowledgePart(f"## Part {i}\n", f"Body of part {i}.\n")
         for i in range(1, parts + 1)
     ))
     store = tmp_path / "store.jsonl"
@@ -619,8 +616,8 @@ def test_recorded_concurrent_claim_requests_lose_no_record(tmp_path):
 def test_scripted_gateway_sees_claim_sessions_in_passage_order(three_part_doc, registry):
     kd, replies, results = _pipeline_fixture(three_part_doc)
     expected = _Recorder(list(replies))
-    for passage in segment(kd):
-        generate_claims(passage, expected, k=2, registry=registry)
+    for passage_id, part in enumerate(kd.parts, start=1):
+        generate_claims(passage_id, part.body.strip(), expected, k=2, registry=registry)
     gateway = ScriptedGateway(replies=list(replies))
     caller = threading.get_ident()
     threads = []
