@@ -2,8 +2,8 @@
 
 The package turns a KPI taxonomy plus an asset class into a reviewed
 "solution recipe": a knowledge document with citations, health indicator
-and aggregation configs, a sample dataset, a scoring model descriptor and
-a wrapper manifest.  Every model-facing stage runs against a pluggable
+and aggregation configs, a sample dataset and a wrapper manifest that
+names the scoring model.  Every model-facing stage runs against a pluggable
 chat gateway so the whole pipeline is replayable offline.
 """
 

@@ -1,9 +1,10 @@
 """Exception and warning types shared across the package.
 
-A class exists here only where some code tells it apart: a caller
-catches it, or its constructor formats data.  Every other failure is a
+An error class exists here only where code catches it, or where the
+retry rule selects it (``TransportError``).  Every other failure is a
 plain ``AutoRecipeError``, and its message, not its class, names what
-went wrong.  The CLI maps the families to exit codes: ``GatewayError``
+went wrong.  A warning's class is its category, by which a filter
+selects it.  The CLI maps the families to exit codes: ``GatewayError``
 (``TransportError`` included) and ``SearchClientError`` exit 3; every
 other ``AutoRecipeError`` exits 2; a ``StageError`` exits as the failure
 it wraps.
@@ -20,25 +21,6 @@ class ValidationFailedError(AutoRecipeError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("validation failed:\n" + "\n".join(f"- {v}" for v in self.violations))
-
-
-class CycleDetectedError(AutoRecipeError):
-    def __init__(self, cycle: list[str]):
-        self.cycle = list(cycle)
-        super().__init__("cycle detected: " + " -> ".join(self.cycle))
-
-
-class MultipleRootsError(AutoRecipeError):
-    def __init__(self, roots: list[str]):
-        self.roots = list(roots)
-        super().__init__("multiple root candidates: " + ", ".join(self.roots))
-
-
-class MissingBindingError(AutoRecipeError):
-    def __init__(self, names: set[str], context: str = ""):
-        self.names = set(names)
-        where = f" in {context}" if context else ""
-        super().__init__(f"missing bindings{where}: " + ", ".join(sorted(self.names)))
 
 
 class GatewayError(AutoRecipeError):

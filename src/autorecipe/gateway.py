@@ -303,7 +303,6 @@ class ReplayGateway:
     """Serves recorded replies only; an unknown session is an error, never a guess."""
 
     def __init__(self, path: str):
-        self.path = path
         self._replies: dict[str, str] = {}
         # Line by line: a reply may hold U+2028, where str.splitlines would cut it.
         try:

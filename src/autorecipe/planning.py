@@ -530,8 +530,8 @@ def materialize_sequence(
     """Fill the asset slots in every step; empty values count as missing.
 
     Each step's plan text goes through ``prompts.fill``, so a slot with no
-    value raises MissingBindingError naming the step, and ``${...}`` inside
-    a value is never read as a placeholder, here or later.
+    value raises AutoRecipeError naming the step and the slot, and
+    ``${...}`` inside a value is never read as a placeholder, here or later.
     """
     if not asset_class or not asset_class.strip():
         raise ValueError("materialization needs a non-empty asset class")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import presets
-from .errors import AutoRecipeError, MissingBindingError, UnknownPlaceholderWarning
+from .errors import AutoRecipeError, UnknownPlaceholderWarning
 
 __all__ = [
     "PromptRegistry",
@@ -41,11 +41,11 @@ def fill_partial(text: str, bindings: Mapping[str, str]) -> str:
 
 def fill(text: str, bindings: Mapping[str, str], context: str) -> str:
     """Fill every slot with its value, verbatim and in one pass, so ``${...}``
-    in a value is never read.  A slot with no value raises MissingBindingError
-    naming ``context``."""
+    in a value is never read.  Slots with no value raise AutoRecipeError
+    naming ``context`` and the slots (``missing bindings in step 1: foo``)."""
     missing = placeholders(text) - bindings.keys()
     if missing:
-        raise MissingBindingError(missing, context=context)
+        raise AutoRecipeError(f"missing bindings in {context}: " + ", ".join(sorted(missing)))
     return _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], text)
 
 

@@ -24,7 +24,6 @@ from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry, instantiate
 
 __all__ = [
-    "Claim",
     "SearchHit",
     "ReferenceCounts",
     "CitedDocument",
@@ -40,12 +39,6 @@ __all__ = [
 
 DEFAULT_CLAIMS_PER_PASSAGE = 3
 DEFAULT_MAX_RESULTS = 5
-
-
-@dataclass(frozen=True)
-class Claim:
-    passage_id: int
-    statement: str
 
 
 @dataclass(frozen=True)
@@ -168,9 +161,10 @@ def generate_claims(
     gateway,
     k: int = DEFAULT_CLAIMS_PER_PASSAGE,
     registry: PromptRegistry | None = None,
-) -> list[Claim]:
+) -> list[tuple[int, str]]:
     """Up to k single-sentence claims for one passage, the stripped body
-    of document part ``passage_id``.
+    of document part ``passage_id``, each a ``(passage_id, statement)``
+    tuple.
 
     Emits a warning and returns fewer when the gateway reply yields
     fewer parseable sentences than requested.
@@ -192,16 +186,16 @@ def generate_claims(
             f"passage {passage_id}: requested {k} claims but parsed {len(sentences)}",
             FewerClaimsWarning,
         )
-    return [Claim(passage_id=passage_id, statement=s) for s in sentences]
+    return [(passage_id, s) for s in sentences]
 
 
-def _search(claim: Claim, search_client) -> list[SearchHit]:
+def _search(statement: str, search_client) -> list[SearchHit]:
     try:
-        hits = search_client.search(claim.statement, DEFAULT_MAX_RESULTS)
+        hits = search_client.search(statement, DEFAULT_MAX_RESULTS)
     except SearchClientError:
         raise
     except Exception as exc:
-        raise SearchClientError(f"search provider failed for {claim.statement!r}: {exc}") from exc
+        raise SearchClientError(f"search provider failed for {statement!r}: {exc}") from exc
     return hits[:DEFAULT_MAX_RESULTS]
 
 
@@ -210,11 +204,11 @@ def _paragraphs(text: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _entailed(claim: Claim, hit: SearchHit, nli_client) -> bool:
+def _entailed(statement: str, hit: SearchHit, nli_client) -> bool:
     """Premise a paragraph of the page, hypothesis the claim; a fetch error
     is judged not at all."""
     return not hit.error and any(
-        nli_client.judge(paragraph, claim.statement) for paragraph in _paragraphs(hit.text)
+        nli_client.judge(paragraph, statement) for paragraph in _paragraphs(hit.text)
     )
 
 
@@ -237,27 +231,29 @@ def _map_in_order(fn, items: Sequence, workers: int) -> list:
 
 
 def collect_evidence(
-    claims: Iterable[Claim], search_client, nli_client
+    claims: Iterable[tuple[int, str]], search_client, nli_client
 ) -> list[tuple[int, str, bool]]:
-    """Search and judge every claim on the caller's thread: one
-    ``(passage_id, url, entailed)`` per search hit, in claim order and,
-    within a claim, in hit order."""
+    """Search and judge every ``(passage_id, statement)`` claim on the
+    caller's thread: one ``(passage_id, url, entailed)`` per search hit, in
+    claim order and, within a claim, in hit order."""
     return [
-        (claim.passage_id, hit.url, _entailed(claim, hit, nli_client))
-        for claim in claims
-        for hit in _search(claim, search_client)
+        (passage_id, hit.url, _entailed(statement, hit, nli_client))
+        for passage_id, statement in claims
+        for hit in _search(statement, search_client)
     ]
 
 
 def attach_references(
-    kd: KnowledgeDocument, claims: Iterable[Claim], evidence: Iterable[tuple[int, str, bool]]
+    kd: KnowledgeDocument,
+    claims: Iterable[tuple[int, str]],
+    evidence: Iterable[tuple[int, str, bool]],
 ) -> CitedDocument:
-    """Unique entailed urls per passage, in discovery order; ``evidence``
-    holds ``collect_evidence``'s tuples."""
+    """Unique entailed urls per passage, in discovery order; ``claims`` and
+    ``evidence`` hold ``generate_claims``'s and ``collect_evidence``'s tuples."""
     n = len(kd.parts)
     claims_per_part = [0] * n
-    for claim in claims:
-        claims_per_part[claim.passage_id - 1] += 1
+    for passage_id, _ in claims:
+        claims_per_part[passage_id - 1] += 1
     cited: list[list[str]] = [[] for _ in range(n)]
     identified: list[set[str]] = [set() for _ in range(n)]
     for passage_id, url, entailed in evidence:
@@ -299,7 +295,7 @@ def build_references(
     """Full pipeline: claim generation, search, entailment, attach.
 
     Passage ``i`` is the stripped body of part ``i``, counted from 1.
-    Claim requests overlap up to the gateway's ``max_parallel``; a gateway
+    The claim requests overlap up to the gateway's ``max_parallel``; a gateway
     without one is asked one passage at a time on the caller's thread.
     Claims keep passage order, and a failure raised is the first in
     passage order.  Search and entailment then run one claim at a time on
@@ -307,7 +303,7 @@ def build_references(
     """
     registry = registry or default_registry()
 
-    def claims_for(passage_id: int) -> list[Claim]:
+    def claims_for(passage_id: int) -> list[tuple[int, str]]:
         body = kd.parts[passage_id - 1].body.strip()
         return generate_claims(passage_id, body, gateway, k=k, registry=registry)
 

@@ -29,7 +29,6 @@ __all__ = [
     "HealthIndicatorConfig",
     "AggregationConfig",
     "HealthScore",
-    "categorize",
     "weighted_score",
     "ahp_weights",
     "consistency_ratio",
@@ -167,7 +166,8 @@ def validate_aggregation_config(cfg: AggregationConfig, sensor_names: tuple[str,
                     _check_pairwise(np.asarray(cfg.pairwise, dtype=float))
                 except (AutoRecipeError, ValueError) as exc:
                     violations.append(str(exc))
-            if set(cfg.sensors) != set(sensor_names):
+            # A repeated name would keep only one of its weights.
+            if len(set(cfg.sensors)) != len(cfg.sensors) or set(cfg.sensors) != set(sensor_names):
                 violations.append("ahp sensor order must match the configured sensors")
     else:
         violations.append(f"unknown aggregation method {cfg.method!r}")
@@ -175,10 +175,12 @@ def validate_aggregation_config(cfg: AggregationConfig, sensor_names: tuple[str,
 
 
 def _category_finder(sensor: SensorConfig):
-    """``categorize`` for one sensor with its range edges worked out once.
+    """The sensor's category rule, with its range edges worked out once.
 
-    The returned function maps a value to its category, or to None when
-    the value lies outside every range.
+    The returned function maps a value to the category whose range holds
+    it, or to None when the value lies outside every range.  Ranges are
+    lower-inclusive and upper-exclusive, except the topmost, whose upper
+    bound is included.
     """
     top = max(high for _, high in sensor.ranges.values())
     ranges = tuple(
@@ -192,23 +194,6 @@ def _category_finder(sensor: SensorConfig):
         return None
 
     return find
-
-
-def _out_of_domain_message(value: float, sensor: SensorConfig) -> str:
-    lo, hi = sensor.domain
-    return f"value {value!r} is outside the configured domain [{lo}, {hi}] of {sensor.name!r}"
-
-
-def categorize(value: float, sensor: SensorConfig) -> str:
-    """Category whose range contains the value.
-
-    Ranges are lower-inclusive, upper-exclusive, except the topmost
-    range whose upper bound is included.
-    """
-    category = _category_finder(sensor)(value)
-    if category is None:
-        raise AutoRecipeError(_out_of_domain_message(value, sensor))
-    return category
 
 
 def parse_rfc3339(timestamp: str) -> datetime:
@@ -275,7 +260,11 @@ def _scan_dataset(
             continue
         category = find(value)
         if category is None:
-            violations.append(f"row {i}: {_out_of_domain_message(value, sensor)}")
+            lo, hi = sensor.domain
+            violations.append(
+                f"row {i}: value {value!r} is outside the configured domain [{lo}, {hi}] "
+                f"of {sensor.name!r}"
+            )
         key = (asset_id, sensor_name)
         current = latest.get(key)
         if current is None or moment > current[0]:

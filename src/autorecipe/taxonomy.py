@@ -19,7 +19,7 @@ import gc
 from dataclasses import dataclass, field
 
 from ._yamlio import TEXT, ListOf, Record, load_checked
-from .errors import AutoRecipeError, CycleDetectedError, MultipleRootsError
+from .errors import AutoRecipeError
 
 __all__ = [
     "TaxonNode",
@@ -59,7 +59,8 @@ def normalize_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class TaxonNode:
-    id: str
+    """A node's display label and kind; its id is its key in ``Taxonomy.nodes``."""
+
     label: str
     kind: str  # kpi-root | factor | measurement
 
@@ -107,10 +108,11 @@ def _require_field(record: dict, key: str, position: int) -> str:
 def parse_taxonomy(text: str) -> Taxonomy:
     """Parse and validate a taxonomy document.
 
-    Raises CycleDetectedError naming one cycle, MultipleRootsError when
-    more than one node lacks an incoming edge, ValidationFailedError for a
-    document of the wrong shape, and AutoRecipeError for blank or
-    root-less documents and incomplete edge records.
+    Raises ValidationFailedError for a document of the wrong shape, and
+    AutoRecipeError for a blank or root-less document, an incomplete edge
+    record, a cycle (``cycle detected: b -> c -> b``, naming one) and more
+    than one node without an incoming edge (``multiple root candidates:
+    a, x``, the kpi root first).
     """
     if not text or not text.strip():
         raise AutoRecipeError("taxonomy document is empty")
@@ -152,10 +154,10 @@ def parse_taxonomy(text: str) -> Taxonomy:
     # one; so when the root is the only such node, every node reaches it.
     extra = [labels[nid] for nid in labels if not parents[nid] and nid != root]
     if extra:
-        raise MultipleRootsError([root_label] + extra)
+        raise AutoRecipeError("multiple root candidates: " + ", ".join([root_label] + extra))
 
     nodes = {
-        nid: TaxonNode(nid, label, "kpi-root" if nid == root
+        nid: TaxonNode(label, "kpi-root" if nid == root
                        else "measurement" if nid in measured and not children[nid]
                        else "factor")
         for nid, label in labels.items()
@@ -186,7 +188,7 @@ def _reject_cycles(labels, children, parents) -> None:
         node = next(p for p in parents[node] if p in residual)
     cycle = seen[seen.index(node):] + [node]
     cycle.reverse()  # report in parent -> child direction
-    raise CycleDetectedError([labels[nid] for nid in cycle])
+    raise AutoRecipeError("cycle detected: " + " -> ".join(labels[nid] for nid in cycle))
 
 
 def render_statements(tax: Taxonomy) -> list[str]:

@@ -1289,6 +1289,25 @@ def _replies(*replies) -> str:
      "error: backoff_seconds must be >= 0"),
     ({"gateway": _GATEWAY + "temperature: .nan\n"}, _GATEWAY_PLAN, 2,
      "error: temperature must be finite"),
+    ({"tax": "kpi: a\nedges:\n  - {parent: a, relation: has, child: b}\n"
+             "  - {parent: b, relation: has, child: c}\n"
+             "  - {parent: c, relation: has, child: b}\n"}, _PLAN, 2,
+     "error: cycle detected: b -> c -> b"),
+    ({"tax": "kpi: a\nedges:\n  - {parent: a, relation: has, child: b}\n"
+             "  - {parent: x, relation: has, child: b}\n"}, _PLAN, 2,
+     "error: multiple root candidates: a, x"),
+    ({"script": _replies(), "plan": "Step 1: Which site runs the ${foo}?\n"
+                                    "Step 2: Export a markdown output as guidelines.\n"
+                                    "Execution Order: Step 1 AND Step 2\n"},
+     [*_GENERATE, "--plan-text", "{plan}"], 2,
+     "error: stage materialize: missing bindings in step 1: foo"),
+    # The repeated name kept one of its two weights, so this once scored
+    # 66.666667 where [a, b] scores 100, and exited 0.
+    ({**_SCORE_FILES, "aggregation": _AHP.replace("[a, b]", "[a, a, b]")
+      + "[[1, 1, 1], [1, 1, 1], [1, 1, 1]]\n",
+      "dataset": "asset_id,sensor_name,value,timestamp,unit\n"
+                 "x,a,90,2024-01-01T00:00:00Z,percent\nx,b,90,2024-01-01T00:00:00Z,percent\n"},
+     _SCORE, 2, "error: validation failed:\n- ahp sensor order must match the configured sensors"),
 ], ids=["empty-taxonomy", "edges-not-a-list", "dangling-edge", "kpi-not-text",
         "edge-not-a-record", "parent-not-text", "relation-not-text", "unknown-target",
         "plan-without-steps", "plan-without-order", "unbalanced-order", "non-contiguous-steps",
@@ -1300,7 +1319,8 @@ def _replies(*replies) -> str:
         "heading-only-part", "record-without-source", "bad-nli-script-before-model-calls",
         "latin-1-taxonomy", "latin-1-plan-text", "latin-1-store", "latin-1-dataset",
         "latin-1-doc", "oversized-csv-field", "huge-integer-in-store", "infinite-timeout",
-        "nan-timeout", "infinite-backoff", "negative-backoff", "nan-temperature"])
+        "nan-timeout", "infinite-backoff", "negative-backoff", "nan-temperature",
+        "cyclic-taxonomy", "two-roots", "missing-binding", "ahp-sensor-named-twice"])
 def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys):
     paths = {"tax": str(tmp_path / "tax.yaml"), "out": str(tmp_path / "bundle"),
              "store": str(tmp_path / "store.jsonl")}

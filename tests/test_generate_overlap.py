@@ -18,6 +18,8 @@ import random
 import tempfile
 import threading
 import time
+import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from autorecipe import cli, presets
 from autorecipe.cli import main
-from autorecipe.errors import GatewayError
+from autorecipe.errors import GatewayError, UnknownPlaceholderWarning
 from autorecipe.execution import STRATEGIES, execute
 from autorecipe.gateway import ScriptedGateway, session_key
 from autorecipe.planning import (
@@ -109,16 +111,30 @@ class _ConcurrentStore:
                 if what == "start" and chain == "execute" and ends and n > ends[-1]]
 
 
-def _run(argv, gateway=None) -> tuple[int, str]:
-    """Exit code and stderr of one command; ``gateway`` replaces the one argv names."""
+def _run_warned(argv, gateway=None) -> tuple[int, str, Counter]:
+    """Exit code and stderr of one command, and how often it raised each
+    ``(category, message)`` warning; ``gateway`` replaces the one argv names.
+
+    Under pytest a warning is recorded, not printed, so stderr never holds
+    it; it is counted here instead, from whichever thread raised it.
+    """
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # The suite's rule, which "always" would set aside.
+        warnings.filterwarnings("error", category=UnknownPlaceholderWarning)
         if gateway is None:
             code = main(argv)
         else:
             with mock.patch.object(cli, "_build_gateway", lambda args: gateway):
                 code = main(argv)
-    return code, stderr.getvalue()
+    return code, stderr.getvalue(), Counter((w.category, str(w.message)) for w in caught)
+
+
+def _run(argv, gateway=None) -> tuple[int, str]:
+    """Exit code and stderr of one command; ``gateway`` replaces the one argv names."""
+    return _run_warned(argv, gateway)[:2]
 
 
 def _bundle(out: Path) -> dict[str, bytes]:
@@ -220,8 +236,8 @@ def test_overlapped_generate_matches_the_sequential_run(plan, strategy, refineme
             argv += ["--plan-text", str(tmp / "plan.txt")]
 
         # The sequential run: the scripted reply queue, recorded.
-        scripted = _run([*argv, "--script", str(tmp / "script.yaml"), "--record", str(store),
-                         "--out", str(tmp / "scripted")])
+        scripted = _run_warned([*argv, "--script", str(tmp / "script.yaml"),
+                                "--record", str(store), "--out", str(tmp / "scripted")])
         records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
         recorded = [r["key"] for r in records]
         # The fault hits the k-th call of one chain, when that chain made one.
@@ -232,16 +248,16 @@ def test_overlapped_generate_matches_the_sequential_run(plan, strategy, refineme
 
         def replayed(workers, out):
             gateway = _ConcurrentStore(store, workers, fault_key, seed, default=execution_reply)
-            outcome = _run([*argv, "--replay", str(store), "--out", str(tmp / out)], gateway)
+            outcome = _run_warned([*argv, "--replay", str(store), "--out", str(tmp / out)],
+                                  gateway)
             return outcome, gateway
 
-        (code, err), gateway = replayed(max_parallel, "overlapped")
-        if fault_key:
-            expected, _ = replayed(1, "sequential")
-        else:
-            expected = scripted
-        assert (code, err) == expected
+        (code, err, raised), gateway = replayed(max_parallel, "overlapped")
+        expected = replayed(1, "sequential")[0] if fault_key else scripted
+        assert (code, err) == expected[:2]
         if code == 0:
+            # The same warnings as a multiset: at two workers the chains may interleave them.
+            assert raised == expected[2]
             assert _bundle(tmp / "overlapped") == _bundle(tmp / "scripted")
             assert recorded == _stage_by_stage(target, plan_text, asset_class, strategy,
                                                script["replies"], len(refinement))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autorecipe.errors import AutoRecipeError, MissingBindingError
+from autorecipe.errors import AutoRecipeError
 from autorecipe.execution import execute
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.planning import (
@@ -392,7 +392,7 @@ def _code_steps(draw):
     labels = draw(st.lists(_LABELS, min_size=1, max_size=6))
     nodes = {}
     for label in labels:
-        nodes.setdefault(normalize_name(label), TaxonNode(normalize_name(label), label, "factor"))
+        nodes.setdefault(normalize_name(label), TaxonNode(label, "factor"))
     root = next(iter(nodes))
     tax = Taxonomy(root=root, nodes=nodes, edges=())
     words = [word for label in labels for word in label.split()]
@@ -493,7 +493,7 @@ def test_materialize_fills_asset_slots(health_tax):
 
 def test_materialize_missing_description(health_tax):
     seq = generate_sequence_deterministic(health_tax, Goal("asset health", "asset profile"))
-    with pytest.raises(MissingBindingError):
+    with pytest.raises(AutoRecipeError, match=r"^missing bindings in step \d+: asset_description$"):
         materialize_sequence(seq, "electric motor")
 
 

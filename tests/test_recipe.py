@@ -52,7 +52,6 @@ from autorecipe.recipe import (
 )
 from autorecipe.references import (
     CitedDocument,
-    Claim,
     ReferenceCounts,
     attach_references,
     render_cited,
@@ -628,7 +627,7 @@ def test_bundle_renders_citations(tmp_path):
     from dataclasses import replace
 
     recipe = _recipe()
-    claims = [Claim(1, "Motors convert energy.")]
+    claims = [(1, "Motors convert energy.")]
     evidence = [(1, "https://ref.example", True)]
     cited = attach_references(split_parts(recipe.knowledge_doc), claims, evidence)
     cited_recipe = replace(recipe, knowledge_doc=render_cited(cited))

@@ -22,7 +22,6 @@ from autorecipe.gateway import RecordingGateway, ScriptedGateway, session_key
 from autorecipe.prompts import instantiate
 from autorecipe.references import (
     DEFAULT_MAX_RESULTS,
-    Claim,
     ConstantNliClient,
     ScriptedNliClient,
     ScriptedSearchClient,
@@ -85,12 +84,12 @@ def test_generate_claims_numbered_list(registry):
         "3. Generators output alternating current.\n"
     )
     claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
-    assert [c.statement for c in claims] == [
+    assert [statement for _, statement in claims] == [
         "Wind turbines convert wind into electricity.",
         "Gearboxes multiply rotor speed.",
         "Generators output alternating current.",
     ]
-    assert all(c.passage_id == 1 for c in claims)
+    assert all(passage_id == 1 for passage_id, _ in claims)
 
 
 def test_generate_claims_strips_bullets_and_markdown(registry):
@@ -100,7 +99,7 @@ def test_generate_claims_strips_bullets_and_markdown(registry):
         "Claim 3: **Bearings** degrade over time.\n"
     )
     claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
-    assert [c.statement for c in claims] == [
+    assert [statement for _, statement in claims] == [
         "The rotor converts wind energy.",
         "Gears transfer torque.",
         "Bearings degrade over time.",
@@ -110,7 +109,7 @@ def test_generate_claims_strips_bullets_and_markdown(registry):
 def test_generate_claims_splits_single_paragraph(registry):
     reply = "The hub holds blades. The tower supports the nacelle. The generator makes power."
     claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=3, registry=registry)
-    assert [c.statement for c in claims] == [
+    assert [statement for _, statement in claims] == [
         "The hub holds blades.",
         "The tower supports the nacelle.",
         "The generator makes power.",
@@ -152,7 +151,7 @@ def test_generate_claims_argument_validation(registry):
 # A claim is searched as a query inside collect_evidence and build_references.
 
 def test_search_claim_separates_fetches_from_failures():
-    claim = Claim(1, "Motors contain bearings.")
+    claim = (1, "Motors contain bearings.")
     client = ScriptedSearchClient({
         "Motors contain bearings.": [
             SearchHit("https://a.example", text="bearing text"),
@@ -174,7 +173,7 @@ def test_search_claim_separates_fetches_from_failures():
 
 def test_search_claim_respects_max_results():
     client = _FloodingSearch()
-    evidence = collect_evidence([Claim(1, "q.")], client, ConstantNliClient(True))
+    evidence = collect_evidence([(1, "q.")], client, ConstantNliClient(True))
     assert [url for _, url, _ in evidence] == [
         f"https://{i}.example" for i in range(DEFAULT_MAX_RESULTS)
     ]
@@ -182,7 +181,7 @@ def test_search_claim_respects_max_results():
 
 
 def test_search_claim_strict_and_lenient_misses(three_part_doc):
-    claim = Claim(1, "unknown query.")
+    claim = (1, "unknown query.")
     with pytest.raises(SearchClientError, match="no scripted results"):
         collect_evidence([claim], ScriptedSearchClient({}, strict=True), ConstantNliClient(True))
     lenient = ScriptedSearchClient({}, strict=False)
@@ -205,7 +204,7 @@ def test_search_claim_strict_and_lenient_misses(three_part_doc):
 
 def test_search_claim_wraps_provider_crashes(three_part_doc):
     with pytest.raises(SearchClientError, match="socket closed"):
-        collect_evidence([Claim(1, "q.")], _FaultySearch(), ConstantNliClient(True))
+        collect_evidence([(1, "q.")], _FaultySearch(), ConstantNliClient(True))
     kd, replies, _ = _pipeline_fixture(three_part_doc)
     with pytest.raises(SearchClientError, match="socket closed"):
         build_references(
@@ -221,7 +220,7 @@ def _single_hit_client(text: str) -> ScriptedSearchClient:
 
 
 def test_verify_verdicts():
-    claim = Claim(1, "c.")
+    claim = (1, "c.")
     client = _single_hit_client("evidence text")
     assert collect_evidence([claim], client, ConstantNliClient(True)) == [
         (1, "https://a.example", True)
@@ -240,7 +239,7 @@ def test_verify_scripted_pairs_match_after_stripping():
 # --- evidence collection ------------------------------------------------------------------
 
 def test_collect_evidence_first_entailing_paragraph_wins():
-    claim = Claim(1, "c.")
+    claim = (1, "c.")
     text = "first paragraph\n\nsecond paragraph\n\nthird paragraph"
     nli = _JudgeRecorder(ScriptedNliClient({
         ("second paragraph", "c."): True,
@@ -253,7 +252,7 @@ def test_collect_evidence_first_entailing_paragraph_wins():
 
 def test_collect_evidence_not_entailed_without_match():
     nli = _JudgeRecorder(ConstantNliClient(False))
-    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
+    evidence = collect_evidence([(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
     assert evidence == [(1, "https://a.example", False)]
     assert nli.calls == [("one", "c."), ("two", "c.")]
 
@@ -261,7 +260,7 @@ def test_collect_evidence_not_entailed_without_match():
 def test_collect_evidence_error_verdict_when_judgement_fails():
     # A pair the script does not hold is not entailed; judging raises nothing.
     nli = _JudgeRecorder(ScriptedNliClient({}))
-    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
+    evidence = collect_evidence([(1, "c.")], _single_hit_client("one\n\ntwo"), nli)
     assert evidence == [(1, "https://a.example", False)]
     assert nli.calls == [("one", "c."), ("two", "c.")]
 
@@ -269,7 +268,7 @@ def test_collect_evidence_error_verdict_when_judgement_fails():
 def test_collect_evidence_recovers_after_judgement_error():
     # An unscripted paragraph does not stop a later one from entailing the claim.
     client = ScriptedNliClient({("two", "c."): True})
-    evidence = collect_evidence([Claim(1, "c.")], _single_hit_client("one\n\ntwo"), client)
+    evidence = collect_evidence([(1, "c.")], _single_hit_client("one\n\ntwo"), client)
     assert evidence == [(1, "https://a.example", True)]
 
 
@@ -290,14 +289,14 @@ class _ThreadRecorder:
 
 
 def test_collect_evidence_runs_on_the_callers_thread():
-    claims = [Claim(p, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
+    claims = [(p, f"claim {p}-{c}.") for p in (1, 2) for c in (1, 2, 3)]
     recorder = _ThreadRecorder({
-        claim.statement: [SearchHit(f"https://{r}.example", text="body text") for r in range(3)]
-        for claim in claims
+        statement: [SearchHit(f"https://{r}.example", text="body text") for r in range(3)]
+        for _, statement in claims
     })
     evidence = collect_evidence(claims, recorder, recorder)
     assert recorder.threads == {threading.get_ident()}
-    assert recorder.search_client.queries == [claim.statement for claim in claims]
+    assert recorder.search_client.queries == [statement for _, statement in claims]
     assert len(evidence) == 18
     assert all(entailed for _, _, entailed in evidence)
 
@@ -317,13 +316,13 @@ _HITS = st.lists(
 def _evidence_inputs(draw):
     """Claims in passage order, their hits, and a verdict map that may miss pairs."""
     claims = [
-        Claim(passage, f"claim {passage}-{index}.")
+        (passage, f"claim {passage}-{index}.")
         for passage in range(1, draw(st.integers(1, 3)) + 1)
         for index in range(1, draw(st.integers(0, 3)) + 1)
     ]
-    results = {claim.statement: draw(_HITS) for claim in claims}
+    results = {statement: draw(_HITS) for _, statement in claims}
     pairs = draw(st.dictionaries(
-        st.tuples(st.sampled_from(_PARAGRAPHS), st.sampled_from([c.statement for c in claims]))
+        st.tuples(st.sampled_from(_PARAGRAPHS), st.sampled_from([statement for _, statement in claims]))
         if claims else st.nothing(),
         st.booleans(),
     ))
@@ -335,16 +334,16 @@ def _evidence_inputs(draw):
 def test_collect_evidence_equals_a_nested_loop_in_claim_and_hit_order(inputs):
     claims, results, pairs = inputs
     expected, expected_calls = [], []
-    for claim in claims:
-        for hit in results[claim.statement][:DEFAULT_MAX_RESULTS]:
+    for passage_id, statement in claims:
+        for hit in results[statement][:DEFAULT_MAX_RESULTS]:
             entailed = False
             paragraphs = [p.strip() for p in hit.text.split("\n\n") if p.strip()]
             for paragraph in [] if hit.error else paragraphs:
-                expected_calls.append((paragraph, claim.statement))
-                if pairs.get((paragraph, claim.statement), False):
+                expected_calls.append((paragraph, statement))
+                if pairs.get((paragraph, statement), False):
                     entailed = True
                     break
-            expected.append((claim.passage_id, hit.url, entailed))
+            expected.append((passage_id, hit.url, entailed))
 
     nli = _JudgeRecorder(ScriptedNliClient(pairs))
     assert collect_evidence(claims, ScriptedSearchClient(results), nli) == expected
@@ -353,9 +352,10 @@ def test_collect_evidence_equals_a_nested_loop_in_claim_and_hit_order(inputs):
 
 def test_always_true_and_always_false_judges(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(p, f"claim for part {p}.") for p in (1, 2, 3)]
+    claims = [(p, f"claim for part {p}.") for p in (1, 2, 3)]
     results = {
-        c.statement: [SearchHit(f"https://{c.passage_id}.example", text="para")] for c in claims
+        statement: [SearchHit(f"https://{passage_id}.example", text="para")]
+        for passage_id, statement in claims
     }
     sunny = attach_references(
         kd, claims,
@@ -379,9 +379,9 @@ def test_always_true_and_always_false_judges(three_part_doc):
 def test_attach_references_counts_fixture(three_part_doc):
     kd = split_parts(three_part_doc)
     claims = (
-        [Claim(1, f"p1 claim {i}.") for i in (1, 2, 3)]
-        + [Claim(2, f"p2 claim {i}.") for i in (1, 2)]
-        + [Claim(3, f"p3 claim {i}.") for i in (1, 2, 3)]
+        [(1, f"p1 claim {i}.") for i in (1, 2, 3)]
+        + [(2, f"p2 claim {i}.") for i in (1, 2)]
+        + [(3, f"p3 claim {i}.") for i in (1, 2, 3)]
     )
     evidence = [
         (1, "https://a.example", True),
@@ -404,7 +404,7 @@ def test_attach_references_counts_fixture(three_part_doc):
 
 def test_attach_references_counts_claims_without_evidence(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(1, "lonely claim.")]
+    claims = [(1, "lonely claim.")]
     cited = attach_references(kd, claims, [])
     assert cited.counts.claims == (1, 0, 0)
     assert cited.counts.urls_identified == (0, 0, 0)
@@ -413,7 +413,7 @@ def test_attach_references_counts_claims_without_evidence(three_part_doc):
 
 def test_render_cited_appends_numbered_references(three_part_doc):
     kd = split_parts(three_part_doc)
-    claims = [Claim(1, "c1."), Claim(3, "c3.")]
+    claims = [(1, "c1."), (3, "c3.")]
     evidence = [
         (1, "https://a.example", True),
         (1, "https://b.example", True),

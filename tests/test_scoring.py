@@ -19,10 +19,10 @@ from autorecipe.scoring import (
     HealthScoreEstimator,
     SensorConfig,
     ahp_weights,
-    categorize,
     consistency_ratio,
     principal_eigen,
     validate_aggregation_config,
+    validate_dataset,
     validate_indicator_config,
     weighted_score,
 )
@@ -52,26 +52,44 @@ def _random_weights(rng: random.Random, n: int) -> list[float]:
 
 # --- categorization ---------------------------------------------------------------
 
-def test_categorize_lower_inclusive_boundaries():
+def _one_row(value: float):
+    """A one-row dataset: asset ``x`` reads ``value`` on ``_sensor()``."""
+    from autorecipe.recipe import SampleDataset
+
+    return SampleDataset(rows=(("x", "temperature", value, "2024-01-01T00:00:00Z", "percent"),))
+
+
+def _category(value: float) -> str:
+    """The category ``predict`` reads a one-row dataset's value in, from its score."""
     sensor = _sensor()
-    assert categorize(0.0, sensor) == "poor"
-    assert categorize(24.999, sensor) == "poor"
-    assert categorize(25.0, sensor) == "medium"
-    assert categorize(50.0, sensor) == "good"
-    assert categorize(74.999, sensor) == "good"
-    assert categorize(75.0, sensor) == "excellent"
+    estimator = HealthScoreEstimator().fit(
+        HealthIndicatorConfig(sensors=(sensor,)),
+        AggregationConfig(dict(DEFAULT_CATEGORY_SCORES), "weighted", weights={sensor.name: 1.0}),
+    )
+    [score] = estimator.predict(_one_row(value))
+    return {100.0 * s: c for c, s in DEFAULT_CATEGORY_SCORES.items()}[score.score]
+
+
+def test_categorize_lower_inclusive_boundaries():
+    assert _category(0.0) == "poor"
+    assert _category(24.999) == "poor"
+    assert _category(25.0) == "medium"
+    assert _category(50.0) == "good"
+    assert _category(74.999) == "good"
+    assert _category(75.0) == "excellent"
 
 
 def test_categorize_topmost_range_is_closed():
-    assert categorize(100.0, _sensor()) == "excellent"
+    assert _category(100.0) == "excellent"
 
 
 def test_categorize_out_of_domain():
-    sensor = _sensor()
-    with pytest.raises(AutoRecipeError, match=r"^value -0\.001 is outside the configured domain "):
-        categorize(-0.001, sensor)
-    with pytest.raises(AutoRecipeError, match=r"^value 100\.001 is outside the configured domain "):
-        categorize(100.001, sensor)
+    cfg = HealthIndicatorConfig(sensors=(_sensor(),))
+    for value in (-0.001, 100.001):
+        assert validate_dataset(_one_row(value), cfg) == [
+            f"row 1: value {value!r} is outside the configured domain [0.0, 100.0] "
+            "of 'temperature'"
+        ]
 
 
 def test_sensor_domain_property():

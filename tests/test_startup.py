@@ -243,6 +243,13 @@ def test_package_modules_import_one_another_without_a_cycle():
     assert crossing == []
 
 
+def test_every_all_entry_names_what_its_module_defines():
+    """A star import fails on an ``__all__`` entry that its module does not define."""
+    for path in sorted(Path(autorecipe.__file__).resolve().parent.glob("*.py")):
+        module = "autorecipe" if path.stem == "__init__" else f"autorecipe.{path.stem}"
+        exec(f"from {module} import *", {})
+
+
 # Fits, predicts and validates with scoring alone, then reports whether
 # autorecipe.recipe was ever loaded.
 SCORING_ALONE = r'''
