@@ -166,8 +166,7 @@ def validate_aggregation_config(cfg: AggregationConfig, sensor_names: tuple[str,
                     _check_pairwise(np.asarray(cfg.pairwise, dtype=float))
                 except (AutoRecipeError, ValueError) as exc:
                     violations.append(str(exc))
-            # A repeated name would keep only one of its weights.
-            if len(set(cfg.sensors)) != len(cfg.sensors) or set(cfg.sensors) != set(sensor_names):
+            if sorted(cfg.sensors) != sorted(sensor_names):
                 violations.append("ahp sensor order must match the configured sensors")
     else:
         violations.append(f"unknown aggregation method {cfg.method!r}")

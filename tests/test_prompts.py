@@ -105,6 +105,8 @@ def _outcome(fill):
         return "text", fill()
     except AutoRecipeError as exc:
         # "missing bindings in <context>: <names>"; only the context differs.
+        if not str(exc).startswith("missing bindings in "):
+            raise
         return "missing", str(exc).rpartition(": ")[2]
 
 
