@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -52,14 +54,44 @@ def _check_out_file(out) -> None:
         raise ValueError(f"cannot write to {out}: it is a directory")
     if not path.parent.is_dir():
         raise ValueError(f"cannot write to {out}: {path.parent} is not a directory")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ValueError(f"cannot write to {out}: permission denied")
 
 
 def _write_out(out, text: str, label: str) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {label} to {out}")
-    else:
+    """Writes ``text`` to the ``out`` file, or to stdout when ``out`` is empty.
+    The text is encoded before the file is touched. A new ``out``, or a
+    regular one with one link that this user owns, is written to a sibling
+    temporary file with the old mode, which then replaces it, so a write that
+    fails leaves no temporary file and the old ``out`` whole. Anything else (a
+    device, FIFO, symlink or hard link, another user's file, a directory this
+    user cannot write) is written through, so it stays what it is."""
+    if not out:
         sys.stdout.write(text)
+        return
+    path = Path(out)
+    data = text.encode("utf-8")
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if not os.access(path.parent, os.W_OK) or old is not None and not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid()
+    ):
+        path.write_bytes(data)
+    else:
+        partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        fh = open(partial, "xb")
+        try:
+            with fh:
+                if old is not None:
+                    os.chmod(partial, stat.S_IMODE(old.st_mode))
+                fh.write(data)
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    print(f"wrote {label} to {out}")
 
 
 def _load_taxonomies(paths) -> list:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field, replace
 
+from ._struct import Struct, fresh, replace
 from .errors import AutoRecipeError, GatewayError, NoPartsWarning
 from .gateway import ChatMessage
 from .planning import PromptSequence
@@ -46,18 +46,16 @@ class ManualClock:
         return now
 
 
-@dataclass(frozen=True)
-class TranscriptMessage:
+class TranscriptMessage(Struct):
     role: str
     content: str
     steps: tuple[int, ...]  # sequence steps this message carries or answers
     timestamp: float
 
 
-@dataclass
-class Transcript:
+class Transcript(Struct, frozen=False):
     strategy: str
-    messages: list[TranscriptMessage] = field(default_factory=list)
+    messages: list[TranscriptMessage] = fresh(list)
 
     def user_turns(self) -> list[TranscriptMessage]:
         return [m for m in self.messages if m.role == "user"]
@@ -65,8 +63,7 @@ class Transcript:
 
 # --- knowledge documents ------------------------------------------------------
 
-@dataclass(frozen=True)
-class KnowledgePart:
+class KnowledgePart(Struct):
     heading: str  # raw heading line including its newline; empty when headingless
     body: str
 
@@ -75,8 +72,7 @@ class KnowledgePart:
         return self.heading + self.body
 
 
-@dataclass(frozen=True)
-class KnowledgeDocument:
+class KnowledgeDocument(Struct):
     parts: tuple[KnowledgePart, ...]
     preamble: str = ""
 

@@ -14,8 +14,8 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
 
+from ._struct import Struct, fresh
 from ._yamlio import BOOL, INT, NUMBER, TEXT, ListOf, MapOf, Record, check, load_file
 from .errors import AutoRecipeError, GatewayError, TransportError
 
@@ -37,8 +37,7 @@ _ROLES = ("system", "user", "assistant")
 API_KEY_ENV = "AUTORECIPE_API_KEY"
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(Struct):
     role: str
     content: str
 
@@ -49,8 +48,7 @@ class ChatMessage:
             raise ValueError(f"{self.role} message content must be non-empty")
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
+class GatewayConfig(Struct):
     endpoint: str = ""
     model: str = ""
     timeout_seconds: float = 30.0
@@ -79,7 +77,8 @@ class GatewayConfig:
 
 # One optional key per field; a float field takes an int too.
 _CONFIG = Record(optional={
-    f.name: {"str": TEXT, "float": NUMBER, "int": INT}[f.type] for f in fields(GatewayConfig)
+    name: {"str": TEXT, "float": NUMBER, "int": INT}[kind]
+    for name, kind in GatewayConfig.__annotations__.items()
 })
 
 
@@ -268,13 +267,12 @@ class HttpGateway:
         return content
 
 
-@dataclass
-class RecordingGateway:
+class RecordingGateway(Struct, frozen=False):
     """Wraps a live gateway and appends (session, reply) records to a store file."""
 
     inner: object
     path: str
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lock: threading.Lock = fresh(threading.Lock)
 
     @property
     def max_parallel(self) -> int:

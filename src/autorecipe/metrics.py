@@ -13,8 +13,8 @@ import math
 import re
 from collections import Counter
 from collections.abc import KeysView
-from dataclasses import dataclass
 
+from ._struct import Struct
 from .errors import AutoRecipeError
 
 __all__ = [
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class TokenProfile:
+class TokenProfile(Struct, frozen=False):
     """Token multiset of one document: the count of each token, and their sum."""
 
     counts: Counter

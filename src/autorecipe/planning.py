@@ -9,8 +9,8 @@ tolerantly: "# Think:" blocks are commentary and never become steps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 
+from ._struct import Struct, fresh, replace
 from ._yamlio import INT, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
 from .errors import AutoRecipeError
 from .gateway import ChatMessage
@@ -41,8 +41,7 @@ __all__ = [
 STEP_KINDS = ("question", "code", "export")
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(Struct):
     """What the plan is for: the KPI, the taxonomy node to start from, and
     the phrasing of the request."""
 
@@ -59,8 +58,7 @@ class Goal:
         return f"Analyze the {self.kpi}{phrase}"
 
 
-@dataclass(frozen=True)
-class PromptStep:
+class PromptStep(Struct):
     index: int
     kind: str  # question | code | export
     body: str
@@ -80,18 +78,15 @@ class PromptStep:
 
 # --- execution order expressions ---------------------------------------------
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(Struct):
     index: int
 
 
-@dataclass(frozen=True)
-class Conjunction:
+class Conjunction(Struct):
     operands: tuple
 
 
-@dataclass(frozen=True)
-class Disjunction:
+class Disjunction(Struct):
     operands: tuple
 
 
@@ -207,12 +202,11 @@ def _renumber_order(expr, mapping: dict[int, int]):
 
 # --- sequences ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PromptSequence:
+class PromptSequence(Struct):
     steps: tuple[PromptStep, ...]
     execution_order: object
     goal: Goal | None = None
-    bindings: dict[str, str] = field(default_factory=dict)
+    bindings: dict[str, str] = fresh(dict)
 
     @property
     def placeholders(self) -> frozenset[str]:

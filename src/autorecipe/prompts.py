@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import presets
+from ._struct import Struct, fresh
 from .errors import AutoRecipeError, UnknownPlaceholderWarning
 
 __all__ = [
@@ -49,10 +49,9 @@ def fill(text: str, bindings: Mapping[str, str], context: str) -> str:
     return _PLACEHOLDER.sub(lambda m: bindings[m.group(1)], text)
 
 
-@dataclass(frozen=True)
-class PromptRegistry:
-    templates: Mapping[str, str] = field(default_factory=dict)  # id -> text
-    roles: Mapping[str, str] = field(default_factory=dict)  # persona -> system prompt id
+class PromptRegistry(Struct):
+    templates: Mapping[str, str] = fresh(dict)  # id -> text
+    roles: Mapping[str, str] = fresh(dict)  # persona -> system prompt id
 
     def get(self, template_id: str) -> str:
         try:

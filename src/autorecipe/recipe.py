@@ -17,11 +17,11 @@ import io
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from ._struct import Struct
 from ._yamlio import INT, NUMBER, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked, load_file
 from .errors import AutoRecipeError, ValidationFailedError
 from .scoring import (
@@ -95,16 +95,14 @@ def format_rfc3339(moment: datetime) -> str:
     return moment.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
-class SampleDataset:
+class SampleDataset(Struct):
     """Sensor rows as the ``(asset_id, sensor_name, value, timestamp, unit)``
     tuples that ``_csv_records`` yields, in ``DATASET_HEADER`` order."""
 
     rows: tuple[tuple[str, str, float, str, str], ...]
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Struct):
     """What one bundle holds: the knowledge document as the markdown it
     writes (citations included), the two configs, the sample dataset, and
     the seed and creation time of the run that made them."""

@@ -15,8 +15,8 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
+from ._struct import Struct
 from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
 from .errors import AutoRecipeError, FewerClaimsWarning, SearchClientError
 from .execution import KnowledgeDocument
@@ -41,8 +41,7 @@ DEFAULT_CLAIMS_PER_PASSAGE = 3
 DEFAULT_MAX_RESULTS = 5
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Struct):
     """One search result: either fetched text or a fetch error."""
 
     url: str
@@ -50,15 +49,13 @@ class SearchHit:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class ReferenceCounts:
+class ReferenceCounts(Struct):
     claims: tuple[int, ...]
     urls_identified: tuple[int, ...]
     urls_validated: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CitedDocument:
+class CitedDocument(Struct):
     document: KnowledgeDocument
     citations: tuple[tuple[str, ...], ...]
     counts: ReferenceCounts

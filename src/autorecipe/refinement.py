@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 
+from ._struct import Struct, fresh
 from .errors import AutoRecipeError, GatewayError, NoConfidenceWarning
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry
@@ -54,8 +54,7 @@ def split_confidence(text: str) -> tuple[str, float | None]:
     return (text[:last.start()] + text[end:]).strip(), value
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Struct):
     round: int
     question: str  # the user content actually sent this round
     answer: str  # reply with the confidence line removed; kept even when dropped
@@ -63,9 +62,8 @@ class IterationRecord:
     accepted: bool
 
 
-@dataclass
-class RefinementResult:
-    records: list[IterationRecord] = field(default_factory=list)
+class RefinementResult(Struct, frozen=False):
+    records: list[IterationRecord] = fresh(list)
     final_answer: str = ""
     stop_reason: str = ""
 

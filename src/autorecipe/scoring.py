@@ -10,10 +10,10 @@ maximum is scorable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
+from ._struct import Struct
 from .errors import AutoRecipeError, ValidationFailedError
 
 # numpy is imported by the pairwise (ahp) functions only, on first use:
@@ -52,8 +52,7 @@ _RECIPROCAL_TOL = 1e-9
 _MAX_PAIRWISE = 15
 
 
-@dataclass(frozen=True)
-class SensorConfig:
+class SensorConfig(Struct):
     """One sensor's unit and its four category ranges."""
 
     name: str
@@ -66,8 +65,7 @@ class SensorConfig:
         return min(lows), max(highs)
 
 
-@dataclass(frozen=True)
-class HealthIndicatorConfig:
+class HealthIndicatorConfig(Struct):
     sensors: tuple[SensorConfig, ...]
 
     @property
@@ -75,8 +73,7 @@ class HealthIndicatorConfig:
         return tuple(s.name for s in self.sensors)
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
+class AggregationConfig(Struct):
     """Category scores plus one aggregation method: explicit weights or a
     pairwise comparison matrix over a declared sensor order."""
 
@@ -288,8 +285,7 @@ def _scan_dataset(
     return violations, categories
 
 
-@dataclass(frozen=True)
-class HealthScore:
+class HealthScore(Struct):
     asset_id: str
     score: float
 

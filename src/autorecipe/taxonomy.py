@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
-from dataclasses import dataclass, field
 
+from ._struct import Struct, fresh
 from ._yamlio import TEXT, ListOf, Record, load_checked
 from .errors import AutoRecipeError
 
@@ -57,20 +57,18 @@ def normalize_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-@dataclass(frozen=True)
-class TaxonNode:
+class TaxonNode(Struct):
     """A node's display label and kind; its id is its key in ``Taxonomy.nodes``."""
 
     label: str
     kind: str  # kpi-root | factor | measurement
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(Struct):
     root: str
     nodes: dict[str, TaxonNode]
     edges: tuple[tuple[str, str, str], ...]  # (parent id, relation, child id)
-    _children: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False)
+    _children: dict[str, tuple[str, ...]] = fresh(dict)
 
     @property
     def root_label(self) -> str:

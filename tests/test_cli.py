@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -789,6 +790,88 @@ def test_metrics_names_the_document_without_tokens_and_writes_nothing(tmp_path, 
         2, ("", f"error: {empty} has no tokens: cannot compute its type-token ratio\n")
     )
     assert not out.exists()
+
+
+def test_a_failed_write_leaves_the_old_out_file_whole(tmp_path, capsys):
+    # A file name that is not UTF-8 reaches the table as a lone surrogate,
+    # which the table cannot be encoded with.
+    doc, out = tmp_path / "doc\udcff.md", tmp_path / "metrics.csv"
+    doc.write_text(THREE_PART_DOC, encoding="utf-8")
+    out.write_text("old table\n", encoding="utf-8")
+    rc = main(["metrics", "--doc", str(doc), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
+    assert out.read_text(encoding="utf-8") == "old table\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([doc.name, out.name])
+    # A write that succeeds replaces the file and leaves nothing beside it.
+    doc.rename(tmp_path / "doc.md")
+    assert main(["metrics", "--doc", str(tmp_path / "doc.md"), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("doc,tokens,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.md", "metrics.csv"]
+
+
+def _metrics_to(tmp_path, out) -> None:
+    """Runs ``metrics`` into ``out``, then again to stdout for comparison."""
+    doc = tmp_path / "doc.md"
+    doc.write_text(THREE_PART_DOC, encoding="utf-8")
+    assert main(["metrics", "--doc", str(doc), "--out", str(out)]) == 0
+    assert main(["metrics", "--doc", str(doc)]) == 0
+
+
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
+    out = tmp_path / "metrics.csv"
+    out.write_text("old table\n", encoding="utf-8")
+    out.chmod(0o600)
+    _metrics_to(tmp_path, out)
+    table = capsys.readouterr().out.split("\n", 1)[1]
+    assert out.read_text(encoding="utf-8") == table
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target, out = tmp_path / "kept.csv", tmp_path / "link.csv"
+    target.write_text("old table\n", encoding="utf-8")
+    out.symlink_to(target)
+    _metrics_to(tmp_path, out)
+    table = capsys.readouterr().out.split("\n", 1)[1]
+    assert out.is_symlink() and out.resolve() == target
+    assert target.read_text(encoding="utf-8") == table
+
+
+def test_out_writes_through_a_fifo(tmp_path, capsys):
+    out = tmp_path / "pipe"
+    os.mkfifo(out)
+    # A reader opened without blocking lets the write open at once; the
+    # table fits in the pipe's buffer.
+    reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        _metrics_to(tmp_path, out)
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    table = capsys.readouterr().out.split("\n", 1)[1]
+    assert written.decode("utf-8") == table
+    assert stat.S_ISFIFO(os.lstat(out).st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.md", "pipe"]
+
+
+def test_an_out_file_in_a_directory_without_write_access_is_refused_first(
+    tax_file, tmp_path, capsys, model_calls, monkeypatch
+):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != locked and access(p, mode))
+    out = locked / "plan.yaml"
+    script = _write_yaml(tmp_path / "s.yaml", {"strict": True, "replies": ["unused"]})
+    rc = main(["plan", "--taxonomy", tax_file, "--kpi", "asset health", "--script", script,
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err, captured.out, len(model_calls)) == (
+        2, f"error: cannot write to {out}: permission denied\n", "", 0
+    )
+    assert list(locked.iterdir()) == []
 
 
 # --- verify-refs --------------------------------------------------------------------

@@ -5,11 +5,11 @@ from __future__ import annotations
 import hashlib
 import random
 import warnings
-from dataclasses import replace
 
 import pytest
 
 from autorecipe import presets
+from autorecipe._struct import replace
 from autorecipe.errors import AutoRecipeError, GatewayError, NoPartsWarning
 from autorecipe.execution import (
     STRATEGIES,

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -82,8 +81,10 @@ def test_default_registry_is_a_read_only_view_of_the_seeds(registry):
         registry.templates["plan.collect"] = "Collect nothing."
     with pytest.raises(TypeError):
         registry.roles["domain-expert"] = "plan.collect"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    templates = registry.templates
+    with pytest.raises(AttributeError, match="cannot assign to field 'templates'"):
         registry.templates = {}
+    assert registry.templates is templates
     assert registry.get("plan.collect") == "Collect all the discovered factors so far."
 
 

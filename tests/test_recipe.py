@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autorecipe import recipe as recipe_module
+from autorecipe._struct import replace
 from autorecipe.errors import AutoRecipeError, ValidationFailedError
 from autorecipe.execution import split_parts
 from autorecipe.recipe import (
@@ -436,8 +436,6 @@ def test_validate_recipe_complete_fixture():
 
 
 def test_validate_recipe_reports_missing_artifacts():
-    from dataclasses import replace
-
     violations = validate_recipe(replace(_recipe(), kpi=" ", asset_class="", knowledge_doc="\n "))
     assert violations == [
         "kpi must be non-empty",
@@ -555,8 +553,6 @@ def test_parse_bundle_reports_recipe_violations(tmp_path):
 
 
 def test_validate_recipe_cross_checks_dataset():
-    from dataclasses import replace
-
     recipe = _recipe()
     rows = (("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
     broken = replace(recipe, dataset=SampleDataset(rows))
@@ -588,8 +584,6 @@ def test_bundle_writes_six_files(tmp_path):
 
 
 def test_bundle_rejects_incomplete_recipe(tmp_path):
-    from dataclasses import replace
-
     rows = (("a", "pressure", 5.0, SYNTHETIC_TIMESTAMP, "percent"),)
     broken = replace(_recipe(), knowledge_doc="", dataset=SampleDataset(rows))
     with pytest.raises(ValidationFailedError) as info:
@@ -624,8 +618,6 @@ def test_bundle_round_trip(tmp_path):
 
 
 def test_bundle_renders_citations(tmp_path):
-    from dataclasses import replace
-
     recipe = _recipe()
     claims = [(1, "Motors convert energy.")]
     evidence = [(1, "https://ref.example", True)]

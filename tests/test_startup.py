@@ -3,8 +3,9 @@
 numpy loads only for AHP, requests never, and the bulk commands (plan,
 score, metrics) load only their own stages.  concurrent.futures and logging
 load only where a pool starts: for an HTTP gateway's overlapped model calls,
-never for a scripted or replayed generate.  Each check runs in a fresh
-interpreter, since this test session itself has everything loaded.
+never for a scripted or replayed generate.  No command loads dataclasses or
+inspect: the records are built on ``autorecipe._struct``.  Each check runs in
+a fresh interpreter, since this test session itself has everything loaded.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ def test_scoring_fits_predicts_and_validates_without_loading_recipe():
 
 
 # Runs one command and reports its exit code and which autorecipe modules,
-# and whether yaml and logging, it loaded.
+# and which of yaml, logging, dataclasses and inspect, it loaded.
 LOADED = r'''
 import json
 import sys
@@ -294,9 +295,11 @@ from autorecipe.cli import main
 
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m in ("yaml", "logging") or m.startswith("autorecipe"))]))
+                               if m in ("yaml", "logging", "dataclasses", "inspect")
+                               or m.startswith("autorecipe"))]))
 '''
-COMMON = ["autorecipe", "autorecipe.cli", "autorecipe.errors", "autorecipe.presets"]
+COMMON = ["autorecipe", "autorecipe._struct", "autorecipe.cli", "autorecipe.errors",
+          "autorecipe.presets"]
 
 
 def test_bulk_commands_load_only_their_own_stages(tmp_path):
@@ -345,3 +348,4 @@ def test_scripted_and_replayed_generate_leave_metrics_unloaded(tmp_path):
         assert code == 0, name
         assert "autorecipe.refinement" in loaded, name
         assert "autorecipe.metrics" not in loaded, name
+        assert not {"dataclasses", "inspect"} & set(loaded), name
