@@ -6,8 +6,7 @@ their defaults, and calling ``__post_init__`` when the class has one.  A
 default of ``fresh(make)`` is made anew by ``make()`` for each instance.
 Two records are equal when they are of the same class and their fields are
 equal; ``repr`` leaves out the fields whose names start with an underscore.
-A record is frozen, and hashable over its fields, unless its class is
-declared with ``frozen=False``; then it is assignable and unhashable.
+A record is frozen, and hashable over its fields.
 
 This is the part of ``dataclasses.dataclass`` the package uses.  Each class
 costs one small compiled ``__init__``, so that construction is as fast as a
@@ -38,12 +37,12 @@ class fresh:
 class Struct:
     """Base of the package's records; see the module docstring."""
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         namespace = cls.__dict__
         # The field names, which dataclasses also sets as __match_args__.
         fields = cls.__match_args__ = tuple(namespace.get("__annotations__", ()))
-        defaults, factories, lines = [], {}, []
+        defaults, factories, lines = [], {}, ["_d = self.__dict__"]
         for name in fields:
             value = name
             if name in namespace:
@@ -56,10 +55,8 @@ class Struct:
             elif defaults:
                 raise TypeError(f"{cls.__name__}: field {name!r} without a default "
                                 "follows one with a default")
-            lines.append(f"_d[{name!r}] = {value}" if frozen else f"self.{name} = {value}")
-        if frozen:
-            lines.insert(0, "_d = self.__dict__")
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = _refuse_set, _refuse_delete, _hash
+            lines.append(f"_d[{name!r}] = {value}")
+        cls.__setattr__, cls.__delattr__, cls.__hash__ = _refuse_set, _refuse_delete, _hash
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         body = "".join(f"\n    {line}" for line in lines)
@@ -70,8 +67,7 @@ class Struct:
         cls.__init__ = init
 
     def __eq__(self, other):
-        # A record's __dict__ holds its fields, in field order; an attribute
-        # that code adds to a mutable record would count too.
+        # A record's __dict__ holds its fields, in field order.
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
         return NotImplemented

@@ -429,8 +429,8 @@ def cmd_verify_refs(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 def _text(value: str) -> str:
-    """Free command-line text.  A byte that is not UTF-8 arrives as a lone
-    surrogate, which no prompt, plan or bundle can carry."""
+    """Command-line text bound for a prompt, plan, bundle or table.  A byte
+    that is not UTF-8 arrives as a lone surrogate, which none of them can carry."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -536,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.set_defaults(func=cmd_score)
 
     metrics = sub.add_parser("metrics", help="lexical metrics for one or more documents")
-    metrics.add_argument("--doc", action="append", required=True, help="document path; repeatable")
+    metrics.add_argument("--doc", type=_text, action="append", required=True,
+                         help="document path; repeatable")
     metrics.add_argument(
         "--weighted", action="store_true",
         help="weight coverage by token counts instead of unique words",

@@ -24,9 +24,7 @@ class ValidationFailedError(AutoRecipeError):
 
 
 class GatewayError(AutoRecipeError):
-    """Base class for chat-gateway failures; ``execute`` sets the failing step index."""
-
-    step_index: int | None = None
+    """Base class for chat-gateway failures."""
 
 
 class TransportError(GatewayError):
@@ -39,10 +37,9 @@ class SearchClientError(AutoRecipeError):
 
 
 class StageError(AutoRecipeError):
-    """Wraps a pipeline failure with the stage it happened in."""
+    """Wraps a pipeline failure; its message names the stage it happened in."""
 
     def __init__(self, stage: str, cause: BaseException):
-        self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage}: {cause}")
 

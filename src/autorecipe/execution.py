@@ -13,7 +13,7 @@ import re
 import warnings
 
 from ._struct import Struct, fresh, replace
-from .errors import AutoRecipeError, GatewayError, NoPartsWarning
+from .errors import AutoRecipeError, NoPartsWarning
 from .gateway import ChatMessage
 from .planning import PromptSequence
 from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
@@ -53,7 +53,7 @@ class TranscriptMessage(Struct):
     timestamp: float
 
 
-class Transcript(Struct, frozen=False):
+class Transcript(Struct):
     strategy: str
     messages: list[TranscriptMessage] = fresh(list)
 
@@ -196,11 +196,7 @@ def execute(
         transcript.messages.append(
             TranscriptMessage("user", session[-1].content, steps, clock())
         )
-        try:
-            reply = gateway.complete(session)
-        except GatewayError as exc:
-            exc.step_index = steps[-1] if steps else None
-            raise
+        reply = gateway.complete(session)
         if not reply.strip():
             raise AutoRecipeError(f"gateway returned an empty reply for step(s) {steps}")
         transcript.messages.append(TranscriptMessage("assistant", reply, steps, clock()))

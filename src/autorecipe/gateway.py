@@ -15,7 +15,7 @@ import os
 import threading
 import time
 
-from ._struct import Struct, fresh
+from ._struct import Struct
 from ._yamlio import BOOL, INT, NUMBER, TEXT, ListOf, MapOf, Record, check, load_file
 from .errors import AutoRecipeError, GatewayError, TransportError
 
@@ -207,12 +207,6 @@ class HttpGateway:
         self.max_parallel = config.max_parallel
         self._post = post or _urllib_post
         self._sleep = sleep
-        self._local = threading.local()
-
-    @property
-    def last_attempts(self) -> int:
-        """Attempts made by the calling thread's last ``complete``; 0 before its first."""
-        return getattr(self._local, "attempts", 0)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -232,7 +226,6 @@ class HttpGateway:
         last_error: TransportError | None = None
         attempts = self.config.max_retries + 1
         for attempt in range(1, attempts + 1):
-            self._local.attempts = attempt
             try:
                 status, reply = self._post(
                     self.config.endpoint, body, self._headers(), self.config.timeout_seconds
@@ -267,12 +260,13 @@ class HttpGateway:
         return content
 
 
-class RecordingGateway(Struct, frozen=False):
+class RecordingGateway:
     """Wraps a live gateway and appends (session, reply) records to a store file."""
 
-    inner: object
-    path: str
-    _lock: threading.Lock = fresh(threading.Lock)
+    def __init__(self, inner, path: str):
+        self.inner = inner
+        self.path = path
+        self._lock = threading.Lock()
 
     @property
     def max_parallel(self) -> int:

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-class TokenProfile(Struct, frozen=False):
+class TokenProfile(Struct):
     """Token multiset of one document: the count of each token, and their sum."""
 
     counts: Counter

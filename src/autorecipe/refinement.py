@@ -15,21 +15,18 @@ import math
 import re
 import warnings
 
-from ._struct import Struct, fresh
-from .errors import AutoRecipeError, GatewayError, NoConfidenceWarning
+from ._struct import Struct
+from .errors import AutoRecipeError, NoConfidenceWarning
 from .gateway import ChatMessage
 from .prompts import PromptRegistry, default_registry
 
 __all__ = [
-    "STOP_REASONS",
     "IterationRecord",
     "RefinementResult",
     "split_confidence",
     "refine",
     "iteration_metrics",
 ]
-
-STOP_REASONS = ("low-confidence", "fixed-point", "max-rounds")
 
 _CONFIDENCE = re.compile(r"Confidence\s*:\s*\**\s*(\d+(?:\.\d+)?)\s*%", re.IGNORECASE)
 
@@ -56,16 +53,15 @@ def split_confidence(text: str) -> tuple[str, float | None]:
 
 class IterationRecord(Struct):
     round: int
-    question: str  # the user content actually sent this round
     answer: str  # reply with the confidence line removed; kept even when dropped
     confidence: float
     accepted: bool
 
 
-class RefinementResult(Struct, frozen=False):
-    records: list[IterationRecord] = fresh(list)
-    final_answer: str = ""
-    stop_reason: str = ""
+class RefinementResult(Struct):
+    records: list[IterationRecord]
+    final_answer: str  # empty when no answer was accepted
+    stop_reason: str  # "low-confidence", "fixed-point" or "max-rounds"
 
     @property
     def rounds(self) -> int:
@@ -84,8 +80,7 @@ def refine(
 
     The final answer is always the most recent accepted answer; a
     dropped (below-threshold) answer is never returned.  A reply with no
-    confidence marker counts as 0% and warns.  A gateway failure raises
-    with the partial records attached to the exception.
+    confidence marker counts as 0% and warns.
 
     ``role`` is the id of the system prompt that the Q/A history is
     appended to; its text is sent as it stands.  The threshold must be a
@@ -104,44 +99,32 @@ def refine(
     betterment_suffix = registry.get("refinement.betterment")
     base_system = registry.get(role)
 
-    result = RefinementResult()
+    records: list[IterationRecord] = []
     qa_log: list[tuple[str, str]] = []
-    previous_accepted: str | None = None
+    final_answer = ""
+    stop_reason = "max-rounds"
 
     for round_no in range(1, max_rounds + 1):
         system = base_system + "".join(
             f"\n\nQuestion: {q}\nAnswer: {a}" for q, a in qa_log
         )
         user = question if round_no == 1 else f"{question} {betterment_suffix}"
-        try:
-            reply = gateway.complete([ChatMessage("system", system), ChatMessage("user", user)])
-        except GatewayError as exc:
-            exc.partial_records = list(result.records)
-            raise
+        reply = gateway.complete([ChatMessage("system", system), ChatMessage("user", user)])
         answer, confidence = split_confidence(reply)
         if confidence is None:
             warnings.warn(NoConfidenceWarning(f"round {round_no}: no confidence marker"))
             confidence = 0.0
         accepted = confidence >= confidence_threshold
-        result.records.append(IterationRecord(
-            round=round_no,
-            question=user,
-            answer=answer,
-            confidence=confidence,
-            accepted=accepted,
-        ))
+        records.append(IterationRecord(round_no, answer, confidence, accepted))
         if not accepted:
-            result.stop_reason = "low-confidence"
+            stop_reason = "low-confidence"
             break
-        result.final_answer = answer
+        if answer == final_answer and round_no > 1:
+            stop_reason = "fixed-point"
+            break
+        final_answer = answer
         qa_log.append((user, answer))
-        if previous_accepted == answer:
-            result.stop_reason = "fixed-point"
-            break
-        previous_accepted = answer
-    else:
-        result.stop_reason = "max-rounds"
-    return result
+    return RefinementResult(records, final_answer, stop_reason)
 
 
 def iteration_metrics(records: list[IterationRecord], weighted: bool = False) -> list[dict]:

@@ -13,7 +13,7 @@ import yaml
 import pytest
 
 import autorecipe
-from autorecipe import presets
+from autorecipe import cli, presets
 from autorecipe.cli import build_parser, main
 from autorecipe.gateway import ScriptedGateway
 from autorecipe.planning import parse_sequence
@@ -792,21 +792,36 @@ def test_metrics_names_the_document_without_tokens_and_writes_nothing(tmp_path, 
     assert not out.exists()
 
 
-def test_a_failed_write_leaves_the_old_out_file_whole(tmp_path, capsys):
-    # A file name that is not UTF-8 reaches the table as a lone surrogate,
-    # which the table cannot be encoded with.
-    doc, out = tmp_path / "doc\udcff.md", tmp_path / "metrics.csv"
+def test_metrics_refuses_a_doc_path_that_utf8_cannot_encode(tmp_path, capsys, monkeypatch):
+    # The path goes into the table, so it is refused before any document is read.
+    doc, out = tmp_path / f"{NOT_UTF8}.md", tmp_path / "metrics.csv"
+    doc.write_text(THREE_PART_DOC, encoding="utf-8")
+    monkeypatch.setattr(cli, "_read_text", lambda path: pytest.fail("document read"))
+    err = _parse_error(["metrics", "--doc", str(doc), "--out", str(out)], capsys)
+    assert err == "autorecipe metrics: error: argument --doc: text that UTF-8 cannot encode"
+    assert not out.exists()
+
+
+def test_a_failed_write_leaves_the_old_out_file_whole(tmp_path, capsys, monkeypatch):
+    doc, out = tmp_path / "doc.md", tmp_path / "metrics.csv"
     doc.write_text(THREE_PART_DOC, encoding="utf-8")
     out.write_text("old table\n", encoding="utf-8")
-    rc = main(["metrics", "--doc", str(doc), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert (rc, captured.out) == (2, "")
-    assert captured.err.startswith("error: 'utf-8' codec can't encode character '\\udcff'")
+    # Text that UTF-8 cannot encode fails before the file is touched.
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_out(str(out), "doc\udcff.md\n", "metrics table")
+
+    def refuse(source, target):
+        raise OSError("disk full")
+
+    # A swap that fails takes its temporary file with it.
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", refuse)
+        rc = main(["metrics", "--doc", str(doc), "--out", str(out)])
+    assert (rc, capsys.readouterr()) == (2, ("", "error: disk full\n"))
     assert out.read_text(encoding="utf-8") == "old table\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([doc.name, out.name])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.md", "metrics.csv"]
     # A write that succeeds replaces the file and leaves nothing beside it.
-    doc.rename(tmp_path / "doc.md")
-    assert main(["metrics", "--doc", str(tmp_path / "doc.md"), "--out", str(out)]) == 0
+    assert main(["metrics", "--doc", str(doc), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("doc,tokens,")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.md", "metrics.csv"]
 

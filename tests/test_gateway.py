@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import sys
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autorecipe.cli import EXIT_GATEWAY, _exit_code
 from autorecipe.errors import (
@@ -24,6 +28,7 @@ from autorecipe.gateway import (
     RecordingGateway,
     ReplayGateway,
     ScriptedGateway,
+    _urllib_post,
     canonical_content,
     load_gateway_config,
     session_key,
@@ -200,9 +205,10 @@ def _ok(content="pong"):
 
 
 def test_http_gateway_success_and_payload_shape():
-    seen = {}
+    seen, posts = {}, []
 
     def post(url, body, headers, timeout):
+        posts.append(url)
         seen.update(url=url, payload=json.loads(body), headers=headers, timeout=timeout)
         return _ok("pong")
 
@@ -213,7 +219,7 @@ def test_http_gateway_success_and_payload_shape():
     assert seen["timeout"] == 9.0
     assert seen["payload"]["model"] == "m-1"
     assert seen["payload"]["messages"][-1] == {"role": "user", "content": "ping"}
-    assert gw.last_attempts == 1
+    assert len(posts) == 1
 
 
 def test_http_gateway_requires_endpoint():
@@ -258,19 +264,22 @@ def test_http_gateway_retries_then_succeeds():
     config = GatewayConfig(endpoint="https://e", max_retries=2, backoff_seconds=0.5)
     gw = HttpGateway(config, post=post, sleep=sleeps.append)
     assert gw.complete(_session()) == "recovered"
-    assert gw.last_attempts == 3
+    assert calls["n"] == 3
     assert sleeps == [0.5, 1.0]  # linear backoff 1x, 2x
 
 
 def test_http_gateway_timeout_exhausts_retries():
+    posts = []
+
     def post(url, body, headers, timeout):
+        posts.append(url)
         raise TimeoutError("slow")
 
     config = GatewayConfig(endpoint="https://e", max_retries=1)
     gw = HttpGateway(config, post=post, sleep=lambda s: None)
     with pytest.raises(TransportError, match="^request timed out: slow$"):
         gw.complete(_session())
-    assert gw.last_attempts == 2
+    assert len(posts) == 2
 
 
 def test_http_gateway_http_error_and_malformed_payload():
@@ -311,7 +320,6 @@ def test_http_gateway_does_not_retry_client_errors():
         gw.complete(_session())
     assert not isinstance(info.value, TransportError)
     assert len(posts) == 1 and sleeps == []
-    assert gw.last_attempts == 1
 
 
 # 408 once failed at once, and 502 and 504 were retried as every 5xx was.
@@ -345,47 +353,86 @@ def test_http_gateway_fails_at_once_on_a_status_no_retry_can_pass(status):
     with pytest.raises(GatewayError, match=f"^endpoint returned HTTP {status}$") as info:
         gw.complete(_session())
     assert type(info.value) is GatewayError
-    assert (len(posts), sleeps, gw.last_attempts) == (1, [], 1)
+    assert (len(posts), sleeps) == (1, [])
     assert _exit_code(info.value) == EXIT_GATEWAY
 
 
-def test_http_gateway_attempt_count_is_per_thread():
-    """Each thread reads the attempts of its own last call, not another thread's."""
-    failures = {"flaky": 2}
-    lock = threading.Lock()
+# --- the retry policy, against an oracle ----------------------------------------------
+
+RETRIED = (408, 429, 500, 502, 503, 504)
+
+# One post's outcome: a reply, a status, or a raised transport failure.
+_OUTCOMES = st.one_of(
+    st.tuples(st.just("ok"), st.text(max_size=5)),
+    st.tuples(st.just("malformed"), st.sampled_from([
+        b"", b"not json", b"[]", b'{"choices": []}', b'{"unexpected": true}',
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": 7}}]}',
+    ])),
+    st.tuples(st.just("status"), st.sampled_from(RETRIED)),
+    st.tuples(st.just("status"), st.sampled_from([201, 400, 401, 404, 409, 501, 505, 599])),
+    st.tuples(st.sampled_from(["timeout", "url-timeout", "refused", "transport"]), st.none()),
+)
+
+# Each raised failure, and the message the gateway gives it.
+_FAILURES = {
+    "timeout": (lambda: TimeoutError("slow"), "request timed out: slow"),
+    "url-timeout": (lambda: urllib.error.URLError(TimeoutError("slow")),
+                    "request timed out: <urlopen error slow>"),
+    "refused": (lambda: ConnectionRefusedError("refused"), "transport failure: refused"),
+    "transport": (lambda: TransportError("transport failure: bad status line"),
+                  "transport failure: bad status line"),
+}
+
+
+def _expected_call(schedule, max_retries, backoff):
+    """The posts, the sleeps, and the reply or the raised (class, message
+    pattern) that the retry policy gives for ``schedule``."""
+    sleeps = []
+    for attempt, (kind, value) in enumerate(schedule[:max_retries + 1], start=1):
+        if kind == "ok":
+            return attempt, sleeps, value
+        if kind == "malformed":
+            return attempt, sleeps, (GatewayError, r"malformed completion payload: .+")
+        if kind == "status" and value not in RETRIED:
+            return attempt, sleeps, (GatewayError, f"endpoint returned HTTP {value}")
+        error = (re.escape(_FAILURES[kind][1]) if kind in _FAILURES
+                 else f"endpoint returned HTTP {value}")
+        if attempt <= max_retries:
+            sleeps.append(backoff * attempt)
+    return max_retries + 1, sleeps, (TransportError, error)
+
+
+@settings(deadline=None)
+@given(data=st.data(), max_retries=st.integers(0, 4),
+       backoff=st.sampled_from([0.0, 0.25, 0.5, 1.5]) | st.floats(0, 30))
+def test_http_gateway_retry_policy_matches_the_oracle(data, max_retries, backoff):
+    schedule = data.draw(st.lists(_OUTCOMES, min_size=max_retries + 1,
+                                  max_size=max_retries + 3))
+    posts, sleeps = [], []
 
     def post(url, body, headers, timeout):
-        prompt = json.loads(body)["messages"][-1]["content"]
-        with lock:
-            if failures.get(prompt, 0) > 0:
-                failures[prompt] -= 1
-                raise ConnectionRefusedError("refused")
-        return _ok(prompt)
+        kind, value = schedule[len(posts)]
+        posts.append(url)
+        if kind == "ok":
+            return _ok(value)
+        if kind == "malformed":
+            return 200, value
+        if kind == "status":
+            return _reply(value)
+        raise _FAILURES[kind][0]()
 
-    gw = HttpGateway(GatewayConfig(endpoint="https://e", max_retries=2), post=post,
-                     sleep=lambda s: None)
-    flaky_done, steady_done = threading.Event(), threading.Event()
-    seen = {}
-
-    def flaky():
-        gw.complete(_session("flaky"))
-        flaky_done.set()
-        steady_done.wait(10)  # the other thread's call ends after this one's
-        seen["flaky"] = gw.last_attempts
-
-    def steady():
-        flaky_done.wait(10)
-        gw.complete(_session("steady"))
-        steady_done.set()
-        seen["steady"] = gw.last_attempts
-
-    threads = [threading.Thread(target=flaky), threading.Thread(target=steady)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(10)
-    assert seen == {"flaky": 3, "steady": 1}
-    assert gw.last_attempts == 0  # this thread made no call
+    config = GatewayConfig(endpoint="https://e", max_retries=max_retries, backoff_seconds=backoff)
+    gw = HttpGateway(config, post=post, sleep=sleeps.append)
+    count, expected_sleeps, outcome = _expected_call(schedule, max_retries, backoff)
+    if isinstance(outcome, str):
+        assert gw.complete(_session()) == outcome
+    else:
+        with pytest.raises(GatewayError) as info:
+            gw.complete(_session())
+        assert type(info.value) is outcome[0]
+        assert re.fullmatch(outcome[1], str(info.value))
+    assert (len(posts), sleeps) == (count, expected_sleeps)
 
 
 def test_http_gateway_exposes_max_parallel_and_recording_forwards_it(tmp_path):
@@ -485,7 +532,6 @@ def test_stdlib_transport_retries_server_errors_then_fails(endpoint):
     with pytest.raises(TransportError, match="HTTP 500"):
         gw.complete(_session())
     assert endpoint.paths == ["/fail"] * 3
-    assert gw.last_attempts == 3
 
 
 def test_stdlib_transport_does_not_retry_client_errors(endpoint):
@@ -513,10 +559,17 @@ def test_stdlib_transport_refused_connection():
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     # Nothing listens on the port once the probe socket is closed.
-    gw = _stdlib_gateway(f"http://127.0.0.1:{port}/v1", max_retries=1)
-    with pytest.raises(TransportError):
+    posts = []
+
+    def post(url, *rest):
+        posts.append(url)
+        return _urllib_post(url, *rest)
+
+    config = GatewayConfig(endpoint=f"http://127.0.0.1:{port}/v1", max_retries=1)
+    gw = HttpGateway(config, post=post, sleep=lambda s: None)
+    with pytest.raises(TransportError, match="^transport failure: "):
         gw.complete(_session())
-    assert gw.last_attempts == 2
+    assert len(posts) == 2
 
 
 def test_gateway_config_validation_and_file_loading(tmp_path):

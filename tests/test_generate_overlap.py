@@ -111,21 +111,29 @@ class _ConcurrentStore:
                 if what == "start" and chain == "execute" and ends and n > ends[-1]]
 
 
-def _run_warned(argv, gateway=None) -> tuple[int, str, Counter]:
-    """Exit code and stderr of one command, and how often it raised each
-    ``(category, message)`` warning; ``gateway`` replaces the one argv names.
-
-    Under pytest a warning is recorded, not printed, so stderr never holds
-    it; it is counted here instead, from whichever thread raised it.
-    """
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
-            warnings.catch_warnings(record=True) as caught:
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Records every warning the package raises, from whichever thread, into
+    the list it yields, so that none reaches pytest's own summary."""
+    with warnings.catch_warnings(record=True) as caught:
         # The package's warnings all subclass UserWarning; the suite's other
         # error rules (ResourceWarning, DeprecationWarning) still apply.
         warnings.simplefilter("always", UserWarning)
         # The suite's rule, which "always" would set aside.
         warnings.filterwarnings("error", category=UnknownPlaceholderWarning)
+        yield caught
+
+
+def _run_warned(argv, gateway=None) -> tuple[int, str, Counter]:
+    """Exit code and stderr of one command, and how often it raised each
+    ``(category, message)`` warning; ``gateway`` replaces the one argv names.
+
+    Under pytest a warning is recorded, not printed, so stderr never holds
+    it; it is counted here instead.
+    """
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            _recorded_warnings() as caught:
         if gateway is None:
             code = main(argv)
         else:
@@ -157,10 +165,11 @@ def _stage_by_stage(target, plan_text, asset_class, strategy, replies, rounds) -
     seq = resolve_code_steps(seq, tax, registry=registry)
     gateway = ScriptedGateway(replies=replies)
     question = instantiate(registry, "refinement.initial", {"asset_class": asset_class})
-    description = refine(gateway, "refinement.system", question,
-                         max_rounds=rounds, registry=registry).final_answer
-    execute(materialize_sequence(seq, asset_class, description), strategy,
-            registry.role("domain-expert"), gateway, registry=registry)
+    with _recorded_warnings():
+        description = refine(gateway, "refinement.system", question,
+                             max_rounds=rounds, registry=registry).final_answer
+        execute(materialize_sequence(seq, asset_class, description), strategy,
+                registry.role("domain-expert"), gateway, registry=registry)
     return gateway.calls
 
 

@@ -1,9 +1,8 @@
 """The package's records behave as the dataclasses they replaced.
 
 Each record class is built again as a ``dataclasses.dataclass`` twin with the
-same fields, defaults and ``__post_init__``, declared as the records were
-before ``autorecipe._struct``: frozen except for four, with ``_lock`` and
-``_children`` hidden from ``repr``.  For random field values the record and
+same fields, defaults and ``__post_init__``, declared frozen, with
+``Taxonomy._children`` hidden from ``repr``.  For random field values the record and
 its twin must construct alike, fail alike and give the same ``repr``,
 equality, hash, ``replace`` and attribute assignment.
 """
@@ -23,8 +22,7 @@ from autorecipe._struct import Struct, fresh, replace
 
 MODULES = ("execution", "gateway", "metrics", "planning", "prompts", "recipe", "references",
            "refinement", "scoring", "taxonomy")
-MUTABLE = {"Transcript", "RecordingGateway", "TokenProfile", "RefinementResult"}
-HIDDEN = {("RecordingGateway", "_lock"), ("Taxonomy", "_children")}
+HIDDEN = {("Taxonomy", "_children")}
 
 RECORDS = sorted(
     (value for name in MODULES
@@ -47,8 +45,7 @@ def _twin(cls):
             options["default"] = defaults[name]
         specs.append((name, kind, dataclasses.field(**options)))
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
-    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace,
-                                      frozen=cls.__name__ not in MUTABLE)
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
 
 
 TWINS = {cls: _twin(cls) for cls in RECORDS}
@@ -98,8 +95,8 @@ def _both(cls, args, kwargs):
 
 
 def test_every_record_class_has_a_twin():
-    assert len(RECORDS) == 28
-    assert MUTABLE | {name for name, _ in HIDDEN} <= {cls.__name__ for cls in RECORDS}
+    assert len(RECORDS) == 27
+    assert {name for name, _ in HIDDEN} <= {cls.__name__ for cls in RECORDS}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -144,7 +141,7 @@ def test_record_behaves_as_its_dataclass_twin(cls, data):
     assert (_outcome(lambda: repr(replace(record, **changes)))
             == _outcome(lambda: repr(dataclasses.replace(twin, **changes))))
 
-    # Mutable records take any assignment; frozen ones refuse every one.
+    # Every assignment and deletion is refused.
     name, value = data.draw(st.sampled_from([*names, "other"])), data.draw(VALUES)
     assert (_outcome(lambda: setattr(record, name, value))
             == _outcome(lambda: setattr(twin, name, value)))
