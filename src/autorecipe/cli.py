@@ -13,6 +13,7 @@ client error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import stat
@@ -589,5 +590,17 @@ def main(argv: list[str] | None = None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def run() -> None:
+    """The entry point of an ``autorecipe`` process: ``main`` with the cyclic
+    collector off, then exit with its code.  A command's objects mostly live
+    until the process ends, so the collector's passes would free next to
+    nothing; freezing the heap keeps teardown's final pass from traversing
+    it.  Reference counting still frees all that is not in a cycle."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

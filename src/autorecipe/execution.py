@@ -14,7 +14,7 @@ import warnings
 
 from ._struct import Struct, fresh, replace
 from .errors import AutoRecipeError, NoPartsWarning
-from .gateway import ChatMessage
+from .gateway import ChatMessage, _reply_lines
 from .planning import PromptSequence
 from .presets import COT_SUFFIX, REACT_FINAL_BLOCK, REACT_FORMAT_BLOCK, REACT_HEADER, STRATEGIES
 from .prompts import PromptRegistry, default_registry, fill
@@ -90,7 +90,7 @@ def split_parts(text: str) -> KnowledgeDocument:
     """
     if not text or not text.strip():
         raise AutoRecipeError("knowledge text is empty")
-    lines = text.splitlines(keepends=True)
+    lines = _reply_lines(text)
     boundaries = [
         i for i, line in enumerate(lines) if _HEADING_LINE.match(line.rstrip("\r\n"))
     ][:3]

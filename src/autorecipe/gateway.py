@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 
@@ -91,6 +92,16 @@ def canonical_content(text: str) -> str:
     """Normalize line endings and strip per-line trailing whitespace, nothing else."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return "\n".join(line.rstrip() for line in lines).rstrip("\n")
+
+
+_REPLY_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _reply_lines(text: str) -> list[str]:
+    """A model reply's lines, each with its line end, cut only at ``\\n``,
+    ``\\r\\n`` and ``\\r``.  ``str.splitlines`` also cuts at form feeds,
+    U+2028 and the like, which a reply may hold inside a line."""
+    return _REPLY_LINE.findall(text)
 
 
 def session_key(session: list[ChatMessage]) -> str:
@@ -280,8 +291,17 @@ class RecordingGateway:
             "session": [{"role": m.role, "content": m.content} for m in session],
             "reply": reply,
         }
-        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        # One write on an O_APPEND descriptor: no other append lands inside a
+        # record, and a process killed between records leaves no half of one.
+        with self._lock:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, line)
+            finally:
+                os.close(fd)
+        if written != len(line):
+            raise OSError(f"{self.path}: wrote {written} of the record's {len(line)} bytes")
         return reply
 
 

@@ -13,7 +13,7 @@ import re
 from ._struct import Struct, fresh, replace
 from ._yamlio import INT, TEXT, ListOf, MapOf, Record, dump_yaml, load_checked
 from .errors import AutoRecipeError
-from .gateway import ChatMessage
+from .gateway import ChatMessage, _reply_lines
 from .presets import PLANNER_CONSTRAINTS, PLANNER_TASK_INTRO
 from .prompts import PromptRegistry, default_registry, fill, fill_partial, placeholders
 from .taxonomy import Taxonomy, descendant_mentions, normalize_name, render_statements, traverse_top_down
@@ -277,7 +277,8 @@ def parse_plan(model_output: str, goal: Goal | None = None) -> PromptSequence:
     order_pieces: list[str] | None = None
     current: list[str] | None = None  # where continuation lines go; None drops them
 
-    for line in model_output.splitlines():
+    for line in _reply_lines(model_output):
+        line = line.rstrip("\r\n")
         step_match = _STEP_LINE.match(line)
         if step_match:
             index = int(step_match.group(1))

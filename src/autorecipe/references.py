@@ -20,7 +20,7 @@ from ._struct import Struct
 from ._yamlio import BOOL, TEXT, ListOf, MapOf, Record, load_file
 from .errors import AutoRecipeError, FewerClaimsWarning, SearchClientError
 from .execution import KnowledgeDocument
-from .gateway import ChatMessage
+from .gateway import ChatMessage, _reply_lines
 from .prompts import PromptRegistry, default_registry, instantiate
 
 __all__ = [
@@ -141,7 +141,7 @@ _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
 
 
 def _parse_claim_sentences(reply: str) -> list[str]:
-    lines = [line.strip() for line in reply.splitlines() if line.strip()]
+    lines = [line.strip() for line in _reply_lines(reply) if line.strip()]
     candidates: list[str] = []
     for line in lines:
         cleaned = _MARKDOWN_NOISE.sub("", _LIST_PREFIX.sub("", line)).strip()

@@ -1432,3 +1432,46 @@ def test_failure_exit_code_and_message(files, argv, code, err, tmp_path, capsys)
     rc = main([arg.format(**paths) for arg in argv])
     err = err.replace("{tmp}", str(tmp_path))
     assert (rc, capsys.readouterr().err) == (code, err + "\n" if err else "")
+
+
+# --- the process entry -------------------------------------------------------------
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_run_turns_the_collector_off_for_main_and_freezes_it_before_exit(code, monkeypatch):
+    # gc's own functions are replaced, so this process keeps its collector.
+    calls = []
+    monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+
+    def fake_main(argv=None):
+        calls.append(("main", argv))
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    assert calls == ["disable", ("main", None), "freeze"]
+
+
+def test_a_cli_process_exits_with_the_commands_code_and_error_line(tmp_path):
+    empty = tmp_path / "empty.md"
+    empty.write_text("--- ... ---\n", encoding="utf-8")
+    src = str(Path(autorecipe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "autorecipe.cli", "metrics", "--doc", str(empty)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {empty} has no tokens: cannot compute its type-token ratio\n"
+    )
+
+
+def test_the_console_script_and_the_main_module_both_enter_through_run():
+    # Read as text: tomllib is not in the standard library before 3.11.
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n")[1]
+    assert scripts.split("\n\n")[0] == 'autorecipe = "autorecipe.cli:run"'
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert source.endswith('\nif __name__ == "__main__":\n    run()\n')

@@ -81,6 +81,15 @@ def test_split_parts_markdown_headings():
     assert render_knowledge(kd) == text
 
 
+def test_split_parts_cuts_lines_only_at_line_ends():
+    # U+2028 does not end a Markdown line, so the "heading" after it is text.
+    text = "Intro line\u2028## Part 1: Not a heading in markdown\nbody\n\n## Part 2: Real\nmore\n"
+    kd = split_parts(text)
+    assert kd.preamble == "Intro line\u2028## Part 1: Not a heading in markdown\nbody\n\n"
+    assert [(p.heading, p.body) for p in kd.parts] == [("## Part 2: Real\n", "more\n")]
+    assert render_knowledge(kd) == text
+
+
 def test_split_parts_keeps_preamble_and_extra_markers():
     text = (
         "Sure, here is the document.\n\n"

@@ -28,6 +28,7 @@ from autorecipe.gateway import (
     RecordingGateway,
     ReplayGateway,
     ScriptedGateway,
+    _reply_lines,
     _urllib_post,
     canonical_content,
     load_gateway_config,
@@ -52,6 +53,22 @@ def test_canonical_content_noise_only():
     assert canonical_content("a\nb") == "a\nb"
     # inner whitespace is meaning, not noise
     assert canonical_content("a  b") == "a  b"
+
+
+# Every character str.splitlines cuts at, plus ordinary text.
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(alphabet=st.sampled_from(list(_LINE_ENDS + "ab \t"))) | st.text())
+def test_reply_lines_cut_only_at_newline_carriage_return_or_both(text):
+    lines = _reply_lines(text)
+    assert "".join(lines) == text
+    assert all(line.endswith(("\n", "\r")) for line in lines[:-1])
+    for line in lines:
+        body = line.removesuffix("\n").removesuffix("\r")
+        assert line and "\r" not in body and "\n" not in body
+    if not any(c in text for c in _LINE_ENDS[2:]):
+        assert lines == text.splitlines(keepends=True)
 
 
 def test_session_key_invariance_and_sensitivity():
@@ -115,12 +132,22 @@ def test_record_then_replay_round_trip(tmp_path):
         replay.complete(_session("never seen"))
 
 
-def test_recording_store_keeps_every_record_whole_under_concurrent_writers(tmp_path):
+def test_recording_store_keeps_every_record_whole_under_concurrent_writers(tmp_path, monkeypatch):
     """More writer threads than cores share one recording gateway, each
-    sending its own sessions, with a thread switch forced every microsecond."""
+    sending its own sessions, with a thread switch forced every microsecond.
+    Every other record is longer than an 8 KiB write buffer, and each
+    record goes out in one write."""
     writers, calls = min(2 * (os.cpu_count() or 1) + 1, 33), 40
-    texts = [f"writer {w} call {n}: " + "x" * (n * 400) for w in range(writers)
-             for n in range(calls)]
+    texts = [f"writer {w} call {n}: " + "x" * (n * 400 if n % 2 else 9000 + n)
+             for w in range(writers) for n in range(calls)]
+    writes = []
+    real_write = os.write
+
+    def write_once(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write_once)
     scripted = ScriptedGateway(by_key={session_key(_session(t)): f"reply to {t}" for t in texts})
     store = tmp_path / "store.jsonl"
     recording = RecordingGateway(scripted, str(store))
@@ -151,9 +178,18 @@ def test_recording_store_keeps_every_record_whole_under_concurrent_writers(tmp_p
     records = [json.loads(line) for line in text.splitlines()]
     assert all(set(r) == {"key", "session", "reply"} for r in records)
     assert len(records) == len(scripted.calls) == writers * calls
+    assert sorted(writes) == sorted(line.encode("utf-8") for line in text.splitlines(keepends=True))
+    assert sum(len(w) > 8192 for w in writes) >= writers * calls // 2
     replay = ReplayGateway(str(store))
     for t in texts:
         assert replay.complete(_session(t)) == f"reply to {t}"
+
+
+def test_a_short_store_write_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "write", lambda fd, data: len(data) - 1)
+    recording = RecordingGateway(ScriptedGateway(replies=["r"]), str(tmp_path / "store.jsonl"))
+    with pytest.raises(OSError, match=r"store\.jsonl: wrote (\d+) of the record's \d+ bytes$"):
+        recording.complete(_session())
 
 
 # Each bad line, and what is wrong with it.

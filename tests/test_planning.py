@@ -146,6 +146,12 @@ def test_parse_demonstration_plan(health_tax):
         assert "Think" not in step.body
 
 
+def test_parse_plan_keeps_a_line_separator_inside_a_step():
+    seq = parse_plan("Step 1: Describe the asset\u2028in detail.\r\nStep 2: Ask again.\r"
+                     "Execution Order: Step 1 AND Step 2 Goal completed!\n")
+    assert [s.body for s in seq.steps] == ["Describe the asset\u2028in detail.", "Ask again."]
+
+
 def test_parse_demonstration_multiline_export_body():
     seq = parse_plan(COMPONENT_HEALTH_DEMONSTRATION)
     export = seq.steps[11 - 1]

@@ -116,6 +116,13 @@ def test_generate_claims_splits_single_paragraph(registry):
     ]
 
 
+def test_generate_claims_does_not_cut_a_claim_at_a_line_separator(registry):
+    # Cut at U+2028, the first line's fragment would end in "." and pass as a claim.
+    reply = "1. Vibration rises as the bearing wears, e.g.\u2028at high load\n2. Temperature tracks load."
+    claims = generate_claims(1, PASSAGE, _Recorder([reply]), k=1, registry=registry)
+    assert claims == [(1, "Temperature tracks load.")]
+
+
 def test_generate_claims_warns_when_fewer_parse(registry):
     reply = "Only one full sentence here.\nno trailing period on this line"
     with pytest.warns(FewerClaimsWarning):
